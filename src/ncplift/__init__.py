@@ -52,6 +52,7 @@ from .gadget import (
     is_block_complete,
     lift_parity,
     lift_sample,
+    span_lifted_agreement,
     unlift_parity,
 )
 from .instance import (
@@ -118,7 +119,7 @@ __all__ = [
     # gadget
     "GadgetParams", "FinitePmf", "GadgetOracle", "Restriction", "blockwise_parity",
     "lift_sample", "lift_parity", "unlift_parity", "is_block_complete",
-    "exact_lifted_agreement", "exact_restriction_probability",
+    "exact_lifted_agreement", "span_lifted_agreement", "exact_restriction_probability",
     "exact_lifted_tree_error", "enumerate_lifted",
     # dtree
     "ParityIndexSet", "Leaf", "Node", "DecisionTree", "eval_tree", "truth_table",

@@ -11,8 +11,10 @@ Exact quantities below are computed in closed form per base point from
 two elementary facts about a uniform parity-constrained block: any
 proper subset of its coordinates is jointly uniform, and the signed
 expectation of a full-block parity character is +1 or -1 according to
-the required parity.  A brute-force fiber enumerator is kept alongside
-as an independent cross-check at tiny sizes.
+the required parity.  Over a span base, agreement needs no sum over
+points at all: the span dichotomy settles it from the basis alone.  A
+brute-force fiber enumerator is kept alongside as an independent
+cross-check at tiny sizes.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "unlift_parity",
     "is_block_complete",
     "exact_lifted_agreement",
+    "span_lifted_agreement",
     "exact_restriction_probability",
     "exact_lifted_tree_error",
     "enumerate_lifted",
@@ -252,15 +255,21 @@ def is_block_complete(s: ParityIndexSet, params: GadgetParams) -> bool:
     return all(v == params.ell for v in counts.values())
 
 
-def _block_split(s: ParityIndexSet, params: GadgetParams) -> tuple[list[int], bool]:
-    """Full blocks of s (0-based), and whether any partial block exists."""
+def _block_fold(s: ParityIndexSet, params: GadgetParams) -> int | None:
+    """Base mask (0-based bits) of the blocks s covers, or None when s
+    covers some block only partly."""
+    if s.indices and s.indices[-1] > params.lifted_n:
+        raise ValueError("parity index exceeds the lifted arity")
     counts: dict[int, int] = {}
     for c in s:
         b = (c - 1) // params.ell
         counts[b] = counts.get(b, 0) + 1
-    full = [b for b, v in counts.items() if v == params.ell]
-    partial = len(full) != len(counts)
-    return full, partial
+    fmask = 0
+    for b, v in counts.items():
+        if v != params.ell:
+            return None
+        fmask |= 1 << b
+    return fmask
 
 
 def exact_lifted_agreement(base, s: ParityIndexSet, params: GadgetParams) -> Fraction:
@@ -269,22 +278,39 @@ def exact_lifted_agreement(base, s: ParityIndexSet, params: GadgetParams) -> Fra
     Closed form per base point: the signed agreement is the base
     expectation of (-1)**label times the product of per-block character
     expectations, which is 0 for a partially covered block and
-    (-1)**x_i for a fully covered block i.  No fibers are enumerated.
+    (-1)**x_i for a fully covered block i.  No fibers are enumerated,
+    but every base point is; over a span this is the enumerating oracle
+    for ``span_lifted_agreement``.
     """
-    if s.indices and s.indices[-1] > params.lifted_n:
-        raise ValueError("parity index exceeds the lifted arity")
-    full, partial = _block_split(s, params)
-    if partial:
+    fmask = _block_fold(s, params)
+    if fmask is None:
         # Every term carries a zero factor from the partial block.
         return Fraction(1, 2)
-    fmask = 0
-    for b in full:
-        fmask |= 1 << b
     corr = Fraction(0)
     for point, prob, label in base.enumerate_weighted():
         sign = (label ^ ((point.mask & fmask).bit_count() & 1)) & 1
         corr += -prob if sign else prob
     return (1 + corr) / 2
+
+
+def span_lifted_agreement(span, s: ParityIndexSet, params: GadgetParams) -> Fraction:
+    """Exact agreement of a parity with the lifted source over a span.
+
+    The span dichotomy in closed form.  A partially covered block gives
+    1/2, as in ``exact_lifted_agreement``.  Otherwise the agreement is
+    that of the folded base parity F over the span, whose labels extend
+    the basis labels linearly: F matches every span label when it
+    matches every basis row (agreement 1), and exactly half of them
+    otherwise (agreement 1/2).  One pass over the basis, no dimension
+    cap.
+    """
+    fmask = _block_fold(s, params)
+    if fmask is None:
+        return Fraction(1, 2)
+    for row, label in zip(span.points, span.labels):
+        if (row & fmask).bit_count() & 1 != label:
+            return Fraction(1, 2)
+    return Fraction(1)
 
 
 def _restriction_blocks(

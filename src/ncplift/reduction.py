@@ -4,10 +4,13 @@
 example oracle: the rows of H labeled by t, extended to their span, and
 pushed through the blockwise-parity gadget.  ``search`` runs a learner
 on that oracle, prunes the hypothesis, reads candidate parities off its
-path supports, folds each back to base coordinates, and keeps the first
-candidate whose base parity reproduces every original label, which
-makes any returned vector an exact solution of H x = t.  ``decide``
-wraps the same learning step with explicit size and error thresholds.
+path supports, and ranks them by their exact agreement with the lifted
+span source, which the span dichotomy gives in closed form (1 or 1/2).
+Each candidate is folded back to base coordinates and the first one
+that passes ``verify_certificate`` on the original instance is
+returned, so any returned vector is an exact solution of H x = t.
+``decide`` wraps the same learning step with explicit size and error
+thresholds.
 """
 
 from __future__ import annotations
@@ -23,17 +26,16 @@ from .dtree import (
     estimate_distance,
     path_support_sets,
     prune,
-    sample_size,
 )
 from .f2 import BitVector, mat_vec
 from .gadget import (
     GadgetOracle,
     GadgetParams,
     exact_lifted_agreement,
+    span_lifted_agreement,
     unlift_parity,
 )
 from .instance import (
-    LabeledSet,
     SyndromeInstance,
     UnsatisfiableInstanceError,
     normalize_syndrome,
@@ -54,7 +56,6 @@ __all__ = [
     "verify_certificate",
 ]
 
-EXACT_BACKEND_MAX_DIMENSION = 20
 EXTRACT_MAX_DEPTH = 30
 
 
@@ -62,15 +63,14 @@ EXTRACT_MAX_DEPTH = 30
 class ReductionConfig:
     """Knobs shared by the pipelines.
 
-    ``gamma_floor`` is the smallest correlation advantage the sampling
-    backend of the extractor must still resolve; ``learner_samples``
-    and ``learner_time_budget`` fill the learner budget, the size and
-    depth limits being derived from the instance.
+    ``confidence`` is the confidence of the distance estimate in
+    ``decide``; ``learner_samples`` and ``learner_time_budget`` fill the
+    learner budget, the size and depth limits being derived from the
+    instance.  Extraction is exact and has no knob.
     """
 
     ell: int = 2
     prune_constant: int = 3
-    gamma_floor: Fraction = Fraction(1, 16)
     confidence: Fraction = Fraction(999, 1000)
     learner_samples: int = 2000
     learner_time_budget: float = 60.0
@@ -80,8 +80,6 @@ class ReductionConfig:
             raise ValueError("block width must be >= 2")
         if self.prune_constant < 2:
             raise ValueError("prune constant must be >= 2")
-        if not 0 < self.gamma_floor < Fraction(1, 2):
-            raise ValueError("gamma floor must lie in (0, 1/2)")
         if not 0 < self.confidence < 1:
             raise ValueError("confidence must lie strictly between 0 and 1")
         if self.learner_samples < 1:
@@ -193,40 +191,25 @@ def decide(
 
 
 def extract_parity(
-    tree: DecisionTree, oracle: GadgetOracle, cfg: ReductionConfig, rng: Random
+    tree: DecisionTree, oracle: GadgetOracle
 ) -> list[tuple[ParityIndexSet, Fraction]]:
     """Candidate parities from the tree's path supports, best first.
 
-    Agreement with the lifted source is exact whenever the base span
-    dimension allows enumeration; otherwise it is estimated from one
-    shared sample sized so every candidate lands within
-    gamma_floor / (4 * 4**depth) at the configured confidence (union
-    bound over the candidates).  Sorting is by agreement descending,
-    then smaller sets, then lexicographic order, so the ranking is
-    total.
+    Every candidate gets its exact agreement with the lifted source:
+    over a span base from the span dichotomy in closed form
+    (``span_lifted_agreement``, one pass over the basis), over any
+    other base (a ``FinitePmf``) by ``exact_lifted_agreement``.
+    Sorting is by agreement descending, then smaller sets, then
+    lexicographic order, so the ranking is total.
 
     If the tree sits at distance 1/2 - gamma from the source, the top
-    candidate has agreement at least 1/2 + gamma / 4**depth under the
-    exact backend.
+    candidate has agreement at least 1/2 + gamma / 4**depth.
     """
-    d = tree.depth
-    if d > EXTRACT_MAX_DEPTH:
+    if tree.depth > EXTRACT_MAX_DEPTH:
         raise ValueError(f"extraction capped at tree depth {EXTRACT_MAX_DEPTH}")
-    candidates = sorted(path_support_sets(tree), key=lambda s: (len(s), s.indices))
     base = oracle.base
-    exact = isinstance(base, SpanOracle) and base.dimension <= EXACT_BACKEND_MAX_DIMENSION
-    scored: list[tuple[ParityIndexSet, Fraction]] = []
-    if exact:
-        for s in candidates:
-            scored.append((s, exact_lifted_agreement(base, s, oracle.params)))
-    else:
-        tol = float(cfg.gamma_floor) / (4.0 * 4.0**d)
-        per_candidate = (1.0 - float(cfg.confidence)) / max(1, len(candidates))
-        nsamp = sample_size(tol, 1.0 - per_candidate)
-        drawn = [oracle.sample(rng) for _ in range(nsamp)]
-        for s in candidates:
-            hits = sum(1 for point, label in drawn if s.chi_mask(point.mask) == label)
-            scored.append((s, Fraction(hits, nsamp)))
+    agreement = span_lifted_agreement if isinstance(base, SpanOracle) else exact_lifted_agreement
+    scored = [(s, agreement(base, s, oracle.params)) for s in path_support_sets(tree)]
     scored.sort(key=lambda item: (-item[1], len(item[0]), item[0].indices))
     return scored
 
@@ -248,14 +231,6 @@ class SearchReport:
         return self.solution is not None
 
 
-def _consistent_on_all(s_star: ParityIndexSet, labeled: LabeledSet) -> bool:
-    m = s_star.mask
-    for point, label in zip(labeled.points, labeled.labels):
-        if (m & point.mask).bit_count() & 1 != label:
-            return False
-    return True
-
-
 def search(
     inst: SyndromeInstance, cfg: ReductionConfig, learner, rng: Random
 ) -> SearchReport:
@@ -263,19 +238,17 @@ def search(
 
     The learner gets depth budget ell*k and size budget 2**(ell*k); the
     hypothesis is pruned at prune_constant * ceil(log2(size)); every
-    candidate parity is folded to base blocks and checked against every
-    labeled row.  Only candidates whose folded support stays within
-    prune_constant * ceil(log2(size)) / ell coordinates are kept, so a
-    returned vector always satisfies H x = t with sparsity within that
-    bound; failures report which stage gave out.
+    candidate parity is folded to base blocks and kept only when
+    ``verify_certificate`` accepts it on the original instance with
+    sparsity cap floor(prune_constant * ceil(log2(size)) / ell), so a
+    returned vector always satisfies H x = t within that bound;
+    failures report which stage gave out.
     """
     try:
-        norm = normalize_syndrome(inst)
-        oracle, meta = build_learning_instance(norm, cfg)
+        oracle, meta = build_learning_instance(inst, cfg)
     except UnsatisfiableInstanceError:
         return SearchReport(None, "unsatisfiable", None, None, 0, None)
-    labeled = syndrome_to_labeled_set(norm)
-    depth_cap = cfg.ell * norm.k
+    depth_cap = cfg.ell * meta.k
     budget = _learner_budget(1 << depth_cap, depth_cap, cfg)
     try:
         tree = learner(oracle, meta.arity, budget, rng)
@@ -286,20 +259,12 @@ def search(
         log_size += 1  # ceil(log2(size))
     prune_depth = cfg.prune_constant * log_size
     pruned = prune(tree, prune_depth)
-    ranked = extract_parity(pruned, oracle, cfg, rng)
-    sparsity_cap = Fraction(cfg.prune_constant * log_size, cfg.ell)
+    ranked = extract_parity(pruned, oracle)
+    sparsity_cap = cfg.prune_constant * log_size // cfg.ell
     for s, _agreement in ranked:
-        s_star = unlift_parity(s, oracle.params)
-        if len(s_star) > sparsity_cap:
-            continue
-        if not _consistent_on_all(s_star, labeled):
-            continue
-        x = BitVector.from_support(s_star.indices, norm.n)
-        if mat_vec(inst.h, x).mask != inst.t.mask:
-            # Unreachable when normalization succeeded; never return an
-            # unverified vector regardless.
-            continue
-        return SearchReport(x, "ok", tree.size, prune_depth, len(ranked), meta, pruned)
+        x = BitVector.from_support(unlift_parity(s, oracle.params).indices, meta.n)
+        if verify_certificate(inst, x, sparsity_cap):
+            return SearchReport(x, "ok", tree.size, prune_depth, len(ranked), meta, pruned)
     return SearchReport(None, "no-candidate-verified", tree.size, prune_depth, len(ranked), meta, pruned)
 
 

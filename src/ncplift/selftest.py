@@ -470,7 +470,6 @@ def _corrupt_leaves(tree: DecisionTree, rng: Random, p_num: int, p_den: int) -> 
 
 def _criterion_extraction_advantage(scale: _Scale, ctx: dict) -> tuple[bool, str]:
     rng = Random(606)
-    cfg = ReductionConfig()
     half = Fraction(1, 2)
     done = 0
     attempts = 0
@@ -493,7 +492,7 @@ def _criterion_extraction_advantage(scale: _Scale, ctx: dict) -> tuple[bool, str
         gamma = half - dist
         if gamma < Fraction(1, 8):
             continue
-        ranked = extract_parity(tree, GadgetOracle(span, params), cfg, rng)
+        ranked = extract_parity(tree, GadgetOracle(span, params))
         top = ranked[0][1]
         need = half + gamma / (4**tree.depth)
         if top < need:

@@ -116,6 +116,18 @@ def test_solve_reduce_round_trip(tmp_path, capsys):
     assert stdout.strip() == "OK"
 
 
+def test_solve_reduce_past_span_enumeration_cap(tmp_path, capsys):
+    # m = 24 rows: a span of dimension 24, beyond exhaustive enumeration.
+    out = gen_planted(tmp_path, capsys, n=32, m=24, k=2, seed=1)
+    code, stdout, _ = run(capsys, "solve-reduce", str(out))
+    assert code == 0
+    sol = tmp_path / "sol"
+    sol.write_text(f"1 32\n{stdout.strip()}\n")
+    code, stdout, _ = run(capsys, "verify", str(out), str(sol), "--k-max", "6")
+    assert code == 0
+    assert stdout.strip() == "OK"
+
+
 def test_solve_reduce_is_deterministic(tmp_path, capsys):
     out = gen_planted(tmp_path, capsys, n=12, m=8, k=2, seed=9)
     runs = []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncplift.dtree import Leaf, Node, ParityIndexSet, exact_distance
-from ncplift.f2 import BitVector
+from ncplift.f2 import BitMatrix, BitVector, rank
 from ncplift.gadget import (
     FinitePmf,
     GadgetOracle,
@@ -24,8 +24,11 @@ from ncplift.gadget import (
     is_block_complete,
     lift_parity,
     lift_sample,
+    span_lifted_agreement,
     unlift_parity,
 )
+from ncplift.instance import LabeledSet
+from ncplift.span import exact_disagreement, make_span_oracle
 
 P2 = GadgetParams(ell=2, base_n=2)
 
@@ -289,6 +292,59 @@ def test_lifting_a_consistent_parity_keeps_agreement_one():
         lifted = lift_parity(s_star, P2 if n == 2 else GadgetParams(2, n))
         params = GadgetParams(2, n)
         assert exact_lifted_agreement(base, lifted, params) == 1
+
+
+def independent_masks(rng, n, m):
+    while True:
+        masks = tuple(rng.getrandbits(n) for _ in range(m))
+        if rank(BitMatrix(m, n, masks)) == m:
+            return masks
+
+
+@given(
+    st.integers(0, 12),
+    st.integers(0, 2),
+    st.sampled_from([2, 3]),
+    st.sampled_from(["planted", "lifted", "any"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_span_agreement_matches_both_oracles(m, extra, ell, mode, seed):
+    # "planted" labels the basis by chi_{S*} and asks for lift(S*), the
+    # agreement-1 branch; "lifted" asks for the lift of a random base
+    # set under random labels (block-complete, mostly inconsistent);
+    # "any" asks for a random lifted set (mostly a partial block).
+    rng = random.Random(seed)
+    n = max(m, 1) + extra
+    params = GadgetParams(ell, n)
+    masks = independent_masks(rng, n, m)
+    s_star = ParityIndexSet.from_mask(rng.getrandbits(n))
+    if mode == "planted":
+        labels = tuple((s_star.mask & mk).bit_count() & 1 for mk in masks)
+    else:
+        labels = tuple(rng.getrandbits(1) for _ in masks)
+    span = make_span_oracle(
+        LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n)
+    )
+    if mode == "any":
+        s = ParityIndexSet.from_mask(rng.getrandbits(params.lifted_n))
+    else:
+        s = lift_parity(s_star, params)
+    got = span_lifted_agreement(span, s, params)
+    assert got in (Fraction(1, 2), Fraction(1))
+    assert got == exact_lifted_agreement(span, s, params)
+    if is_block_complete(s, params):
+        assert got == 1 - exact_disagreement(span, unlift_parity(s, params))
+    else:
+        assert got == Fraction(1, 2)
+    if mode == "planted":
+        assert got == 1
+
+
+def test_span_agreement_rejects_foreign_index():
+    span = make_span_oracle(LabeledSet((BitVector.from01("10"),), (1,), 2))
+    with pytest.raises(ValueError):
+        span_lifted_agreement(span, index_set(5), P2)
 
 
 # ---------------------------------------------------------------- restrictions

@@ -1,6 +1,8 @@
 """End-to-end pipelines: learn on lifted examples, decide or extract."""
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,7 @@ from ncplift.reduction import (
     search,
     verify_certificate,
 )
-from ncplift.span import SpanOracle, make_span_oracle
+from ncplift.span import make_span_oracle
 
 CFG = ReductionConfig()
 
@@ -68,8 +70,6 @@ def test_config_validation():
         ReductionConfig(ell=1)
     with pytest.raises(ValueError):
         ReductionConfig(prune_constant=1)
-    with pytest.raises(ValueError):
-        ReductionConfig(gamma_floor=Fraction(1, 2))
     with pytest.raises(ValueError):
         ReductionConfig(confidence=Fraction(1))
     with pytest.raises(ValueError):
@@ -188,7 +188,7 @@ def test_extract_parity_from_its_own_tree():
     oracle = parity_lifted_oracle(5, s_star)
     lifted = lift_parity(s_star, oracle.params)
     tree = parity_to_tree(lifted)
-    ranked = extract_parity(tree, oracle, CFG, random.Random(0))
+    ranked = extract_parity(tree, oracle)
     assert ranked[0] == (lifted, Fraction(1))
     # Every other candidate sits strictly below.
     for s, agr in ranked[1:]:
@@ -197,7 +197,7 @@ def test_extract_parity_from_its_own_tree():
 
 def test_extract_constant_tree_is_balanced():
     oracle = parity_lifted_oracle(4, index_set(1, 3))
-    ranked = extract_parity(Leaf(0), oracle, CFG, random.Random(0))
+    ranked = extract_parity(Leaf(0), oracle)
     assert ranked == [(index_set(), Fraction(1, 2))]
 
 
@@ -208,7 +208,7 @@ def test_extract_ranking_is_total_and_exact():
 
     oracle = parity_lifted_oracle(4, index_set(2))
     tree = Node(1, Node(2, Leaf(0), Leaf(1)), Node(3, Leaf(1), Leaf(0)))
-    ranked = extract_parity(tree, oracle, CFG, random.Random(0))
+    ranked = extract_parity(tree, oracle)
     assert len(ranked) == len({s for s, _ in ranked})
     for s, agr in ranked:
         assert agr == exact_lifted_agreement(oracle.base, s, oracle.params)
@@ -216,20 +216,23 @@ def test_extract_ranking_is_total_and_exact():
     assert keys == sorted(keys)
 
 
-def test_extract_sampling_backend_on_wide_span():
-    # Base dimension 21 exceeds the exact backend cap, so agreement is
-    # estimated; for the empty parity it must land near one half.
-    n = 21
-    points = tuple(BitVector(n, 1 << i) for i in range(n))
-    labels = tuple([1] + [0] * (n - 1))
-    span = make_span_oracle(LabeledSet(points, labels, n))
-    assert isinstance(span, SpanOracle) and span.dimension == 21
-    oracle = GadgetOracle(span, GadgetParams(2, n))
-    ranked = extract_parity(Leaf(0), oracle, CFG, random.Random(4))
-    assert len(ranked) == 1
-    s, agr = ranked[0]
-    assert s == index_set()
-    assert abs(agr - Fraction(1, 2)) <= Fraction(1, 32)
+def test_extract_exact_on_wide_span():
+    # Past dimension 20, where span enumeration stops, agreements stay
+    # exact: 1 for the lift of the planted parity, 1/2 for every other
+    # candidate, and 1/2 for all candidates of a wrong fold.
+    for n in (21, 24):
+        s_star = index_set(1, n)
+        oracle = parity_lifted_oracle(n, s_star)
+        assert oracle.base.dimension == n
+        planted = lift_parity(s_star, oracle.params)
+        ranked = extract_parity(parity_to_tree(planted), oracle)
+        assert len(ranked) == 16
+        assert ranked[0] == (planted, Fraction(1))
+        assert all(agr == Fraction(1, 2) for _, agr in ranked[1:])
+        wrong = lift_parity(index_set(2, n), oracle.params)
+        ranked = extract_parity(parity_to_tree(wrong), oracle)
+        assert len(ranked) == 16
+        assert all(agr == Fraction(1, 2) for _, agr in ranked)
 
 
 def test_extract_depth_cap():
@@ -238,7 +241,7 @@ def test_extract_depth_cap():
         deep = Node(c, deep, Leaf(1))
     oracle = parity_lifted_oracle(16, index_set(1))
     with pytest.raises(ValueError):
-        extract_parity(deep, oracle, CFG, random.Random(0))
+        extract_parity(deep, oracle)
 
 
 # ---------------------------------------------------------------- search
@@ -297,6 +300,32 @@ def test_search_reports_unverified_candidates():
     assert not report.ok
     assert report.reason == "no-candidate-verified"
     assert report.candidates == 1
+
+
+@contextmanager
+def cpu_limit(seconds):
+    """Raise TimeoutError once the process has used `seconds` more CPU."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s of CPU")
+
+    previous = signal.signal(signal.SIGPROF, expire)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+
+
+def test_search_past_enumeration_cap_finishes():
+    # Span dimensions 21..32 are beyond exhaustive span enumeration;
+    # search must still finish and return a verified certificate.
+    for n, m in ((28, 21), (32, 24), (40, 32)):
+        inst, _x = random_planted(n, m, 2, 1)
+        with cpu_limit(10):
+            report = search(inst, CFG, exhaustive_parity_learner, random.Random(1))
+        assert report.ok
+        assert verify_certificate(inst, report.solution, CFG.prune_constant * inst.k)
 
 
 def test_search_many_planted_seeds():
