@@ -27,6 +27,7 @@ from typing import Iterator
 
 from .dtree import DecisionTree, Leaf, Node, ParityIndexSet
 from .f2 import BitVector
+from .instance import _randbelow
 
 __all__ = [
     "GadgetParams",
@@ -126,14 +127,6 @@ class FinitePmf:
 
     def enumerate_weighted(self) -> Iterator[tuple[BitVector, Fraction, int]]:
         yield from zip(self.points, self.probs, self.labels)
-
-
-def _randbelow(rng: Random, n: int) -> int:
-    bits = n.bit_length()
-    r = rng.getrandbits(bits)
-    while r >= n:
-        r = rng.getrandbits(bits)
-    return r
 
 
 class GadgetOracle:

@@ -16,6 +16,7 @@ from itertools import combinations
 from random import Random
 
 from .dtree import DecisionTree, Leaf, Node, ParityIndexSet, complement_tree
+from .f2 import sparse_xor_search
 
 __all__ = [
     "LearnerBudget",
@@ -85,15 +86,20 @@ def exhaustive_parity_learner(
 ) -> DecisionTree:
     """Best parity (or complemented parity) on a fresh sample.
 
-    Scans every index set S with ``|S| <= depth_budget`` (also capped so
-    the output tree fits the size budget), in ascending size and then
-    lexicographic order, considering the plain parity before the
+    Considers every index set S with ``|S| <= depth_budget`` (also
+    capped so the output tree fits the size budget), in ascending size
+    and then lexicographic order, the plain parity before the
     complemented one; the first candidate achieving the minimum
     empirical error wins, so ties break toward smaller, earlier, plain
     candidates.  With depth budget 0 this returns the better constant.
 
-    The scan packs the sample into per-coordinate bit columns, so a
-    candidate costs a few word XORs and one popcount.
+    The sample is packed into per-coordinate bit columns.  An exact fit
+    is a sparse XOR of columns equal to the label column or to its
+    complement, and zero error is the minimum, so the first exact fit
+    in that order is found by meeting in the middle
+    (``f2.sparse_xor_search``, targets plain then complement).  Only
+    when no candidate fits exactly does the linear scan grade every
+    candidate, a few word XORs and one popcount each.
     """
     if budget.depth_budget > arity:
         raise ValueError("depth budget exceeds the arity")
@@ -111,12 +117,22 @@ def exhaustive_parity_learner(
             mask ^= low
     max_size = min(budget.depth_budget, budget.size_budget.bit_length() - 1)
     deadline = time.monotonic() + budget.time_budget
-    best_err = nsamp + 1
-    best: tuple[tuple[int, ...], bool] | None = None
-    done = False
-    for size in range(max_size + 1):
-        if done:
-            break
+    # The size-0 tier: the better constant, plain on a tie.
+    ones = label_col.bit_count()
+    best_err = min(ones, nsamp - ones)
+    best: tuple[tuple[int, ...], bool] = ((), nsamp - ones < ones)
+    targets = (label_col, label_col ^ ((1 << nsamp) - 1))
+    try:
+        exact = sparse_xor_search(cols, targets, max_size, deadline)
+    except TimeoutError:
+        raise BudgetExhaustedError(
+            "time budget exhausted during the exact-fit search", _build_parity(best)
+        ) from None
+    if exact is not None:
+        support, target = exact
+        combo = tuple(j for j in range(arity) if support >> j & 1)
+        return _build_parity((combo, target == 1))
+    for size in range(1, max_size + 1):
         checked = 0
         for combo in combinations(range(arity), size):
             acc = 0
@@ -127,16 +143,13 @@ def exhaustive_parity_learner(
                 best_err, best = err, (combo, False)
             if nsamp - err < best_err:
                 best_err, best = nsamp - err, (combo, True)
-            if best_err == 0:
-                done = True
-                break
             checked += 1
             if checked & 1023 == 0 and time.monotonic() > deadline:
                 raise BudgetExhaustedError(
                     "time budget exhausted during the parity scan",
                     _build_parity(best),
                 )
-        if time.monotonic() > deadline and not done:
+        if time.monotonic() > deadline:
             raise BudgetExhaustedError(
                 "time budget exhausted during the parity scan",
                 _build_parity(best),
@@ -144,9 +157,7 @@ def exhaustive_parity_learner(
     return _build_parity(best)
 
 
-def _build_parity(best: tuple[tuple[int, ...], bool] | None) -> DecisionTree:
-    if best is None:
-        return Leaf(0)
+def _build_parity(best: tuple[tuple[int, ...], bool]) -> DecisionTree:
     combo, flipped = best
     tree = parity_to_tree(ParityIndexSet(tuple(j + 1 for j in combo)))
     return complement_tree(tree) if flipped else tree

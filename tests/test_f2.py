@@ -2,6 +2,9 @@
 
 import itertools
 import random
+import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,9 @@ from ncplift.f2 import (
     parse_vector,
     rank,
     row_reduce,
+    sparse_xor_search,
 )
+from ncplift import f2
 
 
 def all_matrices(rows, cols):
@@ -295,3 +300,125 @@ def test_parse_vector_rejections():
             parse_vector(bad)
     with pytest.raises(FormatError):
         parse_vector("2 2\n10\n01\n")  # two rows is not a vector
+
+
+# ---------------------------------------------------------------- sparse XOR search
+
+
+def linear_xor_search(columns, targets, max_size):
+    """Reference scan: every support in (size, lex) order, each checked
+    against the targets in index order."""
+    for size in range(max_size + 1):
+        for combo in itertools.combinations(range(len(columns)), size):
+            acc = 0
+            for j in combo:
+                acc ^= columns[j]
+            for ti, target in enumerate(targets):
+                if acc == target:
+                    return sum(1 << j for j in combo), ti
+    return None
+
+
+@st.composite
+def xor_problems(draw):
+    """Columns, 1 or 2 targets and a size cap.
+
+    Wide columns draw their low 64 bits from a pool of at most four
+    values and differ only above them, so most fingerprint matches are
+    collisions that the full-column check has to reject.  Narrow
+    columns repeat XORs often, so ties between supports are common.
+    Targets are XORs of drawn supports (usually reachable), drawn
+    values, or a repeat of the first target.
+    """
+    n = draw(st.integers(0, 14))
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=4))
+        columns = [
+            draw(st.sampled_from(pool)) | draw(st.integers(0, 7)) << 64 for _ in range(n)
+        ]
+        width = 67
+    else:
+        width = draw(st.integers(1, 6))
+        columns = [draw(st.integers(0, (1 << width) - 1)) for _ in range(n)]
+    targets = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(("support", "value", "repeat")))
+        if kind == "support" or (kind == "repeat" and not targets):
+            picks = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=6)) if n else []
+            acc = 0
+            for j in set(picks):
+                acc ^= columns[j]
+            targets.append(acc)
+        elif kind == "value":
+            targets.append(draw(st.integers(0, (1 << width) - 1)))
+        else:
+            targets.append(targets[0])
+    return columns, tuple(targets), draw(st.integers(0, min(n, 6)))
+
+
+@given(xor_problems())
+@settings(max_examples=300, deadline=None)
+def test_sparse_xor_search_matches_linear_scan(problem):
+    columns, targets, max_size = problem
+    assert sparse_xor_search(columns, targets, max_size) == linear_xor_search(
+        columns, targets, max_size
+    )
+
+
+@given(xor_problems(), st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_sparse_xor_search_past_the_table_cap(problem, cap):
+    # A small cap makes the larger sizes split lower than s // 2, down
+    # to the plain scan; the answers must not change.
+    columns, targets, max_size = problem
+    with mock.patch.object(f2, "XOR_TABLE_MAX_ENTRIES", cap):
+        got = sparse_xor_search(columns, targets, max_size)
+    assert got == linear_xor_search(columns, targets, max_size)
+
+
+def test_sparse_xor_search_respects_the_table_cap():
+    # With the cap at 100 entries a size-4 search over 60 columns must
+    # split 3 + 1, not 2 + 2: tracemalloc measured a 195 KiB peak with
+    # the C(60, 2) = 1770-entry table and 9 KiB with the 60-entry one.
+    columns = [1 << j for j in range(60)]
+    with mock.patch.object(f2, "XOR_TABLE_MAX_ENTRIES", 100):
+        tracemalloc.start()
+        try:
+            assert sparse_xor_search(columns, ((1 << 60) - 1,), 4) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_sparse_xor_search_rejects_fingerprint_collisions():
+    # Columns 0 and 1 agree in their low 64 bits, so {0, 2} has the
+    # fingerprint of the target, and comes first, without being a
+    # solution; {1, 2} is the real one.
+    high = 1 << 64
+    columns = [1, 1 | high, 2]
+    assert sparse_xor_search(columns, (3 | high,), 3) == (0b110, 0)
+    assert sparse_xor_search(columns, (3 | high << 1,), 3) is None
+
+
+def test_sparse_xor_search_order_within_a_size():
+    # Columns 0, 1, 2, 3, 4 are independent and column 5 is 0 ^ 2 ^ 3,
+    # so the target has exactly the weight-4 solutions {1, 2, 3, 4} and
+    # {0, 1, 4, 5}; the second is lexicographically first.
+    columns = [1, 8, 2, 4, 16, 7]
+    assert sparse_xor_search(columns, (30,), 3) is None
+    assert sparse_xor_search(columns, (30,), 4) == (0b110011, 0)
+    # {0, 3} hits the first target and {0, 2} the second; the support
+    # order decides before the target order does.
+    assert sparse_xor_search([1, 2, 4, 8], (9, 5), 2) == (0b0101, 1)
+    # A support hitting two equal targets reports the lower index.
+    assert sparse_xor_search(columns, (9, 9), 2) == (0b11, 0)
+
+
+def test_sparse_xor_search_deadline():
+    columns = [1 << j for j in range(20)]
+    past = time.monotonic() - 1.0
+    with pytest.raises(TimeoutError):
+        sparse_xor_search(columns, ((1 << 20) - 1,), 20, past)
+    # An empty support needs no work and returns before any check.
+    assert sparse_xor_search(columns, (0,), 20, past) == (0, 0)

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncplift.f2 import BitMatrix, BitVector, FormatError, mat_vec, rank
 from ncplift.instance import (
@@ -260,6 +263,40 @@ def test_brute_force_returns_sparsest():
             assert best is not None
             assert mat_vec(h, best) == t
             assert best.sparsity == min(bin(s).count("1") for s in sols)
+
+
+def scan_nearest(inst, k_max):
+    """The enumeration brute force ran before it met in the middle:
+    supports by size, then lexicographically, first hit wins."""
+    n = inst.h.cols
+    cols = inst.h.column_masks()
+    target = inst.t.mask
+    if target == 0:
+        return BitVector.zeros(n)
+    for size in range(1, k_max + 1):
+        for supp in combinations(range(n), size):
+            acc = 0
+            for j in supp:
+                acc ^= cols[j]
+            if acc == target:
+                mask = 0
+                for j in supp:
+                    mask |= 1 << j
+                return BitVector(n, mask)
+    return None
+
+
+@given(st.integers(1, 12), st.data())
+@settings(max_examples=300, deadline=None)
+def test_brute_force_matches_the_enumeration(n, data):
+    # Few rows make many supports share a syndrome, so the
+    # lexicographic tie-break decides most answers.
+    m = data.draw(st.integers(1, min(n, 8)))
+    h = BitMatrix(m, n, tuple(data.draw(st.integers(0, (1 << n) - 1)) for _ in range(m)))
+    t = BitVector(m, data.draw(st.integers(0, (1 << m) - 1)))
+    inst = SyndromeInstance(h, t, 1, Fraction(1))
+    k_max = data.draw(st.integers(0, n))
+    assert brute_force_nearest(inst, k_max) == scan_nearest(inst, k_max)
 
 
 def test_brute_force_rejects_oversized_cap():

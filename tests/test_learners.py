@@ -2,11 +2,23 @@
 
 import itertools
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncplift.dtree import Leaf, Node, ParityIndexSet, eval_tree, parse_tree, truth_table
+from ncplift.dtree import (
+    Leaf,
+    Node,
+    ParityIndexSet,
+    complement_tree,
+    eval_tree,
+    parse_tree,
+    truth_table,
+)
 from ncplift.f2 import BitMatrix, BitVector, rank
 from ncplift.gadget import FinitePmf
 from ncplift.instance import LabeledSet
@@ -220,12 +232,9 @@ def test_exhaustive_rejects_depth_beyond_arity():
         exhaustive_parity_learner(oracle, 1, budget(depth=2), random.Random(0))
 
 
-def test_exhaustive_time_budget_carries_best_tree():
-    # Conjunction labels admit no zero-error parity, so the scan cannot
-    # finish early, and a vanishing time budget must surface the best
-    # constant found in the first tier.
+def _out_of_time(labels):
     oracle = pmf_oracle(
-        [("00", 0, 1), ("01", 0, 1), ("10", 0, 1), ("11", 1, 1)], 2
+        [(point, label, 1) for point, label in zip(("00", "01", "10", "11"), labels)], 2
     )
     with pytest.raises(BudgetExhaustedError) as exc:
         exhaustive_parity_learner(
@@ -234,7 +243,140 @@ def test_exhaustive_time_budget_carries_best_tree():
             LearnerBudget(8, 2, 64, time_budget=1e-9),
             random.Random(2),
         )
-    assert exc.value.best_tree == Leaf(0)
+    return exc.value.best_tree
+
+
+def test_exhaustive_time_budget_carries_best_tree():
+    # Conjunction labels admit no zero-error parity, so the search cannot
+    # finish early, and a vanishing time budget must surface the best
+    # constant, the size-0 tier.
+    assert _out_of_time((0, 0, 0, 1)) == Leaf(0)
+
+
+def test_exhaustive_time_budget_carries_complemented_constant():
+    # Mostly-1 labels: the best constant is the complemented leaf.
+    assert _out_of_time((1, 1, 1, 0)) == Leaf(1)
+
+
+def scan_learner(oracle, arity, budget, rng):
+    """The exhaustive learner before it searched for exact fits first:
+    one linear scan grading every candidate, stopping at zero error."""
+    samples = [oracle.sample(rng) for _ in range(budget.sample_budget)]
+    nsamp = len(samples)
+    cols = [0] * arity
+    label_col = 0
+    for row, (point, label) in enumerate(samples):
+        bit = 1 << row
+        if label:
+            label_col |= bit
+        for j in range(arity):
+            if point.mask >> j & 1:
+                cols[j] |= bit
+    max_size = min(budget.depth_budget, budget.size_budget.bit_length() - 1)
+    best_err = nsamp + 1
+    best = None
+    done = False
+    for size in range(max_size + 1):
+        if done:
+            break
+        for combo in itertools.combinations(range(arity), size):
+            acc = 0
+            for j in combo:
+                acc ^= cols[j]
+            err = (acc ^ label_col).bit_count()
+            if err < best_err:
+                best_err, best = err, (combo, False)
+            if nsamp - err < best_err:
+                best_err, best = nsamp - err, (combo, True)
+            if best_err == 0:
+                done = True
+                break
+    if best is None:
+        return Leaf(0)
+    combo, flipped = best
+    tree = parity_to_tree(ParityIndexSet(tuple(j + 1 for j in combo)))
+    return complement_tree(tree) if flipped else tree
+
+
+@st.composite
+def learner_cases(draw):
+    """An oracle, its arity and a budget.
+
+    Span oracles with independent rows always admit an exact fit, so
+    the meet-in-the-middle answer is compared there.  Finite pmfs with
+    free labels often admit none, so the linear scan runs; with an even
+    handful of samples its error ties between a parity and its
+    complement are common, and plain must win them.
+    """
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, n))
+        masks = draw(
+            st.lists(st.integers(1, (1 << n) - 1), min_size=m, max_size=m).filter(
+                lambda ms: rank(BitMatrix(len(ms), n, tuple(ms))) == len(ms)
+            )
+        )
+        labels = tuple(draw(st.integers(0, 1)) for _ in masks)
+        oracle = make_span_oracle(
+            LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n)
+        )
+    else:
+        points = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6, unique=True))
+        weights = [draw(st.integers(1, 3)) for _ in points]
+        oracle = FinitePmf(
+            tuple(BitVector(n, p) for p in points),
+            tuple(Fraction(w, sum(weights)) for w in weights),
+            tuple(draw(st.integers(0, 1)) for _ in points),
+            n,
+        )
+    bud = LearnerBudget(
+        draw(st.sampled_from([1, 2, 4, 8, 16, 64, 128])),
+        draw(st.integers(0, min(n, 6))),
+        draw(st.sampled_from([1, 2, 3, 4, 6, 64])),
+    )
+    return oracle, n, bud, draw(st.integers(0, 1 << 32))
+
+
+@given(learner_cases())
+@settings(max_examples=300, deadline=None)
+def test_exhaustive_matches_the_linear_scan(case):
+    oracle, n, bud, seed = case
+    got = exhaustive_parity_learner(oracle, n, bud, random.Random(seed))
+    assert got == scan_learner(oracle, n, bud, random.Random(seed))
+
+
+class NoiseOracle:
+    """Uniform points with independent uniform labels."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def sample(self, rng):
+        return BitVector(self.length, rng.getrandbits(self.length)), rng.getrandbits(1)
+
+
+def test_exhaustive_time_budget_bounds_a_huge_search():
+    # Depth 16 over 80 coordinates: an even split would need C(80, 8),
+    # about 2.9e10, table entries.  Noise labels admit no exact fit, so
+    # the search runs until the 0.5 s budget ends it; deadline checks
+    # while tables are built and streamed stop it in time.  The peak
+    # bound is above one full table at the cap (about 28.5 MiB, see
+    # ``f2.XOR_TABLE_MAX_ENTRIES``); within the budget the search
+    # reaches at most the C(80, 3) = 82160-entry table, about 8 MiB.
+    tracemalloc.start()
+    try:
+        started = time.monotonic()
+        with pytest.raises(BudgetExhaustedError):
+            exhaustive_parity_learner(
+                NoiseOracle(80), 80, LearnerBudget(1 << 16, 16, 256, time_budget=0.5),
+                random.Random(4),
+            )
+        elapsed = time.monotonic() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 5.0
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------- greedy
