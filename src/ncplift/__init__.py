@@ -53,6 +53,7 @@ from .gadget import (
     lift_parity,
     lift_sample,
     span_lifted_agreement,
+    span_lifted_tree_error,
     unlift_parity,
 )
 from .instance import (
@@ -120,7 +121,7 @@ __all__ = [
     "GadgetParams", "FinitePmf", "GadgetOracle", "Restriction", "blockwise_parity",
     "lift_sample", "lift_parity", "unlift_parity", "is_block_complete",
     "exact_lifted_agreement", "span_lifted_agreement", "exact_restriction_probability",
-    "exact_lifted_tree_error", "enumerate_lifted",
+    "exact_lifted_tree_error", "span_lifted_tree_error", "enumerate_lifted",
     # dtree
     "ParityIndexSet", "Leaf", "Node", "DecisionTree", "eval_tree", "truth_table",
     "reduce_tree", "prune", "path_support_sets", "exact_uniform_fourier",

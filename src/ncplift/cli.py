@@ -8,8 +8,9 @@ rechecks a certificate, and ``selftest`` runs the lemma suites.
 Machine-readable results (solutions, YES/NO, per-criterion lines) go to
 stdout; a key=value run report always goes to stderr, so pipelines can
 consume stdout alone.  Exit codes: 0 success or Yes, 1 No or invalid
-certificate, 2 input error, 3 exact solver found nothing, 4 reduction
-failure.  All randomness flows from --seed.
+certificate, 2 input error (for ``decide`` also thresholds that cannot
+separate planted from far instances), 3 exact solver found nothing,
+4 reduction failure.  All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -79,7 +80,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write the (pruned) learned tree in prefix notation")
     p.set_defaults(func=_cmd_solve_reduce)
 
-    p = sub.add_parser("decide", help="threshold decision: Yes (exit 0) or No (exit 1)")
+    p = sub.add_parser(
+        "decide",
+        help="threshold decision: Yes (exit 0) or No (exit 1); exit 2 when the "
+             "thresholds cannot separate the cases",
+    )
     p.add_argument("instance")
     _reduction_flags(p)
     p.set_defaults(func=_cmd_decide)
@@ -108,7 +113,6 @@ def _reduction_flags(p: argparse.ArgumentParser) -> None:
                         "gadget hides correlation with single coordinates")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prune-c", type=int, default=3, help="pruning constant (default 3)")
-    p.add_argument("--confidence", type=_fraction_arg, default=Fraction(999, 1000))
     p.add_argument("--samples", type=int, default=2000, help="learner sample budget")
 
 
@@ -126,7 +130,6 @@ def _config(args) -> ReductionConfig:
     return ReductionConfig(
         ell=args.ell,
         prune_constant=args.prune_c,
-        confidence=args.confidence,
         learner_samples=args.samples,
     )
 
@@ -189,15 +192,25 @@ def _cmd_solve_reduce(args, started: float) -> int:
 def _cmd_decide(args, started: float) -> int:
     inst = load_instance(Path(args.instance).read_text())
     report = decide(inst, _config(args), _LEARNERS[args.learner], Random(args.seed))
+    vacuous = report.reason == "vacuous-gate"
     _report(
         command="decide", **_instance_fields(inst), ell=args.ell,
         learner=args.learner, seed=args.seed,
-        outcome="Yes" if report.accepted else f"No:{report.reason}",
+        outcome="error" if vacuous else "Yes" if report.accepted else f"No:{report.reason}",
+        reason=report.reason if vacuous else None,
+        error=(
+            "vacuous decision gate: needs gate+tolerance > 0 (is "
+            f"{report.error_gate + report.tolerance:.4g}) and size_cap >= 2**(ell*k) = "
+            f"{1 << (args.ell * inst.k)} (is {report.size_cap})"
+            if vacuous else None
+        ),
         hypothesis_size=report.hypothesis_size,
-        estimate=None if report.estimate is None else float(report.estimate),
+        distance=report.distance,
         size_cap=report.size_cap,
         wall_time=f"{time.monotonic() - started:.3f}",
     )
+    if vacuous:
+        return 2
     if report.accepted:
         print("YES")
         return 0

@@ -11,10 +11,11 @@ Exact quantities below are computed in closed form per base point from
 two elementary facts about a uniform parity-constrained block: any
 proper subset of its coordinates is jointly uniform, and the signed
 expectation of a full-block parity character is +1 or -1 according to
-the required parity.  Over a span base, agreement needs no sum over
-points at all: the span dichotomy settles it from the basis alone.  A
-brute-force fiber enumerator is kept alongside as an independent
-cross-check at tiny sizes.
+the required parity.  Over a span base, agreement and tree error need
+no sum over points at all: the span dichotomy settles agreement from
+the basis alone, and each tree path holds with probability 2**-rank of
+an affine system in the subset vector.  A brute-force fiber enumerator
+is kept alongside as an independent cross-check at tiny sizes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from random import Random
 from typing import Iterator
 
 from .dtree import DecisionTree, Leaf, Node, ParityIndexSet
-from .f2 import BitVector
+from .f2 import BitMatrix, BitVector, rank
 from .instance import _randbelow
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "span_lifted_agreement",
     "exact_restriction_probability",
     "exact_lifted_tree_error",
+    "span_lifted_tree_error",
     "enumerate_lifted",
 ]
 
@@ -306,11 +308,15 @@ def span_lifted_agreement(span, s: ParityIndexSet, params: GadgetParams) -> Frac
     return Fraction(1)
 
 
-def _restriction_blocks(
-    rho: Restriction, params: GadgetParams
-) -> tuple[int, int, int, int]:
-    """Decompose a restriction into (partial bit count, full block mask,
-    required base bits on full blocks, restricted coordinate count)."""
+def _restriction_blocks(rho: Restriction, params: GadgetParams) -> tuple[int, int, int]:
+    """Decompose a restriction into (scale exponent, full block mask,
+    required base bits on full blocks).
+
+    Given base bits that meet the requirement on the full blocks, the
+    lifted draw matches the restriction with probability 2**-exponent:
+    each partially restricted block contributes its restricted bit
+    count, and each full block its ell-1 free bits.
+    """
     ell = params.ell
     counts: dict[int, int] = {}
     parities: dict[int, int] = {}
@@ -320,17 +326,18 @@ def _restriction_blocks(
         b = (c - 1) // ell
         counts[b] = counts.get(b, 0) + 1
         parities[b] = parities.get(b, 0) ^ v
-    partial_bits = 0
+    exponent = 0
     fmask = 0
     req = 0
     for b, cnt in counts.items():
         if cnt == ell:
             fmask |= 1 << b
+            exponent += ell - 1
             if parities[b]:
                 req |= 1 << b
         else:
-            partial_bits += cnt
-    return partial_bits, fmask, req, len(rho.coords)
+            exponent += cnt
+    return exponent, fmask, req
 
 
 def exact_restriction_probability(
@@ -343,23 +350,29 @@ def exact_restriction_probability(
     restricted block matches with probability 2**-(ell-1) when its
     required parity equals the base bit, otherwise never.
     """
-    partial_bits, fmask, req, _ = _restriction_blocks(rho, params)
-    full_count = fmask.bit_count()
-    scale = Fraction(1, 1 << (partial_bits + (params.ell - 1) * full_count))
+    exponent, fmask, req = _restriction_blocks(rho, params)
     hit = Fraction(0)
     for point, prob, _label in base.enumerate_weighted():
         if (point.mask & fmask) == req:
             hit += prob
-    return scale * hit
+    return hit / (1 << exponent)
 
 
 def _paths(t: DecisionTree) -> Iterator[tuple[dict[int, int], int]]:
-    """(assignment along the path, leaf label) for every leaf."""
+    """(assignment along the path, leaf label) for every reachable leaf.
+
+    A coordinate queried again below its first query follows the branch
+    its first answer fixed; the other branch is unreachable.
+    """
     def walk(node: DecisionTree, fixed: dict[int, int]):
         if isinstance(node, Leaf):
             yield dict(fixed), node.label
             return
         assert isinstance(node, Node)
+        seen = fixed.get(node.coord)
+        if seen is not None:
+            yield from walk(node.high if seen else node.low, fixed)
+            return
         fixed[node.coord] = 0
         yield from walk(node.low, fixed)
         fixed[node.coord] = 1
@@ -375,19 +388,53 @@ def exact_lifted_tree_error(tree: DecisionTree, base, params: GadgetParams) -> F
     conditioned on the base point the label of any consistent lifted
     string is the base label, so the path contributes its restriction
     probability over the base points whose label differs from the leaf.
+    Every base point is enumerated; over a span this is the oracle for
+    ``span_lifted_tree_error``.
     """
     support = list(base.enumerate_weighted())
     err = Fraction(0)
     for fixed, leaf_label in _paths(tree):
-        rho = Restriction.of(fixed)
-        partial_bits, fmask, req, _ = _restriction_blocks(rho, params)
-        full_count = fmask.bit_count()
-        scale = Fraction(1, 1 << (partial_bits + (params.ell - 1) * full_count))
+        exponent, fmask, req = _restriction_blocks(Restriction.of(fixed), params)
         hit = Fraction(0)
         for point, prob, label in support:
             if label != leaf_label and (point.mask & fmask) == req:
                 hit += prob
-        err += scale * hit
+        err += hit / (1 << exponent)
+    return err
+
+
+def span_lifted_tree_error(tree: DecisionTree, span, params: GadgetParams) -> Fraction:
+    """Exact disagreement of a tree with the lifted source over a span.
+
+    The closed form of ``exact_lifted_tree_error`` for a span base.  The
+    span point selected by a uniform subset vector u of the basis has
+    base bit i equal to <column i of the basis, u> and label
+    <basis labels, u>.  A path therefore asks for affine equations in u:
+    one per full block (its required base bit) and "label != leaf".
+    When they are consistent they hold with probability 2**-rank, so
+    the path contributes 2**-(scale exponent + rank); otherwise it
+    contributes 0.  Consistency is rank(system) == rank(system with its
+    right-hand side), two ``rank`` calls per path and no sum over span
+    points.
+    """
+    if span.length != params.base_n:
+        raise ValueError("base arity does not match the gadget parameters")
+    m = span.dimension
+    forms = BitMatrix(m, span.length, span.points).column_masks()
+    label_form = sum(label << j for j, label in enumerate(span.labels))
+    lhs = (1 << m) - 1
+    err = Fraction(0)
+    for fixed, leaf_label in _paths(tree):
+        exponent, fmask, req = _restriction_blocks(Restriction.of(fixed), params)
+        rows = [label_form | (leaf_label ^ 1) << m]
+        while fmask:
+            low = fmask & -fmask
+            b = low.bit_length() - 1
+            rows.append(forms[b] | (req >> b & 1) << m)
+            fmask ^= low
+        r = rank(BitMatrix(len(rows), m, tuple(row & lhs for row in rows)))
+        if rank(BitMatrix(len(rows), m + 1, tuple(rows))) == r:
+            err += Fraction(1, 1 << (exponent + r))
     return err
 
 

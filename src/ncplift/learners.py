@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from random import Random
 
 from .dtree import DecisionTree, Leaf, Node, ParityIndexSet, complement_tree
@@ -26,6 +26,10 @@ __all__ = [
     "greedy_learner",
     "planted_learner",
 ]
+
+# Bound, in bytes, on the pair table of the exhaustive learner's error
+# scan; past it the scan's rows extend a prefix by one column, not a pair.
+PAIR_TABLE_MAX_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -66,11 +70,20 @@ def parity_to_tree(s: ParityIndexSet) -> DecisionTree:
     the parity of the branch decisions, so the tree has depth len(s)
     and size 2**len(s).  The empty set gives Leaf(0).
     """
-    def build(pos: int, acc: int) -> DecisionTree:
-        if pos == len(s.indices):
-            return Leaf(acc)
-        return Node(s.indices[pos], build(pos + 1, acc), build(pos + 1, acc ^ 1))
-    return build(0, 0)
+    return _parity_subtree(s.indices, 0, 0)
+
+
+def _parity_subtree(indices: tuple[int, ...], pos: int, acc: int) -> DecisionTree:
+    # Module level, not a nested closure: a recursive closure is a
+    # reference cycle that outlives the call until the cyclic collector
+    # runs.
+    if pos == len(indices):
+        return Leaf(acc)
+    return Node(
+        indices[pos],
+        _parity_subtree(indices, pos + 1, acc),
+        _parity_subtree(indices, pos + 1, acc ^ 1),
+    )
 
 
 def _draw_samples(oracle, budget: LearnerBudget, rng: Random) -> list[tuple[int, int]]:
@@ -79,6 +92,25 @@ def _draw_samples(oracle, budget: LearnerBudget, rng: Random) -> list[tuple[int,
         point, label = oracle.sample(rng)
         out.append((point.mask, label))
     return out
+
+
+def _sample_columns(
+    oracle, arity: int, budget: LearnerBudget, rng: Random
+) -> tuple[list[int], int, int]:
+    """A fresh sample packed into per-coordinate bit columns, with the
+    label column and the sample count; the row list is freed on return."""
+    samples = _draw_samples(oracle, budget, rng)
+    cols = [0] * arity
+    label_col = 0
+    for row, (mask, label) in enumerate(samples):
+        bit = 1 << row
+        if label:
+            label_col |= bit
+        while mask:
+            low = mask & -mask
+            cols[low.bit_length() - 1] |= bit
+            mask ^= low
+    return cols, label_col, len(samples)
 
 
 def exhaustive_parity_learner(
@@ -98,23 +130,12 @@ def exhaustive_parity_learner(
     complement, and zero error is the minimum, so the first exact fit
     in that order is found by meeting in the middle
     (``f2.sparse_xor_search``, targets plain then complement).  Only
-    when no candidate fits exactly does the linear scan grade every
-    candidate, a few word XORs and one popcount each.
+    when no candidate fits exactly does ``_min_error_scan`` grade every
+    candidate, a row of them at a time.
     """
     if budget.depth_budget > arity:
         raise ValueError("depth budget exceeds the arity")
-    samples = _draw_samples(oracle, budget, rng)
-    nsamp = len(samples)
-    cols = [0] * arity
-    label_col = 0
-    for row, (mask, label) in enumerate(samples):
-        bit = 1 << row
-        if label:
-            label_col |= bit
-        while mask:
-            low = mask & -mask
-            cols[low.bit_length() - 1] |= bit
-            mask ^= low
+    cols, label_col, nsamp = _sample_columns(oracle, arity, budget, rng)
     max_size = min(budget.depth_budget, budget.size_budget.bit_length() - 1)
     deadline = time.monotonic() + budget.time_budget
     # The size-0 tier: the better constant, plain on a tie.
@@ -132,29 +153,72 @@ def exhaustive_parity_learner(
         support, target = exact
         combo = tuple(j for j in range(arity) if support >> j & 1)
         return _build_parity((combo, target == 1))
+    return _build_parity(
+        _min_error_scan(cols, label_col, nsamp, max_size, best_err, best, deadline)
+    )
+
+
+def _pair_table_bytes(arity: int, nsamp: int) -> int:
+    """Pair XORs (nsamp-bit ints), their index pairs, and one row of
+    errors, as CPython 3 lays them out."""
+    return arity * (arity - 1) // 2 * (nsamp * 2 // 15 + 136)
+
+
+def _min_error_scan(
+    cols: list[int],
+    label_col: int,
+    nsamp: int,
+    max_size: int,
+    best_err: int,
+    best: tuple[tuple[int, ...], bool],
+    deadline: float,
+) -> tuple[tuple[int, ...], bool]:
+    """First candidate of minimum error in (size, lex, plain before
+    complement) order, sizes 1..max_size, seeded with the size-0 tier.
+
+    A row is every candidate of one size that shares a prefix: the
+    prefix extended by each unit after its last index, where a unit is
+    a pair of columns (one column at size 1, or when the pair table
+    would pass ``PAIR_TABLE_MAX_BYTES``).  Units are listed in
+    lexicographic order, so a row is a suffix of that list, and rows in
+    prefix order visit candidates in lexicographic order.  The label
+    column is folded into the prefix XOR once; a row's errors are
+    popcounts taken by ``map``, and C-level ``min``/``max`` tell whether
+    the row beats the best so far.  Only then is the row searched, for
+    the first occurrence of its minimum (plain before complement),
+    which is where a one-candidate-at-a-time scan would settle.
+    """
+    arity = len(cols)
+    single = ([(j,) for j in range(arity)], cols, list(range(arity + 1)))
+    pair = single
+    if max_size >= 2 and _pair_table_bytes(arity, nsamp) <= PAIR_TABLE_MAX_BYTES:
+        units = list(combinations(range(arity), 2))
+        first = [0]
+        for a in range(arity):
+            first.append(first[a] + arity - 1 - a)
+        pair = (units, [cols[a] ^ cols[b] for a, b in units], first)
     for size in range(1, max_size + 1):
-        checked = 0
-        for combo in combinations(range(arity), size):
-            acc = 0
-            for j in combo:
-                acc ^= cols[j]
-            err = (acc ^ label_col).bit_count()
-            if err < best_err:
-                best_err, best = err, (combo, False)
-            if nsamp - err < best_err:
-                best_err, best = nsamp - err, (combo, True)
-            checked += 1
-            if checked & 1023 == 0 and time.monotonic() > deadline:
+        units, unit_xors, first = pair if size >= 2 else single
+        width = len(units[0])
+        for prefix in combinations(range(arity - width), size - width):
+            if time.monotonic() > deadline:
                 raise BudgetExhaustedError(
-                    "time budget exhausted during the parity scan",
-                    _build_parity(best),
+                    "time budget exhausted during the parity scan", _build_parity(best)
                 )
-        if time.monotonic() > deadline:
-            raise BudgetExhaustedError(
-                "time budget exhausted during the parity scan",
-                _build_parity(best),
-            )
-    return _build_parity(best)
+            acc = label_col
+            for j in prefix:
+                acc ^= cols[j]
+            start = first[prefix[-1] + 1] if prefix else 0
+            errs = list(map(int.bit_count, map(acc.__xor__, islice(unit_xors, start, None))))
+            lo = min(errs)
+            hi = max(errs)
+            if lo < best_err or nsamp - hi < best_err:
+                at_lo, at_hi = errs.index(lo), errs.index(hi)
+                if lo < nsamp - hi or (lo == nsamp - hi and at_lo <= at_hi):
+                    best_err, best = lo, (prefix + units[start + at_lo], False)
+                else:
+                    best_err, best = nsamp - hi, (prefix + units[start + at_hi], True)
+    return best
 
 
 def _build_parity(best: tuple[tuple[int, ...], bool]) -> DecisionTree:

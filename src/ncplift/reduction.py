@@ -10,7 +10,8 @@ Each candidate is folded back to base coordinates and the first one
 that passes ``verify_certificate`` on the original instance is
 returned, so any returned vector is an exact solution of H x = t.
 ``decide`` wraps the same learning step with explicit size and error
-thresholds.
+thresholds and compares the tree's exact distance to the lifted source,
+again in closed form over the span, with the error gate.
 """
 
 from __future__ import annotations
@@ -20,19 +21,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .dtree import (
-    DecisionTree,
-    ParityIndexSet,
-    estimate_distance,
-    path_support_sets,
-    prune,
-)
+from .dtree import DecisionTree, ParityIndexSet, path_support_sets, prune
+
+# Not called here: the benchmark's tracer (bench/spans.py) wraps
+# ``reduction.estimate_distance``, and a traced run fails when the name
+# is missing.
+from .dtree import estimate_distance  # noqa: F401
 from .f2 import BitVector, mat_vec
 from .gadget import (
     GadgetOracle,
     GadgetParams,
     exact_lifted_agreement,
     span_lifted_agreement,
+    span_lifted_tree_error,
     unlift_parity,
 )
 from .instance import (
@@ -63,15 +64,14 @@ EXTRACT_MAX_DEPTH = 30
 class ReductionConfig:
     """Knobs shared by the pipelines.
 
-    ``confidence`` is the confidence of the distance estimate in
-    ``decide``; ``learner_samples`` and ``learner_time_budget`` fill the
-    learner budget, the size and depth limits being derived from the
-    instance.  Extraction is exact and has no knob.
+    ``learner_samples`` and ``learner_time_budget`` fill the learner
+    budget, the size and depth limits being derived from the instance.
+    Extraction and the distance ``decide`` gates on are exact and have
+    no knob.
     """
 
     ell: int = 2
     prune_constant: int = 3
-    confidence: Fraction = Fraction(999, 1000)
     learner_samples: int = 2000
     learner_time_budget: float = 60.0
 
@@ -80,8 +80,6 @@ class ReductionConfig:
             raise ValueError("block width must be >= 2")
         if self.prune_constant < 2:
             raise ValueError("prune constant must be >= 2")
-        if not 0 < self.confidence < 1:
-            raise ValueError("confidence must lie strictly between 0 and 1")
         if self.learner_samples < 1:
             raise ValueError("learner sample budget must be positive")
         if self.learner_time_budget <= 0:
@@ -123,9 +121,10 @@ class DecideReport:
     """Outcome of the threshold decision procedure."""
 
     accepted: bool
-    reason: str  # ok-yes | distance-gate | size-gate | learner-failed | unsatisfiable
+    # ok-yes | distance-gate | size-gate | learner-failed | unsatisfiable | vacuous-gate
+    reason: str
     hypothesis_size: int | None
-    estimate: Fraction | None
+    distance: Fraction | None
     size_cap: int
     error_gate: float
     tolerance: float
@@ -134,13 +133,15 @@ class DecideReport:
 
 
 def _thresholds(inst: SyndromeInstance, cfg: ReductionConfig) -> tuple[int, float, float]:
-    """Size cap, error gate and estimation tolerance for decide.
+    """Size cap, error gate and tolerance for decide.
 
     With r = ell * alpha * k: trees of size up to 2**(r/3) on a far
     instance stay at distance at least 1/2 - 2**(-r/6), while a planted
     parity reaches distance 0, so the gate sits at
-    1/2 - 2*2**(-r/6) plus a third of the gap.  Meaningful once r is
-    large enough that the gate is positive (alpha >= 3 at ell*k >= 4).
+    1/2 - 2*2**(-r/6) plus a third of the gap.  Meaningful once the
+    gate plus tolerance is positive and the size cap holds a parity
+    tree of depth ell*k (alpha >= 3 at ell*k >= 4); ``decide`` rejects
+    any other input as a vacuous gate.
     """
     r = cfg.ell * inst.alpha * inst.k
     size_cap = 1 << max(0, math.floor(r / 3))
@@ -165,14 +166,18 @@ def decide(
     """Accept when a small learned tree tracks the lifted labels.
 
     Runs the learner with depth budget ell*k and size budget
-    2**floor(ell*alpha*k/3), then estimates its distance to the lifted
-    source within the derived tolerance at the configured confidence.
-    Accepts exactly when the hypothesis fits the size cap and the
-    estimate stays under the gate plus tolerance.  A learner that
-    exhausts its budget, or an inconsistent system, is a rejection with
-    the reason recorded.
+    2**floor(ell*alpha*k/3), then computes the tree's exact distance to
+    the lifted source (``span_lifted_tree_error``).  Accepts exactly
+    when the hypothesis fits the size cap and the distance is at most
+    the gate plus tolerance.  Thresholds that cannot separate planted
+    from far instances (gate plus tolerance <= 0, or a size cap below
+    2**(ell*k)) are rejected as ``vacuous-gate`` before any learning.
+    A learner that exhausts its budget, or an inconsistent system, is a
+    rejection with the reason recorded.
     """
     size_cap, error_gate, tolerance = _thresholds(inst, cfg)
+    if error_gate + tolerance <= 0 or size_cap < 1 << (cfg.ell * inst.k):
+        return DecideReport(False, "vacuous-gate", None, None, size_cap, error_gate, tolerance, None)
     try:
         oracle, meta = build_learning_instance(inst, cfg)
     except UnsatisfiableInstanceError:
@@ -184,10 +189,10 @@ def decide(
         return DecideReport(False, "learner-failed", None, None, size_cap, error_gate, tolerance, meta)
     if tree.size > size_cap:
         return DecideReport(False, "size-gate", tree.size, None, size_cap, error_gate, tolerance, meta, tree)
-    est = estimate_distance(tree, oracle, tolerance, float(cfg.confidence), rng)
-    if float(est) <= error_gate + tolerance:
-        return DecideReport(True, "ok-yes", tree.size, est, size_cap, error_gate, tolerance, meta, tree)
-    return DecideReport(False, "distance-gate", tree.size, est, size_cap, error_gate, tolerance, meta, tree)
+    distance = span_lifted_tree_error(tree, oracle.base, oracle.params)
+    if distance <= error_gate + tolerance:
+        return DecideReport(True, "ok-yes", tree.size, distance, size_cap, error_gate, tolerance, meta, tree)
+    return DecideReport(False, "distance-gate", tree.size, distance, size_cap, error_gate, tolerance, meta, tree)
 
 
 def extract_parity(

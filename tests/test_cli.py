@@ -5,10 +5,22 @@ import pytest
 from ncplift.cli import main
 from ncplift.dtree import parse_tree
 from ncplift.f2 import BitVector, parse_vector
-from ncplift.instance import read_syndrome_instance
+from ncplift.instance import brute_force_nearest, read_syndrome_instance
 
 UNSAT = "ncpsd v1\n2 2 1 1 1\n11\n11\n10\n"
-FAR = "ncpsd v1\n6 6 1 3 1\n100000\n010000\n001000\n000100\n000010\n000001\n111111\n"
+# Identity system, all-ones target, k=1, alpha=3: far (the only
+# solution has weight 6), but at ell * alpha * k = 6 the error gate plus
+# tolerance is -1/3, so the thresholds are vacuous.
+VACUOUS = "ncpsd v1\n6 6 1 3 1\n100000\n010000\n001000\n000100\n000010\n000001\n111111\n"
+# n=14, m=12, k=2, alpha=3 (gate plus tolerance 1/12); no vector of
+# weight <= 6 reaches the target (checked in the test).
+FAR = (
+    "ncpsd v1\n12 14 2 3 1\n"
+    "00110100011100\n00110011111011\n01000111111100\n11011010111010\n"
+    "11001101101101\n01101011101100\n01101011100001\n01111110000110\n"
+    "01100110101000\n11011100010111\n11110011110010\n11100000100111\n"
+    "000110010011\n"
+)
 
 
 def run(capsys, *argv):
@@ -172,11 +184,33 @@ def test_decide_yes_on_planted(tmp_path, capsys):
 
 
 def test_decide_no_on_far_instance(tmp_path, capsys):
+    inst = read_syndrome_instance(FAR)
+    assert brute_force_nearest(inst, 3 * inst.k) is None
     path = tmp_path / "far"
     path.write_text(FAR)
-    code, stdout, _ = run(capsys, "decide", str(path), "--seed", "2")
+    code, stdout, err = run(capsys, "decide", str(path), "--seed", "2")
     assert code == 1
     assert stdout.strip() == "NO"
+    assert "outcome=No:distance-gate" in err
+
+
+def test_decide_vacuous_gate_is_input_error(tmp_path, capsys):
+    path = tmp_path / "vacuous"
+    path.write_text(VACUOUS)
+    code, stdout, err = run(capsys, "decide", str(path), "--seed", "2")
+    assert code == 2
+    assert stdout == ""
+    assert "reason=vacuous-gate" in err
+
+
+def test_decide_on_readme_demo_is_vacuous(tmp_path, capsys):
+    # The README's demo instance has alpha = 1: size cap 2, gate plus
+    # tolerance below 0.
+    out = gen_planted(tmp_path, capsys, n=14, m=10, k=2, seed=7)
+    code, stdout, err = run(capsys, "decide", str(out), "--seed", "2")
+    assert code == 2
+    assert stdout == ""
+    assert "reason=vacuous-gate" in err
 
 
 # ---------------------------------------------------------------- verify

@@ -9,7 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncplift.dtree import Leaf, Node, ParityIndexSet, exact_distance
+from ncplift.dtree import Leaf, Node, ParityIndexSet, complement_tree, exact_distance
 from ncplift.f2 import BitMatrix, BitVector, rank
 from ncplift.gadget import (
     FinitePmf,
@@ -25,9 +25,11 @@ from ncplift.gadget import (
     lift_parity,
     lift_sample,
     span_lifted_agreement,
+    span_lifted_tree_error,
     unlift_parity,
 )
 from ncplift.instance import LabeledSet
+from ncplift.learners import parity_to_tree
 from ncplift.span import exact_disagreement, make_span_oracle
 
 P2 = GadgetParams(ell=2, base_n=2)
@@ -415,6 +417,120 @@ def test_tree_error_closed_form_matches_enumeration():
         lifted = list(enumerate_lifted(base, P2))
         for t in trees:
             assert exact_lifted_tree_error(t, base, P2) == exact_distance(t, lifted)
+
+
+def random_span(rng, n, m, labels=None):
+    masks = independent_masks(rng, n, m)
+    if labels is None:
+        labels = tuple(rng.getrandbits(1) for _ in masks)
+    return make_span_oracle(LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n))
+
+
+def random_block_tree(rng, params, depth):
+    """Random tree of depth <= ``depth`` that queries the coordinates of
+    a few blocks, so paths cover some blocks fully and others partly,
+    plus now and then any coordinate, repeats on a path included."""
+    blocks = rng.sample(range(params.base_n), min(params.base_n, rng.randint(1, 3)))
+    coords = [b * params.ell + j + 1 for b in blocks for j in range(params.ell)]
+
+    def build(d):
+        if d == 0 or rng.random() < 0.15:
+            return Leaf(rng.getrandbits(1))
+        if rng.random() < 0.1:
+            coord = rng.randint(1, params.lifted_n)
+        else:
+            coord = rng.choice(coords)
+        return Node(coord, build(d - 1), build(d - 1))
+    return build(depth)
+
+
+def flip_leaves(rng, tree):
+    if isinstance(tree, Leaf):
+        return Leaf(1 - tree.label) if rng.random() < 0.15 else tree
+    return Node(tree.coord, flip_leaves(rng, tree.low), flip_leaves(rng, tree.high))
+
+
+@given(
+    st.integers(0, 12),
+    st.integers(0, 2),
+    st.sampled_from([2, 3]),
+    st.sampled_from(["random", "parity", "planted"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_span_tree_error_matches_the_enumeration(m, extra, ell, mode, seed):
+    # "random" draws a tree over a few blocks (full and partial paths);
+    # "parity" the complete tree of a lifted parity, leaves flipped now
+    # and then, under random labels; "planted" the same with the basis
+    # labeled by that parity, so distance 0 and its neighbours occur.
+    rng = random.Random(seed)
+    n = max(m, 1) + extra
+    params = GadgetParams(ell, n)
+    s_star = ParityIndexSet.from_iterable(
+        rng.sample(range(1, n + 1), min(n, rng.randint(0, 5 // ell)))
+    )
+    if mode == "planted":
+        masks = independent_masks(rng, n, m)
+        labels = tuple((s_star.mask & mk).bit_count() & 1 for mk in masks)
+        span = make_span_oracle(
+            LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n)
+        )
+    else:
+        span = random_span(rng, n, m)
+    clean = parity_to_tree(lift_parity(s_star, params))
+    tree = random_block_tree(rng, params, 5) if mode == "random" else flip_leaves(rng, clean)
+    got = span_lifted_tree_error(tree, span, params)
+    assert got == exact_lifted_tree_error(tree, span, params)
+    if mode == "planted" and tree == clean:
+        assert got == 0
+
+
+def test_tree_errors_match_fiber_enumeration_with_repeated_queries():
+    # Trees that query a coordinate again below its first query: the
+    # inner branch that contradicts the first answer is unreachable.
+    rng = random.Random(97)
+    trees = [
+        Node(1, Node(1, Leaf(1), Leaf(0)), Leaf(0)),
+        Node(2, Leaf(1), Node(1, Node(2, Leaf(0), Leaf(1)), Leaf(0))),
+        Node(1, Node(2, Node(1, Leaf(0), Leaf(1)), Node(2, Leaf(1), Leaf(0))), Leaf(1)),
+    ]
+    for _ in range(10):
+        n = rng.randint(2, 4)
+        span = random_span(rng, n, rng.randint(0, n))
+        params = GadgetParams(2, n)
+        lifted = list(enumerate_lifted(span, params))
+        for t in trees + [random_block_tree(rng, params, 5) for _ in range(10)]:
+            want = exact_distance(t, lifted)
+            assert exact_lifted_tree_error(t, span, params) == want
+            assert span_lifted_tree_error(t, span, params) == want
+
+
+def test_span_tree_error_of_planted_lift_and_constants():
+    rng = random.Random(101)
+    params = GadgetParams(2, 6)
+    s_star = index_set(2, 5)
+    masks = independent_masks(rng, 6, 4)
+    labels = tuple((s_star.mask & mk).bit_count() & 1 for mk in masks)
+    span = make_span_oracle(LabeledSet(tuple(BitVector(6, mk) for mk in masks), labels, 6))
+    tree = parity_to_tree(lift_parity(s_star, params))
+    assert span_lifted_tree_error(tree, span, params) == 0
+    assert span_lifted_tree_error(complement_tree(tree), span, params) == 1
+    # A proper sub-parity covers a block partly: distance exactly 1/2.
+    assert span_lifted_tree_error(parity_to_tree(index_set(3, 4, 9)), span, params) == Fraction(1, 2)
+    # A constant misses the labels that differ from it: half of them,
+    # since the labels are a nonzero linear form of the subset vector.
+    assert span_lifted_tree_error(Leaf(0), span, params) == Fraction(1, 2)
+    zero = make_span_oracle(LabeledSet((BitVector(6, masks[0]),), (0,), 6))
+    assert span_lifted_tree_error(Leaf(0), zero, params) == 0
+    assert span_lifted_tree_error(Leaf(1), zero, params) == 1
+
+
+def test_span_tree_error_rejects_mismatched_params():
+    span = make_span_oracle(LabeledSet((BitVector.from01("10"),), (1,), 2))
+    with pytest.raises(ValueError):
+        span_lifted_tree_error(Leaf(0), span, GadgetParams(2, 3))
+    with pytest.raises(ValueError):
+        span_lifted_tree_error(Node(5, Leaf(0), Leaf(1)), span, P2)
 
 
 def test_enumerate_lifted_respects_cap():

@@ -1,5 +1,6 @@
 """Learners over example oracles: exhaustive parity scan and greedy splits."""
 
+import gc
 import itertools
 import random
 import time
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncplift import learners
 from ncplift.dtree import (
     Leaf,
     Node,
@@ -377,6 +379,136 @@ def test_exhaustive_time_budget_bounds_a_huge_search():
         tracemalloc.stop()
     assert elapsed < 5.0
     assert peak < 32 * 2**20
+
+
+class NoisyParityOracle:
+    """Uniform points labeled by the parity over ``mask`` (0-based bits),
+    each label flipped with probability ``noise``.  With ``twins`` the
+    upper half of the coordinates copies the lower half."""
+
+    def __init__(self, length, mask, noise, twins=False):
+        self.length = length
+        self.mask = mask
+        self.noise = noise
+        self.twins = twins
+
+    def sample(self, rng):
+        x = rng.getrandbits(self.length)
+        if self.twins:
+            half = self.length // 2
+            x = x % (1 << half) * ((1 << half) + 1)
+        label = (x & self.mask).bit_count() & 1
+        if rng.random() < self.noise:
+            label ^= 1
+        return BitVector(self.length, x), label
+
+
+def noisy_cases():
+    """Arity 24-28 at depth 4: noisy parities of size 0-4, the flips
+    leaving no exact fit.  Twin coordinates put candidates of equal
+    error in one row, and at 20-32 samples many candidates share the
+    minimum error: the first one in scan order must win."""
+    rng = random.Random(61)
+    for case in range(16):
+        arity = rng.choice([24, 28])
+        support = rng.sample(range(arity), rng.randint(0, 4))
+        mask = sum(1 << j for j in support)
+        noise = rng.choice([0.1, 0.3, 0.5])
+        samples = rng.choice([20, 24, 32, 300])
+        oracle = NoisyParityOracle(arity, mask, noise, twins=case % 2 == 1)
+        yield oracle, arity, LearnerBudget(16, 4, samples), case
+
+
+def test_exhaustive_matches_the_scan_on_noisy_labels():
+    for oracle, arity, bud, seed in noisy_cases():
+        got = exhaustive_parity_learner(oracle, arity, bud, random.Random(seed))
+        assert got == scan_learner(oracle, arity, bud, random.Random(seed)), seed
+
+
+def test_exhaustive_matches_the_scan_with_single_column_rows(monkeypatch):
+    # Below one pair table's size the rows extend a prefix by one column.
+    monkeypatch.setattr(learners, "PAIR_TABLE_MAX_BYTES", 0)
+    for oracle, arity, bud, seed in itertools.islice(noisy_cases(), 6):
+        got = exhaustive_parity_learner(oracle, arity, bud, random.Random(seed))
+        assert got == scan_learner(oracle, arity, bud, random.Random(seed)), seed
+
+
+class JumpingClock:
+    """Stand-in for the ``time`` module: the first reading is the real
+    clock, every later one an hour ahead."""
+
+    def __init__(self):
+        self.readings = 0
+
+    def monotonic(self):
+        self.readings += 1
+        return time.monotonic() + (0 if self.readings == 1 else 3600)
+
+
+def test_exhaustive_time_budget_ends_the_error_scan(monkeypatch):
+    # The deadline is set from the first reading; the exact-fit search
+    # keeps the real clock and finds no fit, and the scan's first
+    # deadline check reads an hour later.
+    monkeypatch.setattr(learners, "time", JumpingClock())
+    oracle = NoisyParityOracle(24, 0b111, 0.3)
+    with pytest.raises(BudgetExhaustedError, match="parity scan") as exc:
+        exhaustive_parity_learner(oracle, 24, LearnerBudget(16, 4, 64), random.Random(5))
+    assert exc.value.best_tree in (Leaf(0), Leaf(1))
+
+
+def test_pair_table_stays_within_its_byte_cap(monkeypatch):
+    # Random columns at arity 100, sizes <= 2, 2000 samples.  At a cap
+    # equal to the pair table's estimate the scan builds the table and
+    # peaks within the estimate; one byte less and it falls back to
+    # single-column rows.
+    rng = random.Random(9)
+    cols = [rng.getrandbits(2000) for _ in range(100)]
+    label_col = rng.getrandbits(2000)
+    cap = learners._pair_table_bytes(100, 2000)
+    peaks = []
+    for limit in (cap, cap - 1):
+        monkeypatch.setattr(learners, "PAIR_TABLE_MAX_BYTES", limit)
+        tracemalloc.start()
+        try:
+            best = learners._min_error_scan(
+                cols, label_col, 2000, 2, 1000, ((), False), time.monotonic() + 60
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append((peak, best))
+    assert cap // 2 < peaks[0][0] <= cap
+    assert peaks[1][0] < cap // 8
+    assert peaks[0][1] == peaks[1][1]
+
+
+def test_error_scan_retains_no_memory():
+    # With the cyclic collector off, anything caught in a reference cycle
+    # (a table, a recursive closure) outlives its call.  Thirty
+    # no-exact-fit calls at arity 28, each building a pair table, must
+    # create no unreachable object and leave no memory behind.  The
+    # warm-up calls run traced, so that objects parked in CPython's free
+    # lists are counted before.
+    oracle = NoisyParityOracle(28, 0b1011, 0.3)
+    bud = LearnerBudget(8, 3, 100)
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for seed in range(3):
+            exhaustive_parity_learner(oracle, 28, bud, random.Random(seed))
+        before, _ = tracemalloc.get_traced_memory()
+        for seed in range(30):
+            exhaustive_parity_learner(oracle, 28, bud, random.Random(seed))
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        unreachable = gc.collect()
+        if enabled:
+            gc.enable()
+    assert unreachable == 0
+    assert after - before < 8192
 
 
 # ---------------------------------------------------------------- greedy

@@ -9,7 +9,7 @@ import pytest
 
 from ncplift.dtree import Leaf, Node, ParityIndexSet
 from ncplift.learners import parity_to_tree
-from ncplift.f2 import BitMatrix, BitVector, mat_vec
+from ncplift.f2 import BitMatrix, BitVector, mat_vec, rank
 from ncplift.gadget import GadgetOracle, GadgetParams, lift_parity
 from ncplift.instance import (
     LabeledSet,
@@ -51,14 +51,31 @@ def parity_lifted_oracle(n, s_star, ell=2):
     return GadgetOracle(span, GadgetParams(ell, n))
 
 
-def far_instance():
+def vacuous_far_instance():
     # Identity system with an all-ones target: the unique solution has
-    # weight 6, so nothing of sparsity <= 3 * 1 exists.
+    # weight 6, so nothing of sparsity <= 3 * 1 exists.  At
+    # ell * alpha * k = 6 the error gate plus tolerance is -1/3, so no
+    # threshold separates anything.
     inst = SyndromeInstance(
         BitMatrix.identity(6), BitVector.from01("111111"), 1, Fraction(3)
     )
     assert brute_force_nearest(inst, 3) is None
     return inst
+
+
+def certified_far_instance(seed=4242):
+    """n=14, m=12, k=2, alpha=3 (gate plus tolerance 1/12): a full-rank
+    random system whose target no vector of weight <= 6 reaches."""
+    rng = random.Random(seed)
+    while True:
+        masks = tuple(rng.getrandbits(14) for _ in range(12))
+        if rank(BitMatrix(12, 14, masks)) < 12:
+            continue
+        inst = SyndromeInstance(
+            BitMatrix(12, 14, masks), BitVector(12, rng.getrandbits(12)), 2, Fraction(3)
+        )
+        if brute_force_nearest(inst, 6) is None:
+            return inst
 
 
 # ---------------------------------------------------------------- config
@@ -70,8 +87,6 @@ def test_config_validation():
         ReductionConfig(ell=1)
     with pytest.raises(ValueError):
         ReductionConfig(prune_constant=1)
-    with pytest.raises(ValueError):
-        ReductionConfig(confidence=Fraction(1))
     with pytest.raises(ValueError):
         ReductionConfig(learner_samples=0)
 
@@ -138,17 +153,51 @@ def test_decide_accepts_planted():
         assert report.reason == "ok-yes"
         assert report.hypothesis is not None
         assert report.hypothesis_size == report.hypothesis.size <= report.size_cap
-        assert float(report.estimate) <= report.error_gate + report.tolerance
+        # The learned lift of the planted parity fits every lifted label.
+        assert report.distance == 0
 
 
 def test_decide_rejects_far_instance():
     report = decide(
-        far_instance(), CFG, planted_learner(index_set()), random.Random(3)
+        certified_far_instance(), CFG, planted_learner(index_set()), random.Random(3)
     )
     assert not report.accepted
     assert report.reason == "distance-gate"
-    # Leaf(0) misses about half the lifted labels, far above the gate.
-    assert float(report.estimate) > report.error_gate + report.tolerance
+    # Leaf(0) misses exactly half the lifted labels, far above the gate.
+    assert report.distance == Fraction(1, 2)
+    assert report.distance > report.error_gate + report.tolerance
+    for seed in (1, 2, 3):
+        report = decide(
+            certified_far_instance(seed), CFG, exhaustive_parity_learner, random.Random(seed)
+        )
+        assert report.reason == "distance-gate"
+        assert report.distance > report.error_gate + report.tolerance
+
+
+def refusing_learner(oracle, arity, budget, rng):
+    raise AssertionError("a vacuous gate must not run the learner")
+
+
+def test_decide_vacuous_gate_skips_the_learner():
+    # Gate plus tolerance -1/3 <= 0.
+    report = decide(vacuous_far_instance(), CFG, refusing_learner, random.Random(0))
+    assert (report.accepted, report.reason) == (False, "vacuous-gate")
+    assert report.error_gate + report.tolerance <= 0
+    assert report.hypothesis is None and report.distance is None
+    # The README demo's alpha = 1 at k = 2: gate plus tolerance about
+    # -0.55, size cap 2 below the 16 leaves of a depth-4 parity.
+    raw, _ = random_planted(14, 10, 2, 7)
+    report = decide(raw, CFG, refusing_learner, random.Random(0))
+    assert report.reason == "vacuous-gate"
+    # alpha = 11/4 at ell * k = 4: r = 11, so the gate plus tolerance is
+    # positive (about 0.03) but the size cap 2**3 cannot hold a depth-4
+    # parity tree.
+    raw, _ = random_planted(14, 12, 2, 5)
+    inst = SyndromeInstance(raw.h, raw.t, raw.k, Fraction(11, 4))
+    report = decide(inst, CFG, refusing_learner, random.Random(0))
+    assert report.error_gate + report.tolerance > 0
+    assert report.size_cap == 8
+    assert report.reason == "vacuous-gate"
 
 
 def test_decide_size_gate():
@@ -160,7 +209,7 @@ def test_decide_size_gate():
     assert not report.accepted
     assert report.reason == "size-gate"
     assert report.hypothesis_size == 32
-    assert report.estimate is None
+    assert report.distance is None
 
 
 def test_decide_learner_failure():
