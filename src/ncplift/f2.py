@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice, repeat
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -206,13 +206,12 @@ class BitMatrix:
 
     def column_masks(self) -> list[int]:
         """Columns packed as ints: bit i-1 of entry j-1 is the (i, j) entry."""
-        cols = [0] * self.cols
-        for i, rm in enumerate(self.row_masks):
-            while rm:
-                low = rm & -rm
-                cols[low.bit_length() - 1] |= 1 << i
-                rm ^= low
-        return cols
+        if not self.rows or not self.cols:
+            return [0] * self.cols
+        # One binary string per row, last row first, so that reading a
+        # string position down the rows spells a column, row 1 lowest.
+        spelled = map(format, reversed(self.row_masks), repeat(f"0{self.cols}b"))
+        return list(map(int, map("".join, zip(*spelled)), repeat(2)))[::-1]
 
     def transpose(self) -> BitMatrix:
         return BitMatrix(self.cols, self.rows, tuple(self.column_masks()))
@@ -334,7 +333,7 @@ def dual_basis(g: BitMatrix) -> BitMatrix:
 
 # Largest half-table ``sparse_xor_search`` builds; a size whose even
 # split would need more splits lower instead.  A full table takes about
-# 28.5 MiB: tracemalloc measured a 28.3 MiB peak for a search whose
+# 30 MiB: tracemalloc measured a 29.6 MiB peak for a search whose
 # largest table held the 260130 supports of C(117, 3) (Python 3.11).
 XOR_TABLE_MAX_ENTRIES = 1 << 18
 
@@ -361,49 +360,84 @@ def sparse_xor_search(
     ``s - h`` indices L and its highest h indices U, where h is the
     largest split up to ``s // 2`` whose table of all C(n, h) upper
     halves holds at most ``XOR_TABLE_MAX_ENTRIES`` entries.  The table
-    maps the fingerprint (low 64 bits) of the XOR over every U to U.
-    The L are streamed in lexicographic order against it, and a
-    fingerprint hit counts only if the full columns of L | U confirm
-    it.  Supports sharing L are ordered by U, so the first L with a hit
-    holds the answer and the stream stops there.  A U that is not
-    wholly above L never decides: if it overlaps L, L | U is a smaller
-    support, which the smaller sizes already ruled out, and otherwise
-    the support's own lowest indices come earlier in the stream and
-    would have stopped it.  h = 0 (size 1, or a table that would not
-    fit) is a one-entry table and the stream is the plain scan.
+    maps the fingerprint (low 64 bits) of the XOR over every U to the
+    lexicographically first U with that fingerprint.  The L are streamed
+    in lexicographic order against it, and a fingerprint hit counts only
+    if the full columns of L | U confirm it.  Supports sharing L are
+    ordered by U, so the first L with a hit holds the answer and the
+    stream stops there.  A U that is not wholly above L never decides:
+    if it overlaps L, L | U is a smaller support, which the smaller
+    sizes already ruled out, and otherwise the support's own lowest
+    indices come earlier in the stream and would have stopped it.  h = 0
+    (size 1, or a table that would not fit) is a one-entry table and the
+    stream is the plain scan.
 
-    A table is built only when h changes and only the current one is
-    held, so memory stays bounded for every size.
+    Both sides go a row at a time.  A streamed row is every L that
+    shares all its indices but the last; the row's fingerprints, the
+    prefix XOR with each later column, are probed for every target at C
+    level, and only a row with a hit is walked index by index.  A table
+    row is every U with the same lowest index, and it goes into the
+    table with one ``dict.update``; rows run in decreasing lexicographic
+    order, so each fingerprint keeps its first U.  A hit that the full
+    columns reject means two XORs share their low 64 bits, and the table
+    may have kept the wrong one of them, so the search starts again
+    keyed on the full columns.  A table is built only when h changes and
+    only the current one is held, so memory stays bounded for every
+    size.
 
     Raises:
         TimeoutError: when ``time.monotonic()`` passes ``deadline``.
     """
-    n = len(columns)
-    low = [c & _FINGERPRINT for c in columns]
-    prints = [t & _FINGERPRINT for t in targets]
     if max_size >= 0 and 0 in targets:
         return 0, targets.index(0)
-    half = -1
-    table: dict = {}
+    try:
+        return _search(columns, targets, _FINGERPRINT, max_size, deadline)
+    except _FingerprintClash:
+        return _search(columns, targets, -1, max_size, deadline)
+
+
+class _FingerprintClash(Exception):
+    """A fingerprint hit that the full columns reject: the table may have
+    kept another support with the same fingerprint."""
+
+
+def _search(
+    columns: Sequence[int],
+    targets: tuple[int, ...],
+    key_mask: int,
+    max_size: int,
+    deadline: float | None,
+) -> tuple[int, int] | None:
+    """``sparse_xor_search`` with tables keyed on ``column & key_mask``."""
+    n = len(columns)
+    low = [c & key_mask for c in columns]
+    prints = [t & key_mask for t in targets]
+    bits = [1 << j for j in range(n)]
+    half, table = 0, {0: 0}
     for size in range(1, max_size + 1):
         if half < size // 2 and comb(n, half + 1) <= XOR_TABLE_MAX_ENTRIES:
             half += 1
-            table = {}
-            for mask, fp in _supports(low, half, n, deadline):
-                held = table.get(fp)
-                if held is None:
-                    table[fp] = mask
-                elif type(held) is list:
-                    held.append(mask)
-                else:
-                    table[fp] = [held, mask]
-        for lower, fp in _supports(low, size - half, n - half, deadline):
+            table = _half_table(low, bits, half, deadline)
+        keys = table.keys()
+        top = n - half
+        for prefix in combinations(range(top - 1), size - half - 1):
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError("deadline passed during the sparse XOR search")
+            mask = acc = 0
+            for j in prefix:
+                mask |= bits[j]
+                acc ^= low[j]
+            start = prefix[-1] + 1 if prefix else 0
+            row = low[start:top]
             for target_fp in prints:
-                if fp ^ target_fp in table:
-                    hit = _confirmed_hit(columns, targets, prints, table, lower, fp)
-                    if hit is not None:
-                        return hit
+                if not keys.isdisjoint(map((acc ^ target_fp).__xor__, row)):
                     break
+            else:
+                continue
+            for j in range(start, top):
+                hit = _confirmed_hit(columns, targets, prints, table, mask | bits[j], acc ^ low[j])
+                if hit is not None:
+                    return hit
     return None
 
 
@@ -415,40 +449,56 @@ def _confirmed_hit(
     lower: int,
     fp: int,
 ) -> tuple[int, int] | None:
-    """Among the upper halves whose fingerprint matches ``lower`` for
-    some target, the first (by upper half, then target) that the full
-    columns confirm, as ``(support, target index)``."""
+    """The first (by upper half, then target) support that ``lower`` and
+    an upper half in the table make for some target, as ``(support,
+    target index)``.
+
+    Raises:
+        _FingerprintClash: when the full columns reject a table hit.
+    """
     best = None
     for ti, target_fp in enumerate(prints):
-        held = table.get(fp ^ target_fp)
-        if held is None:
+        upper = table.get(fp ^ target_fp)
+        if upper is None:
             continue
-        for upper in held if type(held) is list else (held,):
-            support = lower | upper
-            if _xor_columns(columns, support) == targets[ti]:
-                hit = (_indices(upper), ti, support)
-                if best is None or hit < best:
-                    best = hit
+        if _xor_columns(columns, lower | upper) != targets[ti]:
+            raise _FingerprintClash
+        hit = (_indices(upper), ti, lower | upper)
+        if best is None or hit < best:
+            best = hit
     return None if best is None else (best[2], best[1])
 
 
-def _supports(
-    columns: Sequence[int], size: int, top: int, deadline: float | None
-) -> Iterator[tuple[int, int]]:
-    """Every support of ``size`` indices below ``top``, packed, with the
-    XOR of its columns, in lexicographic order."""
-    if size == 0:
-        yield 0, 0
-        return
-    for prefix in combinations(range(top), size - 1):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("deadline passed during the sparse XOR search")
-        mask = acc = 0
-        for j in prefix:
-            mask |= 1 << j
-            acc ^= columns[j]
-        for j in range(prefix[-1] + 1 if prefix else 0, top):
-            yield mask | 1 << j, acc ^ columns[j]
+def _half_table(low: list[int], bits: list[int], half: int, deadline: float | None) -> dict:
+    """Every XOR of ``half >= 1`` columns, mapped to the
+    lexicographically first support of ``half`` indices that makes it.
+
+    Supports of each size are listed in decreasing lexicographic order:
+    row a, from the last index down, puts a in front of every support
+    one index smaller whose indices all lie above a, and those lead the
+    list of that size.  The last size goes into the table a row at a
+    time, in that order, so each key keeps the last support written for
+    it, its lexicographically first.
+    """
+    n = len(low)
+    fps, uppers = low[::-1], bits[::-1]
+    table = dict(zip(fps, uppers)) if half == 1 else {}
+    for level in range(2, half + 1):
+        longer_fps: list[int] = []
+        longer_uppers: list[int] = []
+        for a in range(n - level, -1, -1):
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError("deadline passed during the sparse XOR search")
+            count = comb(n - 1 - a, level - 1)
+            row_fps = map(low[a].__xor__, islice(fps, count))
+            row_uppers = map(bits[a].__or__, islice(uppers, count))
+            if level == half:
+                table.update(zip(row_fps, row_uppers))
+            else:
+                longer_fps.extend(row_fps)
+                longer_uppers.extend(row_uppers)
+        fps, uppers = longer_fps, longer_uppers
+    return table
 
 
 def _xor_columns(columns: Sequence[int], mask: int) -> int:

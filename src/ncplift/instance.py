@@ -219,8 +219,13 @@ def brute_force_nearest(inst: SyndromeInstance, k_max: int) -> BitVector | None:
     lexicographically smallest support.  The search meets in the middle
     over the columns of H (``f2.sparse_xor_search``), so a size s costs
     about C(n, ceil(s/2)) steps instead of C(n, s).
+
+    Raises:
+        ValueError: when ``k_max`` is negative or exceeds n.
     """
     n = inst.h.cols
+    if k_max < 0:
+        raise ValueError(f"sparsity cap must be >= 0, got {k_max}")
     if k_max > n:
         raise ValueError("sparsity cap exceeds the number of coordinates")
     hit = sparse_xor_search(inst.h.column_masks(), (inst.t.mask,), k_max)

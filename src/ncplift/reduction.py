@@ -274,7 +274,13 @@ def search(
 
 
 def verify_certificate(inst: SyndromeInstance, x: BitVector, k_max: int) -> bool:
-    """Exact check: H x = t and sparsity within the cap."""
+    """Exact check: H x = t and sparsity within the cap.
+
+    Raises:
+        ValueError: when ``k_max`` is negative or the lengths disagree.
+    """
+    if k_max < 0:
+        raise ValueError(f"sparsity cap must be >= 0, got {k_max}")
     if x.length != inst.n:
         raise ValueError(f"certificate length {x.length} does not match n={inst.n}")
     return mat_vec(inst.h, x).mask == inst.t.mask and x.sparsity <= k_max

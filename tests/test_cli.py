@@ -109,6 +109,18 @@ def test_solve_exact_none_within_cap(tmp_path, capsys):
     assert stdout.strip() == "NONE"
 
 
+def test_negative_sparsity_cap_is_input_error(tmp_path, capsys):
+    # The README instance with its planted vector: a negative cap must
+    # not print NONE (exit 3) or INVALID (exit 1).
+    out = gen_planted(tmp_path, capsys, n=14, m=10, k=2, seed=7)
+    for argv in (("solve-exact", str(out)), ("verify", str(out), str(out) + ".planted")):
+        code, stdout, err = run(capsys, *argv, "--k-max", "-1")
+        assert code == 2
+        assert stdout == ""
+        assert "outcome=error" in err
+        assert "sparsity cap must be >= 0" in err
+
+
 # ---------------------------------------------------------------- solve-reduce
 
 

@@ -143,6 +143,44 @@ def test_matrix_transpose_involution():
                 assert m.entry(i, j) == t.entry(j, i)
 
 
+def column_masks_by_bits(m):
+    """Oracle: set each column bit from its row, one set bit at a time."""
+    cols = [0] * m.cols
+    for i, rm in enumerate(m.row_masks):
+        while rm:
+            low = rm & -rm
+            cols[low.bit_length() - 1] |= 1 << i
+            rm ^= low
+    return cols
+
+
+@st.composite
+def matrices(draw):
+    rows = draw(st.integers(0, 70))
+    cols = draw(st.integers(0, 70))
+    masks = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return BitMatrix(rows, cols, tuple(masks))
+
+
+@given(matrices())
+@settings(max_examples=300, deadline=None)
+def test_column_masks_match_the_bit_loop(m):
+    cols = m.column_masks()
+    assert cols == column_masks_by_bits(m)
+    assert len(cols) == m.cols
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert t.transpose() == m
+
+
+def test_column_masks_of_empty_shapes():
+    assert BitMatrix.zeros(0, 0).column_masks() == []
+    assert BitMatrix.zeros(0, 3).column_masks() == [0, 0, 0]
+    assert BitMatrix.zeros(4, 0).column_masks() == []
+    assert BitMatrix.zeros(0, 3).transpose() == BitMatrix.zeros(3, 0)
+    assert BitMatrix.zeros(4, 0).transpose() == BitMatrix.zeros(0, 4)
+
+
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(ValueError):
         BitMatrix.from_rows(["10", "011"])
@@ -413,6 +451,61 @@ def test_sparse_xor_search_order_within_a_size():
     assert sparse_xor_search([1, 2, 4, 8], (9, 5), 2) == (0b0101, 1)
     # A support hitting two equal targets reports the lower index.
     assert sparse_xor_search(columns, (9, 9), 2) == (0b11, 0)
+
+
+def test_sparse_xor_search_duplicate_columns_share_table_keys():
+    # Columns 0-2 are equal, and so are 3-4, so one key of the
+    # two-index table is made by {0, 3} and {0, 4} (one row) and by
+    # {1, 3}, {1, 4}, {2, 3}, {2, 4} (two later rows); the key keeps the
+    # lexicographically first.  The wide copy repeats each column above
+    # the 64 fingerprint bits, so that equal fingerprints still come
+    # from equal columns.
+    a, b = 0b0011, 0b0101
+    narrow = [a, a, a, b, b, 0b1000, 0b1001]
+    table = f2._half_table(narrow, [1 << j for j in range(7)], 2, None)
+    assert table[a ^ b] == 0b01001
+    assert table[0] == 0b00011
+    wide = [c | c << 64 for c in narrow]
+    for columns in (narrow, wide):
+        for target in (a ^ b ^ 0b1001, b ^ 0b1000, 1, a, a ^ b ^ 0b1000, a ^ b ^ 1, 0b10000):
+            target |= target << 64 if columns is wide else 0
+            for max_size in range(6):
+                assert sparse_xor_search(columns, (target,), max_size) == linear_xor_search(
+                    columns, (target,), max_size
+                )
+
+
+def test_sparse_xor_search_false_positive_before_the_hit_in_a_row():
+    # Column 7 has the low 64 bits of columns 1 ^ 2 ^ 5 and one bit
+    # above them.  In the lower-half row of prefix {0}, index 1 matches
+    # the upper half {7} on fingerprints only; the search has to reject
+    # it (and start again on full columns) and find index 2, which meets
+    # {5}, in the same row.
+    rng = random.Random(5)
+    columns = [rng.getrandbits(64) for _ in range(8)]
+    columns[7] = columns[1] ^ columns[2] ^ columns[5] | 1 << 64
+    target = columns[0] ^ columns[2] ^ columns[5]
+    confirmed = mock.Mock(wraps=f2._confirmed_hit)
+    with mock.patch.object(f2, "_confirmed_hit", confirmed):
+        got = sparse_xor_search(columns, (target,), 3)
+    assert got == (0b100101, 0) == linear_xor_search(columns, (target,), 3)
+    lowers = [c.args[4] for c in confirmed.call_args_list]
+    assert lowers[0] == 0b011 and lowers[-1] == 0b101
+
+
+def test_sparse_xor_search_two_targets_in_one_row():
+    # Both targets hit the lower-half row of prefix {0}: the second
+    # target at index 1, the first at index 3.  The earlier index wins
+    # whichever target it belongs to.
+    rng = random.Random(9)
+    columns = [rng.getrandbits(40) for _ in range(9)]
+    early = columns[0] ^ columns[1] ^ columns[6] ^ columns[8]
+    late = columns[0] ^ columns[3] ^ columns[5] ^ columns[7]
+    for targets, want in (((late, early), (0b101000011, 1)), ((early, late), (0b101000011, 0))):
+        assert sparse_xor_search(columns, targets, 4) == want
+        assert linear_xor_search(columns, targets, 4) == want
+    # Without the earlier one the later index is found in the same row.
+    assert sparse_xor_search(columns, (early ^ 1 << 50, late), 4) == (0b10101001, 1)
 
 
 def test_sparse_xor_search_deadline():

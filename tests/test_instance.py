@@ -25,6 +25,7 @@ from ncplift.instance import (
     write_generator_instance,
     write_syndrome_instance,
 )
+from ncplift.reduction import verify_certificate
 
 
 def random_full_rank(rng, m, n):
@@ -305,6 +306,23 @@ def test_brute_force_rejects_oversized_cap():
     )
     with pytest.raises(ValueError):
         brute_force_nearest(inst, 3)
+
+
+def test_negative_sparsity_cap_is_rejected():
+    # A negative cap admits no vector at all, so a confident "none" or
+    # "invalid" would answer a malformed question; both checks refuse it,
+    # also for the zero target and the zero vector.
+    inst, x = random_planted(14, 10, 2, seed=7)
+    zero = SyndromeInstance(inst.h, BitVector.zeros(10), 2, Fraction(1))
+    for case in (inst, zero):
+        with pytest.raises(ValueError, match="sparsity cap"):
+            brute_force_nearest(case, -1)
+    with pytest.raises(ValueError, match="sparsity cap"):
+        verify_certificate(inst, x, -1)
+    with pytest.raises(ValueError, match="sparsity cap"):
+        verify_certificate(zero, BitVector.zeros(14), -1)
+    assert verify_certificate(inst, x, 2)
+    assert brute_force_nearest(zero, 0) == BitVector.zeros(14)
 
 
 # ---------------------------------------------------------------- planted
