@@ -32,7 +32,6 @@ from .f2 import (
     dual_basis,
     format_matrix,
     format_vector,
-    independent_row_basis,
     mat_vec,
     parse_matrix,
     parse_vector,
@@ -106,7 +105,7 @@ __all__ = [
     "__version__",
     # f2
     "FormatError", "BitVector", "BitMatrix", "mat_vec", "rank", "row_reduce",
-    "independent_row_basis", "dual_basis", "format_matrix", "parse_matrix",
+    "dual_basis", "format_matrix", "parse_matrix",
     "format_vector", "parse_vector",
     # instance
     "UnsatisfiableInstanceError", "NcpInstance", "SyndromeInstance", "LabeledSet",

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, islice, repeat
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "FormatError",
@@ -26,11 +26,14 @@ __all__ = [
     "BitMatrix",
     "bit_column",
     "mat_vec",
+    "Elimination",
+    "eliminate",
     "rank",
     "row_reduce",
-    "independent_row_basis",
     "dual_basis",
     "XOR_TABLE_MAX_ENTRIES",
+    "COSET_MAX_KERNEL_DIM",
+    "COSET_STEP_COST",
     "sparse_xor_search",
     "format_matrix",
     "parse_matrix",
@@ -240,67 +243,79 @@ def mat_vec(m: BitMatrix, v: BitVector) -> BitVector:
     return BitVector(m.rows, out)
 
 
-def _rref(masks: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form in place semantics.
+class Elimination(NamedTuple):
+    """Greedy GF(2) elimination of a list of packed vectors, with the
+    combination of inputs behind every result.
 
-    Pivots on the lowest-index nonzero column at each step, eliminates
-    above and below, and moves zero rows to the bottom.  Returns the
-    reduced row masks and the pivot column indices (0-based, ascending).
+    Inputs are taken in order, each reduced against the basis so far.
+    ``basis`` holds the reduced forms of the inputs independent of the
+    inputs before them, in input order; ``pivots[i]`` is the lowest set
+    bit of ``basis[i]``, and every basis vector is clear of the pivots
+    of the ones before it, so reducing against them in order clears
+    each pivot for good.  ``combos[i]`` packs the inputs (bit j for
+    input j) whose XOR is ``basis[i]``.  ``kernel`` has one entry per
+    dependent input j, in input order: inputs whose XOR is zero, j the
+    highest of them and the rest independent inputs.  The entries are a
+    basis of the kernel, so ``len(basis) + len(kernel)`` is the number of
+    inputs.
     """
-    work = list(masks)
+
+    basis: tuple[int, ...]
+    pivots: tuple[int, ...]
+    combos: tuple[int, ...]
+    kernel: tuple[int, ...]
+
+    def reduce(self, v: int) -> tuple[int, int]:
+        """``v`` reduced against the basis, and the inputs removed from
+        it: the residue is 0 exactly when ``v`` is in the span, and then
+        the XOR of the inputs in the combination is ``v``."""
+        return _reduce(v, 0, self.basis, self.pivots, self.combos)
+
+
+def _reduce(v: int, combo: int, basis, pivots, combos) -> tuple[int, int]:
+    for b, piv, c in zip(basis, pivots, combos):
+        if v & piv:
+            v ^= b
+            combo ^= c
+    return v, combo
+
+
+def eliminate(vectors: Iterable[int]) -> Elimination:
+    """Greedy elimination of ``vectors`` in order; see ``Elimination``."""
+    basis: list[int] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        bit = 1 << c
-        sel = None
-        for i in range(r, len(work)):
-            if work[i] & bit:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        for i in range(len(work)):
-            if i != r and work[i] & bit:
-                work[i] ^= work[r]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, pivots
+    combos: list[int] = []
+    kernel: list[int] = []
+    for j, v in enumerate(vectors):
+        v, combo = _reduce(v, 1 << j, basis, pivots, combos)
+        if v:
+            basis.append(v)
+            pivots.append(v & -v)
+            combos.append(combo)
+        else:
+            kernel.append(combo)
+    return Elimination(tuple(basis), tuple(pivots), tuple(combos), tuple(kernel))
 
 
 def row_reduce(m: BitMatrix) -> BitMatrix:
-    """Reduced row echelon form of ``m`` (same shape, zero rows last)."""
-    work, _ = _rref(list(m.row_masks), m.cols)
-    return BitMatrix(m.rows, m.cols, tuple(work))
+    """Reduced row echelon form of ``m`` (same shape, zero rows last).
+
+    Pivots are the lowest set bits of the eliminated rows.  In pivot
+    order, each row is cleared of the pivots after its own, last row
+    first, so every row XORed in is already clear of them.
+    """
+    elim = eliminate(m.row_masks)
+    rows = sorted(elim.basis, key=lambda b: b & -b)
+    for i in range(len(rows) - 1, 0, -1):
+        piv = rows[i] & -rows[i]
+        for j in range(i):
+            if rows[j] & piv:
+                rows[j] ^= rows[i]
+    return BitMatrix(m.rows, m.cols, tuple(rows) + (0,) * len(elim.kernel))
 
 
 def rank(m: BitMatrix) -> int:
-    _, pivots = _rref(list(m.row_masks), m.cols)
-    return len(pivots)
-
-
-def independent_row_basis(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
-    """Maximal independent subset of the rows, kept in original order.
-
-    Returns:
-        A matrix made of the retained original rows and the 1-indexed
-        list of retained row positions.
-    """
-    basis: list[tuple[int, int]] = []  # (reduced mask, pivot bit)
-    kept: list[int] = []
-    kept_masks: list[int] = []
-    for idx, rm in enumerate(m.row_masks):
-        red = rm
-        for bm, piv in basis:
-            if red & piv:
-                red ^= bm
-        if red:
-            basis.append((red, red & -red))
-            kept.append(idx + 1)
-            kept_masks.append(rm)
-    return BitMatrix(len(kept_masks), m.cols, tuple(kept_masks)), tuple(kept)
+    return len(eliminate(m.row_masks).basis)
 
 
 def dual_basis(g: BitMatrix) -> BitMatrix:
@@ -308,25 +323,14 @@ def dual_basis(g: BitMatrix) -> BitMatrix:
 
     The rows of the result form a basis of the space of vectors
     orthogonal to every column of ``g``, so ``H x = 0`` exactly when
-    ``x`` lies in the column span.  The result has ``g.rows - rank(g)``
-    rows and is deterministic: elimination pivots on the lowest-index
-    column and free columns are visited in ascending order.
+    ``x`` lies in the column span.  These are the combinations of rows
+    of ``g`` that XOR to zero: the kernel of eliminating the rows in
+    order, one vector per row that depends on the rows before it, in
+    ascending order of that row, with no other dependent row in it.  The
+    result has ``g.rows - rank(g)`` rows.
     """
-    n = g.rows
-    gt = g.transpose()
-    work, pivots = _rref(list(gt.row_masks), n)
-    pivot_set = set(pivots)
-    out_rows = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        fbit = 1 << f
-        for j, p in enumerate(pivots):
-            if work[j] & fbit:
-                v |= 1 << p
-        out_rows.append(v)
-    return BitMatrix(len(out_rows), n, tuple(out_rows))
+    kernel = eliminate(g.row_masks).kernel
+    return BitMatrix(len(kernel), g.rows, kernel)
 
 
 # ---------- sparse XOR search ----------
@@ -337,6 +341,19 @@ def dual_basis(g: BitMatrix) -> BitMatrix:
 # largest table held the 260130 supports of C(117, 3) (Python 3.11).
 XOR_TABLE_MAX_ENTRIES = 1 << 18
 
+# Kernel dimension past which ``sparse_xor_search`` never walks a coset:
+# 2**28 steps take about a minute.
+COSET_MAX_KERNEL_DIM = 28
+
+# What one step of the coset path costs, in meet-in-the-middle steps,
+# when ``sparse_xor_search`` weighs the two paths.  Both took 90 to 250
+# ns a step on 64-bit columns (Python 3.11, 48 x 64 to 10 x 18 parity
+# checks and the learner's lifted columns), an elimination step too.
+COSET_STEP_COST = 1
+
+# Kernel vectors whose span makes one row of the coset walk.
+_COSET_ROW_DIM = 10
+
 _FINGERPRINT = (1 << 64) - 1
 
 
@@ -345,6 +362,7 @@ def sparse_xor_search(
     targets: tuple[int, ...],
     max_size: int,
     deadline: float | None = None,
+    max_cost: int | None = None,
 ) -> tuple[int, int] | None:
     """First support whose column XOR equals one of the targets.
 
@@ -354,6 +372,30 @@ def sparse_xor_search(
     ``(support, target index)``, the support packed with bit j standing
     for column j.  ``None`` when no support of size at most
     ``max_size`` fits any target.
+
+    Two exact methods give that same answer, and the search takes the
+    one its estimate says is cheaper.  The fits of one target form a
+    coset p + K of the kernel K of the columns, so walking the coset
+    costs ``2**dim K`` steps per target, however large ``max_size`` is;
+    past ``COSET_MAX_KERNEL_DIM`` it is not considered.  Meeting in the
+    middle costs about C(n, ceil(s/2)) steps per size s, however small
+    the kernel is (``_mitm_cost``).  A coset step counts as
+    ``COSET_STEP_COST`` of the others, and so does each of the about
+    n * rank / 2 steps of the elimination the coset path needs.  The
+    dimension of K is at least n minus the widest column's bit length,
+    and the columns are eliminated only when even that bound leaves the
+    coset walk the cheaper.
+
+    Coset enumeration (``_coset_search``): one elimination of the
+    columns, tracking combinations, gives a kernel basis and, for each
+    target in the span, a particular solution p.  The coset is walked a
+    row at a time: a row is the span of the first ``_COSET_ROW_DIM``
+    kernel vectors XORed, at C level, into one element of the span of
+    the rest, and those elements follow a Gray code, one XOR apart.  The
+    walk keeps the first support in (size, lex) order; of two supports
+    of one size, a comes first exactly when the lowest bit of a ^ b is
+    set in a.  The targets are then compared the same way, ties going
+    to the lower index.
 
     Meet in the middle (the splitting step of Stern's low-weight
     codeword search): a support of size s splits into its lowest
@@ -387,13 +429,103 @@ def sparse_xor_search(
 
     Raises:
         TimeoutError: when ``time.monotonic()`` passes ``deadline``.
+        ValueError: when both estimates pass ``max_cost``, before any
+            table or walk starts.
     """
     if max_size >= 0 and 0 in targets:
         return 0, targets.index(0)
+    n = len(columns)
+    mitm = _mitm_cost(n, len(targets), max_size)
+    dim = max(0, n - max(map(int.bit_length, columns), default=0))
+    elim = None
+    if dim <= COSET_MAX_KERNEL_DIM and _coset_cost(len(targets), dim, 0, 0) <= mitm:
+        elim = eliminate(columns)
+        dim = len(elim.kernel)
+    coset = _coset_cost(len(targets), dim, n, n - dim)
+    use_coset = elim is not None and dim <= COSET_MAX_KERNEL_DIM and coset <= mitm
+    if max_cost is not None and (coset if use_coset else mitm) > max_cost:
+        bound = "" if elim is not None else "at least "
+        raise ValueError(
+            f"exact search too large: meeting in the middle takes about "
+            f"2**{mitm.bit_length() - 1} steps and the coset walk {len(targets)} x "
+            f"2**{dim} (kernel dimension {bound}{dim}), both past {max_cost}"
+        )
+    if use_coset:
+        return _coset_search(elim, targets, max_size, deadline)
     try:
         return _search(columns, targets, _FINGERPRINT, max_size, deadline)
     except _FingerprintClash:
         return _search(columns, targets, -1, max_size, deadline)
+
+
+def _mitm_cost(n: int, n_targets: int, max_size: int) -> int:
+    """Steps of a meet-in-the-middle search that finds nothing: every
+    table entry built, and every lower half streamed, once per target."""
+    cost = half = 0
+    for size in range(1, max_size + 1):
+        if half < size // 2 and comb(n, half + 1) <= XOR_TABLE_MAX_ENTRIES:
+            half += 1
+            cost += comb(n, half)
+        cost += n_targets * comb(n - half, size - half)
+    return cost
+
+
+def _coset_cost(n_targets: int, dim: int, n: int, rank: int) -> int:
+    """Steps of the coset path: the walks, and eliminating n columns of
+    the given rank."""
+    return COSET_STEP_COST * ((n_targets << dim) + n * rank // 2)
+
+
+def _coset_search(
+    elim: Elimination, targets: tuple[int, ...], max_size: int, deadline: float | None
+) -> tuple[int, int] | None:
+    """``sparse_xor_search`` by walking the coset of each target in the
+    span of the eliminated columns."""
+    best = None
+    for ti, target in enumerate(targets):
+        residue, particular = elim.reduce(target)
+        if residue:
+            continue
+        cap = max_size if best is None else best[0].bit_count()
+        support = _first_in_coset(particular, elim.kernel, cap, deadline)
+        if support is not None and (best is None or _precedes(support, best[0])):
+            best = (support, ti)
+    return best
+
+
+def _first_in_coset(
+    particular: int, kernel: tuple[int, ...], max_size: int, deadline: float | None
+) -> int | None:
+    """First support of at most ``max_size`` indices in (size, lex)
+    order among ``particular`` XOR the span of ``kernel``, or None."""
+    offsets = [0]
+    for vec in kernel[:_COSET_ROW_DIM]:
+        offsets += [x ^ vec for x in offsets]
+    steps = kernel[_COSET_ROW_DIM:]
+    best = None
+    acc = particular
+    for e in range(1 << len(steps)):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("deadline passed during the coset walk")
+        if e:
+            acc ^= steps[(e & -e).bit_length() - 1]
+        size = min(map(int.bit_count, map(acc.__xor__, offsets)))
+        if size > max_size:
+            continue
+        for support in map(acc.__xor__, offsets):
+            if support.bit_count() == size and (best is None or _precedes(support, best)):
+                best = support
+        max_size = size
+    return best
+
+
+def _precedes(a: int, b: int) -> bool:
+    """Whether support ``a`` comes before ``b`` in (size, lex) order."""
+    size_a, size_b = a.bit_count(), b.bit_count()
+    if size_a != size_b:
+        return size_a < size_b
+    diff = a ^ b
+    return bool(diff & -diff & a)
 
 
 class _FingerprintClash(Exception):

@@ -27,7 +27,7 @@ from random import Random
 from typing import Iterator
 
 from .dtree import DecisionTree, Leaf, Node, ParityIndexSet
-from .f2 import BitMatrix, BitVector, rank
+from .f2 import BitMatrix, BitVector, eliminate
 from .instance import _randbelow
 
 __all__ = [
@@ -413,16 +413,17 @@ def span_lifted_tree_error(tree: DecisionTree, span, params: GadgetParams) -> Fr
     one per full block (its required base bit) and "label != leaf".
     When they are consistent they hold with probability 2**-rank, so
     the path contributes 2**-(scale exponent + rank); otherwise it
-    contributes 0.  Consistency is rank(system) == rank(system with its
-    right-hand side), two ``rank`` calls per path and no sum over span
-    points.
+    contributes 0.  One elimination of the rows with the right-hand side
+    as bit m decides both, with no sum over span points: pivots are
+    lowest bits, so the system is inconsistent exactly when a row
+    reduces to the bare right-hand-side bit, and otherwise the rank is
+    the number of rows kept.
     """
     if span.length != params.base_n:
         raise ValueError("base arity does not match the gadget parameters")
     m = span.dimension
     forms = BitMatrix(m, span.length, span.points).column_masks()
     label_form = sum(label << j for j, label in enumerate(span.labels))
-    lhs = (1 << m) - 1
     err = Fraction(0)
     for fixed, leaf_label in _paths(tree):
         exponent, fmask, req = _restriction_blocks(Restriction.of(fixed), params)
@@ -432,9 +433,9 @@ def span_lifted_tree_error(tree: DecisionTree, span, params: GadgetParams) -> Fr
             b = low.bit_length() - 1
             rows.append(forms[b] | (req >> b & 1) << m)
             fmask ^= low
-        r = rank(BitMatrix(len(rows), m, tuple(row & lhs for row in rows)))
-        if rank(BitMatrix(len(rows), m + 1, tuple(rows))) == r:
-            err += Fraction(1, 1 << (exponent + r))
+        basis = eliminate(rows).basis
+        if 1 << m not in basis:
+            err += Fraction(1, 1 << (exponent + len(basis)))
     return err
 
 

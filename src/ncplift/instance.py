@@ -28,7 +28,7 @@ from .f2 import (
     BitVector,
     FormatError,
     dual_basis,
-    independent_row_basis,
+    eliminate,
     mat_vec,
     rank,
     sparse_xor_search,
@@ -43,6 +43,7 @@ __all__ = [
     "syndrome_to_labeled_set",
     "normalize_syndrome",
     "brute_force_nearest",
+    "BRUTE_FORCE_MAX_COST",
     "random_planted",
     "write_syndrome_instance",
     "read_syndrome_instance",
@@ -50,6 +51,11 @@ __all__ = [
     "read_generator_instance",
     "load_instance",
 ]
+
+
+# Most search steps ``brute_force_nearest`` takes on: at 90 to 250 ns a
+# step (Python 3.11), about half a minute to a minute.
+BRUTE_FORCE_MAX_COST = 1 << 28
 
 
 class UnsatisfiableInstanceError(ValueError):
@@ -174,40 +180,21 @@ def normalize_syndrome(inst: SyndromeInstance) -> SyndromeInstance:
     Raises:
         UnsatisfiableInstanceError: if a dropped label is inconsistent.
     """
-    if rank(inst.h) == inst.h.rows:
+    elim = eliminate(inst.h.row_masks)
+    if not elim.kernel:
         return inst
-    # Re-run the greedy elimination, tracking for every reduced row the
-    # combination of retained original rows that produced it.
-    basis: list[tuple[int, int, int]] = []  # (reduced mask, pivot bit, combo mask)
-    kept_rows: list[int] = []
-    kept_labels: list[int] = []
-    t_bits = list(inst.t)
-    for idx, rm in enumerate(inst.h.row_masks):
-        red = rm
-        combo = 0
-        for bm, piv, cm in basis:
-            if red & piv:
-                red ^= bm
-                combo ^= cm
-        if red:
-            pos = len(kept_rows)
-            kept_rows.append(rm)
-            kept_labels.append(t_bits[idx])
-            basis.append((red, red & -red, combo | (1 << pos)))
-        else:
-            expect = 0
-            c = combo
-            while c:
-                low = c & -c
-                expect ^= kept_labels[low.bit_length() - 1]
-                c ^= low
-            if expect != t_bits[idx]:
-                raise UnsatisfiableInstanceError(
-                    f"row {idx + 1} is a combination of earlier rows but its "
-                    "label disagrees; the system has no solution"
-                )
-    h = BitMatrix(len(kept_rows), inst.h.cols, tuple(kept_rows))
-    t = BitVector.from_bits(kept_labels)
+    # Each kernel vector is a dependent row (its highest bit) together
+    # with the earlier retained rows that XOR to it, so the labels agree
+    # exactly when they XOR to zero over the same rows.
+    for combo in elim.kernel:
+        if (combo & inst.t.mask).bit_count() & 1:
+            raise UnsatisfiableInstanceError(
+                f"row {combo.bit_length()} is a combination of earlier rows but its "
+                "label disagrees; the system has no solution"
+            )
+    kept = [combo.bit_length() - 1 for combo in elim.combos]
+    h = BitMatrix(len(kept), inst.h.cols, tuple(inst.h.row_masks[i] for i in kept))
+    t = BitVector.from_bits(inst.t.mask >> i & 1 for i in kept)
     return SyndromeInstance(h, t, inst.k, inst.alpha)
 
 
@@ -216,19 +203,25 @@ def brute_force_nearest(inst: SyndromeInstance, k_max: int) -> BitVector | None:
 
     Supports are ordered by ascending size, each size in lexicographic
     order, and the first solution is returned, so ties break toward the
-    lexicographically smallest support.  The search meets in the middle
-    over the columns of H (``f2.sparse_xor_search``), so a size s costs
-    about C(n, ceil(s/2)) steps instead of C(n, s).
+    lexicographically smallest support.  The search runs over the
+    columns of H (``f2.sparse_xor_search``) and takes the cheaper of two
+    exact methods: meeting in the middle, about C(n, ceil(s/2)) steps
+    per size s, or walking the solution coset x + ker H, 2**(n - rank H)
+    steps for any cap.  A cap that makes both estimates pass
+    ``BRUTE_FORCE_MAX_COST`` is refused before the search starts.
 
     Raises:
-        ValueError: when ``k_max`` is negative or exceeds n.
+        ValueError: when ``k_max`` is negative or exceeds n, or when both
+            cost estimates pass ``BRUTE_FORCE_MAX_COST``.
     """
     n = inst.h.cols
     if k_max < 0:
         raise ValueError(f"sparsity cap must be >= 0, got {k_max}")
     if k_max > n:
         raise ValueError("sparsity cap exceeds the number of coordinates")
-    hit = sparse_xor_search(inst.h.column_masks(), (inst.t.mask,), k_max)
+    hit = sparse_xor_search(
+        inst.h.column_masks(), (inst.t.mask,), k_max, max_cost=BRUTE_FORCE_MAX_COST
+    )
     return None if hit is None else BitVector(n, hit[0])
 
 

@@ -121,6 +121,18 @@ def test_negative_sparsity_cap_is_input_error(tmp_path, capsys):
         assert "sparsity cap must be >= 0" in err
 
 
+def test_solve_exact_refuses_a_search_that_cannot_finish(tmp_path, capsys):
+    # Both the meet-in-the-middle estimate and the 2**200-element coset
+    # walk are far past the brute-force cap: exit 2 naming both, at once.
+    out = gen_planted(tmp_path, capsys, n=400, m=200, k=5, seed=1)
+    code, stdout, err = run(capsys, "solve-exact", str(out), "--k-max", "40")
+    assert code == 2
+    assert stdout == ""
+    assert "outcome=error" in err
+    assert "meeting in the middle takes about 2**" in err
+    assert "coset walk 1 x 2**200" in err
+
+
 # ---------------------------------------------------------------- solve-reduce
 
 

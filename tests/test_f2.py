@@ -1,6 +1,7 @@
 """Bit-packed GF(2) linear algebra: vectors, matrices, rank, dual bases."""
 
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -16,9 +17,9 @@ from ncplift.f2 import (
     FormatError,
     bit_column,
     dual_basis,
+    eliminate,
     format_matrix,
     format_vector,
-    independent_row_basis,
     mat_vec,
     parse_matrix,
     parse_vector,
@@ -27,11 +28,6 @@ from ncplift.f2 import (
     sparse_xor_search,
 )
 from ncplift import f2
-
-
-def all_matrices(rows, cols):
-    for masks in itertools.product(range(1 << cols), repeat=rows):
-        yield BitMatrix(rows, cols, masks)
 
 
 def random_matrix(rng, rows, cols):
@@ -224,31 +220,41 @@ def test_row_reduce_idempotent():
         assert rank(red) == rank(m)
 
 
-def test_independent_row_basis_examples():
-    m, kept = independent_row_basis(BitMatrix.identity(2))
-    assert m == BitMatrix.identity(2)
-    assert kept == (1, 2)
+def test_eliminate_tracks_combinations_exhaustively():
+    # Every list of at most 4 vectors of width <= 3.
+    for count in range(5):
+        for vectors in itertools.product(range(8), repeat=count):
+            elim = eliminate(vectors)
+            assert len(elim.basis) + len(elim.kernel) == count
+            assert len(elim.basis) == rank(BitMatrix(count, 3, vectors))
+            assert elim.pivots == tuple(b & -b for b in elim.basis)
+            for i, (b, combo) in enumerate(zip(elim.basis, elim.combos)):
+                assert combo.bit_length() - 1 not in {k.bit_length() - 1 for k in elim.kernel}
+                assert f2._xor_columns(vectors, combo) == b
+                assert all(not b & piv for piv in elim.pivots[:i])
+            for combo in elim.kernel:
+                assert f2._xor_columns(vectors, combo) == 0
+            assert rank(BitMatrix(len(elim.kernel), max(count, 1), elim.kernel)) == len(elim.kernel)
+            for v in range(8):
+                residue, combo = elim.reduce(v)
+                in_span = any(f2._xor_columns(vectors, c) == v for c in range(1 << count))
+                assert (residue == 0) == in_span
+                if in_span:
+                    assert f2._xor_columns(vectors, combo) == v
 
-    m, kept = independent_row_basis(BitMatrix.from_rows(["11", "11"]))
-    assert m == BitMatrix.from_rows(["11"])
-    assert kept == (1,)
 
-    # Third row is the sum of the first two, so it is dropped.
-    m, kept = independent_row_basis(BitMatrix.from_rows(["101", "011", "110"]))
-    assert m == BitMatrix.from_rows(["101", "011"])
-    assert kept == (1, 2)
-
-
-def test_independent_row_basis_preserves_rank_exhaustively():
-    # Every matrix with rows, cols <= 4.
-    for r in range(1, 5):
-        for c in range(1, 5):
-            for m in all_matrices(r, c):
-                basis, kept = independent_row_basis(m)
-                assert rank(basis) == rank(m) == basis.rows
-                assert list(kept) == sorted(kept)
-                for pos, i in enumerate(kept, start=1):
-                    assert basis.row(pos) == m.row(i)
+def test_row_reduce_is_the_reduced_echelon_form():
+    rng = random.Random(8)
+    for _ in range(200):
+        m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+        rows = [r for r in row_reduce(m).row_masks if r]
+        pivots = [r & -r for r in rows]
+        assert pivots == sorted(pivots) and len(set(pivots)) == len(rows) == rank(m)
+        for r in rows:
+            assert [piv for piv in pivots if r & piv] == [r & -r]
+        assert column_span(BitMatrix(len(rows), m.cols, tuple(rows)).transpose()) == column_span(
+            m.transpose()
+        )
 
 
 # ---------------------------------------------------------------- dual basis
@@ -274,6 +280,9 @@ def test_dual_basis_fixed_5x2_checked_over_all_vectors():
     h = dual_basis(g)
     assert h.rows == 3  # 5 - rank
     assert rank(h) == 3
+    # One vector per row that depends on the rows before it (rows 3, 4
+    # and 5), in that order, each with no other dependent row in it.
+    assert [v.to01() for v in h.row_vectors()] == ["11100", "10010", "00001"]
     span = column_span(g)
     for xm in range(1 << 5):
         x = BitVector(5, xm)
@@ -357,6 +366,12 @@ def linear_xor_search(columns, targets, max_size):
     return None
 
 
+def on_path(path):
+    """Force ``sparse_xor_search`` onto one path: the coset walk costs
+    nothing, or never wins."""
+    return mock.patch.object(f2, "COSET_STEP_COST", {"coset": 0, "mitm": math.inf}[path])
+
+
 @st.composite
 def xor_problems(draw):
     """Columns, 1 or 2 targets and a size cap.
@@ -403,13 +418,23 @@ def test_sparse_xor_search_matches_linear_scan(problem):
     )
 
 
+@pytest.mark.parametrize("path", ["coset", "mitm"])
+@given(problem=xor_problems())
+@settings(max_examples=200, deadline=None)
+def test_sparse_xor_search_matches_linear_scan_on_each_path(path, problem):
+    columns, targets, max_size = problem
+    with on_path(path):
+        got = sparse_xor_search(columns, targets, max_size)
+    assert got == linear_xor_search(columns, targets, max_size)
+
+
 @given(xor_problems(), st.integers(1, 40))
 @settings(max_examples=150, deadline=None)
 def test_sparse_xor_search_past_the_table_cap(problem, cap):
     # A small cap makes the larger sizes split lower than s // 2, down
     # to the plain scan; the answers must not change.
     columns, targets, max_size = problem
-    with mock.patch.object(f2, "XOR_TABLE_MAX_ENTRIES", cap):
+    with on_path("mitm"), mock.patch.object(f2, "XOR_TABLE_MAX_ENTRIES", cap):
         got = sparse_xor_search(columns, targets, max_size)
     assert got == linear_xor_search(columns, targets, max_size)
 
@@ -419,7 +444,7 @@ def test_sparse_xor_search_respects_the_table_cap():
     # split 3 + 1, not 2 + 2: tracemalloc measured a 195 KiB peak with
     # the C(60, 2) = 1770-entry table and 9 KiB with the 60-entry one.
     columns = [1 << j for j in range(60)]
-    with mock.patch.object(f2, "XOR_TABLE_MAX_ENTRIES", 100):
+    with on_path("mitm"), mock.patch.object(f2, "XOR_TABLE_MAX_ENTRIES", 100):
         tracemalloc.start()
         try:
             assert sparse_xor_search(columns, ((1 << 60) - 1,), 4) is None
@@ -435,8 +460,9 @@ def test_sparse_xor_search_rejects_fingerprint_collisions():
     # solution; {1, 2} is the real one.
     high = 1 << 64
     columns = [1, 1 | high, 2]
-    assert sparse_xor_search(columns, (3 | high,), 3) == (0b110, 0)
-    assert sparse_xor_search(columns, (3 | high << 1,), 3) is None
+    with on_path("mitm"):
+        assert sparse_xor_search(columns, (3 | high,), 3) == (0b110, 0)
+        assert sparse_xor_search(columns, (3 | high << 1,), 3) is None
 
 
 def test_sparse_xor_search_order_within_a_size():
@@ -444,13 +470,15 @@ def test_sparse_xor_search_order_within_a_size():
     # so the target has exactly the weight-4 solutions {1, 2, 3, 4} and
     # {0, 1, 4, 5}; the second is lexicographically first.
     columns = [1, 8, 2, 4, 16, 7]
-    assert sparse_xor_search(columns, (30,), 3) is None
-    assert sparse_xor_search(columns, (30,), 4) == (0b110011, 0)
-    # {0, 3} hits the first target and {0, 2} the second; the support
-    # order decides before the target order does.
-    assert sparse_xor_search([1, 2, 4, 8], (9, 5), 2) == (0b0101, 1)
-    # A support hitting two equal targets reports the lower index.
-    assert sparse_xor_search(columns, (9, 9), 2) == (0b11, 0)
+    for path in ("coset", "mitm"):
+        with on_path(path):
+            assert sparse_xor_search(columns, (30,), 3) is None
+            assert sparse_xor_search(columns, (30,), 4) == (0b110011, 0)
+            # {0, 3} hits the first target and {0, 2} the second; the
+            # support order decides before the target order does.
+            assert sparse_xor_search([1, 2, 4, 8], (9, 5), 2) == (0b0101, 1)
+            # A support hitting two equal targets reports the lower index.
+            assert sparse_xor_search(columns, (9, 9), 2) == (0b11, 0)
 
 
 def test_sparse_xor_search_duplicate_columns_share_table_keys():
@@ -486,7 +514,7 @@ def test_sparse_xor_search_false_positive_before_the_hit_in_a_row():
     columns[7] = columns[1] ^ columns[2] ^ columns[5] | 1 << 64
     target = columns[0] ^ columns[2] ^ columns[5]
     confirmed = mock.Mock(wraps=f2._confirmed_hit)
-    with mock.patch.object(f2, "_confirmed_hit", confirmed):
+    with on_path("mitm"), mock.patch.object(f2, "_confirmed_hit", confirmed):
         got = sparse_xor_search(columns, (target,), 3)
     assert got == (0b100101, 0) == linear_xor_search(columns, (target,), 3)
     lowers = [c.args[4] for c in confirmed.call_args_list]
@@ -501,17 +529,56 @@ def test_sparse_xor_search_two_targets_in_one_row():
     columns = [rng.getrandbits(40) for _ in range(9)]
     early = columns[0] ^ columns[1] ^ columns[6] ^ columns[8]
     late = columns[0] ^ columns[3] ^ columns[5] ^ columns[7]
-    for targets, want in (((late, early), (0b101000011, 1)), ((early, late), (0b101000011, 0))):
-        assert sparse_xor_search(columns, targets, 4) == want
-        assert linear_xor_search(columns, targets, 4) == want
-    # Without the earlier one the later index is found in the same row.
-    assert sparse_xor_search(columns, (early ^ 1 << 50, late), 4) == (0b10101001, 1)
+    with on_path("mitm"):
+        for targets, want in (
+            ((late, early), (0b101000011, 1)), ((early, late), (0b101000011, 0))
+        ):
+            assert sparse_xor_search(columns, targets, 4) == want
+            assert linear_xor_search(columns, targets, 4) == want
+        # Without the earlier one the later index is found in the same row.
+        assert sparse_xor_search(columns, (early ^ 1 << 50, late), 4) == (0b10101001, 1)
 
 
 def test_sparse_xor_search_deadline():
     columns = [1 << j for j in range(20)]
     past = time.monotonic() - 1.0
-    with pytest.raises(TimeoutError):
-        sparse_xor_search(columns, ((1 << 20) - 1,), 20, past)
-    # An empty support needs no work and returns before any check.
-    assert sparse_xor_search(columns, (0,), 20, past) == (0, 0)
+    with on_path("mitm"):
+        with pytest.raises(TimeoutError):
+            sparse_xor_search(columns, ((1 << 20) - 1,), 20, past)
+        # An empty support needs no work and returns before any check.
+        assert sparse_xor_search(columns, (0,), 20, past) == (0, 0)
+
+
+def test_coset_walk_deadline():
+    # Twelve copies of one column: a kernel of dimension 11 to walk.
+    columns = [1, 2, 4] + [7] * 12
+    past = time.monotonic() - 1.0
+    with on_path("coset"), pytest.raises(TimeoutError, match="coset walk"):
+        sparse_xor_search(columns, (3,), 4, past)
+
+
+def test_sparse_xor_search_chooses_by_cost():
+    # Learner-like columns: 20 wide random columns and 8 that repeat
+    # XORs of them, a kernel of dimension 8, searched up to size 6.  The
+    # target is also the XOR of columns 2, 10 and 14, so its first fit
+    # has at most 3 indices.
+    rng = random.Random(4)
+    columns = [rng.getrandbits(200) for _ in range(20)]
+    columns += [columns[j] ^ columns[j + 1] ^ columns[j + 5] for j in range(8)]
+    target = columns[2] ^ columns[9] ^ columns[24]
+    walk = mock.Mock(wraps=f2._coset_search)
+    elim = mock.Mock(wraps=f2.eliminate)
+    with mock.patch.object(f2, "_coset_search", walk), mock.patch.object(f2, "eliminate", elim):
+        assert sparse_xor_search(columns, (target,), 6) == linear_xor_search(
+            columns, (target,), 3
+        )
+        assert walk.call_count == 1
+        # Up to size 1, meeting in the middle is the cheaper.
+        assert sparse_xor_search(columns, (target,), 1) is None
+        assert walk.call_count == 1
+        # 48-bit columns over 64 leave a kernel of dimension >= 16: the
+        # walk loses at size 5 without an elimination to find that out.
+        narrow = [rng.getrandbits(48) for _ in range(64)]
+        assert sparse_xor_search(narrow, (narrow[0] ^ narrow[9],), 5) == (1 | 1 << 9, 0)
+        assert walk.call_count == 1
+        assert elim.call_count == 2

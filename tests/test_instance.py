@@ -1,14 +1,17 @@
 """Problem instances in three views, plus the exact brute-force solver."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncplift.f2 import BitMatrix, BitVector, FormatError, mat_vec, rank
+from ncplift import f2
+from ncplift.f2 import BitMatrix, BitVector, FormatError, dual_basis, mat_vec, rank
 from ncplift.instance import (
     LabeledSet,
     NcpInstance,
@@ -323,6 +326,62 @@ def test_negative_sparsity_cap_is_rejected():
         verify_certificate(zero, BitVector.zeros(14), -1)
     assert verify_certificate(inst, x, 2)
     assert brute_force_nearest(zero, 0) == BitVector.zeros(14)
+
+
+def test_brute_force_on_far_targets_walks_the_coset():
+    # On a 48 x 64 H, random targets have sparsest solutions of weight
+    # about 14 to 17, past what meeting in the middle reaches in
+    # minutes; the solution coset has 2**16 elements.  The oracle XORs every
+    # combination of a kernel basis into one solution.
+    inst, _ = random_planted(64, 48, 5, 3)
+    kernel = dual_basis(inst.h.transpose()).row_masks
+    assert len(kernel) == 16
+    rng = random.Random(11)
+    for _ in range(3):
+        x0 = rng.getrandbits(64)
+        coset = []
+        for combo in range(1 << 16):
+            x = x0
+            for i in range(16):
+                if combo >> i & 1:
+                    x ^= kernel[i]
+            coset.append(x)
+        weight = min(x.bit_count() for x in coset)
+        want = min(BitVector(64, x).support() for x in coset if x.bit_count() == weight)
+        far = SyndromeInstance(inst.h, mat_vec(inst.h, BitVector(64, x0)), weight, Fraction(1))
+        start = time.monotonic()
+        for cap in (15, weight - 1, weight):
+            got = brute_force_nearest(far, cap)
+            assert (got.support() if got else None) == (want if cap >= weight else None)
+        assert time.monotonic() - start < 5.0
+
+
+def test_brute_force_solve_exact_shape_skips_the_elimination():
+    # At n=64, m=48 the kernel has dimension >= 16, so at caps up to
+    # 5 meeting in the middle wins on the column widths alone.
+    inst, x = random_planted(64, 48, 5, 1)
+    with mock.patch.object(f2, "eliminate", side_effect=AssertionError):
+        assert brute_force_nearest(inst, 5) == x
+        assert brute_force_nearest(inst, 4) is None
+
+
+def test_brute_force_refuses_searches_that_cannot_finish():
+    # Kernel dimension >= 200 and C(400, 20)-sized halves: both
+    # estimates are past the cap, and nothing is eliminated, tabled or
+    # walked before the refusal.
+    inst, _ = random_planted(400, 200, 5, 1)
+    guards = [
+        mock.patch.object(f2, name, side_effect=AssertionError)
+        for name in ("eliminate", "_search", "_coset_search")
+    ]
+    for guard in guards:
+        guard.start()
+    try:
+        with pytest.raises(ValueError, match=r"2\*\*\d+ steps .* 2\*\*200 .*at least 200"):
+            brute_force_nearest(inst, 40)
+    finally:
+        for guard in guards:
+            guard.stop()
 
 
 # ---------------------------------------------------------------- planted
