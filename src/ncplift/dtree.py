@@ -172,21 +172,20 @@ def complement_tree(t: DecisionTree) -> DecisionTree:
     return Node(t.coord, complement_tree(t.low), complement_tree(t.high))
 
 
-def prune(t: DecisionTree, d: int, fill: int = 0) -> DecisionTree:
-    """Cut the tree at depth d, replacing removed subtrees by Leaf(fill).
+def prune(t: DecisionTree, d: int) -> DecisionTree:
+    """Cut the tree at depth d, replacing removed subtrees by Leaf(0).
 
     Returns the tree itself, node for node, when its depth is already
-    within d.  ``fill`` defaults to 0; callers wanting a majority label
-    compute it from samples and pass it in.
+    within d.
     """
     if d < 0:
         raise ValueError("prune depth must be >= 0")
     if t.depth <= d:
         return t
     if d == 0:
-        return Leaf(fill)
+        return Leaf(0)
     assert isinstance(t, Node)
-    return Node(t.coord, prune(t.low, d - 1, fill), prune(t.high, d - 1, fill))
+    return Node(t.coord, prune(t.low, d - 1), prune(t.high, d - 1))
 
 
 def path_support_sets(t: DecisionTree) -> set[ParityIndexSet]:

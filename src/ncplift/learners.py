@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, islice
 from random import Random
 
 from .dtree import DecisionTree, Leaf, Node, ParityIndexSet, complement_tree
-from .f2 import sparse_xor_search
+from .f2 import BitMatrix, sparse_xor_search
 
 __all__ = [
     "LearnerBudget",
@@ -31,26 +30,24 @@ __all__ = [
 # scan; past it the scan's rows extend a prefix by one column, not a pair.
 PAIR_TABLE_MAX_BYTES = 1 << 24
 
+# Bound, in bytes, on ``sample_bytes``.  Learners do not check it;
+# whoever sets the sample budget does, before any sampling.
+SAMPLE_MAX_BYTES = 1 << 27
+
 
 @dataclass(frozen=True)
 class LearnerBudget:
-    """Resource limits a learner must respect.
-
-    ``error_target`` is advisory for learners that can stop early; the
-    size and depth limits are binding on the returned tree.
-    """
+    """Resource limits a learner must respect; the size and depth
+    limits are binding on the returned tree."""
 
     size_budget: int
     depth_budget: int
     sample_budget: int
-    error_target: Fraction = Fraction(1, 4)
     time_budget: float = 60.0
 
     def __post_init__(self) -> None:
         if self.size_budget < 1 or self.depth_budget < 0 or self.sample_budget < 1:
             raise ValueError("budgets must be positive")
-        if not 0 < self.error_target < Fraction(1, 2):
-            raise ValueError("error target must lie in (0, 1/2)")
         if self.time_budget <= 0:
             raise ValueError("time budget must be positive")
 
@@ -86,31 +83,25 @@ def _parity_subtree(indices: tuple[int, ...], pos: int, acc: int) -> DecisionTre
     )
 
 
-def _draw_samples(oracle, budget: LearnerBudget, rng: Random) -> list[tuple[int, int]]:
-    out = []
-    for _ in range(budget.sample_budget):
-        point, label = oracle.sample(rng)
-        out.append((point.mask, label))
-    return out
-
-
 def _sample_columns(
     oracle, arity: int, budget: LearnerBudget, rng: Random
 ) -> tuple[list[int], int, int]:
-    """A fresh sample packed into per-coordinate bit columns, with the
-    label column and the sample count; the row list is freed on return."""
-    samples = _draw_samples(oracle, budget, rng)
-    cols = [0] * arity
-    label_col = 0
-    for row, (mask, label) in enumerate(samples):
-        bit = 1 << row
-        if label:
-            label_col |= bit
-        while mask:
-            low = mask & -mask
-            cols[low.bit_length() - 1] |= bit
-            mask ^= low
-    return cols, label_col, len(samples)
+    """A fresh sample packed into per-coordinate bit columns (bit r of
+    a column is example r), with the label column and the sample count.
+
+    The labels ride in as column 0 of the transposed matrix.
+    """
+    draws = (oracle.sample(rng) for _ in range(budget.sample_budget))
+    rows = tuple(point.mask << 1 | label for point, label in draws)
+    label_col, *cols = BitMatrix(len(rows), arity + 1, rows).column_masks()
+    return cols, label_col, len(rows)
+
+
+def sample_bytes(arity: int, nsamp: int) -> int:
+    """Peak bytes of packing a sample of nsamp examples: per example,
+    its row as an int and as an (arity + 1)-character string while
+    ``column_masks`` transposes them, as CPython 3 lays them out."""
+    return nsamp * (arity * 4 // 3 + 176)
 
 
 def exhaustive_parity_learner(
@@ -234,54 +225,44 @@ def greedy_learner(oracle, arity: int, budget: LearnerBudget, rng: Random) -> De
     labels on both sides remove the most empirical errors; ties go to
     the lowest index, and a node becomes a leaf when no split strictly
     helps, the sample is pure, or a budget limit is reached.  Majority
-    ties label 0.
+    ties label 0.  A node's examples are a bit mask over the packed
+    sample, so each side's counts are popcounts against the columns.
     """
-    samples = _draw_samples(oracle, budget, rng)
-    splits_left = [budget.size_budget - 1]
+    cols, label_col, nsamp = _sample_columns(oracle, arity, budget, rng)
+    splits_left = budget.size_budget - 1
     deadline = time.monotonic() + budget.time_budget
 
-    def majority(subset: list[tuple[int, int]]) -> tuple[int, int]:
-        ones = sum(label for _, label in subset)
-        zeros = len(subset) - ones
-        if ones > zeros:
-            return 1, zeros
-        return 0, ones
-
-    def build(subset: list[tuple[int, int]], used: int, depth: int) -> DecisionTree:
-        maj, err = majority(subset)
-        if err == 0 or depth == budget.depth_budget or splits_left[0] == 0:
+    def build(subset: int, used: int, depth: int) -> DecisionTree:
+        nonlocal splits_left
+        total = subset.bit_count()
+        ones = (subset & label_col).bit_count()
+        maj, err = (1, total - ones) if ones > total - ones else (0, ones)
+        if err == 0 or depth == budget.depth_budget or splits_left == 0:
             return Leaf(maj)
         if time.monotonic() > deadline:
             raise BudgetExhaustedError("time budget exhausted during splitting", Leaf(maj))
         best_gain = 0
         best_coord = None
-        for j in range(arity):
-            bit = 1 << j
-            if used & bit:
+        for j, col in enumerate(cols):
+            if used >> j & 1:
                 continue
-            lo_ones = lo_n = hi_ones = hi_n = 0
-            for mask, label in subset:
-                if mask & bit:
-                    hi_n += 1
-                    hi_ones += label
-                else:
-                    lo_n += 1
-                    lo_ones += label
-            split_err = min(lo_ones, lo_n - lo_ones) + min(hi_ones, hi_n - hi_ones)
-            gain = err - split_err
+            hi = subset & col
+            hi_n = hi.bit_count()
+            hi_ones = (hi & label_col).bit_count()
+            lo_n, lo_ones = total - hi_n, ones - hi_ones
+            gain = err - min(lo_ones, lo_n - lo_ones) - min(hi_ones, hi_n - hi_ones)
             if gain > best_gain:
                 best_gain, best_coord = gain, j
         if best_coord is None:
             return Leaf(maj)
-        splits_left[0] -= 1
-        bit = 1 << best_coord
-        lo = [sv for sv in subset if not sv[0] & bit]
-        hi = [sv for sv in subset if sv[0] & bit]
-        low = build(lo, used | bit, depth + 1)
-        high = build(hi, used | bit, depth + 1)
+        splits_left -= 1
+        col = cols[best_coord]
+        used |= 1 << best_coord
+        low = build(subset & ~col, used, depth + 1)
+        high = build(subset & col, used, depth + 1)
         return Node(best_coord + 1, low, high)
 
-    return build(samples, 0, 0)
+    return build((1 << nsamp) - 1, 0, 0)
 
 
 def planted_learner(s: ParityIndexSet):

@@ -42,7 +42,7 @@ from .instance import (
     normalize_syndrome,
     syndrome_to_labeled_set,
 )
-from .learners import BudgetExhaustedError, LearnerBudget
+from .learners import SAMPLE_MAX_BYTES, BudgetExhaustedError, LearnerBudget, sample_bytes
 from .span import SpanOracle, make_span_oracle
 
 __all__ = [
@@ -57,23 +57,28 @@ __all__ = [
     "verify_certificate",
 ]
 
-EXTRACT_MAX_DEPTH = 30
+# Work bound on extraction.  ``path_support_sets`` visits every subset
+# of every path, 4**depth visits for a complete tree, and the learned
+# tree's depth is at most ell*k: depth 12 takes about 2 s, each further
+# level four times that.
+EXTRACT_MAX_DEPTH = 12
+
+# Seconds a learner may run before it gives up with its best tree.
+LEARNER_TIME_BUDGET = 60.0
 
 
 @dataclass(frozen=True)
 class ReductionConfig:
     """Knobs shared by the pipelines.
 
-    ``learner_samples`` and ``learner_time_budget`` fill the learner
-    budget, the size and depth limits being derived from the instance.
-    Extraction and the distance ``decide`` gates on are exact and have
-    no knob.
+    ``learner_samples`` fills the learner's sample budget, the size and
+    depth limits being derived from the instance.  Extraction and the
+    distance ``decide`` gates on are exact and have no knob.
     """
 
     ell: int = 2
     prune_constant: int = 3
     learner_samples: int = 2000
-    learner_time_budget: float = 60.0
 
     def __post_init__(self) -> None:
         if self.ell < 2:
@@ -82,8 +87,6 @@ class ReductionConfig:
             raise ValueError("prune constant must be >= 2")
         if self.learner_samples < 1:
             raise ValueError("learner sample budget must be positive")
-        if self.learner_time_budget <= 0:
-            raise ValueError("learner time budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -156,8 +159,18 @@ def _learner_budget(size_cap: int, depth_cap: int, cfg: ReductionConfig) -> Lear
         size_budget=size_cap,
         depth_budget=depth_cap,
         sample_budget=cfg.learner_samples,
-        time_budget=cfg.learner_time_budget,
+        time_budget=LEARNER_TIME_BUDGET,
     )
+
+
+def _check_sample_size(inst: SyndromeInstance, cfg: ReductionConfig) -> None:
+    arity = cfg.ell * inst.n
+    need = sample_bytes(arity, cfg.learner_samples)
+    if need > SAMPLE_MAX_BYTES:
+        raise ValueError(
+            f"packing {cfg.learner_samples} samples of arity {arity} takes about "
+            f"{need} bytes, past SAMPLE_MAX_BYTES = {SAMPLE_MAX_BYTES}"
+        )
 
 
 def decide(
@@ -174,7 +187,12 @@ def decide(
     2**(ell*k)) are rejected as ``vacuous-gate`` before any learning.
     A learner that exhausts its budget, or an inconsistent system, is a
     rejection with the reason recorded.
+
+    Raises:
+        ValueError: before any sampling, when packing the learner's
+            sample would pass ``SAMPLE_MAX_BYTES``.
     """
+    _check_sample_size(inst, cfg)
     size_cap, error_gate, tolerance = _thresholds(inst, cfg)
     if error_gate + tolerance <= 0 or size_cap < 1 << (cfg.ell * inst.k):
         return DecideReport(False, "vacuous-gate", None, None, size_cap, error_gate, tolerance, None)
@@ -248,7 +266,18 @@ def search(
     sparsity cap floor(prune_constant * ceil(log2(size)) / ell), so a
     returned vector always satisfies H x = t within that bound;
     failures report which stage gave out.
+
+    Raises:
+        ValueError: before any sampling, when ell*k passes
+            ``EXTRACT_MAX_DEPTH`` or packing the learner's sample would
+            pass ``SAMPLE_MAX_BYTES``.
     """
+    if cfg.ell * inst.k > EXTRACT_MAX_DEPTH:
+        raise ValueError(
+            f"extraction from a tree of depth ell*k = {cfg.ell * inst.k} visits up to "
+            f"4**{cfg.ell * inst.k} path subsets, past EXTRACT_MAX_DEPTH = {EXTRACT_MAX_DEPTH}"
+        )
+    _check_sample_size(inst, cfg)
     try:
         oracle, meta = build_learning_instance(inst, cfg)
     except UnsatisfiableInstanceError:

@@ -1,5 +1,8 @@
 """Command-line entry points, run in process through main(argv)."""
 
+import time
+import tracemalloc
+
 import pytest
 
 from ncplift.cli import main
@@ -162,6 +165,37 @@ def test_solve_reduce_past_span_enumeration_cap(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", str(out), str(sol), "--k-max", "6")
     assert code == 0
     assert stdout.strip() == "OK"
+
+
+@pytest.mark.parametrize(
+    "command, flags, bound",
+    [
+        ("solve-reduce", ("--ell", "8"), "EXTRACT_MAX_DEPTH"),
+        ("solve-reduce", ("--samples", "1000000000000"), "SAMPLE_MAX_BYTES"),
+        ("decide", ("--samples", "1000000000000"), "SAMPLE_MAX_BYTES"),
+        ("decide", ("--ell", "1000000000000"), "SAMPLE_MAX_BYTES"),
+    ],
+)
+def test_work_past_the_bounds_is_input_error(tmp_path, capsys, command, flags, bound):
+    # On the README demo (k = 2), ell = 8 asks extraction for up to
+    # 4**16 path subsets, and 10**12 samples or a 10**12-wide block
+    # cannot be packed.  Both are refused at once, before anything of
+    # their size is allocated.
+    out = gen_planted(tmp_path, capsys, alpha="3")
+    tracemalloc.start()
+    try:
+        started = time.monotonic()
+        code, stdout, err = run(capsys, command, str(out), *flags)
+        elapsed = time.monotonic() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert stdout == ""
+    assert "outcome=error" in err
+    assert bound in err
+    assert elapsed < 1.0
+    assert peak < 2**20
 
 
 def test_solve_reduce_is_deterministic(tmp_path, capsys):

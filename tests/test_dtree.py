@@ -198,14 +198,12 @@ def test_prune_is_identity_within_depth():
 def test_prune_to_zero_depth():
     t = Node(1, Leaf(1), Leaf(1))
     assert prune(t, 0) == Leaf(0)
-    assert prune(t, 0, fill=1) == Leaf(1)
 
 
 def test_prune_cuts_and_fills():
     t = Node(1, Leaf(1), Node(2, Leaf(1), Node(3, Leaf(0), Leaf(1))))
     cut = prune(t, 2)
     assert cut == Node(1, Leaf(1), Node(2, Leaf(1), Leaf(0)))
-    assert prune(t, 2, fill=1) == Node(1, Leaf(1), Node(2, Leaf(1), Leaf(1)))
 
 
 def test_prune_never_grows():

@@ -22,7 +22,9 @@ from ncplift.learners import (
     exhaustive_parity_learner,
     planted_learner,
 )
+from ncplift.learners import SAMPLE_MAX_BYTES, sample_bytes
 from ncplift.reduction import (
+    EXTRACT_MAX_DEPTH,
     ReductionConfig,
     build_learning_instance,
     decide,
@@ -394,6 +396,38 @@ def test_search_many_planted_seeds():
 
 
 # ---------------------------------------------------------------- certificates
+
+
+def largest_sample_within_the_bound(arity):
+    return SAMPLE_MAX_BYTES // sample_bytes(arity, 1)
+
+
+def test_search_bounds_ell_times_k_before_learning():
+    # k = 1: ell = EXTRACT_MAX_DEPTH is the deepest extraction allowed.
+    # A planted one-coordinate hypothesis keeps the allowed run short.
+    inst, _ = random_planted(8, 6, 1, 3)
+    cfg = ReductionConfig(ell=EXTRACT_MAX_DEPTH)
+    report = search(inst, cfg, planted_learner(index_set(1)), random.Random(0))
+    assert report.meta.arity == 8 * EXTRACT_MAX_DEPTH
+    cfg = ReductionConfig(ell=EXTRACT_MAX_DEPTH + 1)
+    with pytest.raises(ValueError, match="EXTRACT_MAX_DEPTH"):
+        search(inst, cfg, refusing_learner, random.Random(0))
+
+
+@pytest.mark.parametrize("pipeline", [search, decide])
+def test_pipelines_bound_the_sample_before_sampling(pipeline):
+    # The planted learner draws nothing, so the largest sample within
+    # the bound is accepted without being allocated; one more example
+    # is refused before the learner runs.
+    raw, _ = random_planted(14, 12, 2, 5)
+    inst = SyndromeInstance(raw.h, raw.t, raw.k, Fraction(3))
+    most = largest_sample_within_the_bound(2 * 14)
+    assert sample_bytes(2 * 14, most + 1) > SAMPLE_MAX_BYTES
+    cfg = ReductionConfig(learner_samples=most)
+    pipeline(inst, cfg, planted_learner(index_set()), random.Random(0))
+    cfg = ReductionConfig(learner_samples=most + 1)
+    with pytest.raises(ValueError, match="SAMPLE_MAX_BYTES"):
+        pipeline(inst, cfg, refusing_learner, random.Random(0))
 
 
 def test_verify_certificate():
