@@ -14,7 +14,6 @@ as matrices with a single row.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations, islice, repeat
 from math import comb
@@ -34,6 +33,7 @@ __all__ = [
     "XOR_TABLE_MAX_ENTRIES",
     "COSET_MAX_KERNEL_DIM",
     "COSET_STEP_COST",
+    "SEARCH_MAX_COST",
     "sparse_xor_search",
     "format_matrix",
     "parse_matrix",
@@ -351,6 +351,12 @@ COSET_MAX_KERNEL_DIM = 28
 # checks and the learner's lifted columns), an elimination step too.
 COSET_STEP_COST = 1
 
+# Most steps any exhaustive search takes on: ``sparse_xor_search``
+# when a caller passes it as ``max_cost``, and the learners' scans, in
+# the same unit.  At 90 to 250 ns a step (Python 3.11), about half a
+# minute to a minute.
+SEARCH_MAX_COST = 1 << 28
+
 # Kernel vectors whose span makes one row of the coset walk.
 _COSET_ROW_DIM = 10
 
@@ -361,7 +367,6 @@ def sparse_xor_search(
     columns: Sequence[int],
     targets: tuple[int, ...],
     max_size: int,
-    deadline: float | None = None,
     max_cost: int | None = None,
 ) -> tuple[int, int] | None:
     """First support whose column XOR equals one of the targets.
@@ -428,7 +433,6 @@ def sparse_xor_search(
     size.
 
     Raises:
-        TimeoutError: when ``time.monotonic()`` passes ``deadline``.
         ValueError: when both estimates pass ``max_cost``, before any
             table or walk starts.
     """
@@ -451,11 +455,11 @@ def sparse_xor_search(
             f"2**{dim} (kernel dimension {bound}{dim}), both past {max_cost}"
         )
     if use_coset:
-        return _coset_search(elim, targets, max_size, deadline)
+        return _coset_search(elim, targets, max_size)
     try:
-        return _search(columns, targets, _FINGERPRINT, max_size, deadline)
+        return _search(columns, targets, _FINGERPRINT, max_size)
     except _FingerprintClash:
-        return _search(columns, targets, -1, max_size, deadline)
+        return _search(columns, targets, -1, max_size)
 
 
 def _mitm_cost(n: int, n_targets: int, max_size: int) -> int:
@@ -476,9 +480,7 @@ def _coset_cost(n_targets: int, dim: int, n: int, rank: int) -> int:
     return COSET_STEP_COST * ((n_targets << dim) + n * rank // 2)
 
 
-def _coset_search(
-    elim: Elimination, targets: tuple[int, ...], max_size: int, deadline: float | None
-) -> tuple[int, int] | None:
+def _coset_search(elim: Elimination, targets: tuple[int, ...], max_size: int) -> tuple[int, int] | None:
     """``sparse_xor_search`` by walking the coset of each target in the
     span of the eliminated columns."""
     best = None
@@ -487,15 +489,13 @@ def _coset_search(
         if residue:
             continue
         cap = max_size if best is None else best[0].bit_count()
-        support = _first_in_coset(particular, elim.kernel, cap, deadline)
+        support = _first_in_coset(particular, elim.kernel, cap)
         if support is not None and (best is None or _precedes(support, best[0])):
             best = (support, ti)
     return best
 
 
-def _first_in_coset(
-    particular: int, kernel: tuple[int, ...], max_size: int, deadline: float | None
-) -> int | None:
+def _first_in_coset(particular: int, kernel: tuple[int, ...], max_size: int) -> int | None:
     """First support of at most ``max_size`` indices in (size, lex)
     order among ``particular`` XOR the span of ``kernel``, or None."""
     offsets = [0]
@@ -505,8 +505,6 @@ def _first_in_coset(
     best = None
     acc = particular
     for e in range(1 << len(steps)):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("deadline passed during the coset walk")
         if e:
             acc ^= steps[(e & -e).bit_length() - 1]
         size = min(map(int.bit_count, map(acc.__xor__, offsets)))
@@ -538,7 +536,6 @@ def _search(
     targets: tuple[int, ...],
     key_mask: int,
     max_size: int,
-    deadline: float | None,
 ) -> tuple[int, int] | None:
     """``sparse_xor_search`` with tables keyed on ``column & key_mask``."""
     n = len(columns)
@@ -549,12 +546,10 @@ def _search(
     for size in range(1, max_size + 1):
         if half < size // 2 and comb(n, half + 1) <= XOR_TABLE_MAX_ENTRIES:
             half += 1
-            table = _half_table(low, bits, half, deadline)
+            table = _half_table(low, bits, half)
         keys = table.keys()
         top = n - half
         for prefix in combinations(range(top - 1), size - half - 1):
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError("deadline passed during the sparse XOR search")
             mask = acc = 0
             for j in prefix:
                 mask |= bits[j]
@@ -601,7 +596,7 @@ def _confirmed_hit(
     return None if best is None else (best[2], best[1])
 
 
-def _half_table(low: list[int], bits: list[int], half: int, deadline: float | None) -> dict:
+def _half_table(low: list[int], bits: list[int], half: int) -> dict:
     """Every XOR of ``half >= 1`` columns, mapped to the
     lexicographically first support of ``half`` indices that makes it.
 
@@ -619,8 +614,6 @@ def _half_table(low: list[int], bits: list[int], half: int, deadline: float | No
         longer_fps: list[int] = []
         longer_uppers: list[int] = []
         for a in range(n - level, -1, -1):
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError("deadline passed during the sparse XOR search")
             count = comb(n - 1 - a, level - 1)
             row_fps = map(low[a].__xor__, islice(fps, count))
             row_uppers = map(bits[a].__or__, islice(uppers, count))

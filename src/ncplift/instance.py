@@ -24,6 +24,7 @@ from itertools import combinations  # noqa: F401
 from random import Random
 
 from .f2 import (
+    SEARCH_MAX_COST,
     BitMatrix,
     BitVector,
     FormatError,
@@ -43,7 +44,6 @@ __all__ = [
     "syndrome_to_labeled_set",
     "normalize_syndrome",
     "brute_force_nearest",
-    "BRUTE_FORCE_MAX_COST",
     "random_planted",
     "write_syndrome_instance",
     "read_syndrome_instance",
@@ -51,11 +51,6 @@ __all__ = [
     "read_generator_instance",
     "load_instance",
 ]
-
-
-# Most search steps ``brute_force_nearest`` takes on: at 90 to 250 ns a
-# step (Python 3.11), about half a minute to a minute.
-BRUTE_FORCE_MAX_COST = 1 << 28
 
 
 class UnsatisfiableInstanceError(ValueError):
@@ -208,11 +203,11 @@ def brute_force_nearest(inst: SyndromeInstance, k_max: int) -> BitVector | None:
     exact methods: meeting in the middle, about C(n, ceil(s/2)) steps
     per size s, or walking the solution coset x + ker H, 2**(n - rank H)
     steps for any cap.  A cap that makes both estimates pass
-    ``BRUTE_FORCE_MAX_COST`` is refused before the search starts.
+    ``f2.SEARCH_MAX_COST`` is refused before the search starts.
 
     Raises:
         ValueError: when ``k_max`` is negative or exceeds n, or when both
-            cost estimates pass ``BRUTE_FORCE_MAX_COST``.
+            cost estimates pass ``f2.SEARCH_MAX_COST``.
     """
     n = inst.h.cols
     if k_max < 0:
@@ -220,7 +215,7 @@ def brute_force_nearest(inst: SyndromeInstance, k_max: int) -> BitVector | None:
     if k_max > n:
         raise ValueError("sparsity cap exceeds the number of coordinates")
     hit = sparse_xor_search(
-        inst.h.column_masks(), (inst.t.mask,), k_max, max_cost=BRUTE_FORCE_MAX_COST
+        inst.h.column_masks(), (inst.t.mask,), k_max, max_cost=SEARCH_MAX_COST
     )
     return None if hit is None else BitVector(n, hit[0])
 

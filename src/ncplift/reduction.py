@@ -42,7 +42,7 @@ from .instance import (
     normalize_syndrome,
     syndrome_to_labeled_set,
 )
-from .learners import SAMPLE_MAX_BYTES, BudgetExhaustedError, LearnerBudget, sample_bytes
+from .learners import SAMPLE_MAX_BYTES, LearnerBudget, sample_bytes
 from .span import SpanOracle, make_span_oracle
 
 __all__ = [
@@ -62,9 +62,6 @@ __all__ = [
 # tree's depth is at most ell*k: depth 12 takes about 2 s, each further
 # level four times that.
 EXTRACT_MAX_DEPTH = 12
-
-# Seconds a learner may run before it gives up with its best tree.
-LEARNER_TIME_BUDGET = 60.0
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,7 @@ class DecideReport:
     """Outcome of the threshold decision procedure."""
 
     accepted: bool
-    # ok-yes | distance-gate | size-gate | learner-failed | unsatisfiable | vacuous-gate
+    # ok-yes | distance-gate | size-gate | unsatisfiable | vacuous-gate
     reason: str
     hypothesis_size: int | None
     distance: Fraction | None
@@ -144,23 +141,15 @@ def _thresholds(inst: SyndromeInstance, cfg: ReductionConfig) -> tuple[int, floa
     1/2 - 2*2**(-r/6) plus a third of the gap.  Meaningful once the
     gate plus tolerance is positive and the size cap holds a parity
     tree of depth ell*k (alpha >= 3 at ell*k >= 4); ``decide`` rejects
-    any other input as a vacuous gate.
+    any other input as a vacuous gate.  The size cap stops at
+    2**(ell*k), the most leaves the depth budget allows.
     """
     r = cfg.ell * inst.alpha * inst.k
-    size_cap = 1 << max(0, math.floor(r / 3))
+    size_cap = 1 << min(max(0, math.floor(r / 3)), cfg.ell * inst.k)
     margin = 2.0 ** (-float(r) / 6.0)
     error_gate = 0.5 - 2.0 * margin
     tolerance = margin / 3.0
     return size_cap, error_gate, tolerance
-
-
-def _learner_budget(size_cap: int, depth_cap: int, cfg: ReductionConfig) -> LearnerBudget:
-    return LearnerBudget(
-        size_budget=size_cap,
-        depth_budget=depth_cap,
-        sample_budget=cfg.learner_samples,
-        time_budget=LEARNER_TIME_BUDGET,
-    )
 
 
 def _check_sample_size(inst: SyndromeInstance, cfg: ReductionConfig) -> None:
@@ -185,12 +174,12 @@ def decide(
     the gate plus tolerance.  Thresholds that cannot separate planted
     from far instances (gate plus tolerance <= 0, or a size cap below
     2**(ell*k)) are rejected as ``vacuous-gate`` before any learning.
-    A learner that exhausts its budget, or an inconsistent system, is a
-    rejection with the reason recorded.
+    An inconsistent system is a rejection with the reason recorded.
 
     Raises:
         ValueError: before any sampling, when packing the learner's
-            sample would pass ``SAMPLE_MAX_BYTES``.
+            sample would pass ``SAMPLE_MAX_BYTES``; from the learner,
+            when its search would pass ``f2.SEARCH_MAX_COST``.
     """
     _check_sample_size(inst, cfg)
     size_cap, error_gate, tolerance = _thresholds(inst, cfg)
@@ -200,11 +189,8 @@ def decide(
         oracle, meta = build_learning_instance(inst, cfg)
     except UnsatisfiableInstanceError:
         return DecideReport(False, "unsatisfiable", None, None, size_cap, error_gate, tolerance, None)
-    budget = _learner_budget(size_cap, cfg.ell * inst.k, cfg)
-    try:
-        tree = learner(oracle, meta.arity, budget, rng)
-    except BudgetExhaustedError:
-        return DecideReport(False, "learner-failed", None, None, size_cap, error_gate, tolerance, meta)
+    budget = LearnerBudget(size_cap, cfg.ell * inst.k, cfg.learner_samples)
+    tree = learner(oracle, meta.arity, budget, rng)
     if tree.size > size_cap:
         return DecideReport(False, "size-gate", tree.size, None, size_cap, error_gate, tolerance, meta, tree)
     distance = span_lifted_tree_error(tree, oracle.base, oracle.params)
@@ -242,7 +228,7 @@ class SearchReport:
     """Outcome of the certificate search pipeline."""
 
     solution: BitVector | None
-    reason: str  # ok | unsatisfiable | learner-budget | no-candidate-verified
+    reason: str  # ok | unsatisfiable | no-candidate-verified
     hypothesis_size: int | None
     pruned_depth: int | None
     candidates: int
@@ -270,7 +256,8 @@ def search(
     Raises:
         ValueError: before any sampling, when ell*k passes
             ``EXTRACT_MAX_DEPTH`` or packing the learner's sample would
-            pass ``SAMPLE_MAX_BYTES``.
+            pass ``SAMPLE_MAX_BYTES``; from the learner, when its search
+            would pass ``f2.SEARCH_MAX_COST``.
     """
     if cfg.ell * inst.k > EXTRACT_MAX_DEPTH:
         raise ValueError(
@@ -283,11 +270,8 @@ def search(
     except UnsatisfiableInstanceError:
         return SearchReport(None, "unsatisfiable", None, None, 0, None)
     depth_cap = cfg.ell * meta.k
-    budget = _learner_budget(1 << depth_cap, depth_cap, cfg)
-    try:
-        tree = learner(oracle, meta.arity, budget, rng)
-    except BudgetExhaustedError:
-        return SearchReport(None, "learner-budget", None, None, 0, meta)
+    budget = LearnerBudget(1 << depth_cap, depth_cap, cfg.learner_samples)
+    tree = learner(oracle, meta.arity, budget, rng)
     log_size = max(1, tree.size).bit_length() - 1
     if 1 << log_size != tree.size:
         log_size += 1  # ceil(log2(size))

@@ -198,6 +198,34 @@ def test_work_past_the_bounds_is_input_error(tmp_path, capsys, command, flags, b
     assert peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "command, shape, flags, refusal",
+    [
+        # C(56, <=8) error-scan candidates on the certified-far instance.
+        ("decide", None, ("--ell", "4", "--seed", "2"), "error scan over C(56, <=8)"),
+        # An exact-fit search over 400 columns up to size 6, with a
+        # kernel of dimension >= 100.
+        ("solve-reduce", (200, 100, 3), (), "exact search too large"),
+    ],
+)
+def test_learner_search_past_the_bound_is_input_error(
+    tmp_path, capsys, command, shape, flags, refusal
+):
+    if shape is None:
+        path = tmp_path / "far"
+        path.write_text(FAR)
+    else:
+        n, m, k = shape
+        path = gen_planted(tmp_path, capsys, n=n, m=m, k=k, seed=1)
+    started = time.monotonic()
+    code, stdout, err = run(capsys, command, str(path), *flags)
+    assert time.monotonic() - started < 5.0
+    assert code == 2
+    assert stdout == ""
+    assert "outcome=error" in err
+    assert refusal in err
+
+
 def test_solve_reduce_is_deterministic(tmp_path, capsys):
     out = gen_planted(tmp_path, capsys, n=12, m=8, k=2, seed=9)
     runs = []
@@ -250,6 +278,34 @@ def test_decide_no_on_far_instance(tmp_path, capsys):
     assert code == 1
     assert stdout.strip() == "NO"
     assert "outcome=No:distance-gate" in err
+
+
+def test_decide_no_on_far_instance_at_ell_3(tmp_path, capsys):
+    # The learner's error scan grades C(42, <=6) candidates of 2000
+    # samples, within SEARCH_MAX_COST.
+    path = tmp_path / "far"
+    path.write_text(FAR)
+    code, stdout, err = run(capsys, "decide", str(path), "--seed", "2", "--ell", "3")
+    assert code == 1
+    assert stdout.strip() == "NO"
+    assert "outcome=No:distance-gate" in err
+
+
+def test_decide_on_a_huge_alpha_answers_at_once(tmp_path, capsys):
+    # The size cap stops at 2**(ell*k) instead of 2**(ell*alpha*k/3).
+    out = gen_planted(tmp_path, capsys, n=14, m=12, k=2, seed=1, alpha="1" + "0" * 20)
+    tracemalloc.start()
+    try:
+        started = time.monotonic()
+        code, _, err = run(capsys, "decide", str(out))
+        elapsed = time.monotonic() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1)
+    assert "size_cap=16" in err
+    assert elapsed < 1.0
+    assert peak < 2**20
 
 
 def test_decide_vacuous_gate_is_input_error(tmp_path, capsys):

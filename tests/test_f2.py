@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-import time
 import tracemalloc
 from unittest import mock
 
@@ -490,7 +489,7 @@ def test_sparse_xor_search_duplicate_columns_share_table_keys():
     # from equal columns.
     a, b = 0b0011, 0b0101
     narrow = [a, a, a, b, b, 0b1000, 0b1001]
-    table = f2._half_table(narrow, [1 << j for j in range(7)], 2, None)
+    table = f2._half_table(narrow, [1 << j for j in range(7)], 2)
     assert table[a ^ b] == 0b01001
     assert table[0] == 0b00011
     wide = [c | c << 64 for c in narrow]
@@ -539,24 +538,6 @@ def test_sparse_xor_search_two_targets_in_one_row():
         assert sparse_xor_search(columns, (early ^ 1 << 50, late), 4) == (0b10101001, 1)
 
 
-def test_sparse_xor_search_deadline():
-    columns = [1 << j for j in range(20)]
-    past = time.monotonic() - 1.0
-    with on_path("mitm"):
-        with pytest.raises(TimeoutError):
-            sparse_xor_search(columns, ((1 << 20) - 1,), 20, past)
-        # An empty support needs no work and returns before any check.
-        assert sparse_xor_search(columns, (0,), 20, past) == (0, 0)
-
-
-def test_coset_walk_deadline():
-    # Twelve copies of one column: a kernel of dimension 11 to walk.
-    columns = [1, 2, 4] + [7] * 12
-    past = time.monotonic() - 1.0
-    with on_path("coset"), pytest.raises(TimeoutError, match="coset walk"):
-        sparse_xor_search(columns, (3,), 4, past)
-
-
 def test_sparse_xor_search_chooses_by_cost():
     # Learner-like columns: 20 wide random columns and 8 that repeat
     # XORs of them, a kernel of dimension 8, searched up to size 6.  The
@@ -582,3 +563,27 @@ def test_sparse_xor_search_chooses_by_cost():
         assert sparse_xor_search(narrow, (narrow[0] ^ narrow[9],), 5) == (1 | 1 << 9, 0)
         assert walk.call_count == 1
         assert elim.call_count == 2
+
+
+def test_sparse_xor_search_refuses_past_max_cost():
+    # Each path runs at its estimate and is refused one step below it,
+    # before any table or walk.  Meet in the middle: twelve unit
+    # columns and the all-ones target.  Coset walk: three unit columns
+    # and twelve copies of 7, a kernel of dimension 12, up to size 10.
+    units = [1 << j for j in range(12)]
+    ones = (1 << 12) - 1
+    mitm = f2._mitm_cost(12, 1, 12)
+    with on_path("mitm"):
+        assert sparse_xor_search(units, (ones,), 12, max_cost=mitm) == (ones, 0)
+        with mock.patch.object(f2, "_search", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="exact search too large"):
+                sparse_xor_search(units, (ones,), 12, max_cost=mitm - 1)
+            # An empty support needs no search and is never refused.
+            assert sparse_xor_search(units, (0,), 12, max_cost=0) == (0, 0)
+    copies = [1, 2, 4] + [7] * 12
+    coset = f2._coset_cost(1, 12, 15, 3)
+    assert coset < f2._mitm_cost(15, 1, 10)
+    assert sparse_xor_search(copies, (3,), 10, max_cost=coset) == (0b11, 0)
+    with mock.patch.object(f2, "_coset_search", side_effect=AssertionError):
+        with pytest.raises(ValueError, match=r"coset walk 1 x 2\*\*12 \(kernel dimension 12\)"):
+            sparse_xor_search(copies, (3,), 10, max_cost=coset - 1)

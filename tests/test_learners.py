@@ -2,16 +2,18 @@
 
 import gc
 import itertools
+import math
 import random
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncplift import learners
+from ncplift import f2, learners
 from ncplift.dtree import (
     Leaf,
     Node,
@@ -25,7 +27,6 @@ from ncplift.f2 import BitMatrix, BitVector, rank
 from ncplift.gadget import FinitePmf
 from ncplift.instance import LabeledSet
 from ncplift.learners import (
-    BudgetExhaustedError,
     LearnerBudget,
     exhaustive_parity_learner,
     greedy_learner,
@@ -68,8 +69,8 @@ def parity_span_oracle(rng, n, s):
     return make_span_oracle(LabeledSet(points, labels, n))
 
 
-def budget(size=16, depth=4, samples=200, time_budget=60.0):
-    return LearnerBudget(size, depth, samples, time_budget=time_budget)
+def budget(size=16, depth=4, samples=200):
+    return LearnerBudget(size, depth, samples)
 
 
 # ---------------------------------------------------------------- plumbing
@@ -82,7 +83,7 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         LearnerBudget(1, -1, 10)
     with pytest.raises(ValueError):
-        LearnerBudget(1, 1, 10, time_budget=0.0)
+        LearnerBudget(1, 1, 0)
 
 
 def test_parity_to_tree_shapes():
@@ -232,32 +233,6 @@ def test_exhaustive_rejects_depth_beyond_arity():
         exhaustive_parity_learner(oracle, 1, budget(depth=2), random.Random(0))
 
 
-def _out_of_time(labels):
-    oracle = pmf_oracle(
-        [(point, label, 1) for point, label in zip(("00", "01", "10", "11"), labels)], 2
-    )
-    with pytest.raises(BudgetExhaustedError) as exc:
-        exhaustive_parity_learner(
-            oracle,
-            2,
-            LearnerBudget(8, 2, 64, time_budget=1e-9),
-            random.Random(2),
-        )
-    return exc.value.best_tree
-
-
-def test_exhaustive_time_budget_carries_best_tree():
-    # Conjunction labels admit no zero-error parity, so the search cannot
-    # finish early, and a vanishing time budget must surface the best
-    # constant, the size-0 tier.
-    assert _out_of_time((0, 0, 0, 1)) == Leaf(0)
-
-
-def test_exhaustive_time_budget_carries_complemented_constant():
-    # Mostly-1 labels: the best constant is the complemented leaf.
-    assert _out_of_time((1, 1, 1, 0)) == Leaf(1)
-
-
 def scan_learner(oracle, arity, budget, rng):
     """The exhaustive learner before it searched for exact fits first:
     one linear scan grading every candidate, stopping at zero error."""
@@ -355,28 +330,30 @@ class NoiseOracle:
         return BitVector(self.length, rng.getrandbits(self.length)), rng.getrandbits(1)
 
 
-def test_exhaustive_time_budget_bounds_a_huge_search():
-    # Depth 16 over 80 coordinates: an even split would need C(80, 8),
-    # about 2.9e10, table entries.  Noise labels admit no exact fit, so
-    # the search runs until the 0.5 s budget ends it; deadline checks
-    # while tables are built and streamed stop it in time.  The peak
-    # bound is above one full table at the cap (about 28.5 MiB, see
-    # ``f2.XOR_TABLE_MAX_ENTRIES``); within the budget the search
-    # reaches at most the C(80, 3) = 82160-entry table, about 8 MiB.
-    tracemalloc.start()
-    try:
-        started = time.monotonic()
-        with pytest.raises(BudgetExhaustedError):
-            exhaustive_parity_learner(
-                NoiseOracle(80), 80, LearnerBudget(1 << 16, 16, 256, time_budget=0.5),
-                random.Random(4),
-            )
-        elapsed = time.monotonic() - started
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert elapsed < 5.0
-    assert peak < 32 * 2**20
+def test_exhaustive_refuses_a_huge_search_up_front():
+    # Depth 16 over 80 coordinates: C(80, <=16), about 3e16 candidates.
+    # The 256 noise samples give 80 independent columns, so the
+    # exact-fit search walks a one-element coset and finds no fit; the
+    # error scan is then refused on its estimate, before any table is
+    # built or any candidate graded.
+    with (
+        mock.patch.object(f2, "_search", side_effect=AssertionError),
+        mock.patch.object(f2, "_half_table", side_effect=AssertionError),
+        mock.patch.object(learners, "_min_error_scan", side_effect=AssertionError),
+    ):
+        tracemalloc.start()
+        try:
+            started = time.monotonic()
+            with pytest.raises(ValueError, match=r"error scan over C\(80, <=16\).*SEARCH_MAX_COST"):
+                exhaustive_parity_learner(
+                    NoiseOracle(80), 80, LearnerBudget(1 << 16, 16, 256), random.Random(4)
+                )
+            elapsed = time.monotonic() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20
 
 
 class NoisyParityOracle:
@@ -431,27 +408,55 @@ def test_exhaustive_matches_the_scan_with_single_column_rows(monkeypatch):
         assert got == scan_learner(oracle, arity, bud, random.Random(seed)), seed
 
 
-class JumpingClock:
-    """Stand-in for the ``time`` module: the first reading is the real
-    clock, every later one an hour ahead."""
+class ExplodingOracle:
+    """An oracle that must not be sampled."""
 
-    def __init__(self):
-        self.readings = 0
-
-    def monotonic(self):
-        self.readings += 1
-        return time.monotonic() + (0 if self.readings == 1 else 3600)
+    def sample(self, rng):
+        raise AssertionError("sampled past a refusal")
 
 
-def test_exhaustive_time_budget_ends_the_error_scan(monkeypatch):
-    # The deadline is set from the first reading; the exact-fit search
-    # keeps the real clock and finds no fit, and the scan's first
-    # deadline check reads an hour later.
-    monkeypatch.setattr(learners, "time", JumpingClock())
+def test_exhaustive_bounds_the_exact_fit_search(monkeypatch):
+    # Arity 40 with 8 samples: columns of at most 8 bits leave a kernel
+    # of dimension >= 32, so the search meets in the middle, and its
+    # estimate is the meet in the middle's alone.  The labels are a
+    # parity of three coordinates, so an exact fit exists and the error
+    # scan never runs.
+    oracle = NoisyParityOracle(40, 0b1011, 0.0)
+    bud = LearnerBudget(16, 4, 8)
+    estimate = f2._mitm_cost(40, 2, 4)
+    monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate)
+    tree = exhaustive_parity_learner(oracle, 40, bud, random.Random(3))
+    assert tree.depth <= 3
+    monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate - 1)
+    with mock.patch.object(f2, "_search", side_effect=AssertionError):
+        with pytest.raises(ValueError, match="exact search too large"):
+            exhaustive_parity_learner(oracle, 40, bud, random.Random(3))
+
+
+def test_exhaustive_bounds_the_error_scan(monkeypatch):
+    # Noisy labels over 24 independent 64-sample columns admit no exact
+    # fit; the exact-fit search walks a one-element coset well within
+    # the bound, and the scan grades C(24, <=4) candidates of one word.
     oracle = NoisyParityOracle(24, 0b111, 0.3)
-    with pytest.raises(BudgetExhaustedError, match="parity scan") as exc:
-        exhaustive_parity_learner(oracle, 24, LearnerBudget(16, 4, 64), random.Random(5))
-    assert exc.value.best_tree in (Leaf(0), Leaf(1))
+    bud = LearnerBudget(16, 4, 64)
+    estimate = sum(math.comb(24, s) for s in range(5))
+    scan = mock.Mock(wraps=learners._min_error_scan)
+    monkeypatch.setattr(learners, "_min_error_scan", scan)
+    monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate)
+    want = scan_learner(oracle, 24, bud, random.Random(5))
+    assert exhaustive_parity_learner(oracle, 24, bud, random.Random(5)) == want
+    assert scan.call_count == 1
+    monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate - 1)
+    with pytest.raises(ValueError, match=rf"C\(24, <=4\).*{estimate} steps"):
+        exhaustive_parity_learner(oracle, 24, bud, random.Random(5))
+    assert scan.call_count == 1
+
+
+def test_error_scan_estimate_weighs_the_sample_width():
+    # One step per candidate, plus one per 16 words of a column.
+    candidates = sum(math.comb(30, s) for s in range(4))
+    for nsamp, weight in ((1, 1), (960, 1), (961, 2), (2000, 3), (64 * 160, 11)):
+        assert learners._scan_cost(30, nsamp, 3) == candidates * weight
 
 
 def test_pair_table_stays_within_its_byte_cap(monkeypatch):
@@ -468,9 +473,7 @@ def test_pair_table_stays_within_its_byte_cap(monkeypatch):
         monkeypatch.setattr(learners, "PAIR_TABLE_MAX_BYTES", limit)
         tracemalloc.start()
         try:
-            best = learners._min_error_scan(
-                cols, label_col, 2000, 2, 1000, ((), False), time.monotonic() + 60
-            )
+            best = learners._min_error_scan(cols, label_col, 2000, 2, 1000, ((), False))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -559,13 +562,23 @@ def test_greedy_respects_budgets():
         assert tree.depth <= depth_b
 
 
-def test_greedy_time_budget_carries_majority_leaf():
-    oracle = CycleOracle([("01", 1), ("10", 0), ("11", 1)], 2)
-    with pytest.raises(BudgetExhaustedError) as exc:
-        greedy_learner(
-            oracle, 2, LearnerBudget(8, 2, 30, time_budget=1e-9), random.Random(0)
-        )
-    assert exc.value.best_tree == Leaf(1)
+def test_greedy_bounds_its_splitting_before_sampling(monkeypatch):
+    # Worst case min(size, samples) = 8 splits, each reading 24 columns
+    # of 4 words (200 samples).
+    bud = LearnerBudget(8, 3, 200)
+    estimate = 8 * 24 * 4
+    monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate)
+    oracle = NoisyParityOracle(24, 0b11, 0.1)
+    got = greedy_learner(oracle, 24, bud, random.Random(2))
+    assert got == row_greedy_learner(oracle, 24, bud, random.Random(2))
+    monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate - 1)
+    with pytest.raises(ValueError, match=f"{estimate} steps, past SEARCH_MAX_COST"):
+        greedy_learner(ExplodingOracle(), 24, bud, random.Random(2))
+    # Fewer samples than the size budget: a split per sample at most.
+    bud = LearnerBudget(1 << 20, 20, 100)
+    monkeypatch.setattr(learners, "SEARCH_MAX_COST", 100 * 24 * 2 - 1)
+    with pytest.raises(ValueError, match="SEARCH_MAX_COST"):
+        greedy_learner(ExplodingOracle(), 24, bud, random.Random(2))
 
 
 def row_greedy_learner(oracle, arity, budget, rng):
@@ -576,7 +589,6 @@ def row_greedy_learner(oracle, arity, budget, rng):
         for point, label in (oracle.sample(rng) for _ in range(budget.sample_budget))
     ]
     splits_left = [budget.size_budget - 1]
-    deadline = time.monotonic() + budget.time_budget
 
     def majority(subset):
         ones = sum(label for _, label in subset)
@@ -589,8 +601,6 @@ def row_greedy_learner(oracle, arity, budget, rng):
         maj, err = majority(subset)
         if err == 0 or depth == budget.depth_budget or splits_left[0] == 0:
             return Leaf(maj)
-        if time.monotonic() > deadline:
-            raise BudgetExhaustedError("time budget exhausted during splitting", Leaf(maj))
         best_gain = 0
         best_coord = None
         for j in range(arity):
@@ -622,23 +632,13 @@ def row_greedy_learner(oracle, arity, budget, rng):
     return build(samples, 0, 0)
 
 
-def learned_or_best(learner, oracle, arity, bud, seed):
-    """The learned tree, or the best tree an expired budget carried."""
-    try:
-        return "learned", learner(oracle, arity, bud, random.Random(seed))
-    except BudgetExhaustedError as e:
-        return "expired", e.best_tree
-
-
-@given(learner_cases(), st.sampled_from([60.0, 1e-9]))
+@given(learner_cases())
 @settings(max_examples=300, deadline=None)
-def test_greedy_matches_the_row_learner(case, time_budget):
-    # Span and finite-pmf oracles over random budgets; a vanishing time
-    # budget ends both at their first split with the same majority leaf.
+def test_greedy_matches_the_row_learner(case):
+    # Span and finite-pmf oracles over random budgets.
     oracle, n, bud, seed = case
-    bud = LearnerBudget(bud.size_budget, bud.depth_budget, bud.sample_budget, time_budget)
-    got = learned_or_best(greedy_learner, oracle, n, bud, seed)
-    assert got == learned_or_best(row_greedy_learner, oracle, n, bud, seed)
+    got = greedy_learner(oracle, n, bud, random.Random(seed))
+    assert got == row_greedy_learner(oracle, n, bud, random.Random(seed))
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,13 @@
 
 import random
 import signal
+import time
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
+from ncplift import learners
 from ncplift.dtree import Leaf, Node, ParityIndexSet
 from ncplift.learners import parity_to_tree
 from ncplift.f2 import BitMatrix, BitVector, mat_vec, rank
@@ -18,11 +20,12 @@ from ncplift.instance import (
     random_planted,
 )
 from ncplift.learners import (
-    BudgetExhaustedError,
+    SAMPLE_MAX_BYTES,
     exhaustive_parity_learner,
+    greedy_learner,
     planted_learner,
+    sample_bytes,
 )
-from ncplift.learners import SAMPLE_MAX_BYTES, sample_bytes
 from ncplift.reduction import (
     EXTRACT_MAX_DEPTH,
     ReductionConfig,
@@ -39,10 +42,6 @@ CFG = ReductionConfig()
 
 def index_set(*indices):
     return ParityIndexSet.from_iterable(indices)
-
-
-def failing_learner(oracle, arity, budget, rng):
-    raise BudgetExhaustedError("deliberately out of time", Leaf(0))
 
 
 def parity_lifted_oracle(n, s_star, ell=2):
@@ -214,12 +213,32 @@ def test_decide_size_gate():
     assert report.distance is None
 
 
-def test_decide_learner_failure():
+def test_decide_size_cap_stops_at_the_depth_budget():
+    # floor(ell*alpha*k/3) past ell*k = 4 is cut to 4; the learner gets
+    # the same size budget, and a huge alpha builds no huge int.
+    raw, _ = random_planted(14, 12, 2, 5)
+    seen = []
+
+    def recording_learner(oracle, arity, budget, rng):
+        seen.append(budget.size_budget)
+        return parity_to_tree(index_set())
+
+    for alpha, cap in ((Fraction(3), 16), (Fraction(4), 16), (Fraction(10**20), 16)):
+        inst = SyndromeInstance(raw.h, raw.t, raw.k, alpha)
+        report = decide(inst, CFG, recording_learner, random.Random(0))
+        assert report.size_cap == cap == seen[-1]
+    assert report.error_gate + report.tolerance == 0.5
+
+
+def test_decide_learner_failure(monkeypatch):
+    # A learner that refuses its search raises through decide, so a
+    # refusal never reads as a NO.
     raw, _ = random_planted(10, 6, 2, 9)
     inst = SyndromeInstance(raw.h, raw.t, raw.k, Fraction(3))
-    report = decide(inst, CFG, failing_learner, random.Random(0))
-    assert not report.accepted
-    assert report.reason == "learner-failed"
+    monkeypatch.setattr(learners, "SEARCH_MAX_COST", 0)
+    for learner in (exhaustive_parity_learner, greedy_learner):
+        with pytest.raises(ValueError, match="SEARCH_MAX_COST|exact search too large"):
+            decide(inst, CFG, learner, random.Random(0))
 
 
 def test_decide_unsatisfiable():
@@ -335,11 +354,14 @@ def test_search_unsatisfiable():
     assert report.reason == "unsatisfiable"
 
 
-def test_search_learner_budget_failure():
+def test_search_learner_budget_failure(monkeypatch):
+    # A learner that refuses its search raises through search, with no
+    # report.
     inst, _ = random_planted(10, 6, 2, 13)
-    report = search(inst, CFG, failing_learner, random.Random(0))
-    assert not report.ok
-    assert report.reason == "learner-budget"
+    monkeypatch.setattr(learners, "SEARCH_MAX_COST", 0)
+    for learner in (exhaustive_parity_learner, greedy_learner):
+        with pytest.raises(ValueError, match="SEARCH_MAX_COST|exact search too large"):
+            search(inst, CFG, learner, random.Random(0))
 
 
 def test_search_reports_unverified_candidates():
@@ -428,6 +450,43 @@ def test_pipelines_bound_the_sample_before_sampling(pipeline):
     cfg = ReductionConfig(learner_samples=most + 1)
     with pytest.raises(ValueError, match="SAMPLE_MAX_BYTES"):
         pipeline(inst, cfg, refusing_learner, random.Random(0))
+
+
+class JumpingClock:
+    """Stand-in for ``time.monotonic``: each reading an hour past the
+    last."""
+
+    def __init__(self, real):
+        self.real = real
+        self.readings = 0
+
+    def __call__(self):
+        self.readings += 1
+        return self.real() + 3600 * self.readings
+
+
+def test_reports_do_not_depend_on_the_clock(monkeypatch):
+    # Planted searches and decides, and far decides whose exhaustive
+    # learner runs the full error scan, for both learners: the reports
+    # are the same however the clock moves.
+    def runs():
+        reports = []
+        for learner in (exhaustive_parity_learner, greedy_learner):
+            for seed in (1, 2):
+                inst, _ = random_planted(14, 10, 2, seed)
+                reports.append(search(inst, CFG, learner, random.Random(seed)))
+                raw, _ = random_planted(14, 12, 2, seed)
+                inst = SyndromeInstance(raw.h, raw.t, raw.k, Fraction(3))
+                reports.append(decide(inst, CFG, learner, random.Random(seed)))
+                far = certified_far_instance(seed)
+                reports.append(decide(far, CFG, learner, random.Random(seed)))
+        return reports
+
+    want = runs()
+    assert {r.reason for r in want} >= {"ok", "ok-yes", "distance-gate"}
+    clock = JumpingClock(time.monotonic)
+    monkeypatch.setattr(time, "monotonic", clock)
+    assert runs() == want
 
 
 def test_verify_certificate():
