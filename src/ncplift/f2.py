@@ -352,9 +352,9 @@ COSET_MAX_KERNEL_DIM = 28
 COSET_STEP_COST = 1
 
 # Most steps any exhaustive search takes on: ``sparse_xor_search``
-# when a caller passes it as ``max_cost``, and the learners' scans, in
-# the same unit.  At 90 to 250 ns a step (Python 3.11), about half a
-# minute to a minute.
+# when a caller passes it as ``max_cost``, and the greedy learner's
+# splitting, in the same unit.  At 90 to 250 ns a step (Python 3.11),
+# about half a minute to a minute.
 SEARCH_MAX_COST = 1 << 28
 
 # Kernel vectors whose span makes one row of the coset walk.

@@ -6,13 +6,21 @@ that draws at most ``budget.sample_budget`` (point, label) pairs from
 respect the budget (a hard contract).  No clock bounds it: a search
 whose cost estimate passes ``f2.SEARCH_MAX_COST`` raises ``ValueError``
 before it starts.
+
+The exhaustive learner is a consistent learner, which is all the
+reduction needs (Blumer, Ehrenfeucht, Haussler and Warmuth, "Occam's
+Razor", IPL 1987): it returns a parity tree fitting every drawn example
+when one fits within the budget, and otherwise the better constant.
+The greedy learner is a negative control.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
-from math import comb
+# Not called here: the benchmark's tracer (bench/spans.py) counts
+# ``learners.combinations`` calls, and a traced run fails when the name
+# is missing.
+from itertools import combinations  # noqa: F401
 from random import Random
 
 from .dtree import DecisionTree, Leaf, Node, ParityIndexSet, complement_tree
@@ -25,10 +33,6 @@ __all__ = [
     "greedy_learner",
     "planted_learner",
 ]
-
-# Bound, in bytes, on the pair table of the exhaustive learner's error
-# scan; past it the scan's rows extend a prefix by one column, not a pair.
-PAIR_TABLE_MAX_BYTES = 1 << 24
 
 # Bound, in bytes, on ``sample_bytes``.  Learners do not check it;
 # whoever sets the sample budget does, before any sampling.
@@ -47,13 +51,6 @@ class LearnerBudget:
     def __post_init__(self) -> None:
         if self.size_budget < 1 or self.depth_budget < 0 or self.sample_budget < 1:
             raise ValueError("budgets must be positive")
-
-
-def _check_cost(what: str, cost: int) -> None:
-    if cost > SEARCH_MAX_COST:
-        raise ValueError(
-            f"{what} takes about {cost} steps, past SEARCH_MAX_COST = {SEARCH_MAX_COST}"
-        )
 
 
 def parity_to_tree(s: ParityIndexSet) -> DecisionTree:
@@ -103,27 +100,28 @@ def sample_bytes(arity: int, nsamp: int) -> int:
 def exhaustive_parity_learner(
     oracle, arity: int, budget: LearnerBudget, rng: Random
 ) -> DecisionTree:
-    """Best parity (or complemented parity) on a fresh sample.
+    """First exact parity fit on a fresh sample, else the better constant.
 
-    Considers every index set S with ``|S| <= depth_budget`` (also
-    capped so the output tree fits the size budget), in ascending size
-    and then lexicographic order, the plain parity before the
-    complemented one; the first candidate achieving the minimum
-    empirical error wins, so ties break toward smaller, earlier, plain
-    candidates.  With depth budget 0 this returns the better constant.
+    A consistent learner: it returns a parity (or complemented parity)
+    tree that fits every drawn example, when one exists over an index
+    set S with ``|S| <= depth_budget`` (also capped so the output tree
+    fits the size budget).  The first such fit in ascending size, then
+    lexicographic order, plain before complemented, wins.  The sample
+    is packed into per-coordinate bit columns; an exact fit is a sparse
+    XOR of columns equal to the label column or to its complement,
+    found by ``f2.sparse_xor_search`` (targets plain then complement).
 
-    The sample is packed into per-coordinate bit columns.  An exact fit
-    is a sparse XOR of columns equal to the label column or to its
-    complement, and zero error is the minimum, so the first exact fit
-    in that order is found by meeting in the middle
-    (``f2.sparse_xor_search``, targets plain then complement).  Only
-    when no candidate fits exactly does ``_min_error_scan`` grade every
-    candidate, a row of them at a time.
+    When nothing fits it returns the better constant, ``Leaf(1)`` only
+    when ones outnumber zeros.  Over a span source, which is all the
+    pipelines feed it, no candidate beats that: by the span dichotomy a
+    parity tree, plain or complemented, is at lifted distance 0 or
+    exactly 1/2, and so is each constant, so any of them that misses an
+    example sits at 1/2.
 
     Raises:
         ValueError: when the depth budget exceeds the arity, or, after
-            sampling, when the exact-fit search or the error scan would
-            pass ``f2.SEARCH_MAX_COST``.
+            sampling, when the exact-fit search would pass
+            ``f2.SEARCH_MAX_COST``.
     """
     if budget.depth_budget > arity:
         raise ValueError("depth budget exceeds the arity")
@@ -131,100 +129,25 @@ def exhaustive_parity_learner(
     max_size = min(budget.depth_budget, budget.size_budget.bit_length() - 1)
     targets = (label_col, label_col ^ ((1 << nsamp) - 1))
     exact = sparse_xor_search(cols, targets, max_size, max_cost=SEARCH_MAX_COST)
-    if exact is not None:
-        support, target = exact
-        combo = tuple(j for j in range(arity) if support >> j & 1)
-        return _build_parity((combo, target == 1))
-    _check_cost(
-        f"the error scan over C({arity}, <={max_size}) candidates of {nsamp} samples",
-        _scan_cost(arity, nsamp, max_size),
-    )
-    # The size-0 tier: the better constant, plain on a tie.
-    ones = label_col.bit_count()
-    best = ((), nsamp - ones < ones)
-    return _build_parity(
-        _min_error_scan(cols, label_col, nsamp, max_size, min(ones, nsamp - ones), best)
-    )
+    if exact is None:
+        return Leaf(int(2 * label_col.bit_count() > nsamp))
+    support, target = exact
+    tree = parity_to_tree(ParityIndexSet(tuple(j + 1 for j in range(arity) if support >> j & 1)))
+    return complement_tree(tree) if target == 1 else tree
 
 
-def _words(nsamp: int) -> int:
-    """64-bit words in a column of nsamp samples."""
-    return -(-nsamp // 64)
-
-
-def _scan_cost(arity: int, nsamp: int, max_size: int) -> int:
-    """``_min_error_scan``'s work in the steps of ``f2.SEARCH_MAX_COST``:
-    every candidate of at most max_size columns, each one step plus one
-    per 16 words of a column.  Timed on random columns at arity 28-42
-    (Python 3.11), a candidate took 220-260 ns at 1 word, 510-575 ns at
-    32 (2000 samples), 1.4-1.6 us at 125 and 18-21 us at 2000, against
-    180-320 ns a meet-in-the-middle step on 2000-sample columns."""
-    candidates = sum(comb(arity, s) for s in range(max_size + 1))
-    return candidates * (1 + _words(nsamp) // 16)
-
-
-def _pair_table_bytes(arity: int, nsamp: int) -> int:
-    """Pair XORs (nsamp-bit ints), their index pairs, and one row of
-    errors, as CPython 3 lays them out."""
-    return arity * (arity - 1) // 2 * (nsamp * 2 // 15 + 136)
-
-
-def _min_error_scan(
-    cols: list[int],
-    label_col: int,
-    nsamp: int,
-    max_size: int,
-    best_err: int,
-    best: tuple[tuple[int, ...], bool],
-) -> tuple[tuple[int, ...], bool]:
-    """First candidate of minimum error in (size, lex, plain before
-    complement) order, sizes 1..max_size, seeded with the size-0 tier.
-
-    A row is every candidate of one size that shares a prefix: the
-    prefix extended by each unit after its last index, where a unit is
-    a pair of columns (one column at size 1, or when the pair table
-    would pass ``PAIR_TABLE_MAX_BYTES``).  Units are listed in
-    lexicographic order, so a row is a suffix of that list, and rows in
-    prefix order visit candidates in lexicographic order.  The label
-    column is folded into the prefix XOR once; a row's errors are
-    popcounts taken by ``map``, and C-level ``min``/``max`` tell whether
-    the row beats the best so far.  Only then is the row searched, for
-    the first occurrence of its minimum (plain before complement),
-    which is where a one-candidate-at-a-time scan would settle.
-    """
-    arity = len(cols)
-    single = ([(j,) for j in range(arity)], cols, list(range(arity + 1)))
-    pair = single
-    if max_size >= 2 and _pair_table_bytes(arity, nsamp) <= PAIR_TABLE_MAX_BYTES:
-        units = list(combinations(range(arity), 2))
-        first = [0]
-        for a in range(arity):
-            first.append(first[a] + arity - 1 - a)
-        pair = (units, [cols[a] ^ cols[b] for a, b in units], first)
-    for size in range(1, max_size + 1):
-        units, unit_xors, first = pair if size >= 2 else single
-        width = len(units[0])
-        for prefix in combinations(range(arity - width), size - width):
-            acc = label_col
-            for j in prefix:
-                acc ^= cols[j]
-            start = first[prefix[-1] + 1] if prefix else 0
-            errs = list(map(int.bit_count, map(acc.__xor__, islice(unit_xors, start, None))))
-            lo = min(errs)
-            hi = max(errs)
-            if lo < best_err or nsamp - hi < best_err:
-                at_lo, at_hi = errs.index(lo), errs.index(hi)
-                if lo < nsamp - hi or (lo == nsamp - hi and at_lo <= at_hi):
-                    best_err, best = lo, (prefix + units[start + at_lo], False)
-                else:
-                    best_err, best = nsamp - hi, (prefix + units[start + at_hi], True)
-    return best
-
-
-def _build_parity(best: tuple[tuple[int, ...], bool]) -> DecisionTree:
-    combo, flipped = best
-    tree = parity_to_tree(ParityIndexSet(tuple(j + 1 for j in combo)))
-    return complement_tree(tree) if flipped else tree
+def _greedy_cost(arity: int, budget: LearnerBudget) -> int:
+    """``greedy_learner``'s worst case in the steps of
+    ``f2.SEARCH_MAX_COST``.  A node that tries a split reads every
+    column, and at most 2 * min(size budget, samples) - 1 nodes try:
+    each split, and each leaf whose try failed.  A column costs 6 steps
+    plus one per 16 64-bit words: timed over 28 columns (Python 3.11),
+    1.5-1.9 us at 1 word, 1.8-2.4 us at 32 (2000 samples), 2.7-2.9 us at
+    64, 4.3-6.3 us at 256 and 13-18 us at 1024, against 180-300 ns a
+    meet-in-the-middle step in the same runs."""
+    nodes = 2 * min(budget.size_budget, budget.sample_budget) - 1
+    words = -(-budget.sample_budget // 64)
+    return nodes * arity * (6 + words // 16)
 
 
 def greedy_learner(oracle, arity: int, budget: LearnerBudget, rng: Random) -> DecisionTree:
@@ -238,14 +161,15 @@ def greedy_learner(oracle, arity: int, budget: LearnerBudget, rng: Random) -> De
     sample, so each side's counts are popcounts against the columns.
 
     Raises:
-        ValueError: before sampling, when the worst case, a split per
-            size budget or sample reading every column, passes
-            ``f2.SEARCH_MAX_COST``.
+        ValueError: before sampling, when its worst case
+            (``_greedy_cost``) passes ``f2.SEARCH_MAX_COST``.
     """
-    _check_cost(
-        f"greedy splitting of {budget.sample_budget} samples at arity {arity}",
-        min(budget.size_budget, budget.sample_budget) * arity * _words(budget.sample_budget),
-    )
+    cost = _greedy_cost(arity, budget)
+    if cost > SEARCH_MAX_COST:
+        raise ValueError(
+            f"greedy splitting of {budget.sample_budget} samples at arity {arity} takes "
+            f"about {cost} steps, past SEARCH_MAX_COST = {SEARCH_MAX_COST}"
+        )
     cols, label_col, nsamp = _sample_columns(oracle, arity, budget, rng)
     splits_left = budget.size_budget - 1
 

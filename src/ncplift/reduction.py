@@ -142,11 +142,12 @@ def _thresholds(inst: SyndromeInstance, cfg: ReductionConfig) -> tuple[int, floa
     gate plus tolerance is positive and the size cap holds a parity
     tree of depth ell*k (alpha >= 3 at ell*k >= 4); ``decide`` rejects
     any other input as a vacuous gate.  The size cap stops at
-    2**(ell*k), the most leaves the depth budget allows.
+    2**(ell*k), the most leaves the depth budget allows, and the
+    margin's exponent at 1100, past which the float is 0.0 anyway.
     """
     r = cfg.ell * inst.alpha * inst.k
     size_cap = 1 << min(max(0, math.floor(r / 3)), cfg.ell * inst.k)
-    margin = 2.0 ** (-float(r) / 6.0)
+    margin = 2.0 ** -float(min(r / 6, 1100))
     error_gate = 0.5 - 2.0 * margin
     tolerance = margin / 3.0
     return size_cap, error_gate, tolerance
@@ -171,9 +172,12 @@ def decide(
     2**floor(ell*alpha*k/3), then computes the tree's exact distance to
     the lifted source (``span_lifted_tree_error``).  Accepts exactly
     when the hypothesis fits the size cap and the distance is at most
-    the gate plus tolerance.  Thresholds that cannot separate planted
-    from far instances (gate plus tolerance <= 0, or a size cap below
-    2**(ell*k)) are rejected as ``vacuous-gate`` before any learning.
+    the gate plus tolerance and below 1/2: a tree at 1/2 tracks nothing,
+    and the gate plus tolerance, below 1/2 for every alpha, rounds to
+    1/2 as a float once alpha is large.  Thresholds that cannot
+    separate planted from far instances (gate plus tolerance <= 0, or a
+    size cap below 2**(ell*k)) are rejected as ``vacuous-gate`` before
+    any learning.
     An inconsistent system is a rejection with the reason recorded.
 
     Raises:
@@ -194,7 +198,7 @@ def decide(
     if tree.size > size_cap:
         return DecideReport(False, "size-gate", tree.size, None, size_cap, error_gate, tolerance, meta, tree)
     distance = span_lifted_tree_error(tree, oracle.base, oracle.params)
-    if distance <= error_gate + tolerance:
+    if distance < Fraction(1, 2) and distance <= error_gate + tolerance:
         return DecideReport(True, "ok-yes", tree.size, distance, size_cap, error_gate, tolerance, meta, tree)
     return DecideReport(False, "distance-gate", tree.size, distance, size_cap, error_gate, tolerance, meta, tree)
 

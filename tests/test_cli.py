@@ -201,22 +201,20 @@ def test_work_past_the_bounds_is_input_error(tmp_path, capsys, command, flags, b
 @pytest.mark.parametrize(
     "command, shape, flags, refusal",
     [
-        # C(56, <=8) error-scan candidates on the certified-far instance.
-        ("decide", None, ("--ell", "4", "--seed", "2"), "error scan over C(56, <=8)"),
         # An exact-fit search over 400 columns up to size 6, with a
-        # kernel of dimension >= 100.
-        ("solve-reduce", (200, 100, 3), (), "exact search too large"),
+        # kernel of dimension >= 100; alpha = 3 clears decide's gate.
+        pytest.param(
+            "decide", (200, 100, 3, "3"), (), "exact search too large",
+            id="decide-exact-fit",
+        ),
+        ("solve-reduce", (200, 100, 3, None), (), "exact search too large"),
     ],
 )
 def test_learner_search_past_the_bound_is_input_error(
     tmp_path, capsys, command, shape, flags, refusal
 ):
-    if shape is None:
-        path = tmp_path / "far"
-        path.write_text(FAR)
-    else:
-        n, m, k = shape
-        path = gen_planted(tmp_path, capsys, n=n, m=m, k=k, seed=1)
+    n, m, k, alpha = shape
+    path = gen_planted(tmp_path, capsys, n=n, m=m, k=k, seed=1, alpha=alpha)
     started = time.monotonic()
     code, stdout, err = run(capsys, command, str(path), *flags)
     assert time.monotonic() - started < 5.0
@@ -281,14 +279,54 @@ def test_decide_no_on_far_instance(tmp_path, capsys):
 
 
 def test_decide_no_on_far_instance_at_ell_3(tmp_path, capsys):
-    # The learner's error scan grades C(42, <=6) candidates of 2000
-    # samples, within SEARCH_MAX_COST.
+    # The learner finds no exact fit and returns a constant.
     path = tmp_path / "far"
     path.write_text(FAR)
     code, stdout, err = run(capsys, "decide", str(path), "--seed", "2", "--ell", "3")
     assert code == 1
     assert stdout.strip() == "NO"
     assert "outcome=No:distance-gate" in err
+
+
+@pytest.mark.parametrize("ell", ["4", "5"])
+def test_decide_no_on_far_instance_at_a_wide_block(tmp_path, capsys, ell):
+    # C(56, <=8) and C(70, <=10) candidates: the exact-fit search walks
+    # a small coset, finds no fit, and the learner returns a constant.
+    path = tmp_path / "far"
+    path.write_text(FAR)
+    started = time.monotonic()
+    code, stdout, err = run(capsys, "decide", str(path), "--seed", "2", "--ell", ell)
+    assert time.monotonic() - started < 1.0
+    assert code == 1
+    assert stdout.strip() == "NO"
+    assert "outcome=No:distance-gate" in err
+    assert "hypothesis_size=1" in err
+
+
+@pytest.mark.parametrize("alpha", ["84", "100", "1" + "0" * 400])
+def test_decide_no_on_far_instance_at_a_huge_alpha(tmp_path, capsys, alpha):
+    # From alpha = 84 the gate plus tolerance rounds to the float 0.5,
+    # which the far instance's distance of exactly 1/2 must not pass;
+    # at 10**400 the margin's exponent passes the float range.
+    path = tmp_path / "far"
+    path.write_text(FAR.replace("12 14 2 3 1", f"12 14 2 {alpha} 1"))
+    started = time.monotonic()
+    code, stdout, err = run(capsys, "decide", str(path), "--seed", "2")
+    assert time.monotonic() - started < 1.0
+    assert code == 1
+    assert stdout.strip() == "NO"
+    assert "outcome=No:distance-gate" in err
+    assert "distance=1/2" in err
+
+
+def test_decide_yes_on_planted_at_a_huge_alpha(tmp_path, capsys):
+    out = gen_planted(tmp_path, capsys, n=14, m=12, k=2, seed=8001, alpha="1" + "0" * 400)
+    started = time.monotonic()
+    code, stdout, err = run(capsys, "decide", str(out), "--seed", "2")
+    assert time.monotonic() - started < 1.0
+    assert code == 0
+    assert stdout.strip() == "YES"
+    assert "distance=0" in err
 
 
 def test_decide_on_a_huge_alpha_answers_at_once(tmp_path, capsys):

@@ -1,8 +1,7 @@
-"""Learners over example oracles: exhaustive parity scan and greedy splits."""
+"""Learners over example oracles: exhaustive parity fits and greedy splits."""
 
 import gc
 import itertools
-import math
 import random
 import time
 import tracemalloc
@@ -10,7 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncplift import f2, learners
@@ -24,7 +23,12 @@ from ncplift.dtree import (
     truth_table,
 )
 from ncplift.f2 import BitMatrix, BitVector, rank
-from ncplift.gadget import FinitePmf
+from ncplift.gadget import (
+    FinitePmf,
+    GadgetParams,
+    exact_lifted_tree_error,
+    span_lifted_tree_error,
+)
 from ncplift.instance import LabeledSet
 from ncplift.learners import (
     LearnerBudget,
@@ -33,7 +37,7 @@ from ncplift.learners import (
     parity_to_tree,
     planted_learner,
 )
-from ncplift.span import make_span_oracle
+from ncplift.span import exact_disagreement, make_span_oracle
 
 
 def index_set(*indices):
@@ -149,8 +153,9 @@ def test_exhaustive_is_deterministic_given_seed():
 
 
 def test_exhaustive_matches_independent_enumeration():
-    # Replay the same sample and grade every candidate by hand; the
-    # returned tree must reach the minimum error.
+    # Replay the same sample and grade every candidate by hand: the
+    # returned tree is the first zero-error candidate in (size, lex,
+    # plain first) order, or the better constant when none fits.
     for seed in range(20):
         rng = random.Random(200 + seed)
         n = rng.randint(2, 6)
@@ -168,16 +173,21 @@ def test_exhaustive_matches_independent_enumeration():
 
         rng_replay = random.Random(seed)
         sample = [oracle.sample(rng_replay) for _ in range(bud.sample_budget)]
-        best = min(
-            sum(1 if s.chi(p) != lab else 0 for p, lab in sample) if not flip
-            else sum(1 if s.chi(p) == lab else 0 for p, lab in sample)
+        fits = [
+            (s, flip)
             for size in range(0, min(n, 3) + 1)
             for picks in itertools.combinations(range(1, n + 1), size)
             for s in [ParityIndexSet.from_iterable(picks)]
-            for flip in (False, True)
-        )
-        got = sum(1 for p, lab in sample if eval_tree(tree, p) != lab)
-        assert got == best
+            for flip in (0, 1)
+            if all(s.chi(p) ^ flip == lab for p, lab in sample)
+        ]
+        if fits:
+            s, flip = fits[0]
+            want = complement_tree(parity_to_tree(s)) if flip else parity_to_tree(s)
+        else:
+            ones = sum(lab for _, lab in sample)
+            want = Leaf(1 if ones > len(sample) - ones else 0)
+        assert tree == want
 
 
 def test_exhaustive_prefers_smaller_support_on_ties():
@@ -193,7 +203,7 @@ def test_exhaustive_prefers_smaller_support_on_ties():
 
 
 def test_exhaustive_respects_size_budget_over_depth():
-    # A size budget of 1 restricts the scan to constants even when the
+    # A size budget of 1 restricts the search to constants even when the
     # depth budget allows more.
     oracle = pmf_oracle([("00", 0, 1), ("11", 1, 1)], 2)
     tree = exhaustive_parity_learner(
@@ -234,8 +244,9 @@ def test_exhaustive_rejects_depth_beyond_arity():
 
 
 def scan_learner(oracle, arity, budget, rng):
-    """The exhaustive learner before it searched for exact fits first:
-    one linear scan grading every candidate, stopping at zero error."""
+    """The exhaustive learner's contract as one linear scan: the first
+    zero-error candidate in (size, lex, plain before complement) order,
+    else the better constant (1 only when ones outnumber zeros)."""
     samples = [oracle.sample(rng) for _ in range(budget.sample_budget)]
     nsamp = len(samples)
     cols = [0] * arity
@@ -248,40 +259,27 @@ def scan_learner(oracle, arity, budget, rng):
             if point.mask >> j & 1:
                 cols[j] |= bit
     max_size = min(budget.depth_budget, budget.size_budget.bit_length() - 1)
-    best_err = nsamp + 1
-    best = None
-    done = False
     for size in range(max_size + 1):
-        if done:
-            break
         for combo in itertools.combinations(range(arity), size):
             acc = 0
             for j in combo:
                 acc ^= cols[j]
             err = (acc ^ label_col).bit_count()
-            if err < best_err:
-                best_err, best = err, (combo, False)
-            if nsamp - err < best_err:
-                best_err, best = nsamp - err, (combo, True)
-            if best_err == 0:
-                done = True
-                break
-    if best is None:
-        return Leaf(0)
-    combo, flipped = best
-    tree = parity_to_tree(ParityIndexSet(tuple(j + 1 for j in combo)))
-    return complement_tree(tree) if flipped else tree
+            if err in (0, nsamp):
+                tree = parity_to_tree(ParityIndexSet(tuple(j + 1 for j in combo)))
+                return tree if err == 0 else complement_tree(tree)
+    ones = label_col.bit_count()
+    return Leaf(1 if ones > nsamp - ones else 0)
 
 
 @st.composite
 def learner_cases(draw):
     """An oracle, its arity and a budget.
 
-    Span oracles with independent rows always admit an exact fit, so
-    the meet-in-the-middle answer is compared there.  Finite pmfs with
-    free labels often admit none, so the linear scan runs; with an even
-    handful of samples its error ties between a parity and its
-    complement are common, and plain must win them.
+    Span oracles with independent rows always admit an exact fit within
+    a full depth budget.  Finite pmfs with free labels often admit none,
+    so the better constant is returned; with an even handful of samples
+    its ties are common, and 0 must win them.
     """
     n = draw(st.integers(1, 7))
     if draw(st.booleans()):
@@ -330,28 +328,26 @@ class NoiseOracle:
         return BitVector(self.length, rng.getrandbits(self.length)), rng.getrandbits(1)
 
 
-def test_exhaustive_refuses_a_huge_search_up_front():
+def test_exhaustive_answers_a_huge_search_at_once():
     # Depth 16 over 80 coordinates: C(80, <=16), about 3e16 candidates.
     # The 256 noise samples give 80 independent columns, so the
-    # exact-fit search walks a one-element coset and finds no fit; the
-    # error scan is then refused on its estimate, before any table is
-    # built or any candidate graded.
+    # exact-fit search walks a one-element coset, finds no fit and the
+    # better constant comes back, with no table built.
     with (
         mock.patch.object(f2, "_search", side_effect=AssertionError),
         mock.patch.object(f2, "_half_table", side_effect=AssertionError),
-        mock.patch.object(learners, "_min_error_scan", side_effect=AssertionError),
     ):
         tracemalloc.start()
         try:
             started = time.monotonic()
-            with pytest.raises(ValueError, match=r"error scan over C\(80, <=16\).*SEARCH_MAX_COST"):
-                exhaustive_parity_learner(
-                    NoiseOracle(80), 80, LearnerBudget(1 << 16, 16, 256), random.Random(4)
-                )
+            tree = exhaustive_parity_learner(
+                NoiseOracle(80), 80, LearnerBudget(1 << 16, 16, 256), random.Random(4)
+            )
             elapsed = time.monotonic() - started
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+    assert isinstance(tree, Leaf)
     assert elapsed < 1.0
     assert peak < 2**20
 
@@ -380,9 +376,9 @@ class NoisyParityOracle:
 
 def noisy_cases():
     """Arity 24-28 at depth 4: noisy parities of size 0-4, the flips
-    leaving no exact fit.  Twin coordinates put candidates of equal
-    error in one row, and at 20-32 samples many candidates share the
-    minimum error: the first one in scan order must win."""
+    mostly leaving no exact fit.  Twin coordinates make equal columns,
+    so an exact fit at 20-32 samples is often shared by several
+    candidates: the first one in scan order must win."""
     rng = random.Random(61)
     for case in range(16):
         arity = rng.choice([24, 28])
@@ -400,12 +396,51 @@ def test_exhaustive_matches_the_scan_on_noisy_labels():
         assert got == scan_learner(oracle, arity, bud, random.Random(seed)), seed
 
 
-def test_exhaustive_matches_the_scan_with_single_column_rows(monkeypatch):
-    # Below one pair table's size the rows extend a prefix by one column.
-    monkeypatch.setattr(learners, "PAIR_TABLE_MAX_BYTES", 0)
-    for oracle, arity, bud, seed in itertools.islice(noisy_cases(), 6):
-        got = exhaustive_parity_learner(oracle, arity, bud, random.Random(seed))
-        assert got == scan_learner(oracle, arity, bud, random.Random(seed)), seed
+@given(
+    st.integers(4, 6),
+    st.integers(4, 6),
+    st.sampled_from([2, 3]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_no_fit_leaves_every_candidate_at_one_half(n, m, ell, seed):
+    # What the exhaustive learner's fallback rests on.  When the span's
+    # labels admit no parity fit of size <= 3, every lifted parity tree
+    # of size <= 3, plain or complemented, and both constants sit at
+    # lifted distance exactly 1/2: no candidate the learner skips beats
+    # the constant it returns.  The smallest sizes are also checked
+    # against the per-point enumeration.  Below 4 rows nearly every
+    # labelling has such a fit.
+    rng = random.Random(seed)
+    m = min(m, n)
+    while True:
+        masks = tuple(rng.getrandbits(n) for _ in range(m))
+        if rank(BitMatrix(m, n, masks)) == m:
+            break
+    points = tuple(BitVector(n, mk) for mk in masks)
+    small = [
+        ParityIndexSet(picks)
+        for size in range(4)
+        for picks in itertools.combinations(range(1, n + 1), size)
+    ]
+    for _ in range(16):
+        span = make_span_oracle(LabeledSet(points, tuple(rng.getrandbits(1) for _ in masks), n))
+        if all(exact_disagreement(span, s) != 0 for s in small):
+            break
+    else:
+        assume(False)
+    params = GadgetParams(ell, n)
+    half = Fraction(1, 2)
+    for size in range(4):
+        for picks in itertools.combinations(range(1, params.lifted_n + 1), size):
+            tree = parity_to_tree(ParityIndexSet(picks))
+            for t in (tree, complement_tree(tree)):
+                assert span_lifted_tree_error(t, span, params) == half
+                if size <= 1:
+                    assert exact_lifted_tree_error(t, span, params) == half
+    for leaf in (Leaf(0), Leaf(1)):
+        assert span_lifted_tree_error(leaf, span, params) == half
+        assert exact_lifted_tree_error(leaf, span, params) == half
 
 
 class ExplodingOracle:
@@ -419,8 +454,7 @@ def test_exhaustive_bounds_the_exact_fit_search(monkeypatch):
     # Arity 40 with 8 samples: columns of at most 8 bits leave a kernel
     # of dimension >= 32, so the search meets in the middle, and its
     # estimate is the meet in the middle's alone.  The labels are a
-    # parity of three coordinates, so an exact fit exists and the error
-    # scan never runs.
+    # parity of three coordinates, so an exact fit exists.
     oracle = NoisyParityOracle(40, 0b1011, 0.0)
     bud = LearnerBudget(16, 4, 8)
     estimate = f2._mitm_cost(40, 2, 4)
@@ -433,64 +467,13 @@ def test_exhaustive_bounds_the_exact_fit_search(monkeypatch):
             exhaustive_parity_learner(oracle, 40, bud, random.Random(3))
 
 
-def test_exhaustive_bounds_the_error_scan(monkeypatch):
-    # Noisy labels over 24 independent 64-sample columns admit no exact
-    # fit; the exact-fit search walks a one-element coset well within
-    # the bound, and the scan grades C(24, <=4) candidates of one word.
-    oracle = NoisyParityOracle(24, 0b111, 0.3)
-    bud = LearnerBudget(16, 4, 64)
-    estimate = sum(math.comb(24, s) for s in range(5))
-    scan = mock.Mock(wraps=learners._min_error_scan)
-    monkeypatch.setattr(learners, "_min_error_scan", scan)
-    monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate)
-    want = scan_learner(oracle, 24, bud, random.Random(5))
-    assert exhaustive_parity_learner(oracle, 24, bud, random.Random(5)) == want
-    assert scan.call_count == 1
-    monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate - 1)
-    with pytest.raises(ValueError, match=rf"C\(24, <=4\).*{estimate} steps"):
-        exhaustive_parity_learner(oracle, 24, bud, random.Random(5))
-    assert scan.call_count == 1
-
-
-def test_error_scan_estimate_weighs_the_sample_width():
-    # One step per candidate, plus one per 16 words of a column.
-    candidates = sum(math.comb(30, s) for s in range(4))
-    for nsamp, weight in ((1, 1), (960, 1), (961, 2), (2000, 3), (64 * 160, 11)):
-        assert learners._scan_cost(30, nsamp, 3) == candidates * weight
-
-
-def test_pair_table_stays_within_its_byte_cap(monkeypatch):
-    # Random columns at arity 100, sizes <= 2, 2000 samples.  At a cap
-    # equal to the pair table's estimate the scan builds the table and
-    # peaks within the estimate; one byte less and it falls back to
-    # single-column rows.
-    rng = random.Random(9)
-    cols = [rng.getrandbits(2000) for _ in range(100)]
-    label_col = rng.getrandbits(2000)
-    cap = learners._pair_table_bytes(100, 2000)
-    peaks = []
-    for limit in (cap, cap - 1):
-        monkeypatch.setattr(learners, "PAIR_TABLE_MAX_BYTES", limit)
-        tracemalloc.start()
-        try:
-            best = learners._min_error_scan(cols, label_col, 2000, 2, 1000, ((), False))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        peaks.append((peak, best))
-    assert cap // 2 < peaks[0][0] <= cap
-    assert peaks[1][0] < cap // 8
-    assert peaks[0][1] == peaks[1][1]
-
-
 def test_error_scan_retains_no_memory():
     # With the cyclic collector off, anything caught in a reference cycle
-    # (a table, a recursive closure) outlives its call.  Thirty
-    # no-exact-fit calls at arity 28, each building a pair table, must
-    # create no unreachable object and leave no memory behind.  The
-    # warm-up calls run traced, so that objects parked in CPython's free
-    # lists are counted before.
-    oracle = NoisyParityOracle(28, 0b1011, 0.3)
+    # (a table, a recursive closure) outlives its call.  Thirty calls at
+    # arity 28 that each return a parity tree must create no unreachable
+    # object and leave no memory behind.  The warm-up calls run traced,
+    # so that objects parked in CPython's free lists are counted before.
+    oracle = NoisyParityOracle(28, 0b1011, 0.0)
     bud = LearnerBudget(8, 3, 100)
     enabled = gc.isenabled()
     gc.disable()
@@ -498,7 +481,7 @@ def test_error_scan_retains_no_memory():
     tracemalloc.start()
     try:
         for seed in range(3):
-            exhaustive_parity_learner(oracle, 28, bud, random.Random(seed))
+            assert exhaustive_parity_learner(oracle, 28, bud, random.Random(seed)).size == 8
         before, _ = tracemalloc.get_traced_memory()
         for seed in range(30):
             exhaustive_parity_learner(oracle, 28, bud, random.Random(seed))
@@ -563,10 +546,11 @@ def test_greedy_respects_budgets():
 
 
 def test_greedy_bounds_its_splitting_before_sampling(monkeypatch):
-    # Worst case min(size, samples) = 8 splits, each reading 24 columns
-    # of 4 words (200 samples).
+    # Worst case 2 * min(size, samples) - 1 = 15 nodes, each reading 24
+    # columns of 4 words (200 samples) at 6 steps a column.
     bud = LearnerBudget(8, 3, 200)
-    estimate = 8 * 24 * 4
+    estimate = 15 * 24 * 6
+    assert learners._greedy_cost(24, bud) == estimate
     monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate)
     oracle = NoisyParityOracle(24, 0b11, 0.1)
     got = greedy_learner(oracle, 24, bud, random.Random(2))
@@ -574,10 +558,13 @@ def test_greedy_bounds_its_splitting_before_sampling(monkeypatch):
     monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate - 1)
     with pytest.raises(ValueError, match=f"{estimate} steps, past SEARCH_MAX_COST"):
         greedy_learner(ExplodingOracle(), 24, bud, random.Random(2))
-    # Fewer samples than the size budget: a split per sample at most.
-    bud = LearnerBudget(1 << 20, 20, 100)
-    monkeypatch.setattr(learners, "SEARCH_MAX_COST", 100 * 24 * 2 - 1)
-    with pytest.raises(ValueError, match="SEARCH_MAX_COST"):
+    # Fewer samples than the size budget: the sample bounds the nodes.
+    # A column of 2000 samples (32 words) costs 6 + 2 steps.
+    bud = LearnerBudget(1 << 20, 20, 2000)
+    estimate = (2 * 2000 - 1) * 24 * 8
+    assert learners._greedy_cost(24, bud) == estimate
+    monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate - 1)
+    with pytest.raises(ValueError, match=f"{estimate} steps, past SEARCH_MAX_COST"):
         greedy_learner(ExplodingOracle(), 24, bud, random.Random(2))
 
 

@@ -467,8 +467,8 @@ class JumpingClock:
 
 def test_reports_do_not_depend_on_the_clock(monkeypatch):
     # Planted searches and decides, and far decides whose exhaustive
-    # learner runs the full error scan, for both learners: the reports
-    # are the same however the clock moves.
+    # learner finds no exact fit, for both learners: the reports are
+    # the same however the clock moves.
     def runs():
         reports = []
         for learner in (exhaustive_parity_learner, greedy_learner):
