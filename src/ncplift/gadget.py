@@ -5,7 +5,8 @@ lifted coordinates, block i covering positions (i-1)*ell+1 .. i*ell.
 The fold map sends a lifted string to the per-block parities; lifting a
 base example draws the block contents uniformly among strings with the
 required parity (ell-1 free bits per block, the last bit fixing the
-parity), keeping the label.
+parity), keeping the label, and a packed sample lifts a column at a
+time (``lift_columns``).
 
 Exact quantities below are computed in closed form per base point from
 two elementary facts about a uniform parity-constrained block: any
@@ -29,6 +30,7 @@ from typing import Iterator
 from .dtree import DecisionTree, Leaf, Node, ParityIndexSet
 from .f2 import BitMatrix, BitVector, eliminate
 from .instance import _randbelow
+from .learners import pack_examples
 
 __all__ = [
     "GadgetParams",
@@ -37,6 +39,7 @@ __all__ = [
     "Restriction",
     "blockwise_parity",
     "lift_sample",
+    "lift_columns",
     "lift_parity",
     "unlift_parity",
     "is_block_complete",
@@ -151,8 +154,19 @@ class GadgetOracle:
         return self.params.lifted_n
 
     def sample(self, rng: Random) -> tuple[BitVector, int]:
-        pair = self.base.sample(rng)
-        return lift_sample(pair, self.params, rng)
+        """One lifted example: row 0 of ``sample_columns(rng, 1)``."""
+        cols, label = self.sample_columns(rng, 1)
+        return BitVector(self.length, sum(c << j for j, c in enumerate(cols))), label
+
+    def sample_columns(self, rng: Random, count: int) -> tuple[list[int], int]:
+        """count lifted examples packed into per-coordinate bit columns
+        (bit r of a column is example r), with the label column.
+
+        The base examples are drawn first and packed at base arity,
+        then ``lift_columns`` draws every block's free columns.
+        """
+        base_cols, label_col = pack_examples(self.base, count, rng)
+        return lift_columns(base_cols, count, self.params, rng), label_col
 
     def enumerate_weighted(
         self, max_lifted_arity: int = 16
@@ -207,7 +221,8 @@ def lift_sample(
 
     Per block, the first ell-1 coordinates are uniform and the last one
     fixes the block parity.  All free bits come from one getrandbits
-    draw.
+    draw.  The oracle lifts a packed sample with ``lift_columns``
+    instead; the tests check both against ``enumerate_lifted``.
     """
     x, label = pair
     if x.length != params.base_n:
@@ -223,6 +238,29 @@ def lift_sample(
         last = (free.bit_count() & 1) ^ ((xm >> i) & 1)
         ym |= (free | (last << (ell - 1))) << (i * ell)
     return BitVector(params.lifted_n, ym), label
+
+
+def lift_columns(
+    base_cols: list[int], count: int, params: GadgetParams, rng: Random
+) -> list[int]:
+    """Uniform preimages of a packed base sample under the fold.
+
+    ``base_cols`` holds base_n columns of count bits, bit r of column i
+    being base coordinate i+1 of example r.  Block i of the result is
+    ell-1 uniform columns, one ``getrandbits(count)`` draw each, then
+    base column i XOR those: lifted column i*ell + r is lifted
+    coordinate i*ell + r + 1, as ``lift_sample`` lays out one example.
+    """
+    if len(base_cols) != params.base_n:
+        raise ValueError(f"expected {params.base_n} base columns, got {len(base_cols)}")
+    out = []
+    for col in base_cols:
+        for _ in range(params.ell - 1):
+            free = rng.getrandbits(count)
+            out.append(free)
+            col ^= free
+        out.append(col)
+    return out
 
 
 def lift_parity(s_star: ParityIndexSet, params: GadgetParams) -> ParityIndexSet:

@@ -1,11 +1,14 @@
 """Proper decision-tree learners over labeled-example oracles.
 
 A learner is any callable ``learner(oracle, arity, budget, rng)``
-that draws at most ``budget.sample_budget`` (point, label) pairs from
-``oracle.sample(rng)`` and returns a decision tree whose size and depth
-respect the budget (a hard contract).  No clock bounds it: a search
-whose cost estimate passes ``f2.SEARCH_MAX_COST`` raises ``ValueError``
-before it starts.
+that draws at most ``budget.sample_budget`` labeled examples from an
+oracle of length ``arity`` and returns a decision tree whose size and
+depth respect the budget (a hard contract).  An oracle offers
+``sample(rng)``, one (point, label) pair, and may offer
+``sample_columns(rng, count)``, count examples already packed into bit
+columns; the learners here draw through the latter when it is there.
+No clock bounds a learner: a search whose cost estimate passes
+``f2.SEARCH_MAX_COST`` raises ``ValueError`` before it starts.
 
 The exhaustive learner is a consistent learner, which is all the
 reduction needs (Blumer, Ehrenfeucht, Haussler and Warmuth, "Occam's
@@ -82,19 +85,50 @@ def _sample_columns(
     """A fresh sample packed into per-coordinate bit columns (bit r of
     a column is example r), with the label column and the sample count.
 
+    An oracle with a ``sample_columns(rng, count)`` method draws the
+    packed sample itself; any other is drawn an example at a time by
+    ``pack_examples``.
+
+    Raises:
+        ValueError: when ``arity`` is not the oracle's length.
+    """
+    if arity != oracle.length:
+        raise ValueError(f"arity {arity} does not match the oracle's length {oracle.length}")
+    nsamp = budget.sample_budget
+    if hasattr(oracle, "sample_columns"):
+        cols, label_col = oracle.sample_columns(rng, nsamp)
+    else:
+        cols, label_col = pack_examples(oracle, nsamp, rng)
+    return cols, label_col, nsamp
+
+
+def pack_examples(oracle, count: int, rng: Random) -> tuple[list[int], int]:
+    """``count`` draws of ``oracle.sample(rng)`` packed into the
+    oracle's ``length`` bit columns and a label column.
+
     The labels ride in as column 0 of the transposed matrix.
     """
-    draws = (oracle.sample(rng) for _ in range(budget.sample_budget))
+    draws = (oracle.sample(rng) for _ in range(count))
     rows = tuple(point.mask << 1 | label for point, label in draws)
-    label_col, *cols = BitMatrix(len(rows), arity + 1, rows).column_masks()
-    return cols, label_col, len(rows)
+    label_col, *cols = BitMatrix(count, oracle.length + 1, rows).column_masks()
+    return cols, label_col
 
 
-def sample_bytes(arity: int, nsamp: int) -> int:
-    """Peak bytes of packing a sample of nsamp examples: per example,
-    its row as an int and as an (arity + 1)-character string while
-    ``column_masks`` transposes them, as CPython 3 lays them out."""
-    return nsamp * (arity * 4 // 3 + 176)
+def sample_bytes(arity: int, nsamp: int, lifted: int = 0) -> int:
+    """Peak bytes of drawing a packed sample of nsamp examples at the
+    given arity, then lifting it to ``lifted`` columns (0: no gadget),
+    as CPython 3 lays them out.
+
+    Packing keeps, per example, its row as an int and as an
+    (arity + 1)-character string while ``column_masks`` transposes
+    them.  Lifting starts once that is freed and keeps the base columns
+    and the lifted ones, each an nsamp-bit int in 30-bit digits plus
+    about 48 bytes of header, list slot and list growth.  The peak is
+    the larger phase.
+    """
+    packing = nsamp * (arity * 4 // 3 + 176)
+    lifting = (arity + lifted) * ((nsamp + 29) // 30 * 4 + 48) if lifted else 0
+    return max(packing, lifting)
 
 
 def exhaustive_parity_learner(

@@ -154,12 +154,15 @@ def _thresholds(inst: SyndromeInstance, cfg: ReductionConfig) -> tuple[int, floa
 
 
 def _check_sample_size(inst: SyndromeInstance, cfg: ReductionConfig) -> None:
-    arity = cfg.ell * inst.n
-    need = sample_bytes(arity, cfg.learner_samples)
+    """The gadget oracle packs its sample at base arity n and lifts it
+    to ell*n columns (``GadgetOracle.sample_columns``)."""
+    lifted = cfg.ell * inst.n
+    need = sample_bytes(inst.n, cfg.learner_samples, lifted)
     if need > SAMPLE_MAX_BYTES:
         raise ValueError(
-            f"packing {cfg.learner_samples} samples of arity {arity} takes about "
-            f"{need} bytes, past SAMPLE_MAX_BYTES = {SAMPLE_MAX_BYTES}"
+            f"packing {cfg.learner_samples} samples of arity {inst.n} and lifting them "
+            f"to arity {lifted} takes about {need} bytes, "
+            f"past SAMPLE_MAX_BYTES = {SAMPLE_MAX_BYTES}"
         )
 
 

@@ -22,6 +22,7 @@ from ncplift.gadget import (
     exact_lifted_tree_error,
     exact_restriction_probability,
     is_block_complete,
+    lift_columns,
     lift_parity,
     lift_sample,
     span_lifted_agreement,
@@ -162,6 +163,88 @@ def test_lift_sample_fiber_uniform_chi_squared():
         stat += (counts.get(key, 0) - expected) ** 2 / expected
     threshold = scipy.stats.chi2.ppf(1 - 1e-3, df=len(exact) - 1)
     assert stat < threshold
+
+
+class RowsOracle:
+    """Base source replaying fixed (mask, label) rows in order."""
+
+    def __init__(self, rows, length):
+        self.rows = rows
+        self.length = length
+        self.pos = 0
+
+    def sample(self, rng):
+        mask, label = self.rows[self.pos % len(self.rows)]
+        self.pos += 1
+        return BitVector(self.length, mask), label
+
+
+def column_rows(cols, count):
+    """Row r of packed columns, as a mask."""
+    return [sum((c >> r & 1) << j for j, c in enumerate(cols)) for r in range(count)]
+
+
+@given(st.integers(1, 4), st.integers(0, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sample_columns_fold_to_their_base_rows(ell, n, data):
+    params = GadgetParams(ell=ell, base_n=n)
+    count = data.draw(st.integers(1, 70))
+    rows = data.draw(
+        st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, 1)),
+                 min_size=count, max_size=count)
+    )
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    cols, label_col = GadgetOracle(RowsOracle(rows, n), params).sample_columns(rng, count)
+    assert len(cols) == params.lifted_n
+    assert all(0 <= c < 1 << count for c in cols)
+    for r, y in enumerate(column_rows(cols, count)):
+        assert blockwise_parity(BitVector(params.lifted_n, y), params).mask == rows[r][0]
+        assert label_col >> r & 1 == rows[r][1]
+    assert label_col < 1 << count
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_sample_columns_fiber_uniform_chi_squared(ell):
+    # The packed sampler's rows against the exact lifted law, on the
+    # base of ``test_lift_sample_fiber_uniform_chi_squared``, rejected
+    # only below the 10**-3 quantile.
+    base = pmf([("00", 0, 1), ("11", 1, 2), ("10", 1, 1)], 2)
+    params = GadgetParams(ell=ell, base_n=2)
+    exact = {
+        (y.mask, lab): w for y, w, lab in enumerate_lifted(base, params)
+    }
+    assert sum(exact.values()) == 1
+    oracle = GadgetOracle(base, params)
+    rng = random.Random(1013)
+    draws = 10**5
+    counts: dict[tuple[int, int], int] = {}
+    for _ in range(draws // 1000):
+        cols, label_col = oracle.sample_columns(rng, 1000)
+        for r, y in enumerate(column_rows(cols, 1000)):
+            key = (y, label_col >> r & 1)
+            counts[key] = counts.get(key, 0) + 1
+    assert set(counts) <= set(exact)
+    stat = 0.0
+    for key, w in exact.items():
+        expected = float(w) * draws
+        stat += (counts.get(key, 0) - expected) ** 2 / expected
+    threshold = scipy.stats.chi2.ppf(1 - 1e-3, df=len(exact) - 1)
+    assert stat < threshold
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_gadget_sample_is_row_zero_of_sample_columns(ell):
+    base = pmf([("00", 0, 1), ("11", 1, 2), ("10", 1, 1)], 2)
+    oracle = GadgetOracle(base, GadgetParams(ell=ell, base_n=2))
+    for seed in range(20):
+        y, lab = oracle.sample(random.Random(seed))
+        cols, label_col = oracle.sample_columns(random.Random(seed), 1)
+        assert (y.mask, lab) == (column_rows(cols, 1)[0], label_col)
+
+
+def test_lift_columns_rejects_a_column_count_off_the_base():
+    with pytest.raises(ValueError):
+        lift_columns([0, 1, 1], 1, P2, random.Random(0))
 
 
 def test_gadget_oracle_wraps_base():

@@ -25,6 +25,7 @@ from ncplift.dtree import (
 from ncplift.f2 import BitMatrix, BitVector, rank
 from ncplift.gadget import (
     FinitePmf,
+    GadgetOracle,
     GadgetParams,
     exact_lifted_tree_error,
     span_lifted_tree_error,
@@ -698,17 +699,38 @@ def test_sample_columns_draws_in_the_oracle_order():
     ]
 
 
-@pytest.mark.parametrize("arity", [2, 28, 200, 800])
-def test_sample_columns_peaks_within_its_estimate(arity):
+@pytest.mark.parametrize(
+    "arity, ell",
+    [
+        pytest.param(arity, ell, id=f"{arity}-ell{ell}" if ell else f"{arity}")
+        for arity, ell in [(2, 0), (28, 0), (200, 0), (800, 0), (14, 2), (2, 400), (1, 2000)]
+    ],
+)
+def test_sample_columns_peaks_within_its_estimate(arity, ell):
     # ``sample_bytes`` is what the pipelines check against
-    # ``SAMPLE_MAX_BYTES`` before sampling.
+    # ``SAMPLE_MAX_BYTES`` before sampling.  ell = 0: a plain oracle;
+    # otherwise a gadget over it, (14, 2) as the pipelines run it,
+    # (1, 2000) with lifting the larger phase, (2, 400) near the point
+    # where the two phases cross.
     nsamp = 5000
     oracle = NoiseOracle(arity)
+    if ell:
+        oracle = GadgetOracle(oracle, GadgetParams(ell, arity))
     tracemalloc.start()
     try:
-        learners._sample_columns(oracle, arity, budget(samples=nsamp), random.Random(1))
+        learners._sample_columns(oracle, oracle.length, budget(samples=nsamp), random.Random(1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    estimate = learners.sample_bytes(arity, nsamp)
+    estimate = learners.sample_bytes(arity, nsamp, ell * arity)
     assert estimate * 2 // 3 < peak <= estimate
+
+
+@pytest.mark.parametrize("ell", [0, 2])
+def test_sample_columns_refuses_an_arity_off_the_oracle(ell):
+    oracle = NoiseOracle(6)
+    if ell:
+        oracle = GadgetOracle(oracle, GadgetParams(ell, 6))
+    for arity in (oracle.length - 1, oracle.length + 1):
+        with pytest.raises(ValueError, match="length"):
+            learners._sample_columns(oracle, arity, budget(samples=10), random.Random(0))

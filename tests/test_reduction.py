@@ -420,8 +420,17 @@ def test_search_many_planted_seeds():
 # ---------------------------------------------------------------- certificates
 
 
-def largest_sample_within_the_bound(arity):
-    return SAMPLE_MAX_BYTES // sample_bytes(arity, 1)
+def largest_sample_within_the_bound(n, ell):
+    """Largest sample the pipelines accept at base arity n, lifted by
+    ell; ``sample_bytes`` grows with the sample size."""
+    lo, hi = 0, SAMPLE_MAX_BYTES
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if sample_bytes(n, mid, ell * n) <= SAMPLE_MAX_BYTES:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def test_search_bounds_ell_times_k_before_learning():
@@ -443,8 +452,8 @@ def test_pipelines_bound_the_sample_before_sampling(pipeline):
     # is refused before the learner runs.
     raw, _ = random_planted(14, 12, 2, 5)
     inst = SyndromeInstance(raw.h, raw.t, raw.k, Fraction(3))
-    most = largest_sample_within_the_bound(2 * 14)
-    assert sample_bytes(2 * 14, most + 1) > SAMPLE_MAX_BYTES
+    most = largest_sample_within_the_bound(14, CFG.ell)
+    assert sample_bytes(14, most + 1, CFG.ell * 14) > SAMPLE_MAX_BYTES
     cfg = ReductionConfig(learner_samples=most)
     pipeline(inst, cfg, planted_learner(index_set()), random.Random(0))
     cfg = ReductionConfig(learner_samples=most + 1)
