@@ -23,23 +23,18 @@ from pathlib import Path
 from random import Random
 
 from .dtree import format_tree
-from .f2 import FormatError, parse_vector
+from .f2 import FormatError, format_vector, parse_vector
 from .instance import (
     brute_force_nearest,
     load_instance,
     random_planted,
     write_syndrome_instance,
 )
-from .learners import exhaustive_parity_learner, greedy_learner
+from .learners import exhaustive_parity_learner
 from .reduction import ReductionConfig, decide, search, verify_certificate
 from .selftest import FAULT_IDS, run_all
 
 __all__ = ["main"]
-
-_LEARNERS = {
-    "exhaustive": exhaustive_parity_learner,
-    "greedy": greedy_learner,
-}
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -107,10 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _reduction_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ell", type=int, default=2, help="gadget block width (default 2)")
-    p.add_argument("--learner", choices=sorted(_LEARNERS), default="exhaustive",
-                   help="exhaustive (default) or greedy; greedy is a negative control: "
-                        "the gadget hides correlation with single coordinates, so it "
-                        "solves about 1 in 8 planted n=14 m=10 k=2 instances, by chance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prune-c", type=int, default=3, help="pruning constant (default 3)")
     p.add_argument("--samples", type=int, default=2000, help="learner sample budget")
@@ -143,7 +134,7 @@ def _cmd_gen(args, started: float) -> int:
     out = Path(args.out)
     out.write_text(write_syndrome_instance(inst))
     sidecar = Path(str(out) + ".planted")
-    sidecar.write_text(f"1 {planted.length}\n{planted.to01()}\n")
+    sidecar.write_text(format_vector(planted))
     _report(
         command="gen", **_instance_fields(inst), seed=args.seed,
         outcome="written", out=out, planted=sidecar,
@@ -171,12 +162,11 @@ def _cmd_solve_exact(args, started: float) -> int:
 
 def _cmd_solve_reduce(args, started: float) -> int:
     inst = load_instance(Path(args.instance).read_text())
-    report = search(inst, _config(args), _LEARNERS[args.learner], Random(args.seed))
+    report = search(inst, _config(args), exhaustive_parity_learner, Random(args.seed))
     if args.dump_hypothesis and report.hypothesis is not None:
         Path(args.dump_hypothesis).write_text(format_tree(report.hypothesis) + "\n")
     _report(
-        command="solve-reduce", **_instance_fields(inst), ell=args.ell,
-        learner=args.learner, seed=args.seed,
+        command="solve-reduce", **_instance_fields(inst), ell=args.ell, seed=args.seed,
         outcome="solution" if report.ok else f"failure:{report.reason}",
         sparsity=None if report.solution is None else report.solution.sparsity,
         hypothesis_size=report.hypothesis_size, candidates=report.candidates,
@@ -191,11 +181,10 @@ def _cmd_solve_reduce(args, started: float) -> int:
 
 def _cmd_decide(args, started: float) -> int:
     inst = load_instance(Path(args.instance).read_text())
-    report = decide(inst, _config(args), _LEARNERS[args.learner], Random(args.seed))
+    report = decide(inst, _config(args), exhaustive_parity_learner, Random(args.seed))
     vacuous = report.reason == "vacuous-gate"
     _report(
-        command="decide", **_instance_fields(inst), ell=args.ell,
-        learner=args.learner, seed=args.seed,
+        command="decide", **_instance_fields(inst), ell=args.ell, seed=args.seed,
         outcome="error" if vacuous else "Yes" if report.accepted else f"No:{report.reason}",
         reason=report.reason if vacuous else None,
         error=(

@@ -28,7 +28,6 @@ __all__ = [
     "Elimination",
     "eliminate",
     "rank",
-    "row_reduce",
     "dual_basis",
     "XOR_TABLE_MAX_ENTRIES",
     "COSET_MAX_KERNEL_DIM",
@@ -297,23 +296,6 @@ def eliminate(vectors: Iterable[int]) -> Elimination:
     return Elimination(tuple(basis), tuple(pivots), tuple(combos), tuple(kernel))
 
 
-def row_reduce(m: BitMatrix) -> BitMatrix:
-    """Reduced row echelon form of ``m`` (same shape, zero rows last).
-
-    Pivots are the lowest set bits of the eliminated rows.  In pivot
-    order, each row is cleared of the pivots after its own, last row
-    first, so every row XORed in is already clear of them.
-    """
-    elim = eliminate(m.row_masks)
-    rows = sorted(elim.basis, key=lambda b: b & -b)
-    for i in range(len(rows) - 1, 0, -1):
-        piv = rows[i] & -rows[i]
-        for j in range(i):
-            if rows[j] & piv:
-                rows[j] ^= rows[i]
-    return BitMatrix(m.rows, m.cols, tuple(rows) + (0,) * len(elim.kernel))
-
-
 def rank(m: BitMatrix) -> int:
     return len(eliminate(m.row_masks).basis)
 
@@ -351,10 +333,9 @@ COSET_MAX_KERNEL_DIM = 28
 # checks and the learner's lifted columns), an elimination step too.
 COSET_STEP_COST = 1
 
-# Most steps any exhaustive search takes on: ``sparse_xor_search``
-# when a caller passes it as ``max_cost``, and the greedy learner's
-# splitting, in the same unit.  At 90 to 250 ns a step (Python 3.11),
-# about half a minute to a minute.
+# Most steps ``sparse_xor_search`` takes when a caller passes it as
+# ``max_cost``.  At 90 to 250 ns a step (Python 3.11), about half a
+# minute to a minute.
 SEARCH_MAX_COST = 1 << 28
 
 # Kernel vectors whose span makes one row of the coset walk.

@@ -6,7 +6,7 @@ oracle of length ``arity`` and returns a decision tree whose size and
 depth respect the budget (a hard contract).  An oracle offers
 ``sample(rng)``, one (point, label) pair, and may offer
 ``sample_columns(rng, count)``, count examples already packed into bit
-columns; the learners here draw through the latter when it is there.
+columns; the exhaustive learner draws through the latter when it is there.
 No clock bounds a learner: a search whose cost estimate passes
 ``f2.SEARCH_MAX_COST`` raises ``ValueError`` before it starts.
 
@@ -14,7 +14,6 @@ The exhaustive learner is a consistent learner, which is all the
 reduction needs (Blumer, Ehrenfeucht, Haussler and Warmuth, "Occam's
 Razor", IPL 1987): it returns a parity tree fitting every drawn example
 when one fits within the budget, and otherwise the better constant.
-The greedy learner is a negative control.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "LearnerBudget",
     "parity_to_tree",
     "exhaustive_parity_learner",
-    "greedy_learner",
     "planted_learner",
 ]
 
@@ -168,74 +166,6 @@ def exhaustive_parity_learner(
     support, target = exact
     tree = parity_to_tree(ParityIndexSet(tuple(j + 1 for j in range(arity) if support >> j & 1)))
     return complement_tree(tree) if target == 1 else tree
-
-
-def _greedy_cost(arity: int, budget: LearnerBudget) -> int:
-    """``greedy_learner``'s worst case in the steps of
-    ``f2.SEARCH_MAX_COST``.  A node that tries a split reads every
-    column, and at most 2 * min(size budget, samples) - 1 nodes try:
-    each split, and each leaf whose try failed.  A column costs 6 steps
-    plus one per 16 64-bit words: timed over 28 columns (Python 3.11),
-    1.5-1.9 us at 1 word, 1.8-2.4 us at 32 (2000 samples), 2.7-2.9 us at
-    64, 4.3-6.3 us at 256 and 13-18 us at 1024, against 180-300 ns a
-    meet-in-the-middle step in the same runs."""
-    nodes = 2 * min(budget.size_budget, budget.sample_budget) - 1
-    words = -(-budget.sample_budget // 64)
-    return nodes * arity * (6 + words // 16)
-
-
-def greedy_learner(oracle, arity: int, budget: LearnerBudget, rng: Random) -> DecisionTree:
-    """Top-down splits by empirical error reduction.
-
-    At each node the split coordinate is the unused one whose majority
-    labels on both sides remove the most empirical errors; ties go to
-    the lowest index, and a node becomes a leaf when no split strictly
-    helps, the sample is pure, or a budget limit is reached.  Majority
-    ties label 0.  A node's examples are a bit mask over the packed
-    sample, so each side's counts are popcounts against the columns.
-
-    Raises:
-        ValueError: before sampling, when its worst case
-            (``_greedy_cost``) passes ``f2.SEARCH_MAX_COST``.
-    """
-    cost = _greedy_cost(arity, budget)
-    if cost > SEARCH_MAX_COST:
-        raise ValueError(
-            f"greedy splitting of {budget.sample_budget} samples at arity {arity} takes "
-            f"about {cost} steps, past SEARCH_MAX_COST = {SEARCH_MAX_COST}"
-        )
-    cols, label_col, nsamp = _sample_columns(oracle, arity, budget, rng)
-    splits_left = budget.size_budget - 1
-
-    def build(subset: int, used: int, depth: int) -> DecisionTree:
-        nonlocal splits_left
-        total = subset.bit_count()
-        ones = (subset & label_col).bit_count()
-        maj, err = (1, total - ones) if ones > total - ones else (0, ones)
-        if err == 0 or depth == budget.depth_budget or splits_left == 0:
-            return Leaf(maj)
-        best_gain = 0
-        best_coord = None
-        for j, col in enumerate(cols):
-            if used >> j & 1:
-                continue
-            hi = subset & col
-            hi_n = hi.bit_count()
-            hi_ones = (hi & label_col).bit_count()
-            lo_n, lo_ones = total - hi_n, ones - hi_ones
-            gain = err - min(lo_ones, lo_n - lo_ones) - min(hi_ones, hi_n - hi_ones)
-            if gain > best_gain:
-                best_gain, best_coord = gain, j
-        if best_coord is None:
-            return Leaf(maj)
-        splits_left -= 1
-        col = cols[best_coord]
-        used |= 1 << best_coord
-        low = build(subset & ~col, used, depth + 1)
-        high = build(subset & col, used, depth + 1)
-        return Node(best_coord + 1, low, high)
-
-    return build((1 << nsamp) - 1, 0, 0)
 
 
 def planted_learner(s: ParityIndexSet):

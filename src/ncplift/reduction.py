@@ -24,14 +24,14 @@ from random import Random
 from .dtree import DecisionTree, ParityIndexSet, path_support_sets, prune
 
 # Not called here: the benchmark's tracer (bench/spans.py) wraps
-# ``reduction.estimate_distance``, and a traced run fails when the name
-# is missing.
+# ``reduction.estimate_distance`` and ``reduction.exact_lifted_agreement``,
+# and a traced run fails when either name is missing.
 from .dtree import estimate_distance  # noqa: F401
+from .gadget import exact_lifted_agreement  # noqa: F401
 from .f2 import BitVector, mat_vec
 from .gadget import (
     GadgetOracle,
     GadgetParams,
-    exact_lifted_agreement,
     span_lifted_agreement,
     span_lifted_tree_error,
     unlift_parity,
@@ -211,21 +211,26 @@ def extract_parity(
 ) -> list[tuple[ParityIndexSet, Fraction]]:
     """Candidate parities from the tree's path supports, best first.
 
-    Every candidate gets its exact agreement with the lifted source:
-    over a span base from the span dichotomy in closed form
-    (``span_lifted_agreement``, one pass over the basis), over any
-    other base (a ``FinitePmf``) by ``exact_lifted_agreement``.
-    Sorting is by agreement descending, then smaller sets, then
-    lexicographic order, so the ranking is total.
+    The oracle's base must be a span (a ``SpanOracle``), as every
+    pipeline builds it.  Every candidate gets its exact agreement with
+    the lifted source from the span dichotomy in closed form
+    (``span_lifted_agreement``, one pass over the basis).  Sorting is
+    by agreement descending, then smaller sets, then lexicographic
+    order, so the ranking is total.
 
     If the tree sits at distance 1/2 - gamma from the source, the top
     candidate has agreement at least 1/2 + gamma / 4**depth.
+
+    Raises:
+        ValueError: when the base is not a span, or the tree is deeper
+            than ``EXTRACT_MAX_DEPTH``.
     """
+    base = oracle.base
+    if not isinstance(base, SpanOracle):
+        raise ValueError(f"extraction needs a span base, not {type(base).__name__}")
     if tree.depth > EXTRACT_MAX_DEPTH:
         raise ValueError(f"extraction capped at tree depth {EXTRACT_MAX_DEPTH}")
-    base = oracle.base
-    agreement = span_lifted_agreement if isinstance(base, SpanOracle) else exact_lifted_agreement
-    scored = [(s, agreement(base, s, oracle.params)) for s in path_support_sets(tree)]
+    scored = [(s, span_lifted_agreement(base, s, oracle.params)) for s in path_support_sets(tree)]
     scored.sort(key=lambda item: (-item[1], len(item[0]), item[0].indices))
     return scored
 

@@ -143,7 +143,7 @@ def test_solve_reduce_round_trip(tmp_path, capsys):
     out = gen_planted(tmp_path, capsys, n=14, m=10, k=2, seed=7)
     code, stdout, err = run(
         capsys, "solve-reduce", str(out),
-        "--ell", "2", "--learner", "exhaustive", "--seed", "7",
+        "--ell", "2", "--seed", "7",
     )
     assert code == 0
     solution = stdout.strip()
@@ -153,6 +153,16 @@ def test_solve_reduce_round_trip(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", str(out), str(sol), "--k-max", "6")
     assert code == 0
     assert stdout.strip() == "OK"
+
+
+def test_solve_reduce_has_no_learner_option(tmp_path, capsys):
+    # The exhaustive learner is the only one, so there is nothing to
+    # choose: the old flag is a usage error.
+    out = gen_planted(tmp_path, capsys, n=14, m=10, k=2, seed=7)
+    code, stdout, err = run(capsys, "solve-reduce", str(out), "--learner", "exhaustive")
+    assert code == 2
+    assert stdout == ""
+    assert "unrecognized arguments: --learner exhaustive" in err
 
 
 def test_solve_reduce_past_span_enumeration_cap(tmp_path, capsys):

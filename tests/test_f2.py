@@ -23,7 +23,6 @@ from ncplift.f2 import (
     parse_matrix,
     parse_vector,
     rank,
-    row_reduce,
     sparse_xor_search,
 )
 from ncplift import f2
@@ -201,22 +200,13 @@ def test_mat_vec_is_linear(r, c, data):
     assert mat_vec(m, BitVector.zeros(c)) == BitVector.zeros(r)
 
 
-# ---------------------------------------------------------------- rank, rref
+# ---------------------------------------------------------------- rank, elimination
 
 
 def test_rank_small_cases():
     assert rank(BitMatrix.identity(4)) == 4
     assert rank(BitMatrix.zeros(3, 3)) == 0
     assert rank(BitMatrix.from_rows(["11", "11"])) == 1
-
-
-def test_row_reduce_idempotent():
-    rng = random.Random(7)
-    for _ in range(100):
-        m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        red = row_reduce(m)
-        assert row_reduce(red) == red
-        assert rank(red) == rank(m)
 
 
 def test_eliminate_tracks_combinations_exhaustively():
@@ -240,20 +230,6 @@ def test_eliminate_tracks_combinations_exhaustively():
                 assert (residue == 0) == in_span
                 if in_span:
                     assert f2._xor_columns(vectors, combo) == v
-
-
-def test_row_reduce_is_the_reduced_echelon_form():
-    rng = random.Random(8)
-    for _ in range(200):
-        m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        rows = [r for r in row_reduce(m).row_masks if r]
-        pivots = [r & -r for r in rows]
-        assert pivots == sorted(pivots) and len(set(pivots)) == len(rows) == rank(m)
-        for r in rows:
-            assert [piv for piv in pivots if r & piv] == [r & -r]
-        assert column_span(BitMatrix(len(rows), m.cols, tuple(rows)).transpose()) == column_span(
-            m.transpose()
-        )
 
 
 # ---------------------------------------------------------------- dual basis

@@ -1,4 +1,4 @@
-"""Learners over example oracles: exhaustive parity fits and greedy splits."""
+"""Learners over example oracles: exhaustive parity fits and their sample path."""
 
 import gc
 import itertools
@@ -20,7 +20,6 @@ from ncplift.dtree import (
     complement_tree,
     eval_tree,
     parse_tree,
-    truth_table,
 )
 from ncplift.f2 import BitMatrix, BitVector, rank
 from ncplift.gadget import (
@@ -34,7 +33,6 @@ from ncplift.instance import LabeledSet
 from ncplift.learners import (
     LearnerBudget,
     exhaustive_parity_learner,
-    greedy_learner,
     parity_to_tree,
     planted_learner,
 )
@@ -319,6 +317,28 @@ def test_exhaustive_matches_the_linear_scan(case):
     assert got == scan_learner(oracle, n, bud, random.Random(seed))
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [("0110", 1)],  # pure
+        [("0000", 1), ("0000", 0)],  # majority tie, nothing fits
+        [("0001", 1), ("0001", 0), ("1000", 1), ("1000", 0)],  # ties on both sides
+        [("0011", 1), ("0101", 0), ("1001", 1), ("1111", 0), ("0000", 1), ("1100", 0)],
+    ],
+)
+@pytest.mark.parametrize("samples", [1, 2, 7, 64])
+@pytest.mark.parametrize("size, depth", [(1, 4), (2, 4), (5, 2), (16, 4)])
+def test_greedy_matches_the_row_learner_on_fixed_cycles(pairs, samples, size, depth):
+    # These cycles and budgets were written for the greedy learner,
+    # since deleted, and the test keeps its name and case ids.  They
+    # now pin the exhaustive learner, which reads packed columns, to
+    # the row-by-row scan: a pure sample, constant ties that must
+    # break to 0, and an exact fit cut short by the size budget.
+    bud = LearnerBudget(size, depth, samples)
+    got = exhaustive_parity_learner(CycleOracle(pairs, 4), 4, bud, random.Random(0))
+    assert got == scan_learner(CycleOracle(pairs, 4), 4, bud, random.Random(0))
+
+
 class NoiseOracle:
     """Uniform points with independent uniform labels."""
 
@@ -444,13 +464,6 @@ def test_no_fit_leaves_every_candidate_at_one_half(n, m, ell, seed):
         assert exact_lifted_tree_error(leaf, span, params) == half
 
 
-class ExplodingOracle:
-    """An oracle that must not be sampled."""
-
-    def sample(self, rng):
-        raise AssertionError("sampled past a refusal")
-
-
 def test_exhaustive_bounds_the_exact_fit_search(monkeypatch):
     # Arity 40 with 8 samples: columns of at most 8 bits leave a kernel
     # of dimension >= 32, so the search meets in the middle, and its
@@ -494,164 +507,6 @@ def test_error_scan_retains_no_memory():
             gc.enable()
     assert unreachable == 0
     assert after - before < 8192
-
-
-# ---------------------------------------------------------------- greedy
-
-
-def test_greedy_splits_on_dictator_first():
-    # Labels equal coordinate 1; with 10**3 samples the first split must
-    # pick it, across 100 seeded runs.
-    for seed in range(100):
-        oracle = parity_span_oracle(random.Random(seed), 4, index_set(1))
-        tree = greedy_learner(
-            oracle, 4, budget(size=16, depth=4, samples=1000), random.Random(seed)
-        )
-        assert isinstance(tree, Node)
-        assert tree.coord == 1
-        tt = truth_table(tree, 4)
-        for ym in range(16):
-            assert (tt >> ym) & 1 == ym & 1
-
-
-def test_greedy_pure_sample_is_single_leaf():
-    oracle = CycleOracle([("0110", 1)], 4)
-    tree = greedy_learner(oracle, 4, budget(), random.Random(0))
-    assert tree == Leaf(1)
-
-
-def test_greedy_majority_tie_breaks_to_zero():
-    # Two equally frequent labels on one point: no split helps, and the
-    # tied majority resolves to 0.
-    oracle = CycleOracle([("00", 1), ("00", 0)], 2)
-    tree = greedy_learner(oracle, 2, budget(samples=10), random.Random(0))
-    assert tree == Leaf(0)
-
-
-def test_greedy_respects_budgets():
-    rng = random.Random(41)
-    for _ in range(20):
-        n = rng.randint(2, 6)
-        pairs = [
-            (format(rng.getrandbits(n), f"0{n}b"), rng.getrandbits(1))
-            for _ in range(8)
-        ]
-        oracle = CycleOracle(pairs, n)
-        size_b = rng.choice([1, 2, 3, 5])
-        depth_b = rng.randint(0, 3)
-        tree = greedy_learner(
-            oracle, n, LearnerBudget(size_b, depth_b, 64), random.Random(1)
-        )
-        assert tree.size <= size_b
-        assert tree.depth <= depth_b
-
-
-def test_greedy_bounds_its_splitting_before_sampling(monkeypatch):
-    # Worst case 2 * min(size, samples) - 1 = 15 nodes, each reading 24
-    # columns of 4 words (200 samples) at 6 steps a column.
-    bud = LearnerBudget(8, 3, 200)
-    estimate = 15 * 24 * 6
-    assert learners._greedy_cost(24, bud) == estimate
-    monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate)
-    oracle = NoisyParityOracle(24, 0b11, 0.1)
-    got = greedy_learner(oracle, 24, bud, random.Random(2))
-    assert got == row_greedy_learner(oracle, 24, bud, random.Random(2))
-    monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate - 1)
-    with pytest.raises(ValueError, match=f"{estimate} steps, past SEARCH_MAX_COST"):
-        greedy_learner(ExplodingOracle(), 24, bud, random.Random(2))
-    # Fewer samples than the size budget: the sample bounds the nodes.
-    # A column of 2000 samples (32 words) costs 6 + 2 steps.
-    bud = LearnerBudget(1 << 20, 20, 2000)
-    estimate = (2 * 2000 - 1) * 24 * 8
-    assert learners._greedy_cost(24, bud) == estimate
-    monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate - 1)
-    with pytest.raises(ValueError, match=f"{estimate} steps, past SEARCH_MAX_COST"):
-        greedy_learner(ExplodingOracle(), 24, bud, random.Random(2))
-
-
-def row_greedy_learner(oracle, arity, budget, rng):
-    """The greedy learner before it read packed columns: the sample as
-    (mask, label) rows, each node's split counts taken row by row."""
-    samples = [
-        (point.mask, label)
-        for point, label in (oracle.sample(rng) for _ in range(budget.sample_budget))
-    ]
-    splits_left = [budget.size_budget - 1]
-
-    def majority(subset):
-        ones = sum(label for _, label in subset)
-        zeros = len(subset) - ones
-        if ones > zeros:
-            return 1, zeros
-        return 0, ones
-
-    def build(subset, used, depth):
-        maj, err = majority(subset)
-        if err == 0 or depth == budget.depth_budget or splits_left[0] == 0:
-            return Leaf(maj)
-        best_gain = 0
-        best_coord = None
-        for j in range(arity):
-            bit = 1 << j
-            if used & bit:
-                continue
-            lo_ones = lo_n = hi_ones = hi_n = 0
-            for mask, label in subset:
-                if mask & bit:
-                    hi_n += 1
-                    hi_ones += label
-                else:
-                    lo_n += 1
-                    lo_ones += label
-            split_err = min(lo_ones, lo_n - lo_ones) + min(hi_ones, hi_n - hi_ones)
-            gain = err - split_err
-            if gain > best_gain:
-                best_gain, best_coord = gain, j
-        if best_coord is None:
-            return Leaf(maj)
-        splits_left[0] -= 1
-        bit = 1 << best_coord
-        lo = [sv for sv in subset if not sv[0] & bit]
-        hi = [sv for sv in subset if sv[0] & bit]
-        low = build(lo, used | bit, depth + 1)
-        high = build(hi, used | bit, depth + 1)
-        return Node(best_coord + 1, low, high)
-
-    return build(samples, 0, 0)
-
-
-@given(learner_cases())
-@settings(max_examples=300, deadline=None)
-def test_greedy_matches_the_row_learner(case):
-    # Span and finite-pmf oracles over random budgets.
-    oracle, n, bud, seed = case
-    got = greedy_learner(oracle, n, bud, random.Random(seed))
-    assert got == row_greedy_learner(oracle, n, bud, random.Random(seed))
-
-
-@pytest.mark.parametrize(
-    "pairs",
-    [
-        [("0110", 1)],  # pure
-        [("0000", 1), ("0000", 0)],  # majority tie, no split helps
-        [("0001", 1), ("0001", 0), ("1000", 1), ("1000", 0)],  # ties on both sides
-        [("0011", 1), ("0101", 0), ("1001", 1), ("1111", 0), ("0000", 1), ("1100", 0)],
-    ],
-)
-@pytest.mark.parametrize("samples", [1, 2, 7, 64])
-@pytest.mark.parametrize("size, depth", [(1, 4), (2, 4), (5, 2), (16, 4)])
-def test_greedy_matches_the_row_learner_on_fixed_cycles(pairs, samples, size, depth):
-    bud = LearnerBudget(size, depth, samples)
-    got = greedy_learner(CycleOracle(pairs, 4), 4, bud, random.Random(0))
-    assert got == row_greedy_learner(CycleOracle(pairs, 4), 4, bud, random.Random(0))
-
-
-def test_greedy_matches_the_row_learner_on_noisy_parities():
-    # Arity 24-28, up to 300 samples: deep trees with many equal gains.
-    for oracle, arity, bud, seed in noisy_cases():
-        bud = LearnerBudget(64, 6, bud.sample_budget)
-        got = greedy_learner(oracle, arity, bud, random.Random(seed))
-        assert got == row_greedy_learner(oracle, arity, bud, random.Random(seed)), seed
 
 
 @given(
