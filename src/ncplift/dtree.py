@@ -30,6 +30,7 @@ __all__ = [
     "reduce_tree",
     "complement_tree",
     "prune",
+    "path_masks",
     "path_support_sets",
     "exact_uniform_fourier",
     "exact_distance",
@@ -188,26 +189,37 @@ def prune(t: DecisionTree, d: int) -> DecisionTree:
     return Node(t.coord, prune(t.low, d - 1), prune(t.high, d - 1))
 
 
+def path_masks(t: DecisionTree) -> set[int]:
+    """The distinct variable sets of the root-to-leaf paths, as masks
+    (bit i-1 for coordinate i).  One walk over the leaves."""
+    found: set[int] = set()
+    stack = [(t, 0)]
+    while stack:
+        node, pathmask = stack.pop()
+        while isinstance(node, Node):
+            pathmask |= 1 << (node.coord - 1)
+            stack.append((node.high, pathmask))
+            node = node.low
+        found.add(pathmask)
+    return found
+
+
 def path_support_sets(t: DecisionTree) -> set[ParityIndexSet]:
     """Every subset of the variable set of every root-to-leaf path.
 
-    The empty set is always present.  For a reduced tree of depth d the
-    result has at most 4**d elements.
+    The empty set is always present.  The subsets of each distinct path
+    set P are enumerated once, so the cost is leaves + sum over distinct
+    P of 2**|P|: 2**d for a parity tree of depth d, whose paths all
+    share one set, and up to 4**d for a generic reduced tree.
     """
     found: set[int] = set()
-    def walk(node: DecisionTree, pathmask: int) -> None:
-        if isinstance(node, Node):
-            bit = 1 << (node.coord - 1)
-            walk(node.low, pathmask | bit)
-            walk(node.high, pathmask | bit)
-            return
+    for pathmask in path_masks(t):
         sub = pathmask
         while True:
             found.add(sub)
             if sub == 0:
                 break
             sub = (sub - 1) & pathmask
-    walk(t, 0)
     return {ParityIndexSet.from_mask(m) for m in found}
 
 

@@ -326,6 +326,12 @@ def exact_lifted_agreement(base, s: ParityIndexSet, params: GadgetParams) -> Fra
     return (1 + corr) / 2
 
 
+# The two values of the span dichotomy, built once rather than per call:
+# extraction scores every candidate with one of them.
+_HALF = Fraction(1, 2)
+_ONE = Fraction(1)
+
+
 def span_lifted_agreement(span, s: ParityIndexSet, params: GadgetParams) -> Fraction:
     """Exact agreement of a parity with the lifted source over a span.
 
@@ -339,11 +345,11 @@ def span_lifted_agreement(span, s: ParityIndexSet, params: GadgetParams) -> Frac
     """
     fmask = _block_fold(s, params)
     if fmask is None:
-        return Fraction(1, 2)
+        return _HALF
     for row, label in zip(span.points, span.labels):
         if (row & fmask).bit_count() & 1 != label:
-            return Fraction(1, 2)
-    return Fraction(1)
+            return _HALF
+    return _ONE
 
 
 def _restriction_blocks(rho: Restriction, params: GadgetParams) -> tuple[int, int, int]:

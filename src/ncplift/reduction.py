@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .dtree import DecisionTree, ParityIndexSet, path_support_sets, prune
+from .dtree import DecisionTree, ParityIndexSet, path_masks, path_support_sets, prune
 
 # Not called here: the benchmark's tracer (bench/spans.py) wraps
 # ``reduction.estimate_distance`` and ``reduction.exact_lifted_agreement``,
@@ -57,11 +57,13 @@ __all__ = [
     "verify_certificate",
 ]
 
-# Work bound on extraction.  ``path_support_sets`` visits every subset
-# of every path, 4**depth visits for a complete tree, and the learned
-# tree's depth is at most ell*k: depth 12 takes about 2 s, each further
-# level four times that.
-EXTRACT_MAX_DEPTH = 12
+# Work bound on the learned tree, whose depth is at most ell*k.  The
+# learner may build a parity tree of 2**depth leaves, which decide
+# scores path by path; extraction costs leaves + sum over distinct path
+# sets P of 2**|P|, 2**depth for a parity tree but up to 4**depth for a
+# generic one.  At depth 16 a planted search takes about 1.5 s and
+# decide about 2.5 s on a 2-vCPU host; each further level doubles that.
+TREE_MAX_DEPTH = 16
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,16 @@ def _check_sample_size(inst: SyndromeInstance, cfg: ReductionConfig) -> None:
         )
 
 
+def _check_tree_depth(inst: SyndromeInstance, cfg: ReductionConfig) -> None:
+    """The learner may build a tree of depth ell*k."""
+    depth = cfg.ell * inst.k
+    if depth > TREE_MAX_DEPTH:
+        raise ValueError(
+            f"the learner's tree of depth ell*k = {depth} may have 2**{depth} leaves, "
+            f"past TREE_MAX_DEPTH = {TREE_MAX_DEPTH}"
+        )
+
+
 def decide(
     inst: SyndromeInstance, cfg: ReductionConfig, learner, rng: Random
 ) -> DecideReport:
@@ -185,10 +197,12 @@ def decide(
 
     Raises:
         ValueError: before any sampling, when packing the learner's
-            sample would pass ``SAMPLE_MAX_BYTES``; from the learner,
-            when its search would pass ``f2.SEARCH_MAX_COST``.
+            sample would pass ``SAMPLE_MAX_BYTES`` or ell*k passes
+            ``TREE_MAX_DEPTH``; from the learner, when its search would
+            pass ``f2.SEARCH_MAX_COST``.
     """
     _check_sample_size(inst, cfg)
+    _check_tree_depth(inst, cfg)
     size_cap, error_gate, tolerance = _thresholds(inst, cfg)
     if error_gate + tolerance <= 0 or size_cap < 1 << (cfg.ell * inst.k):
         return DecideReport(False, "vacuous-gate", None, None, size_cap, error_gate, tolerance, None)
@@ -214,24 +228,29 @@ def extract_parity(
     The oracle's base must be a span (a ``SpanOracle``), as every
     pipeline builds it.  Every candidate gets its exact agreement with
     the lifted source from the span dichotomy in closed form
-    (``span_lifted_agreement``, one pass over the basis).  Sorting is
-    by agreement descending, then smaller sets, then lexicographic
-    order, so the ranking is total.
+    (``span_lifted_agreement``, one pass over the basis), which is
+    exactly 1 or 1/2.  Sorting is by agreement descending, then smaller
+    sets, then lexicographic order, so the ranking is total.
 
     If the tree sits at distance 1/2 - gamma from the source, the top
     candidate has agreement at least 1/2 + gamma / 4**depth.
 
     Raises:
-        ValueError: when the base is not a span, or the tree is deeper
-            than ``EXTRACT_MAX_DEPTH``.
+        ValueError: before enumerating, when the base is not a span or
+            the tree's distinct path sets P give sum 2**|P| past
+            2**``TREE_MAX_DEPTH``.
     """
     base = oracle.base
     if not isinstance(base, SpanOracle):
         raise ValueError(f"extraction needs a span base, not {type(base).__name__}")
-    if tree.depth > EXTRACT_MAX_DEPTH:
-        raise ValueError(f"extraction capped at tree depth {EXTRACT_MAX_DEPTH}")
+    subsets = sum(1 << pathmask.bit_count() for pathmask in path_masks(tree))
+    if subsets > 1 << TREE_MAX_DEPTH:
+        raise ValueError(
+            f"extraction would enumerate {subsets} path subsets, "
+            f"past 2**TREE_MAX_DEPTH = {1 << TREE_MAX_DEPTH}"
+        )
     scored = [(s, span_lifted_agreement(base, s, oracle.params)) for s in path_support_sets(tree)]
-    scored.sort(key=lambda item: (-item[1], len(item[0]), item[0].indices))
+    scored.sort(key=lambda item: (item[1] != 1, len(item[0].indices), item[0].indices))
     return scored
 
 
@@ -267,15 +286,11 @@ def search(
 
     Raises:
         ValueError: before any sampling, when ell*k passes
-            ``EXTRACT_MAX_DEPTH`` or packing the learner's sample would
+            ``TREE_MAX_DEPTH`` or packing the learner's sample would
             pass ``SAMPLE_MAX_BYTES``; from the learner, when its search
             would pass ``f2.SEARCH_MAX_COST``.
     """
-    if cfg.ell * inst.k > EXTRACT_MAX_DEPTH:
-        raise ValueError(
-            f"extraction from a tree of depth ell*k = {cfg.ell * inst.k} visits up to "
-            f"4**{cfg.ell * inst.k} path subsets, past EXTRACT_MAX_DEPTH = {EXTRACT_MAX_DEPTH}"
-        )
+    _check_tree_depth(inst, cfg)
     _check_sample_size(inst, cfg)
     try:
         oracle, meta = build_learning_instance(inst, cfg)

@@ -180,17 +180,18 @@ def test_solve_reduce_past_span_enumeration_cap(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, flags, bound",
     [
-        ("solve-reduce", ("--ell", "8"), "EXTRACT_MAX_DEPTH"),
+        ("solve-reduce", ("--ell", "9"), "TREE_MAX_DEPTH"),
         ("solve-reduce", ("--samples", "1000000000000"), "SAMPLE_MAX_BYTES"),
         ("decide", ("--samples", "1000000000000"), "SAMPLE_MAX_BYTES"),
         ("decide", ("--ell", "1000000000000"), "SAMPLE_MAX_BYTES"),
+        ("decide", ("--ell", "100"), "TREE_MAX_DEPTH"),
     ],
 )
 def test_work_past_the_bounds_is_input_error(tmp_path, capsys, command, flags, bound):
-    # On the README demo (k = 2), ell = 8 asks extraction for up to
-    # 4**16 path subsets, and 10**12 samples or a 10**12-wide block
-    # cannot be packed.  Both are refused at once, before anything of
-    # their size is allocated.
+    # On the README demo (k = 2), ell = 9 or 100 lets the learner build
+    # a parity tree of depth 18 or 200, 2**18 or 2**200 leaves, and
+    # 10**12 samples or a 10**12-wide block cannot be packed.  All are
+    # refused at once, before anything of their size is allocated.
     out = gen_planted(tmp_path, capsys, alpha="3")
     tracemalloc.start()
     try:
@@ -206,6 +207,21 @@ def test_work_past_the_bounds_is_input_error(tmp_path, capsys, command, flags, b
     assert bound in err
     assert elapsed < 1.0
     assert peak < 2**20
+
+
+def test_solve_reduce_at_depth_fourteen(tmp_path, capsys):
+    # k = 7 at ell = 2: the learner's parity tree has depth 14 and
+    # extraction reads its 2**14 path subsets, within TREE_MAX_DEPTH.
+    out = gen_planted(tmp_path, capsys, n=48, m=36, k=7, seed=1)
+    started = time.monotonic()
+    code, stdout, _ = run(capsys, "solve-reduce", str(out), "--ell", "2")
+    assert time.monotonic() - started < 10.0
+    assert code == 0
+    sol = tmp_path / "sol"
+    sol.write_text(f"1 48\n{stdout.strip()}\n")
+    code, stdout, _ = run(capsys, "verify", str(out), str(sol), "--k-max", "21")
+    assert code == 0
+    assert stdout.strip() == "OK"
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncplift.dtree import (
     FormatError,
@@ -17,6 +20,7 @@ from ncplift.dtree import (
     exact_uniform_fourier,
     format_tree,
     parse_tree,
+    path_masks,
     path_support_sets,
     prune,
     reduce_tree,
@@ -25,7 +29,8 @@ from ncplift.dtree import (
 )
 from ncplift.f2 import BitMatrix, BitVector, rank
 from ncplift.instance import LabeledSet
-from ncplift.span import enumerate_span, make_span_oracle
+from ncplift.learners import parity_to_tree
+from ncplift.span import make_span_oracle
 
 
 def index_set(*indices):
@@ -251,6 +256,50 @@ def test_path_support_sets_downward_closed_and_bounded():
             while sub:
                 sub = (sub - 1) & m
                 assert sub in masks
+
+
+def leaf_paths(t):
+    """The coordinates queried on each root-to-leaf path, one tuple per
+    leaf, repeats included."""
+    if isinstance(t, Leaf):
+        return [()]
+    return [(t.coord, *p) for child in (t.low, t.high) for p in leaf_paths(child)]
+
+
+def every_subset_of_every_path(t):
+    """Reference for ``path_support_sets``: every subset of every path,
+    each path enumerated anew, 4**d subsets for a complete tree."""
+    out = set()
+    for path in leaf_paths(t):
+        for r in range(len(path) + 1):
+            out.update(ParityIndexSet.from_iterable(c) for c in combinations(path, r))
+    return out
+
+
+def one_set_tree(rng, coords):
+    """Random tree whose every path queries all of coords, each path in
+    its own random order, so every leaf repeats one path set."""
+    if not coords:
+        return Leaf(rng.getrandbits(1))
+    c = rng.choice(coords)
+    rest = [a for a in coords if a != c]
+    return Node(c, one_set_tree(rng, rest), one_set_tree(rng, rest))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 10), st.integers(0, 6))
+def test_path_support_sets_match_every_subset_of_every_path(seed, n, depth):
+    rng = random.Random(seed)
+    trees = [
+        random_reduced_tree(rng, n, depth),
+        parity_to_tree(ParityIndexSet.from_mask(rng.getrandbits(n))),
+        one_set_tree(rng, rng.sample(range(1, n + 1), min(n, depth))),
+    ]
+    # Two subtrees over the same path sets, under a root of their own.
+    trees.append(Node(n + 1, trees[0], complement_tree(trees[0])))
+    for t in trees:
+        assert path_masks(t) == {index_set(*p).mask for p in leaf_paths(t)}
+        assert path_support_sets(t) == every_subset_of_every_path(t)
 
 
 # ---------------------------------------------------------------- spectrum

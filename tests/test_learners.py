@@ -19,7 +19,6 @@ from ncplift.dtree import (
     ParityIndexSet,
     complement_tree,
     eval_tree,
-    parse_tree,
 )
 from ncplift.f2 import BitMatrix, BitVector, rank
 from ncplift.gadget import (

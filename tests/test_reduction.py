@@ -3,16 +3,23 @@
 import random
 import signal
 import time
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
-from ncplift import learners
-from ncplift.dtree import Leaf, Node, ParityIndexSet
+from ncplift import learners, reduction
+from ncplift.dtree import Leaf, Node, ParityIndexSet, path_support_sets, reduce_tree
 from ncplift.learners import parity_to_tree
 from ncplift.f2 import BitMatrix, BitVector, mat_vec, rank
-from ncplift.gadget import FinitePmf, GadgetOracle, GadgetParams, lift_parity
+from ncplift.gadget import (
+    FinitePmf,
+    GadgetOracle,
+    GadgetParams,
+    exact_lifted_agreement,
+    lift_parity,
+)
 from ncplift.instance import (
     LabeledSet,
     SyndromeInstance,
@@ -26,7 +33,7 @@ from ncplift.learners import (
     sample_bytes,
 )
 from ncplift.reduction import (
-    EXTRACT_MAX_DEPTH,
+    TREE_MAX_DEPTH,
     ReductionConfig,
     build_learning_instance,
     decide,
@@ -323,6 +330,73 @@ def test_extract_depth_cap():
         extract_parity(deep, oracle)
 
 
+def test_extract_ranking_matches_the_fraction_sort():
+    # extract_parity sorts on (agreement != 1, size, indices).  Over a
+    # span every agreement is 1 or 1/2, so that is the order of the
+    # key (-agreement, size, indices) on the exact agreements.
+    rng = random.Random(29)
+    for seed in range(40):
+        n = rng.randint(4, 10)
+        inst, x = random_planted(n, rng.randint(1, n), rng.randint(1, 3), seed)
+        oracle, _ = build_learning_instance(inst, ReductionConfig(ell=2))
+        params = oracle.params
+        planted = lift_parity(ParityIndexSet.from_mask(x.mask), params)
+        sparse = rng.getrandbits(params.lifted_n) & rng.getrandbits(params.lifted_n)
+        other = ParityIndexSet.from_mask(sparse)
+        trees = [
+            parity_to_tree(planted),
+            parity_to_tree(other),
+            reduce_tree(Node(1, parity_to_tree(planted), parity_to_tree(other))),
+        ]
+        for tree in trees:
+            scored = [
+                (s, exact_lifted_agreement(oracle.base, s, params))
+                for s in path_support_sets(tree)
+            ]
+            expected = sorted(scored, key=lambda item: (-item[1], len(item[0]), item[0].indices))
+            assert extract_parity(tree, oracle) == expected
+
+
+def test_extract_bounds_the_path_subsets(monkeypatch):
+    # The bound counts sum 2**|P| over the distinct path sets P, at
+    # most 2**TREE_MAX_DEPTH, here 8: the parity tree over {1, 2, 3} has
+    # one path set and 8 subsets; path sets {1, 2} and {1, 3} give 4 + 4
+    # (6 distinct subsets); adding {1, 3, 4} gives 16.
+    monkeypatch.setattr(reduction, "TREE_MAX_DEPTH", 3)
+    oracle = parity_lifted_oracle(4, index_set(1, 2))
+    assert len(extract_parity(parity_to_tree(index_set(1, 2, 3)), oracle)) == 8
+    two = Node(1, Node(2, Leaf(0), Leaf(1)), Node(3, Leaf(1), Leaf(0)))
+    assert len(extract_parity(two, oracle)) == 6
+    three = Node(1, Node(2, Leaf(0), Leaf(1)), Node(3, Node(4, Leaf(0), Leaf(1)), Leaf(0)))
+    with pytest.raises(ValueError, match="16 path subsets, past 2\\*\\*TREE_MAX_DEPTH = 8"):
+        extract_parity(three, oracle)
+
+
+def test_extract_refuses_a_generic_tree_before_enumerating():
+    # A complete depth-10 tree whose every node queries its own
+    # coordinate: depth 10 is within TREE_MAX_DEPTH, but its 1024
+    # distinct path sets of size 10 give 2**20 path subsets.  The
+    # refusal walks the leaves only.
+    coords = iter(range(1, 1 << 10))
+    def build(depth):
+        if depth == 0:
+            return Leaf(0)
+        return Node(next(coords), build(depth - 1), build(depth - 1))
+    tree = build(10)
+    oracle = parity_lifted_oracle(16, index_set(1))
+    tracemalloc.start()
+    try:
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="TREE_MAX_DEPTH"):
+            extract_parity(tree, oracle)
+        elapsed = time.monotonic() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------------- search
 
 
@@ -442,15 +516,30 @@ def largest_sample_within_the_bound(n, ell):
 
 
 def test_search_bounds_ell_times_k_before_learning():
-    # k = 1: ell = EXTRACT_MAX_DEPTH is the deepest extraction allowed.
-    # A planted one-coordinate hypothesis keeps the allowed run short.
+    # k = 1: ell = TREE_MAX_DEPTH is the deepest tree allowed.  A
+    # planted one-coordinate hypothesis keeps the allowed run short.
     inst, _ = random_planted(8, 6, 1, 3)
-    cfg = ReductionConfig(ell=EXTRACT_MAX_DEPTH)
+    cfg = ReductionConfig(ell=TREE_MAX_DEPTH)
     report = search(inst, cfg, planted_learner(index_set(1)), random.Random(0))
-    assert report.meta.arity == 8 * EXTRACT_MAX_DEPTH
-    cfg = ReductionConfig(ell=EXTRACT_MAX_DEPTH + 1)
-    with pytest.raises(ValueError, match="EXTRACT_MAX_DEPTH"):
+    assert report.meta.arity == 8 * TREE_MAX_DEPTH
+    cfg = ReductionConfig(ell=TREE_MAX_DEPTH + 1)
+    with pytest.raises(ValueError, match="TREE_MAX_DEPTH"):
         search(inst, cfg, refusing_learner, random.Random(0))
+
+
+def test_decide_bounds_ell_times_k_before_learning():
+    # As for search, on a k = 1 instance with alpha = 3, whose gate is
+    # not vacuous at ell = TREE_MAX_DEPTH: the one-coordinate hypothesis
+    # covers no block, so it sits at distance 1/2 and is rejected.
+    raw, _ = random_planted(8, 6, 1, 3)
+    inst = SyndromeInstance(raw.h, raw.t, raw.k, Fraction(3))
+    cfg = ReductionConfig(ell=TREE_MAX_DEPTH)
+    report = decide(inst, cfg, planted_learner(index_set(1)), random.Random(0))
+    assert (report.reason, report.distance) == ("distance-gate", Fraction(1, 2))
+    assert report.meta.arity == 8 * TREE_MAX_DEPTH
+    cfg = ReductionConfig(ell=TREE_MAX_DEPTH + 1)
+    with pytest.raises(ValueError, match="TREE_MAX_DEPTH"):
+        decide(inst, cfg, refusing_learner, random.Random(0))
 
 
 @pytest.mark.parametrize("pipeline", [search, decide])
