@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .f2 import BitVector, FormatError, bit_column
@@ -41,9 +42,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParityIndexSet:
-    """Sorted distinct 1-indexed coordinates defining a parity function."""
+    """Sorted distinct 1-indexed coordinates defining a parity function.
+
+    Slotted: extraction makes one per candidate, 2**depth of them.
+    """
 
     indices: tuple[int, ...]
     mask: int = field(init=False, compare=False, repr=False)
@@ -64,12 +68,30 @@ class ParityIndexSet:
 
     @classmethod
     def from_mask(cls, mask: int) -> ParityIndexSet:
+        """The set whose mask is the given one (bit i-1 for coordinate
+        i).  The mask is stored as given, not rebuilt from the indices.
+
+        Raises:
+            ValueError: when the mask is negative.
+        """
+        if mask < 0:
+            raise ValueError("a parity mask must be >= 0")
         out = []
-        while mask:
-            low = mask & -mask
+        rest = mask
+        while rest:
+            low = rest & -rest
             out.append(low.bit_length())
-            mask ^= low
-        return cls(tuple(out))
+            rest ^= low
+        return cls._unchecked(tuple(out), mask)
+
+    @classmethod
+    def _unchecked(cls, indices: tuple[int, ...], mask: int) -> ParityIndexSet:
+        # For indices and a mask already known to agree: no validation,
+        # and no second pass to rebuild the mask.
+        s = object.__new__(cls)
+        object.__setattr__(s, "indices", indices)
+        object.__setattr__(s, "mask", mask)
+        return s
 
     def chi_mask(self, point_mask: int) -> int:
         """Parity of the selected coordinates of a packed point."""
@@ -204,23 +226,26 @@ def path_masks(t: DecisionTree) -> set[int]:
     return found
 
 
-def path_support_sets(t: DecisionTree) -> set[ParityIndexSet]:
-    """Every subset of the variable set of every root-to-leaf path.
+def path_support_sets(pathmasks: set[int]) -> list[ParityIndexSet]:
+    """Every subset of every given path set, once each, in ascending
+    size and then lexicographic order; ``path_masks`` gives the distinct
+    root-to-leaf path sets of a tree.
 
-    The empty set is always present.  The subsets of each distinct path
-    set P are enumerated once, so the cost is leaves + sum over distinct
-    P of 2**|P|: 2**d for a parity tree of depth d, whose paths all
-    share one set, and up to 4**d for a generic reduced tree.
+    The empty set comes first whenever a path set is given.  The
+    subsets of each path set P are enumerated once, size by size with
+    ``combinations``, their masks alongside, so the cost is sum over P
+    of 2**|P|: 2**d for a parity tree of depth d, whose paths all share
+    one set, and up to 4**d for a generic reduced tree.
     """
-    found: set[int] = set()
-    for pathmask in path_masks(t):
-        sub = pathmask
-        while True:
-            found.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & pathmask
-    return {ParityIndexSet.from_mask(m) for m in found}
+    paths = [ParityIndexSet.from_mask(pathmask).indices for pathmask in pathmasks]
+    found: dict[tuple[int, ...], int] = {}
+    for indices in paths:
+        bits = [1 << (i - 1) for i in indices]
+        for size in range(len(indices) + 1):
+            found.update(zip(combinations(indices, size), map(sum, combinations(bits, size))))
+    # A single path set gives its subsets in this order already.
+    order = sorted(found, key=lambda s: (len(s), s)) if len(paths) > 1 else found
+    return [ParityIndexSet._unchecked(s, found[s]) for s in order]
 
 
 def exact_uniform_fourier(t: DecisionTree, n: int) -> dict[ParityIndexSet, Fraction]:

@@ -28,7 +28,7 @@ from random import Random
 from typing import Iterator
 
 from .dtree import DecisionTree, Leaf, Node, ParityIndexSet
-from .f2 import BitMatrix, BitVector, eliminate
+from .f2 import BitMatrix, BitVector
 from .instance import _randbelow
 from .learners import pack_examples
 
@@ -43,6 +43,7 @@ __all__ = [
     "lift_parity",
     "unlift_parity",
     "is_block_complete",
+    "block_unions",
     "exact_lifted_agreement",
     "span_lifted_agreement",
     "exact_restriction_probability",
@@ -280,29 +281,56 @@ def unlift_parity(s: ParityIndexSet, params: GadgetParams) -> ParityIndexSet:
 
 
 def is_block_complete(s: ParityIndexSet, params: GadgetParams) -> bool:
-    """True when every touched block is fully contained in s."""
-    counts: dict[int, int] = {}
-    for c in s:
-        b = params.block_of(c)
-        counts[b] = counts.get(b, 0) + 1
-    return all(v == params.ell for v in counts.values())
+    """True when every touched block is fully contained in s.
+
+    Raises:
+        ValueError: when s holds an index past the lifted arity.
+    """
+    return _block_fold(s.mask, params) is not None
 
 
-def _block_fold(s: ParityIndexSet, params: GadgetParams) -> int | None:
-    """Base mask (0-based bits) of the blocks s covers, or None when s
-    covers some block only partly."""
-    if s.indices and s.indices[-1] > params.lifted_n:
+def _block_fold(mask: int, params: GadgetParams) -> int | None:
+    """Base mask (0-based bits) of the blocks a lifted index mask covers,
+    or None when it covers some block only partly.
+
+    One mask test per touched block, lowest block first, so a partly
+    covered block ends the walk at once.
+    """
+    if mask >> params.lifted_n:
         raise ValueError("parity index exceeds the lifted arity")
-    counts: dict[int, int] = {}
-    for c in s:
-        b = (c - 1) // params.ell
-        counts[b] = counts.get(b, 0) + 1
+    ell = params.ell
+    ones = (1 << ell) - 1
     fmask = 0
-    for b, v in counts.items():
-        if v != params.ell:
+    while mask:
+        b = ((mask & -mask).bit_length() - 1) // ell
+        block = ones << (b * ell)
+        if mask & block != block:
             return None
+        mask ^= block
         fmask |= 1 << b
     return fmask
+
+
+def block_unions(mask: int, params: GadgetParams) -> list[int]:
+    """Every union of the blocks that lie wholly inside a lifted index
+    mask, as lifted masks, the empty union first: the block-complete
+    subsets of the mask, 2**(whole blocks) of them.
+
+    Raises:
+        ValueError: when the mask holds an index past the lifted arity.
+    """
+    if mask >> params.lifted_n:
+        raise ValueError("parity index exceeds the lifted arity")
+    ell = params.ell
+    ones = (1 << ell) - 1
+    unions = [0]
+    while mask:
+        b = ((mask & -mask).bit_length() - 1) // ell
+        block = ones << (b * ell)
+        if mask & block == block:
+            unions += [union | block for union in unions]
+        mask &= ~block
+    return unions
 
 
 def exact_lifted_agreement(base, s: ParityIndexSet, params: GadgetParams) -> Fraction:
@@ -315,7 +343,7 @@ def exact_lifted_agreement(base, s: ParityIndexSet, params: GadgetParams) -> Fra
     but every base point is; over a span this is the enumerating oracle
     for ``span_lifted_agreement``.
     """
-    fmask = _block_fold(s, params)
+    fmask = _block_fold(s.mask, params)
     if fmask is None:
         # Every term carries a zero factor from the partial block.
         return Fraction(1, 2)
@@ -343,7 +371,7 @@ def span_lifted_agreement(span, s: ParityIndexSet, params: GadgetParams) -> Frac
     otherwise (agreement 1/2).  One pass over the basis, no dimension
     cap.
     """
-    fmask = _block_fold(s, params)
+    fmask = _block_fold(s.mask, params)
     if fmask is None:
         return _HALF
     for row, label in zip(span.points, span.labels):
@@ -457,30 +485,87 @@ def span_lifted_tree_error(tree: DecisionTree, span, params: GadgetParams) -> Fr
     one per full block (its required base bit) and "label != leaf".
     When they are consistent they hold with probability 2**-rank, so
     the path contributes 2**-(scale exponent + rank); otherwise it
-    contributes 0.  One elimination of the rows with the right-hand side
-    as bit m decides both, with no sum over span points: pivots are
-    lowest bits, so the system is inconsistent exactly when a row
-    reduces to the bare right-hand-side bit, and otherwise the rank is
-    the number of rows kept.
+    contributes 0.
+
+    One depth-first walk gives every path's term.  Down each path it
+    carries the fixed coordinates and their values, the scale exponent
+    (one per fixed coordinate, less one per full block), and an echelon
+    basis of the full-block equations, right-hand side as bit m and
+    pivots lowest bits.  A query that fills a block reduces the block's
+    equation once for both branches, whose right-hand sides differ.  A
+    row that reduces to the bare right-hand-side bit is inconsistent, so
+    every path below contributes 0 and that subtree is skipped.  The
+    label form rides along reduced against the basis, which settles
+    each leaf's label row in one step.  Since exponent + rank is at most
+    depth + 1, the terms are summed as integers over 2**(depth + 1),
+    and one Fraction is made at the end.
+
+    Raises:
+        ValueError: when the span's length is not the base arity, or a
+            node queries a coordinate past the lifted arity.
     """
     if span.length != params.base_n:
         raise ValueError("base arity does not match the gadget parameters")
+    _check_queries(tree, params.lifted_n)
     m = span.dimension
+    rhs = 1 << m
     forms = BitMatrix(m, span.length, span.points).column_masks()
     label_form = sum(label << j for j, label in enumerate(span.labels))
-    err = Fraction(0)
-    for fixed, leaf_label in _paths(tree):
-        exponent, fmask, req = _restriction_blocks(Restriction.of(fixed), params)
-        rows = [label_form | (leaf_label ^ 1) << m]
-        while fmask:
-            low = fmask & -fmask
-            b = low.bit_length() - 1
-            rows.append(forms[b] | (req >> b & 1) << m)
-            fmask ^= low
-        basis = eliminate(rows).basis
-        if 1 << m not in basis:
-            err += Fraction(1, 1 << (exponent + len(basis)))
-    return err
+    ell = params.ell
+    ones = (1 << ell) - 1
+    top = tree.depth + 1
+    total = 0
+    # A subtree, with the state of the path down to it: the fixed
+    # coordinates and their values as lifted masks, the scale exponent,
+    # the basis, and the label form reduced against the basis.
+    stack = [(tree, 0, 0, 0, (), label_form)]
+    while stack:
+        node, fixed, values, exponent, basis, label_row = stack.pop()
+        if isinstance(node, Leaf):
+            row = label_row ^ (node.label ^ 1) << m
+            if row != rhs:
+                total += 1 << (top - exponent - len(basis) - (row != 0))
+            continue
+        bit = 1 << (node.coord - 1)
+        if fixed & bit:
+            # A repeated query follows the branch its first answer fixed.
+            child = node.high if values & bit else node.low
+            stack.append((child, fixed, values, exponent, basis, label_row))
+            continue
+        fixed |= bit
+        b = (node.coord - 1) // ell
+        block = ones << (b * ell)
+        if fixed & block != block:
+            stack.append((node.low, fixed, values, exponent + 1, basis, label_row))
+            stack.append((node.high, fixed, values | bit, exponent + 1, basis, label_row))
+            continue
+        row = forms[b] | ((values & block).bit_count() & 1) << m
+        for r in basis:
+            if row & r & -r:
+                row ^= r
+        for child, value, eq in ((node.low, 0, row), (node.high, bit, row ^ rhs)):
+            if eq == rhs:
+                continue
+            if eq == 0:
+                stack.append((child, fixed, values | value, exponent, basis, label_row))
+            else:
+                reduced = label_row ^ eq if label_row & eq & -eq else label_row
+                stack.append((child, fixed, values | value, exponent, basis + (eq,), reduced))
+    return Fraction(total, 1 << top)
+
+
+def _check_queries(tree: DecisionTree, lifted_n: int) -> None:
+    """Raise when a node queries past the lifted arity; a node that
+    several parents share is checked once."""
+    seen: set[int] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Node) and id(node) not in seen:
+            if node.coord > lifted_n:
+                raise ValueError(f"lifted coordinate {node.coord} out of range")
+            seen.add(id(node))
+            stack += (node.low, node.high)
 
 
 def enumerate_lifted(

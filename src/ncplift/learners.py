@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations  # noqa: F401
 from random import Random
 
-from .dtree import DecisionTree, Leaf, Node, ParityIndexSet, complement_tree
+from .dtree import DecisionTree, Leaf, Node, ParityIndexSet
 from .f2 import SEARCH_MAX_COST, BitMatrix, sparse_xor_search
 
 __all__ = [
@@ -59,22 +59,22 @@ def parity_to_tree(s: ParityIndexSet) -> DecisionTree:
 
     Queries the indices in ascending order on every path; each leaf is
     the parity of the branch decisions, so the tree has depth len(s)
-    and size 2**len(s).  The empty set gives Leaf(0).
+    and size 2**len(s).  Its nodes are shared (``_parity_dags``), so it
+    takes 2*len(s) + 2 objects.  The empty set gives Leaf(0).
     """
-    return _parity_subtree(s.indices, 0, 0)
+    return _parity_dags(s.indices)[0]
 
 
-def _parity_subtree(indices: tuple[int, ...], pos: int, acc: int) -> DecisionTree:
-    # Module level, not a nested closure: a recursive closure is a
-    # reference cycle that outlives the call until the cyclic collector
-    # runs.
-    if pos == len(indices):
-        return Leaf(acc)
-    return Node(
-        indices[pos],
-        _parity_subtree(indices, pos + 1, acc),
-        _parity_subtree(indices, pos + 1, acc ^ 1),
-    )
+def _parity_dags(indices: tuple[int, ...]) -> tuple[DecisionTree, DecisionTree]:
+    """The parity tree over ascending indices and its complement, as
+    DAGs built bottom-up: below a query, the parity subtree and its
+    complement are the same two nodes on every path, so each level
+    makes two Nodes over (Leaf(0), Leaf(1))."""
+    even: DecisionTree = Leaf(0)
+    odd: DecisionTree = Leaf(1)
+    for c in reversed(indices):
+        even, odd = Node(c, even, odd), Node(c, odd, even)
+    return even, odd
 
 
 def _sample_columns(
@@ -164,8 +164,7 @@ def exhaustive_parity_learner(
     if exact is None:
         return Leaf(int(2 * label_col.bit_count() > nsamp))
     support, target = exact
-    tree = parity_to_tree(ParityIndexSet(tuple(j + 1 for j in range(arity) if support >> j & 1)))
-    return complement_tree(tree) if target == 1 else tree
+    return _parity_dags(ParityIndexSet.from_mask(support).indices)[target]
 
 
 def planted_learner(s: ParityIndexSet):

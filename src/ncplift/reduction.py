@@ -32,6 +32,7 @@ from .f2 import BitVector, mat_vec
 from .gadget import (
     GadgetOracle,
     GadgetParams,
+    block_unions,
     span_lifted_agreement,
     span_lifted_tree_error,
     unlift_parity,
@@ -58,11 +59,12 @@ __all__ = [
 ]
 
 # Work bound on the learned tree, whose depth is at most ell*k.  The
-# learner may build a parity tree of 2**depth leaves, which decide
-# scores path by path; extraction costs leaves + sum over distinct path
-# sets P of 2**|P|, 2**depth for a parity tree but up to 4**depth for a
-# generic one.  At depth 16 a planted search takes about 1.5 s and
-# decide about 2.5 s on a 2-vCPU host; each further level doubles that.
+# learner's parity tree has 2**depth leaves on 2*depth + 2 shared nodes,
+# but decide's one walk visits every path, and extraction costs leaves +
+# sum over distinct path sets P of 2**|P|, 2**depth for a parity tree
+# but up to 4**depth for a generic one.  At depth 16 a planted search
+# takes about 0.35 s and decide about 0.15 s on a 2-vCPU host (Python
+# 3.11); each further level doubles that.
 TREE_MAX_DEPTH = 16
 
 
@@ -227,10 +229,12 @@ def extract_parity(
 
     The oracle's base must be a span (a ``SpanOracle``), as every
     pipeline builds it.  Every candidate gets its exact agreement with
-    the lifted source from the span dichotomy in closed form
-    (``span_lifted_agreement``, one pass over the basis), which is
-    exactly 1 or 1/2.  Sorting is by agreement descending, then smaller
-    sets, then lexicographic order, so the ranking is total.
+    the lifted source from the span dichotomy in closed form, exactly 1
+    or 1/2: a candidate that covers some block partly is at 1/2, so
+    only the unions of whole blocks inside a path set (``block_unions``)
+    are scored, by ``span_lifted_agreement`` (one pass over the basis).
+    The ranking is by agreement descending, then smaller sets, then
+    lexicographic order, so it is total.
 
     If the tree sits at distance 1/2 - gamma from the source, the top
     candidate has agreement at least 1/2 + gamma / 4**depth.
@@ -243,15 +247,27 @@ def extract_parity(
     base = oracle.base
     if not isinstance(base, SpanOracle):
         raise ValueError(f"extraction needs a span base, not {type(base).__name__}")
-    subsets = sum(1 << pathmask.bit_count() for pathmask in path_masks(tree))
+    pathmasks = path_masks(tree)
+    subsets = sum(1 << pathmask.bit_count() for pathmask in pathmasks)
     if subsets > 1 << TREE_MAX_DEPTH:
         raise ValueError(
             f"extraction would enumerate {subsets} path subsets, "
             f"past 2**TREE_MAX_DEPTH = {1 << TREE_MAX_DEPTH}"
         )
-    scored = [(s, span_lifted_agreement(base, s, oracle.params)) for s in path_support_sets(tree)]
-    scored.sort(key=lambda item: (item[1] != 1, len(item[0].indices), item[0].indices))
-    return scored
+    params = oracle.params
+    unions = {union for pathmask in pathmasks for union in block_unions(pathmask, params)}
+    top = {
+        union
+        for union in unions
+        if span_lifted_agreement(base, ParityIndexSet.from_mask(union), params) == 1
+    }
+    # The candidates come in ascending size, then lexicographic order,
+    # which the ranking keeps within each agreement.
+    candidates = path_support_sets(pathmasks)
+    one, half = Fraction(1), Fraction(1, 2)
+    ranked = [(s, one) for s in candidates if s.mask in top]
+    ranked += [(s, half) for s in candidates if s.mask not in top]
+    return ranked
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .dtree import (
     Node,
     ParityIndexSet,
     exact_uniform_fourier,
+    path_masks,
     path_support_sets,
     prune,
 )
@@ -400,7 +401,7 @@ def _criterion_fourier_support(scale: _Scale, ctx: dict) -> tuple[bool, str]:
         n = rng.randint(2, 8)
         tree = _random_tree_depth(rng, n, 4)
         coeffs = exact_uniform_fourier(tree, n)
-        supports = path_support_sets(tree)
+        supports = set(path_support_sets(path_masks(tree)))
         cap = 4**tree.depth
         if len(supports) > cap:
             return False, f"case {case}: {len(supports)} path sets exceeds 4**depth"

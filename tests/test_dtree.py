@@ -102,6 +102,24 @@ def test_index_set_basics():
     assert index_set() == ParityIndexSet.from_mask(0)
 
 
+@settings(max_examples=300)
+@given(st.integers(0, 2**100))
+def test_from_mask_keeps_the_mask_it_is_given(mask):
+    # Indices read bit by bit, as the validating constructor sees them.
+    indices = tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    want = ParityIndexSet(indices)
+    got = ParityIndexSet.from_mask(mask)
+    assert got == want
+    assert got.indices == indices
+    assert got.mask == want.mask == mask
+    assert hash(got) == hash(want)
+
+
+def test_from_mask_rejects_a_negative_mask():
+    with pytest.raises(ValueError):
+        ParityIndexSet.from_mask(-1)
+
+
 def test_index_set_chi():
     s = index_set(1, 2)
     assert s.chi(BitVector.from01("110")) == 0
@@ -230,16 +248,28 @@ def test_prune_never_grows():
 
 
 def test_path_support_sets_examples():
-    assert path_support_sets(Leaf(1)) == {index_set()}
+    assert path_support_sets(path_masks(Leaf(1))) == [index_set()]
     t1 = Node(3, Leaf(0), Leaf(1))
-    assert path_support_sets(t1) == {index_set(), index_set(3)}
+    assert path_support_sets(path_masks(t1)) == [index_set(), index_set(3)]
     t2 = Node(1, Leaf(0), Node(2, Leaf(1), Leaf(0)))
-    assert path_support_sets(t2) == {
+    assert path_support_sets(path_masks(t2)) == [
         index_set(),
         index_set(1),
         index_set(2),
         index_set(1, 2),
-    }
+    ]
+    # Path sets {1, 2} and {1, 3}: each shared subset once, in ascending
+    # size, then lexicographic order across the two paths.
+    t3 = Node(1, Node(2, Leaf(0), Leaf(1)), Node(3, Leaf(1), Leaf(0)))
+    assert path_support_sets(path_masks(t3)) == [
+        index_set(),
+        index_set(1),
+        index_set(2),
+        index_set(3),
+        index_set(1, 2),
+        index_set(1, 3),
+    ]
+    assert path_support_sets(set()) == []
 
 
 def test_path_support_sets_downward_closed_and_bounded():
@@ -247,7 +277,7 @@ def test_path_support_sets_downward_closed_and_bounded():
     for _ in range(40):
         n = rng.randint(1, 8)
         t = random_reduced_tree(rng, n, 4)
-        sets = path_support_sets(t)
+        sets = path_support_sets(path_masks(t))
         assert index_set() in sets
         assert len(sets) <= 4 ** t.depth
         masks = {s.mask for s in sets}
@@ -299,7 +329,9 @@ def test_path_support_sets_match_every_subset_of_every_path(seed, n, depth):
     trees.append(Node(n + 1, trees[0], complement_tree(trees[0])))
     for t in trees:
         assert path_masks(t) == {index_set(*p).mask for p in leaf_paths(t)}
-        assert path_support_sets(t) == every_subset_of_every_path(t)
+        got = path_support_sets(path_masks(t))
+        assert got == sorted(every_subset_of_every_path(t), key=lambda s: (len(s), s.indices))
+        assert all(s.mask == ParityIndexSet(s.indices).mask for s in got)
 
 
 # ---------------------------------------------------------------- spectrum
@@ -326,7 +358,7 @@ def test_fourier_exhaustive_small_trees():
     for t in all_reduced_trees((1, 2, 3), 3):
         coeffs = exact_uniform_fourier(t, 3)
         assert coeffs == fourier_by_definition(t, 3)
-        supports = path_support_sets(t)
+        supports = set(path_support_sets(path_masks(t)))
         assert set(coeffs) <= supports
         assert len(coeffs) <= 4 ** t.depth
         count += 1
@@ -339,7 +371,7 @@ def test_fourier_randomized_wider_trees():
         n = rng.randint(4, 8)
         t = reduce_tree(random_reduced_tree(rng, n, 4))
         coeffs = exact_uniform_fourier(t, n)
-        assert set(coeffs) <= path_support_sets(t)
+        assert set(coeffs) <= set(path_support_sets(path_masks(t)))
         # Parseval: the squared coefficients of a +/-1 function sum to 1.
         assert sum((c * c for c in coeffs.values()), Fraction(0)) == 1
         # The empty coefficient is the +/-1 mean of the truth table.

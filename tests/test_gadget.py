@@ -9,13 +9,15 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncplift import gadget
 from ncplift.dtree import Leaf, Node, ParityIndexSet, complement_tree, exact_distance
-from ncplift.f2 import BitMatrix, BitVector, rank
+from ncplift.f2 import BitMatrix, BitVector, eliminate, rank
 from ncplift.gadget import (
     FinitePmf,
     GadgetOracle,
     GadgetParams,
     Restriction,
+    block_unions,
     blockwise_parity,
     enumerate_lifted,
     exact_lifted_agreement,
@@ -285,6 +287,58 @@ def test_is_block_complete_examples():
     assert is_block_complete(index_set(1, 2), P2)
     assert not is_block_complete(index_set(1), P2)
     assert not is_block_complete(index_set(1, 2, 3), P2)
+
+
+def dict_block_fold(s, params):
+    """Reference for ``gadget._block_fold``: count the indices of s per
+    block in a dict, then keep the blocks whose count is ell."""
+    if s.indices and s.indices[-1] > params.lifted_n:
+        raise ValueError("parity index exceeds the lifted arity")
+    counts = {}
+    for c in s:
+        b = (c - 1) // params.ell
+        counts[b] = counts.get(b, 0) + 1
+    fmask = 0
+    for b, v in counts.items():
+        if v != params.ell:
+            return None
+        fmask |= 1 << b
+    return fmask
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_block_fold_matches_the_dict_count(ell):
+    # Every lifted mask up to 12 bits, and out-of-range ones.
+    params = GadgetParams(ell=ell, base_n=12 // ell)
+    for mask in range(1 << params.lifted_n):
+        s = ParityIndexSet.from_mask(mask)
+        want = dict_block_fold(s, params)
+        assert gadget._block_fold(mask, params) == want
+        assert is_block_complete(s, params) == (want is not None)
+    for mask in (1 << params.lifted_n, (1 << params.lifted_n + 3) - 1):
+        s = ParityIndexSet.from_mask(mask)
+        with pytest.raises(ValueError):
+            dict_block_fold(s, params)
+        with pytest.raises(ValueError):
+            gadget._block_fold(mask, params)
+        with pytest.raises(ValueError):
+            is_block_complete(s, params)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_block_unions_are_the_block_complete_subsets(ell):
+    # Every lifted mask up to 8 bits: the unions are exactly the
+    # subsets that the fold finds block complete, each once, the empty
+    # union first.
+    params = GadgetParams(ell=ell, base_n=8 // ell)
+    for mask in range(1 << params.lifted_n):
+        unions = block_unions(mask, params)
+        subsets = [sub for sub in range(1 << params.lifted_n) if sub & mask == sub]
+        assert unions[0] == 0
+        assert len(set(unions)) == len(unions)
+        assert set(unions) == {sub for sub in subsets if gadget._block_fold(sub, params) is not None}
+    with pytest.raises(ValueError):
+        block_unions(1 << params.lifted_n, params)
 
 
 @given(st.integers(1, 4), st.integers(1, 5), st.data())
@@ -568,6 +622,71 @@ def test_span_tree_error_matches_the_enumeration(m, extra, ell, mode, seed):
         assert got == 0
 
 
+def per_path_span_tree_error(tree, span, params):
+    """Reference for ``span_lifted_tree_error``: one elimination per
+    reachable path, of the path's full-block rows and its label row,
+    each term its own Fraction."""
+    if span.length != params.base_n:
+        raise ValueError("base arity does not match the gadget parameters")
+    m = span.dimension
+    forms = BitMatrix(m, span.length, span.points).column_masks()
+    label_form = sum(label << j for j, label in enumerate(span.labels))
+    err = Fraction(0)
+    for fixed, leaf_label in gadget._paths(tree):
+        exponent, fmask, req = gadget._restriction_blocks(Restriction.of(fixed), params)
+        rows = [label_form | (leaf_label ^ 1) << m]
+        while fmask:
+            low = fmask & -fmask
+            b = low.bit_length() - 1
+            rows.append(forms[b] | (req >> b & 1) << m)
+            fmask ^= low
+        basis = eliminate(rows).basis
+        if 1 << m not in basis:
+            err += Fraction(1, 1 << (exponent + len(basis)))
+    return err
+
+
+def repeating_tree(rng, params, depth, pool):
+    """Random tree over a pool of lifted coordinates so small that
+    paths fill blocks and query coordinates again, subtrees shared now
+    and then."""
+    if depth == 0 or rng.random() < 0.1:
+        return Leaf(rng.getrandbits(1))
+    low = repeating_tree(rng, params, depth - 1, pool)
+    high = low if rng.random() < 0.2 else repeating_tree(rng, params, depth - 1, pool)
+    return Node(rng.choice(pool), low, high)
+
+
+@given(
+    st.integers(0, 14),
+    st.integers(0, 3),
+    st.sampled_from([1, 2, 3]),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_span_tree_error_matches_the_per_path_form(m, extra, ell, depth, seed):
+    # Random trees that repeat queries, and lifted parity trees with
+    # flipped leaves, against the per-path eliminations; at small
+    # dimension also against the enumeration over every span point.
+    rng = random.Random(seed)
+    n = max(m, 1) + extra
+    params = GadgetParams(ell, n)
+    span = random_span(rng, n, m)
+    blocks = rng.sample(range(n), min(n, rng.randint(1, 4)))
+    pool = [b * ell + j + 1 for b in blocks for j in range(ell)]
+    s_star = ParityIndexSet.from_iterable(rng.sample(range(1, n + 1), min(n, depth // ell)))
+    trees = [
+        repeating_tree(rng, params, depth, pool),
+        flip_leaves(rng, parity_to_tree(lift_parity(s_star, params))),
+    ]
+    for tree in trees:
+        got = span_lifted_tree_error(tree, span, params)
+        assert got == per_path_span_tree_error(tree, span, params)
+        if m <= 6:
+            assert got == exact_lifted_tree_error(tree, span, params)
+
+
 def test_tree_errors_match_fiber_enumeration_with_repeated_queries():
     # Trees that query a coordinate again below its first query: the
     # inner branch that contradicts the first answer is unreachable.
@@ -614,6 +733,10 @@ def test_span_tree_error_rejects_mismatched_params():
         span_lifted_tree_error(Leaf(0), span, GadgetParams(2, 3))
     with pytest.raises(ValueError):
         span_lifted_tree_error(Node(5, Leaf(0), Leaf(1)), span, P2)
+    # Below a query, and under a shared node.
+    deep = Node(5, Leaf(0), Leaf(1))
+    with pytest.raises(ValueError):
+        span_lifted_tree_error(Node(1, Node(2, deep, deep), Leaf(0)), span, P2)
 
 
 def test_enumerate_lifted_respects_cap():

@@ -107,6 +107,64 @@ def test_parity_tree_queries_ascending():
     )
 
 
+def recursive_parity_tree(indices, pos=0, acc=0):
+    """The parity tree built one fresh Node per tree node, 2**(d+1) - 1
+    objects: the reference for the shared-node build."""
+    if pos == len(indices):
+        return Leaf(acc)
+    return Node(
+        indices[pos],
+        recursive_parity_tree(indices, pos + 1, acc),
+        recursive_parity_tree(indices, pos + 1, acc ^ 1),
+    )
+
+
+def distinct_nodes(*roots):
+    """Objects reachable from the roots, each shared one counted once."""
+    seen = set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, Node):
+                stack += (node.low, node.high)
+    return len(seen)
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_parity_tree_shares_its_nodes(d):
+    # Equal to the one-node-per-tree-node build, size and depth alike,
+    # from two Nodes per level over Leaf(0) and Leaf(1): 2d + 2 objects
+    # for the tree and its complement together, 2d + 1 reachable from
+    # either root once d >= 1.
+    s = ParityIndexSet.from_iterable(random.Random(d).sample(range(1, 13), d))
+    want = recursive_parity_tree(s.indices)
+    tree = parity_to_tree(s)
+    assert tree == want
+    assert tree.size == want.size == 2**d
+    assert tree.depth == want.depth == d
+    plain, complemented = learners._parity_dags(s.indices)
+    assert plain == want
+    assert complemented == complement_tree(want)
+    assert complemented.size == 2**d and complemented.depth == d
+    assert distinct_nodes(plain, complemented) == 2 * d + 2
+    assert distinct_nodes(tree) == distinct_nodes(complemented) == (2 * d + 1 if d else 1)
+
+
+def test_complemented_fit_shares_its_nodes():
+    # Every point of the cube labeled by the complement of chi_s: the
+    # only fit within depth 3 is the complemented parity over s.
+    s = index_set(2, 3, 5)
+    points = [format(y, "05b") for y in range(32)]
+    oracle = pmf_oracle([(b, 1 ^ s.chi(BitVector.from01(b)), 1) for b in points], 5)
+    tree = exhaustive_parity_learner(
+        oracle, 5, budget(size=8, depth=3, samples=400), random.Random(1)
+    )
+    assert tree == complement_tree(recursive_parity_tree(s.indices))
+    assert distinct_nodes(tree) == 7
+
+
 def test_planted_learner_ignores_oracle():
     learner = planted_learner(index_set(1, 3))
     tree = learner(object(), 4, budget(), random.Random(0))

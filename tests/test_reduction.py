@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from ncplift import learners, reduction
-from ncplift.dtree import Leaf, Node, ParityIndexSet, path_support_sets, reduce_tree
+from ncplift.dtree import Leaf, Node, ParityIndexSet, path_masks, path_support_sets, reduce_tree
 from ncplift.learners import parity_to_tree
 from ncplift.f2 import BitMatrix, BitVector, mat_vec, rank
 from ncplift.gadget import (
@@ -351,7 +351,7 @@ def test_extract_ranking_matches_the_fraction_sort():
         for tree in trees:
             scored = [
                 (s, exact_lifted_agreement(oracle.base, s, params))
-                for s in path_support_sets(tree)
+                for s in path_support_sets(path_masks(tree))
             ]
             expected = sorted(scored, key=lambda item: (-item[1], len(item[0]), item[0].indices))
             assert extract_parity(tree, oracle) == expected
