@@ -103,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _reduction_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ell", type=int, default=2, help="gadget block width (default 2)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prune-c", type=int, default=3, help="pruning constant (default 3)")
     p.add_argument("--samples", type=int, default=2000, help="learner sample budget")
 
 
@@ -118,11 +117,7 @@ def _instance_fields(inst) -> dict:
 
 
 def _config(args) -> ReductionConfig:
-    return ReductionConfig(
-        ell=args.ell,
-        prune_constant=args.prune_c,
-        learner_samples=args.samples,
-    )
+    return ReductionConfig(ell=args.ell, learner_samples=args.samples)
 
 
 def _cmd_gen(args, started: float) -> int:

@@ -52,6 +52,10 @@ __all__ = [
     "enumerate_lifted",
 ]
 
+# Cap on the lifted arity of ``enumerate_lifted``, which yields
+# 2**(n*(ell-1)) fibers per base point.
+MAX_LIFTED_ARITY = 16
+
 
 @dataclass(frozen=True)
 class GadgetParams:
@@ -169,10 +173,8 @@ class GadgetOracle:
         base_cols, label_col = pack_examples(self.base, count, rng)
         return lift_columns(base_cols, count, self.params, rng), label_col
 
-    def enumerate_weighted(
-        self, max_lifted_arity: int = 16
-    ) -> Iterator[tuple[BitVector, Fraction, int]]:
-        return enumerate_lifted(self.base, self.params, max_lifted_arity)
+    def enumerate_weighted(self) -> Iterator[tuple[BitVector, Fraction, int]]:
+        return enumerate_lifted(self.base, self.params)
 
 
 @dataclass(frozen=True)
@@ -568,17 +570,15 @@ def _check_queries(tree: DecisionTree, lifted_n: int) -> None:
             stack += (node.low, node.high)
 
 
-def enumerate_lifted(
-    base, params: GadgetParams, max_lifted_arity: int = 16
-) -> Iterator[tuple[BitVector, Fraction, int]]:
+def enumerate_lifted(base, params: GadgetParams) -> Iterator[tuple[BitVector, Fraction, int]]:
     """Brute-force fiber enumeration of the lifted distribution.
 
     Every lifted string appears with its exact probability: the base
     point probability split uniformly over its 2**(n*(ell-1)) preimages.
-    Cross-check oracle; exponential, capped by ``max_lifted_arity``.
+    Cross-check oracle; exponential, capped by ``MAX_LIFTED_ARITY``.
     """
-    if params.lifted_n > max_lifted_arity:
-        raise ValueError(f"fiber enumeration capped at lifted arity {max_lifted_arity}")
+    if params.lifted_n > MAX_LIFTED_ARITY:
+        raise ValueError(f"fiber enumeration capped at lifted arity {MAX_LIFTED_ARITY}")
     ell = params.ell
     n = params.base_n
     freebits = n * (ell - 1)

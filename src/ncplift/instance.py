@@ -270,30 +270,17 @@ _SD_HEADER = "ncpsd v1"
 _GEN_HEADER = "ncpgen v1"
 
 
-def write_syndrome_instance(inst: SyndromeInstance) -> str:
-    lines = [
-        _SD_HEADER,
-        f"{inst.m} {inst.n} {inst.k} {inst.alpha.numerator} {inst.alpha.denominator}",
-    ]
-    lines.extend(v.to01() for v in inst.h.row_vectors())
-    lines.append(inst.t.to01())
+def _write_instance(header: str, mat: BitMatrix, vec: BitVector, k: int, alpha: Fraction) -> str:
+    lines = [header, f"{mat.rows} {mat.cols} {k} {alpha.numerator} {alpha.denominator}"]
+    lines.extend(v.to01() for v in mat.row_vectors())
+    lines.append(vec.to01())
     return "\n".join(lines) + "\n"
 
 
-def _parse_params(line: str, what: str) -> tuple[int, int, int, Fraction]:
-    parts = line.split(" ")
-    if len(parts) != 5:
-        raise FormatError(f"malformed {what} parameter line {line!r}")
-    try:
-        a, b, k, num, den = (int(p) for p in parts)
-    except ValueError as e:
-        raise FormatError(f"malformed {what} parameter line {line!r}") from e
-    if den <= 0:
-        raise FormatError("alpha denominator must be positive")
-    return a, b, k, Fraction(num, den)
-
-
-def _split_payload(text: str, header: str) -> list[str]:
+def _read_instance(text: str, header: str, what: str, vector: str, make):
+    """Parse one view: the header, ``rows cols k num den``, the matrix
+    rows, then a vector line of one bit per row; ``make(matrix, vector,
+    k, alpha)`` builds the instance."""
     if not text.endswith("\n"):
         raise FormatError("instance text must end with a newline")
     lines = text.split("\n")[:-1]
@@ -301,57 +288,41 @@ def _split_payload(text: str, header: str) -> list[str]:
         raise FormatError(f"expected header {header!r}")
     if len(lines) < 2:
         raise FormatError("missing parameter line")
-    return lines
+    try:  # a wrong field count fails the unpacking with ValueError too
+        rows, cols, k, num, den = (int(p) for p in lines[1].split(" "))
+    except ValueError as e:
+        raise FormatError(f"malformed {what} parameter line {lines[1]!r}") from e
+    if den <= 0:
+        raise FormatError("alpha denominator must be positive")
+    if len(lines) != 2 + rows + 1:
+        raise FormatError(f"expected {rows} matrix rows plus a {vector} line")
+    matrows, vline = lines[2:-1], lines[-1]
+    for ln in matrows:
+        if len(ln) != cols or not set(ln) <= {"0", "1"}:
+            raise FormatError(f"malformed matrix row {ln!r}")
+    if len(vline) != rows or not set(vline) <= {"0", "1"}:
+        raise FormatError(f"malformed {vector} line {vline!r}")
+    mat = BitMatrix.from_rows(matrows, cols) if rows else BitMatrix.zeros(0, cols)
+    try:
+        return make(mat, BitVector.from01(vline), k, Fraction(num, den))
+    except ValueError as e:
+        raise FormatError(str(e)) from e
+
+
+def write_syndrome_instance(inst: SyndromeInstance) -> str:
+    return _write_instance(_SD_HEADER, inst.h, inst.t, inst.k, inst.alpha)
 
 
 def read_syndrome_instance(text: str) -> SyndromeInstance:
-    lines = _split_payload(text, _SD_HEADER)
-    m, n, k, alpha = _parse_params(lines[1], "syndrome")
-    if len(lines) != 2 + m + 1:
-        raise FormatError(f"expected {m} matrix rows plus a target line")
-    rows = []
-    for ln in lines[2 : 2 + m]:
-        if len(ln) != n or not set(ln) <= {"0", "1"}:
-            raise FormatError(f"malformed matrix row {ln!r}")
-        rows.append(ln)
-    tline = lines[2 + m]
-    if len(tline) != m or not set(tline) <= {"0", "1"}:
-        raise FormatError(f"malformed target line {tline!r}")
-    h = BitMatrix.from_rows(rows, n) if rows else BitMatrix.zeros(0, n)
-    try:
-        return SyndromeInstance(h, BitVector.from01(tline), k, alpha)
-    except ValueError as e:
-        raise FormatError(str(e)) from e
+    return _read_instance(text, _SD_HEADER, "syndrome", "target", SyndromeInstance)
 
 
 def write_generator_instance(inst: NcpInstance) -> str:
-    lines = [
-        _GEN_HEADER,
-        f"{inst.g.rows} {inst.g.cols} {inst.k} {inst.alpha.numerator} {inst.alpha.denominator}",
-    ]
-    lines.extend(v.to01() for v in inst.g.row_vectors())
-    lines.append(inst.z.to01())
-    return "\n".join(lines) + "\n"
+    return _write_instance(_GEN_HEADER, inst.g, inst.z, inst.k, inst.alpha)
 
 
 def read_generator_instance(text: str) -> NcpInstance:
-    lines = _split_payload(text, _GEN_HEADER)
-    n, d, k, alpha = _parse_params(lines[1], "generator")
-    if len(lines) != 2 + n + 1:
-        raise FormatError(f"expected {n} matrix rows plus a point line")
-    rows = []
-    for ln in lines[2 : 2 + n]:
-        if len(ln) != d or not set(ln) <= {"0", "1"}:
-            raise FormatError(f"malformed matrix row {ln!r}")
-        rows.append(ln)
-    zline = lines[2 + n]
-    if len(zline) != n or not set(zline) <= {"0", "1"}:
-        raise FormatError(f"malformed point line {zline!r}")
-    g = BitMatrix.from_rows(rows, d) if rows else BitMatrix.zeros(0, d)
-    try:
-        return NcpInstance(g, BitVector.from01(zline), k, alpha)
-    except ValueError as e:
-        raise FormatError(str(e)) from e
+    return _read_instance(text, _GEN_HEADER, "generator", "point", NcpInstance)
 
 
 def load_instance(text: str) -> SyndromeInstance:

@@ -112,10 +112,10 @@ def pack_examples(oracle, count: int, rng: Random) -> tuple[list[int], int]:
     return cols, label_col
 
 
-def sample_bytes(arity: int, nsamp: int, lifted: int = 0) -> int:
+def sample_bytes(arity: int, nsamp: int, lifted: int) -> int:
     """Peak bytes of drawing a packed sample of nsamp examples at the
-    given arity, then lifting it to ``lifted`` columns (0: no gadget),
-    as CPython 3 lays them out.
+    given arity, then lifting it to ``lifted`` columns, as CPython 3
+    lays them out.
 
     Packing keeps, per example, its row as an int and as an
     (arity + 1)-character string while ``column_masks`` transposes
@@ -125,7 +125,7 @@ def sample_bytes(arity: int, nsamp: int, lifted: int = 0) -> int:
     the larger phase.
     """
     packing = nsamp * (arity * 4 // 3 + 176)
-    lifting = (arity + lifted) * ((nsamp + 29) // 30 * 4 + 48) if lifted else 0
+    lifting = (arity + lifted) * ((nsamp + 29) // 30 * 4 + 48)
     return max(packing, lifting)
 
 

@@ -48,7 +48,6 @@ from .span import SpanOracle, make_span_oracle
 
 __all__ = [
     "ReductionConfig",
-    "ReductionMeta",
     "DecideReport",
     "SearchReport",
     "build_learning_instance",
@@ -67,6 +66,12 @@ __all__ = [
 # 3.11); each further level doubles that.
 TREE_MAX_DEPTH = 16
 
+# ``search`` prunes the hypothesis at PRUNE_CONSTANT * ceil(log2(size))
+# and caps a certificate's sparsity at that depth over ell.  The
+# learner's parity tree of depth d has 2**d leaves, so pruning at 3d
+# never cuts it: the constant only sets the sparsity cap.
+PRUNE_CONSTANT = 3
+
 
 @dataclass(frozen=True)
 class ReductionConfig:
@@ -78,34 +83,17 @@ class ReductionConfig:
     """
 
     ell: int = 2
-    prune_constant: int = 3
     learner_samples: int = 2000
 
     def __post_init__(self) -> None:
         if self.ell < 2:
             raise ValueError("block width must be >= 2")
-        if self.prune_constant < 2:
-            raise ValueError("prune constant must be >= 2")
         if self.learner_samples < 1:
             raise ValueError("learner sample budget must be positive")
 
 
-@dataclass(frozen=True)
-class ReductionMeta:
-    """Shape of a built learning instance."""
-
-    n: int
-    m: int
-    k: int
-    alpha: Fraction
-    ell: int
-    arity: int
-
-
-def build_learning_instance(
-    inst: SyndromeInstance, cfg: ReductionConfig
-) -> tuple[GadgetOracle, ReductionMeta]:
-    """Lifted example oracle for an instance, plus its shape record.
+def build_learning_instance(inst: SyndromeInstance, cfg: ReductionConfig) -> GadgetOracle:
+    """Lifted example oracle for an instance.
 
     Normalizes first; an instance whose system is inconsistent raises
     ``UnsatisfiableInstanceError``.  Emitted examples have arity
@@ -114,10 +102,7 @@ def build_learning_instance(
     """
     norm = normalize_syndrome(inst)
     labeled = syndrome_to_labeled_set(norm)
-    span = make_span_oracle(labeled)
-    params = GadgetParams(cfg.ell, norm.n)
-    meta = ReductionMeta(norm.n, norm.m, norm.k, norm.alpha, cfg.ell, params.lifted_n)
-    return GadgetOracle(span, params), meta
+    return GadgetOracle(make_span_oracle(labeled), GadgetParams(cfg.ell, norm.n))
 
 
 @dataclass(frozen=True)
@@ -132,7 +117,6 @@ class DecideReport:
     size_cap: int
     error_gate: float
     tolerance: float
-    meta: ReductionMeta | None
     hypothesis: DecisionTree | None = None
 
 
@@ -157,9 +141,13 @@ def _thresholds(inst: SyndromeInstance, cfg: ReductionConfig) -> tuple[int, floa
     return size_cap, error_gate, tolerance
 
 
-def _check_sample_size(inst: SyndromeInstance, cfg: ReductionConfig) -> None:
-    """The gadget oracle packs its sample at base arity n and lifts it
-    to ell*n columns (``GadgetOracle.sample_columns``)."""
+def _check_work(inst: SyndromeInstance, cfg: ReductionConfig) -> None:
+    """Refuse, before any sampling, a learning step past the work bounds.
+
+    The gadget oracle packs its sample at base arity n and lifts it to
+    ell*n columns (``GadgetOracle.sample_columns``), and the learner may
+    build a tree of depth ell*k.
+    """
     lifted = cfg.ell * inst.n
     need = sample_bytes(inst.n, cfg.learner_samples, lifted)
     if need > SAMPLE_MAX_BYTES:
@@ -168,10 +156,6 @@ def _check_sample_size(inst: SyndromeInstance, cfg: ReductionConfig) -> None:
             f"to arity {lifted} takes about {need} bytes, "
             f"past SAMPLE_MAX_BYTES = {SAMPLE_MAX_BYTES}"
         )
-
-
-def _check_tree_depth(inst: SyndromeInstance, cfg: ReductionConfig) -> None:
-    """The learner may build a tree of depth ell*k."""
     depth = cfg.ell * inst.k
     if depth > TREE_MAX_DEPTH:
         raise ValueError(
@@ -180,14 +164,30 @@ def _check_tree_depth(inst: SyndromeInstance, cfg: ReductionConfig) -> None:
         )
 
 
+def _learn(
+    inst: SyndromeInstance, cfg: ReductionConfig, learner, rng: Random
+) -> tuple[GadgetOracle, DecisionTree] | None:
+    """The lifted oracle and the learner's tree on it, with depth budget
+    ell*k and size budget 2**(ell*k); None when the system is
+    inconsistent."""
+    try:
+        oracle = build_learning_instance(inst, cfg)
+    except UnsatisfiableInstanceError:
+        return None
+    depth_cap = cfg.ell * inst.k
+    budget = LearnerBudget(1 << depth_cap, depth_cap, cfg.learner_samples)
+    return oracle, learner(oracle, oracle.length, budget, rng)
+
+
 def decide(
     inst: SyndromeInstance, cfg: ReductionConfig, learner, rng: Random
 ) -> DecideReport:
     """Accept when a small learned tree tracks the lifted labels.
 
-    Runs the learner with depth budget ell*k and size budget
-    2**floor(ell*alpha*k/3), then computes the tree's exact distance to
-    the lifted source (``span_lifted_tree_error``).  Accepts exactly
+    Runs the learner with depth budget ell*k and size budget 2**(ell*k),
+    where the size cap 2**floor(ell*alpha*k/3) stops, then computes the
+    tree's exact distance to the lifted source
+    (``span_lifted_tree_error``).  Accepts exactly
     when the hypothesis fits the size cap and the distance is at most
     the gate plus tolerance and below 1/2: a tree at 1/2 tracks nothing,
     and the gate plus tolerance, below 1/2 for every alpha, rounds to
@@ -203,23 +203,20 @@ def decide(
             ``TREE_MAX_DEPTH``; from the learner, when its search would
             pass ``f2.SEARCH_MAX_COST``.
     """
-    _check_sample_size(inst, cfg)
-    _check_tree_depth(inst, cfg)
+    _check_work(inst, cfg)
     size_cap, error_gate, tolerance = _thresholds(inst, cfg)
     if error_gate + tolerance <= 0 or size_cap < 1 << (cfg.ell * inst.k):
-        return DecideReport(False, "vacuous-gate", None, None, size_cap, error_gate, tolerance, None)
-    try:
-        oracle, meta = build_learning_instance(inst, cfg)
-    except UnsatisfiableInstanceError:
-        return DecideReport(False, "unsatisfiable", None, None, size_cap, error_gate, tolerance, None)
-    budget = LearnerBudget(size_cap, cfg.ell * inst.k, cfg.learner_samples)
-    tree = learner(oracle, meta.arity, budget, rng)
+        return DecideReport(False, "vacuous-gate", None, None, size_cap, error_gate, tolerance)
+    learned = _learn(inst, cfg, learner, rng)
+    if learned is None:
+        return DecideReport(False, "unsatisfiable", None, None, size_cap, error_gate, tolerance)
+    oracle, tree = learned
     if tree.size > size_cap:
-        return DecideReport(False, "size-gate", tree.size, None, size_cap, error_gate, tolerance, meta, tree)
+        return DecideReport(False, "size-gate", tree.size, None, size_cap, error_gate, tolerance, tree)
     distance = span_lifted_tree_error(tree, oracle.base, oracle.params)
     if distance < Fraction(1, 2) and distance <= error_gate + tolerance:
-        return DecideReport(True, "ok-yes", tree.size, distance, size_cap, error_gate, tolerance, meta, tree)
-    return DecideReport(False, "distance-gate", tree.size, distance, size_cap, error_gate, tolerance, meta, tree)
+        return DecideReport(True, "ok-yes", tree.size, distance, size_cap, error_gate, tolerance, tree)
+    return DecideReport(False, "distance-gate", tree.size, distance, size_cap, error_gate, tolerance, tree)
 
 
 def extract_parity(
@@ -279,7 +276,6 @@ class SearchReport:
     hypothesis_size: int | None
     pruned_depth: int | None
     candidates: int
-    meta: ReductionMeta | None
     hypothesis: DecisionTree | None = None
 
     @property
@@ -293,40 +289,36 @@ def search(
     """Learn, prune, extract, fold back, and verify exactly.
 
     The learner gets depth budget ell*k and size budget 2**(ell*k); the
-    hypothesis is pruned at prune_constant * ceil(log2(size)); every
+    hypothesis is pruned at PRUNE_CONSTANT * ceil(log2(size)); every
     candidate parity is folded to base blocks and kept only when
     ``verify_certificate`` accepts it on the original instance with
-    sparsity cap floor(prune_constant * ceil(log2(size)) / ell), so a
+    sparsity cap floor(PRUNE_CONSTANT * ceil(log2(size)) / ell), so a
     returned vector always satisfies H x = t within that bound;
     failures report which stage gave out.
 
     Raises:
-        ValueError: before any sampling, when ell*k passes
-            ``TREE_MAX_DEPTH`` or packing the learner's sample would
-            pass ``SAMPLE_MAX_BYTES``; from the learner, when its search
-            would pass ``f2.SEARCH_MAX_COST``.
+        ValueError: before any sampling, when packing the learner's
+            sample would pass ``SAMPLE_MAX_BYTES`` or ell*k passes
+            ``TREE_MAX_DEPTH``; from the learner, when its search would
+            pass ``f2.SEARCH_MAX_COST``.
     """
-    _check_tree_depth(inst, cfg)
-    _check_sample_size(inst, cfg)
-    try:
-        oracle, meta = build_learning_instance(inst, cfg)
-    except UnsatisfiableInstanceError:
-        return SearchReport(None, "unsatisfiable", None, None, 0, None)
-    depth_cap = cfg.ell * meta.k
-    budget = LearnerBudget(1 << depth_cap, depth_cap, cfg.learner_samples)
-    tree = learner(oracle, meta.arity, budget, rng)
+    _check_work(inst, cfg)
+    learned = _learn(inst, cfg, learner, rng)
+    if learned is None:
+        return SearchReport(None, "unsatisfiable", None, None, 0)
+    oracle, tree = learned
     log_size = max(1, tree.size).bit_length() - 1
     if 1 << log_size != tree.size:
         log_size += 1  # ceil(log2(size))
-    prune_depth = cfg.prune_constant * log_size
+    prune_depth = PRUNE_CONSTANT * log_size
     pruned = prune(tree, prune_depth)
     ranked = extract_parity(pruned, oracle)
-    sparsity_cap = cfg.prune_constant * log_size // cfg.ell
+    sparsity_cap = prune_depth // cfg.ell
     for s, _agreement in ranked:
-        x = BitVector.from_support(unlift_parity(s, oracle.params).indices, meta.n)
+        x = BitVector.from_support(unlift_parity(s, oracle.params).indices, inst.n)
         if verify_certificate(inst, x, sparsity_cap):
-            return SearchReport(x, "ok", tree.size, prune_depth, len(ranked), meta, pruned)
-    return SearchReport(None, "no-candidate-verified", tree.size, prune_depth, len(ranked), meta, pruned)
+            return SearchReport(x, "ok", tree.size, prune_depth, len(ranked), pruned)
+    return SearchReport(None, "no-candidate-verified", tree.size, prune_depth, len(ranked), pruned)
 
 
 def verify_certificate(inst: SyndromeInstance, x: BitVector, k_max: int) -> bool:

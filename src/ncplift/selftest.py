@@ -61,7 +61,14 @@ from .gadget import (
 )
 from .instance import LabeledSet, SyndromeInstance, brute_force_nearest, random_planted
 from .learners import exhaustive_parity_learner, parity_to_tree
-from .reduction import ReductionConfig, decide, extract_parity, search, verify_certificate
+from .reduction import (
+    PRUNE_CONSTANT,
+    ReductionConfig,
+    decide,
+    extract_parity,
+    search,
+    verify_certificate,
+)
 from .span import exact_disagreement, make_span_oracle
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA", "FAULT_IDS"]
@@ -519,7 +526,7 @@ def _criterion_search(scale: _Scale, ctx: dict) -> tuple[bool, str]:
         if report.ok:
             x = report.solution
             certs.append((inst, x))
-            if not verify_certificate(inst, x, cfg.prune_constant * inst.k):
+            if not verify_certificate(inst, x, PRUNE_CONSTANT * inst.k):
                 return False, f"seed {seed}: returned certificate failed verification"
             if x.sparsity <= inst.k and mat_vec(inst.h, x).mask == inst.t.mask:
                 hits += 1

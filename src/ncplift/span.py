@@ -57,9 +57,9 @@ class SpanOracle:
     def sample(self, rng: Random) -> tuple[BitVector, int]:
         return sample_span(self, rng)
 
-    def enumerate_weighted(self, max_dimension: int = DEFAULT_MAX_DIMENSION):
+    def enumerate_weighted(self):
         w = Fraction(1, 1 << self.dimension)
-        for point, label in enumerate_span(self, max_dimension):
+        for point, label in enumerate_span(self):
             yield point, w, label
 
     def bitsliced(self) -> tuple[list[int], int]:
@@ -105,14 +105,12 @@ def sample_span(oracle: SpanOracle, rng: Random) -> tuple[BitVector, int]:
     return BitVector(oracle.length, pm), label
 
 
-def enumerate_span(
-    oracle: SpanOracle, max_dimension: int = DEFAULT_MAX_DIMENSION
-) -> list[tuple[BitVector, int]]:
+def enumerate_span(oracle: SpanOracle) -> list[tuple[BitVector, int]]:
     """All 2**dimension labeled span points, in Gray-code subset order
     so consecutive elements differ by one basis point."""
     m = oracle.dimension
-    if m > max_dimension:
-        raise ValueError(f"span enumeration capped at dimension {max_dimension}")
+    if m > DEFAULT_MAX_DIMENSION:
+        raise ValueError(f"span enumeration capped at dimension {DEFAULT_MAX_DIMENSION}")
     out = [(BitVector(oracle.length, 0), 0)]
     pm = 0
     label = 0
@@ -127,19 +125,15 @@ def enumerate_span(
     return out
 
 
-def exact_disagreement(
-    oracle: SpanOracle,
-    s: ParityIndexSet,
-    max_dimension: int = DEFAULT_MAX_DIMENSION,
-) -> Fraction:
+def exact_disagreement(oracle: SpanOracle, s: ParityIndexSet) -> Fraction:
     """Exact fraction of span elements where the parity misses the label.
 
     Enumerates the span through the bit-sliced table: the parity column
     is the XOR of the selected coordinate columns, and the mismatch
     count is one popcount against the label column.
     """
-    if oracle.dimension > max_dimension:
-        raise ValueError(f"span enumeration capped at dimension {max_dimension}")
+    if oracle.dimension > DEFAULT_MAX_DIMENSION:
+        raise ValueError(f"span enumeration capped at dimension {DEFAULT_MAX_DIMENSION}")
     if s.indices and s.indices[-1] > oracle.length:
         raise ValueError("parity index exceeds the ambient arity")
     cols, label_col = oracle.bitsliced()

@@ -165,6 +165,17 @@ def test_solve_reduce_has_no_learner_option(tmp_path, capsys):
     assert "unrecognized arguments: --learner exhaustive" in err
 
 
+@pytest.mark.parametrize("command", ["solve-reduce", "decide"])
+def test_reduction_has_no_prune_option(tmp_path, capsys, command):
+    # The prune constant is fixed (reduction.PRUNE_CONSTANT), so the old
+    # flag is a usage error.
+    out = gen_planted(tmp_path, capsys, n=14, m=10, k=2, seed=7)
+    code, stdout, err = run(capsys, command, str(out), "--prune-c", "3")
+    assert code == 2
+    assert stdout == ""
+    assert "unrecognized arguments: --prune-c 3" in err
+
+
 def test_solve_reduce_past_span_enumeration_cap(tmp_path, capsys):
     # m = 24 rows: a span of dimension 24, beyond exhaustive enumeration.
     out = gen_planted(tmp_path, capsys, n=32, m=24, k=2, seed=1)

@@ -33,6 +33,7 @@ from ncplift.learners import (
     sample_bytes,
 )
 from ncplift.reduction import (
+    PRUNE_CONSTANT,
     TREE_MAX_DEPTH,
     ReductionConfig,
     build_learning_instance,
@@ -93,8 +94,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ReductionConfig(ell=1)
     with pytest.raises(ValueError):
-        ReductionConfig(prune_constant=1)
-    with pytest.raises(ValueError):
         ReductionConfig(learner_samples=0)
 
 
@@ -103,10 +102,9 @@ def test_config_validation():
 
 def test_build_learning_instance_shape():
     inst, _x = random_planted(8, 5, 2, 17)
-    oracle, meta = build_learning_instance(inst, CFG)
-    assert meta.n == 8 and meta.m == 5 and meta.k == 2
-    assert meta.ell == 2
-    assert meta.arity == 16
+    oracle = build_learning_instance(inst, CFG)
+    assert oracle.base.length == 8 and oracle.base.dimension == 5
+    assert oracle.params.ell == 2
     assert oracle.length == 16
 
 
@@ -114,7 +112,7 @@ def test_lifted_labels_follow_planted_parity():
     # With labels planted on support x, every enumerated lifted example
     # is labeled by the lifted parity of that support.
     inst, x = random_planted(5, 4, 2, 23)
-    oracle, _ = build_learning_instance(inst, CFG)
+    oracle = build_learning_instance(inst, CFG)
     lifted = lift_parity(index_set(*x.support()), oracle.params)
     count = 0
     for point, w, label in oracle.enumerate_weighted():
@@ -338,7 +336,7 @@ def test_extract_ranking_matches_the_fraction_sort():
     for seed in range(40):
         n = rng.randint(4, 10)
         inst, x = random_planted(n, rng.randint(1, n), rng.randint(1, 3), seed)
-        oracle, _ = build_learning_instance(inst, ReductionConfig(ell=2))
+        oracle = build_learning_instance(inst, ReductionConfig(ell=2))
         params = oracle.params
         planted = lift_parity(ParityIndexSet.from_mask(x.mask), params)
         sparse = rng.getrandbits(params.lifted_n) & rng.getrandbits(params.lifted_n)
@@ -406,7 +404,7 @@ def test_search_recovers_planted_solution():
     assert report.ok
     assert report.solution == x
     assert report.reason == "ok"
-    assert verify_certificate(inst, report.solution, CFG.prune_constant * inst.k)
+    assert verify_certificate(inst, report.solution, PRUNE_CONSTANT * inst.k)
     assert report.hypothesis is not None
     assert report.hypothesis.depth <= report.pruned_depth
 
@@ -480,7 +478,7 @@ def test_search_past_enumeration_cap_finishes():
         with cpu_limit(10):
             report = search(inst, CFG, exhaustive_parity_learner, random.Random(1))
         assert report.ok
-        assert verify_certificate(inst, report.solution, CFG.prune_constant * inst.k)
+        assert verify_certificate(inst, report.solution, PRUNE_CONSTANT * inst.k)
 
 
 def test_search_many_planted_seeds():
@@ -492,7 +490,7 @@ def test_search_many_planted_seeds():
         )
         if report.ok:
             assert verify_certificate(
-                inst, report.solution, CFG.prune_constant * inst.k
+                inst, report.solution, PRUNE_CONSTANT * inst.k
             )
             assert mat_vec(inst.h, report.solution) == inst.t
             hits += 1
@@ -520,8 +518,7 @@ def test_search_bounds_ell_times_k_before_learning():
     # planted one-coordinate hypothesis keeps the allowed run short.
     inst, _ = random_planted(8, 6, 1, 3)
     cfg = ReductionConfig(ell=TREE_MAX_DEPTH)
-    report = search(inst, cfg, planted_learner(index_set(1)), random.Random(0))
-    assert report.meta.arity == 8 * TREE_MAX_DEPTH
+    search(inst, cfg, planted_learner(index_set(1)), random.Random(0))
     cfg = ReductionConfig(ell=TREE_MAX_DEPTH + 1)
     with pytest.raises(ValueError, match="TREE_MAX_DEPTH"):
         search(inst, cfg, refusing_learner, random.Random(0))
@@ -536,7 +533,6 @@ def test_decide_bounds_ell_times_k_before_learning():
     cfg = ReductionConfig(ell=TREE_MAX_DEPTH)
     report = decide(inst, cfg, planted_learner(index_set(1)), random.Random(0))
     assert (report.reason, report.distance) == ("distance-gate", Fraction(1, 2))
-    assert report.meta.arity == 8 * TREE_MAX_DEPTH
     cfg = ReductionConfig(ell=TREE_MAX_DEPTH + 1)
     with pytest.raises(ValueError, match="TREE_MAX_DEPTH"):
         decide(inst, cfg, refusing_learner, random.Random(0))
@@ -554,6 +550,16 @@ def test_pipelines_bound_the_sample_before_sampling(pipeline):
     cfg = ReductionConfig(learner_samples=most)
     pipeline(inst, cfg, planted_learner(index_set()), random.Random(0))
     cfg = ReductionConfig(learner_samples=most + 1)
+    with pytest.raises(ValueError, match="SAMPLE_MAX_BYTES"):
+        pipeline(inst, cfg, refusing_learner, random.Random(0))
+
+
+@pytest.mark.parametrize("pipeline", [search, decide])
+def test_pipelines_check_the_sample_bound_first(pipeline):
+    # Past both work bounds, both pipelines name the sample bound.
+    inst, _ = random_planted(8, 6, 1, 3)
+    ell = TREE_MAX_DEPTH + 1
+    cfg = ReductionConfig(ell=ell, learner_samples=largest_sample_within_the_bound(8, ell) + 1)
     with pytest.raises(ValueError, match="SAMPLE_MAX_BYTES"):
         pipeline(inst, cfg, refusing_learner, random.Random(0))
 

@@ -100,10 +100,17 @@ def test_labels_extend_linearly():
 
 
 def test_enumeration_respects_dimension_cap():
-    rng = random.Random(29)
-    oracle = make_span_oracle(random_basis(rng, 8, 6))
-    with pytest.raises(ValueError):
-        enumerate_span(oracle, max_dimension=5)
+    # 21 unit rows span 2**21 points, one dimension past the cap: every
+    # enumeration refuses before it lists any of them.
+    oracle = make_span_oracle(
+        LabeledSet(tuple(BitVector(21, 1 << i) for i in range(21)), (0,) * 21, 21)
+    )
+    with pytest.raises(ValueError, match="capped at dimension 20"):
+        enumerate_span(oracle)
+    with pytest.raises(ValueError, match="capped at dimension 20"):
+        next(oracle.enumerate_weighted())
+    with pytest.raises(ValueError, match="capped at dimension 20"):
+        exact_disagreement(oracle, ParityIndexSet.from_iterable([1]))
 
 
 # ---------------------------------------------------------------- sampling
