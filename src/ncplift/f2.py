@@ -333,22 +333,16 @@ COSET_MAX_KERNEL_DIM = 28
 # checks and the learner's lifted columns), an elimination step too.
 COSET_STEP_COST = 1
 
-# Most steps ``sparse_xor_search`` takes when a caller passes it as
-# ``max_cost``.  At 90 to 250 ns a step (Python 3.11), about half a
-# minute to a minute.
+# Most steps ``sparse_xor_search`` may take.  At 90 to 250 ns a step
+# (Python 3.11), about half a minute to a minute.
 SEARCH_MAX_COST = 1 << 28
 
 # Kernel vectors whose span makes one row of the coset walk.
 _COSET_ROW_DIM = 10
 
-_FINGERPRINT = (1 << 64) - 1
-
 
 def sparse_xor_search(
-    columns: Sequence[int],
-    targets: tuple[int, ...],
-    max_size: int,
-    max_cost: int | None = None,
+    columns: Sequence[int], targets: tuple[int, ...], max_size: int
 ) -> tuple[int, int] | None:
     """First support whose column XOR equals one of the targets.
 
@@ -388,34 +382,31 @@ def sparse_xor_search(
     ``s - h`` indices L and its highest h indices U, where h is the
     largest split up to ``s // 2`` whose table of all C(n, h) upper
     halves holds at most ``XOR_TABLE_MAX_ENTRIES`` entries.  The table
-    maps the fingerprint (low 64 bits) of the XOR over every U to the
-    lexicographically first U with that fingerprint.  The L are streamed
-    in lexicographic order against it, and a fingerprint hit counts only
-    if the full columns of L | U confirm it.  Supports sharing L are
-    ordered by U, so the first L with a hit holds the answer and the
-    stream stops there.  A U that is not wholly above L never decides:
-    if it overlaps L, L | U is a smaller support, which the smaller
-    sizes already ruled out, and otherwise the support's own lowest
-    indices come earlier in the stream and would have stopped it.  h = 0
-    (size 1, or a table that would not fit) is a one-entry table and the
-    stream is the plain scan.
+    maps the key of the XOR over every U to the lexicographically first
+    U with that key.  Keys are exact: the columns themselves, or, when
+    the columns were eliminated, their bits at the pivots (``_keys``).
+    The L are streamed in lexicographic order against the table, and
+    supports sharing L are ordered by U, so the first L with a hit holds
+    the answer and the stream stops there.  Every hit is a fit, and its
+    U lies wholly above L: a U that overlaps L makes the smaller support
+    L ^ U fit, which the smaller sizes already ruled out, and otherwise
+    the support's own lowest indices come earlier in the stream and
+    would have stopped it.  h = 0 (size 1, or a table that would not
+    fit) is a one-entry table and the stream is the plain scan.
 
     Both sides go a row at a time.  A streamed row is every L that
-    shares all its indices but the last; the row's fingerprints, the
-    prefix XOR with each later column, are probed for every target at C
-    level, and only a row with a hit is walked index by index.  A table
-    row is every U with the same lowest index, and it goes into the
-    table with one ``dict.update``; rows run in decreasing lexicographic
-    order, so each fingerprint keeps its first U.  A hit that the full
-    columns reject means two XORs share their low 64 bits, and the table
-    may have kept the wrong one of them, so the search starts again
-    keyed on the full columns.  A table is built only when h changes and
-    only the current one is held, so memory stays bounded for every
+    shares all its indices but the last; the row's keys, the prefix XOR
+    with each later column, are probed for every target at C level, and
+    only a row with a hit is walked index by index.  A table row is
+    every U with the same lowest index, and it goes into the table with
+    one ``dict.update``; rows run in decreasing lexicographic order, so
+    each key keeps its first U.  A table is built only when h changes
+    and only the current one is held, so memory stays bounded for every
     size.
 
     Raises:
-        ValueError: when both estimates pass ``max_cost``, before any
-            table or walk starts.
+        ValueError: when both estimates pass ``SEARCH_MAX_COST``, before
+            any table or walk starts.
     """
     if max_size >= 0 and 0 in targets:
         return 0, targets.index(0)
@@ -428,19 +419,19 @@ def sparse_xor_search(
         dim = len(elim.kernel)
     coset = _coset_cost(len(targets), dim, n, n - dim)
     use_coset = elim is not None and dim <= COSET_MAX_KERNEL_DIM and coset <= mitm
-    if max_cost is not None and (coset if use_coset else mitm) > max_cost:
+    if (coset if use_coset else mitm) > SEARCH_MAX_COST:
         bound = "" if elim is not None else "at least "
         raise ValueError(
             f"exact search too large: meeting in the middle takes about "
             f"2**{mitm.bit_length() - 1} steps and the coset walk {len(targets)} x "
-            f"2**{dim} (kernel dimension {bound}{dim}), both past {max_cost}"
+            f"2**{dim} (kernel dimension {bound}{dim}), both past "
+            f"SEARCH_MAX_COST = {SEARCH_MAX_COST}"
         )
     if use_coset:
         return _coset_search(elim, targets, max_size)
-    try:
-        return _search(columns, targets, _FINGERPRINT, max_size)
-    except _FingerprintClash:
-        return _search(columns, targets, -1, max_size)
+    if elim is None:
+        return _search(columns, dict(enumerate(targets)), max_size)
+    return _search(*_keys(elim, columns, targets), max_size)
 
 
 def _mitm_cost(n: int, n_targets: int, max_size: int) -> int:
@@ -507,78 +498,64 @@ def _precedes(a: int, b: int) -> bool:
     return bool(diff & -diff & a)
 
 
-class _FingerprintClash(Exception):
-    """A fingerprint hit that the full columns reject: the table may have
-    kept another support with the same fingerprint."""
+def _keys(
+    elim: Elimination, columns: Sequence[int], targets: tuple[int, ...]
+) -> tuple[list[int], dict[int, int]]:
+    """Exact keys for meeting in the middle over eliminated columns: the
+    bits of each column and target at the pivots, with the targets
+    outside the column span dropped.
+
+    Each basis vector has its own pivot bit set and the pivot bits of
+    the ones before it clear, so the basis restricted to the pivots is
+    triangular with a unit diagonal, and no two vectors of the span
+    share their pivot bits.  A target outside the span has no fit, but
+    its pivot bits may equal those of a vector in the span, so it is not
+    keyed.  Returns the column keys and a map from the index of each
+    target kept to its key.
+    """
+    pivots = sum(elim.pivots)
+    live = {ti: t & pivots for ti, t in enumerate(targets) if not elim.reduce(t)[0]}
+    return [c & pivots for c in columns], live
 
 
-def _search(
-    columns: Sequence[int],
-    targets: tuple[int, ...],
-    key_mask: int,
-    max_size: int,
-) -> tuple[int, int] | None:
-    """``sparse_xor_search`` with tables keyed on ``column & key_mask``."""
-    n = len(columns)
-    low = [c & key_mask for c in columns]
-    prints = [t & key_mask for t in targets]
+def _search(keys: Sequence[int], targets: dict[int, int], max_size: int) -> tuple[int, int] | None:
+    """``sparse_xor_search`` by meeting in the middle: ``keys[j]`` keys
+    column j, and ``targets`` maps a target's index to its key."""
+    n = len(keys)
     bits = [1 << j for j in range(n)]
     half, table = 0, {0: 0}
     for size in range(1, max_size + 1):
         if half < size // 2 and comb(n, half + 1) <= XOR_TABLE_MAX_ENTRIES:
             half += 1
-            table = _half_table(low, bits, half)
-        keys = table.keys()
+            table = _half_table(keys, bits, half)
+        table_keys = table.keys()
         top = n - half
         for prefix in combinations(range(top - 1), size - half - 1):
             mask = acc = 0
             for j in prefix:
                 mask |= bits[j]
-                acc ^= low[j]
+                acc ^= keys[j]
             start = prefix[-1] + 1 if prefix else 0
-            row = low[start:top]
-            for target_fp in prints:
-                if not keys.isdisjoint(map((acc ^ target_fp).__xor__, row)):
+            row = keys[start:top]
+            for target in targets.values():
+                if not table_keys.isdisjoint(map((acc ^ target).__xor__, row)):
                     break
             else:
                 continue
             for j in range(start, top):
-                hit = _confirmed_hit(columns, targets, prints, table, mask | bits[j], acc ^ low[j])
-                if hit is not None:
-                    return hit
+                lower, key = mask | bits[j], acc ^ keys[j]
+                best = None
+                for ti, target in targets.items():
+                    upper = table.get(key ^ target)
+                    if upper is not None and (best is None or _precedes(lower | upper, best[0])):
+                        best = (lower | upper, ti)
+                if best is not None:
+                    return best
     return None
 
 
-def _confirmed_hit(
-    columns: Sequence[int],
-    targets: tuple[int, ...],
-    prints: list[int],
-    table: dict,
-    lower: int,
-    fp: int,
-) -> tuple[int, int] | None:
-    """The first (by upper half, then target) support that ``lower`` and
-    an upper half in the table make for some target, as ``(support,
-    target index)``.
-
-    Raises:
-        _FingerprintClash: when the full columns reject a table hit.
-    """
-    best = None
-    for ti, target_fp in enumerate(prints):
-        upper = table.get(fp ^ target_fp)
-        if upper is None:
-            continue
-        if _xor_columns(columns, lower | upper) != targets[ti]:
-            raise _FingerprintClash
-        hit = (_indices(upper), ti, lower | upper)
-        if best is None or hit < best:
-            best = hit
-    return None if best is None else (best[2], best[1])
-
-
-def _half_table(low: list[int], bits: list[int], half: int) -> dict:
-    """Every XOR of ``half >= 1`` columns, mapped to the
+def _half_table(keys: Sequence[int], bits: list[int], half: int) -> dict:
+    """Every XOR of the keys of ``half >= 1`` columns, mapped to the
     lexicographically first support of ``half`` indices that makes it.
 
     Supports of each size are listed in decreasing lexicographic order:
@@ -588,39 +565,23 @@ def _half_table(low: list[int], bits: list[int], half: int) -> dict:
     time, in that order, so each key keeps the last support written for
     it, its lexicographically first.
     """
-    n = len(low)
-    fps, uppers = low[::-1], bits[::-1]
-    table = dict(zip(fps, uppers)) if half == 1 else {}
+    n = len(keys)
+    xors, uppers = keys[::-1], bits[::-1]
+    table = dict(zip(xors, uppers)) if half == 1 else {}
     for level in range(2, half + 1):
-        longer_fps: list[int] = []
+        longer_xors: list[int] = []
         longer_uppers: list[int] = []
         for a in range(n - level, -1, -1):
             count = comb(n - 1 - a, level - 1)
-            row_fps = map(low[a].__xor__, islice(fps, count))
+            row_xors = map(keys[a].__xor__, islice(xors, count))
             row_uppers = map(bits[a].__or__, islice(uppers, count))
             if level == half:
-                table.update(zip(row_fps, row_uppers))
+                table.update(zip(row_xors, row_uppers))
             else:
-                longer_fps.extend(row_fps)
+                longer_xors.extend(row_xors)
                 longer_uppers.extend(row_uppers)
-        fps, uppers = longer_fps, longer_uppers
+        xors, uppers = longer_xors, longer_uppers
     return table
-
-
-def _xor_columns(columns: Sequence[int], mask: int) -> int:
-    acc = 0
-    for j in _indices(mask):
-        acc ^= columns[j]
-    return acc
-
-
-def _indices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 # ---------- text format ----------

@@ -24,7 +24,6 @@ from itertools import combinations  # noqa: F401
 from random import Random
 
 from .f2 import (
-    SEARCH_MAX_COST,
     BitMatrix,
     BitVector,
     FormatError,
@@ -214,9 +213,7 @@ def brute_force_nearest(inst: SyndromeInstance, k_max: int) -> BitVector | None:
         raise ValueError(f"sparsity cap must be >= 0, got {k_max}")
     if k_max > n:
         raise ValueError("sparsity cap exceeds the number of coordinates")
-    hit = sparse_xor_search(
-        inst.h.column_masks(), (inst.t.mask,), k_max, max_cost=SEARCH_MAX_COST
-    )
+    hit = sparse_xor_search(inst.h.column_masks(), (inst.t.mask,), k_max)
     return None if hit is None else BitVector(n, hit[0])
 
 

@@ -26,7 +26,7 @@ from itertools import combinations  # noqa: F401
 from random import Random
 
 from .dtree import DecisionTree, Leaf, Node, ParityIndexSet
-from .f2 import SEARCH_MAX_COST, BitMatrix, sparse_xor_search
+from .f2 import BitMatrix, sparse_xor_search
 
 __all__ = [
     "LearnerBudget",
@@ -160,7 +160,7 @@ def exhaustive_parity_learner(
     cols, label_col, nsamp = _sample_columns(oracle, arity, budget, rng)
     max_size = min(budget.depth_budget, budget.size_budget.bit_length() - 1)
     targets = (label_col, label_col ^ ((1 << nsamp) - 1))
-    exact = sparse_xor_search(cols, targets, max_size, max_cost=SEARCH_MAX_COST)
+    exact = sparse_xor_search(cols, targets, max_size)
     if exact is None:
         return Leaf(int(2 * label_col.bit_count() > nsamp))
     support, target = exact

@@ -209,6 +209,15 @@ def test_rank_small_cases():
     assert rank(BitMatrix.from_rows(["11", "11"])) == 1
 
 
+def xor_of(vectors, combo):
+    """XOR of the vectors whose bits are set in ``combo``."""
+    acc = 0
+    for j, v in enumerate(vectors):
+        if combo >> j & 1:
+            acc ^= v
+    return acc
+
+
 def test_eliminate_tracks_combinations_exhaustively():
     # Every list of at most 4 vectors of width <= 3.
     for count in range(5):
@@ -219,17 +228,17 @@ def test_eliminate_tracks_combinations_exhaustively():
             assert elim.pivots == tuple(b & -b for b in elim.basis)
             for i, (b, combo) in enumerate(zip(elim.basis, elim.combos)):
                 assert combo.bit_length() - 1 not in {k.bit_length() - 1 for k in elim.kernel}
-                assert f2._xor_columns(vectors, combo) == b
+                assert xor_of(vectors, combo) == b
                 assert all(not b & piv for piv in elim.pivots[:i])
             for combo in elim.kernel:
-                assert f2._xor_columns(vectors, combo) == 0
+                assert xor_of(vectors, combo) == 0
             assert rank(BitMatrix(len(elim.kernel), max(count, 1), elim.kernel)) == len(elim.kernel)
             for v in range(8):
                 residue, combo = elim.reduce(v)
-                in_span = any(f2._xor_columns(vectors, c) == v for c in range(1 << count))
+                in_span = any(xor_of(vectors, c) == v for c in range(1 << count))
                 assert (residue == 0) == in_span
                 if in_span:
-                    assert f2._xor_columns(vectors, combo) == v
+                    assert xor_of(vectors, combo) == v
 
 
 # ---------------------------------------------------------------- dual basis
@@ -352,9 +361,10 @@ def xor_problems(draw):
     """Columns, 1 or 2 targets and a size cap.
 
     Wide columns draw their low 64 bits from a pool of at most four
-    values and differ only above them, so most fingerprint matches are
-    collisions that the full-column check has to reject.  Narrow
-    columns repeat XORs often, so ties between supports are common.
+    values and differ only above them, so most XORs that agree in their
+    low 64 bits differ above them, and a key that dropped the high bits
+    would make false hits.  Narrow columns repeat XORs often, so ties
+    between supports are common.
     Targets are XORs of drawn supports (usually reachable), drawn
     values, or a repeat of the first target.
     """
@@ -461,8 +471,8 @@ def test_sparse_xor_search_duplicate_columns_share_table_keys():
     # two-index table is made by {0, 3} and {0, 4} (one row) and by
     # {1, 3}, {1, 4}, {2, 3}, {2, 4} (two later rows); the key keeps the
     # lexicographically first.  The wide copy repeats each column above
-    # the 64 fingerprint bits, so that equal fingerprints still come
-    # from equal columns.
+    # its low 64 bits, so that XORs equal there still come from equal
+    # columns.
     a, b = 0b0011, 0b0101
     narrow = [a, a, a, b, b, 0b1000, 0b1001]
     table = f2._half_table(narrow, [1 << j for j in range(7)], 2)
@@ -480,20 +490,16 @@ def test_sparse_xor_search_duplicate_columns_share_table_keys():
 
 def test_sparse_xor_search_false_positive_before_the_hit_in_a_row():
     # Column 7 has the low 64 bits of columns 1 ^ 2 ^ 5 and one bit
-    # above them.  In the lower-half row of prefix {0}, index 1 matches
-    # the upper half {7} on fingerprints only; the search has to reject
-    # it (and start again on full columns) and find index 2, which meets
-    # {5}, in the same row.
+    # above them.  In the lower-half row of prefix {0}, index 1 would
+    # meet the upper half {7} on the low 64 bits alone; the search has to
+    # pass over it and find index 2, which meets {5}, in the same row.
     rng = random.Random(5)
     columns = [rng.getrandbits(64) for _ in range(8)]
     columns[7] = columns[1] ^ columns[2] ^ columns[5] | 1 << 64
     target = columns[0] ^ columns[2] ^ columns[5]
-    confirmed = mock.Mock(wraps=f2._confirmed_hit)
-    with on_path("mitm"), mock.patch.object(f2, "_confirmed_hit", confirmed):
+    with on_path("mitm"):
         got = sparse_xor_search(columns, (target,), 3)
     assert got == (0b100101, 0) == linear_xor_search(columns, (target,), 3)
-    lowers = [c.args[4] for c in confirmed.call_args_list]
-    assert lowers[0] == 0b011 and lowers[-1] == 0b101
 
 
 def test_sparse_xor_search_two_targets_in_one_row():
@@ -541,6 +547,78 @@ def test_sparse_xor_search_chooses_by_cost():
         assert elim.call_count == 2
 
 
+def test_sparse_xor_search_keys_on_the_pivots():
+    # Sixteen 204-bit columns in a span of rank 4, whose pivots (bits
+    # 10, 17, 24 and 31) are not its lowest bits: the elimination shows a
+    # kernel of dimension 12, the search meets in the middle on the pivot
+    # bits.  The first target differs from column 0 at bit 3 alone, so it
+    # is outside the span with the pivot bits of column 0: it has no fit,
+    # and the second target's fit is the answer.
+    basis = [1 << 10 + 7 * i | 1 << 200 + i for i in range(4)]
+    columns = basis * 4
+    pivots = sum(eliminate(columns).pivots)
+    assert pivots == sum(1 << 10 + 7 * i for i in range(4))
+    shadow, reachable = columns[0] ^ 1 << 3, basis[1] ^ basis[3]
+    assert shadow & pivots == columns[0] & pivots
+    keys = mock.Mock(wraps=f2._keys)
+    with mock.patch.object(f2, "_keys", keys):
+        assert sparse_xor_search(columns, (shadow,), 3) is None
+        assert sparse_xor_search(columns, (shadow, reachable), 3) == (0b1010, 1)
+        assert sparse_xor_search(columns, (reachable, shadow), 3) == (0b1010, 0)
+    assert keys.call_count == 3
+    for targets in ((shadow,), (shadow, reachable), (reachable, shadow)):
+        assert sparse_xor_search(columns, targets, 3) == linear_xor_search(columns, targets, 3)
+
+
+@st.composite
+def projected_problems(draw):
+    """Columns, 1 or 2 targets and a size cap that the search meets in
+    the middle on pivot bits: 12 to 14 nonzero columns of at least 65
+    bits in a span of rank at most 4, so the elimination runs and shows
+    a kernel too large to walk, and sizes up to 3.
+
+    Targets are XORs of drawn columns, drawn values, or shadows: an XOR
+    of drawn columns changed off the pivots, so outside the span with
+    the pivot bits of a vector in it.
+    """
+    r = draw(st.integers(1, 4))
+    basis = [draw(st.integers(0, (1 << 64) - 1)) | 1 << 64 + i for i in range(r)]
+    columns = []
+    for pattern in draw(st.lists(st.integers(1, (1 << r) - 1), min_size=12, max_size=14)):
+        acc = 0
+        for i in range(r):
+            if pattern >> i & 1:
+                acc ^= basis[i]
+        columns.append(acc)
+    pivots = sum(eliminate(columns).pivots)
+    targets = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(("support", "shadow", "value")))
+        if kind == "value":
+            targets.append(draw(st.integers(0, (1 << (64 + r)) - 1)))
+            continue
+        acc = 0
+        for j in draw(st.sets(st.integers(0, len(columns) - 1), max_size=4)):
+            acc ^= columns[j]
+        if kind == "shadow":
+            off = draw(st.integers(0, (1 << 70) - 1)) & ~pivots
+            acc ^= off or (pivots + 1) & ~pivots
+        targets.append(acc)
+    return columns, tuple(targets), draw(st.integers(1, 3))
+
+
+@given(projected_problems())
+@settings(max_examples=300, deadline=None)
+def test_sparse_xor_search_on_pivot_keys_matches_linear_scan(problem):
+    columns, targets, max_size = problem
+    keys = mock.Mock(wraps=f2._keys)
+    with mock.patch.object(f2, "_keys", keys):
+        got = sparse_xor_search(columns, targets, max_size)
+    # A zero target is answered by the empty support before any search.
+    assert keys.call_count == (0 not in targets)
+    assert got == linear_xor_search(columns, targets, max_size)
+
+
 def test_sparse_xor_search_refuses_past_max_cost():
     # Each path runs at its estimate and is refused one step below it,
     # before any table or walk.  Meet in the middle: twelve unit
@@ -550,16 +628,25 @@ def test_sparse_xor_search_refuses_past_max_cost():
     ones = (1 << 12) - 1
     mitm = f2._mitm_cost(12, 1, 12)
     with on_path("mitm"):
-        assert sparse_xor_search(units, (ones,), 12, max_cost=mitm) == (ones, 0)
-        with mock.patch.object(f2, "_search", side_effect=AssertionError):
-            with pytest.raises(ValueError, match="exact search too large"):
-                sparse_xor_search(units, (ones,), 12, max_cost=mitm - 1)
-            # An empty support needs no search and is never refused.
-            assert sparse_xor_search(units, (0,), 12, max_cost=0) == (0, 0)
+        with mock.patch.object(f2, "SEARCH_MAX_COST", mitm):
+            assert sparse_xor_search(units, (ones,), 12) == (ones, 0)
+        with (
+            mock.patch.object(f2, "_search", side_effect=AssertionError),
+            mock.patch.object(f2, "SEARCH_MAX_COST", mitm - 1),
+        ):
+            with pytest.raises(ValueError, match="exact search too large.*SEARCH_MAX_COST"):
+                sparse_xor_search(units, (ones,), 12)
+        # An empty support needs no search and is never refused.
+        with mock.patch.object(f2, "SEARCH_MAX_COST", 0):
+            assert sparse_xor_search(units, (0,), 12) == (0, 0)
     copies = [1, 2, 4] + [7] * 12
     coset = f2._coset_cost(1, 12, 15, 3)
     assert coset < f2._mitm_cost(15, 1, 10)
-    assert sparse_xor_search(copies, (3,), 10, max_cost=coset) == (0b11, 0)
-    with mock.patch.object(f2, "_coset_search", side_effect=AssertionError):
+    with mock.patch.object(f2, "SEARCH_MAX_COST", coset):
+        assert sparse_xor_search(copies, (3,), 10) == (0b11, 0)
+    with (
+        mock.patch.object(f2, "_coset_search", side_effect=AssertionError),
+        mock.patch.object(f2, "SEARCH_MAX_COST", coset - 1),
+    ):
         with pytest.raises(ValueError, match=r"coset walk 1 x 2\*\*12 \(kernel dimension 12\)"):
-            sparse_xor_search(copies, (3,), 10, max_cost=coset - 1)
+            sparse_xor_search(copies, (3,), 10)

@@ -529,10 +529,10 @@ def test_exhaustive_bounds_the_exact_fit_search(monkeypatch):
     oracle = NoisyParityOracle(40, 0b1011, 0.0)
     bud = LearnerBudget(16, 4, 8)
     estimate = f2._mitm_cost(40, 2, 4)
-    monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate)
+    monkeypatch.setattr(f2, "SEARCH_MAX_COST", estimate)
     tree = exhaustive_parity_learner(oracle, 40, bud, random.Random(3))
     assert tree.depth <= 3
-    monkeypatch.setattr(learners, "SEARCH_MAX_COST", estimate - 1)
+    monkeypatch.setattr(f2, "SEARCH_MAX_COST", estimate - 1)
     with mock.patch.object(f2, "_search", side_effect=AssertionError):
         with pytest.raises(ValueError, match="exact search too large"):
             exhaustive_parity_learner(oracle, 40, bud, random.Random(3))

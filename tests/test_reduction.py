@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncplift import learners, reduction
+from ncplift import f2, reduction
 from ncplift.dtree import Leaf, Node, ParityIndexSet, path_masks, path_support_sets, reduce_tree
 from ncplift.learners import parity_to_tree
 from ncplift.f2 import BitMatrix, BitVector, mat_vec, rank
@@ -239,7 +239,7 @@ def test_decide_learner_failure(monkeypatch):
     # refusal never reads as a NO.
     raw, _ = random_planted(10, 6, 2, 9)
     inst = SyndromeInstance(raw.h, raw.t, raw.k, Fraction(3))
-    monkeypatch.setattr(learners, "SEARCH_MAX_COST", 0)
+    monkeypatch.setattr(f2, "SEARCH_MAX_COST", 0)
     with pytest.raises(ValueError, match="exact search too large"):
         decide(inst, CFG, exhaustive_parity_learner, random.Random(0))
 
@@ -439,7 +439,7 @@ def test_search_learner_budget_failure(monkeypatch):
     # A learner that refuses its search raises through search, with no
     # report.
     inst, _ = random_planted(10, 6, 2, 13)
-    monkeypatch.setattr(learners, "SEARCH_MAX_COST", 0)
+    monkeypatch.setattr(f2, "SEARCH_MAX_COST", 0)
     with pytest.raises(ValueError, match="exact search too large"):
         search(inst, CFG, exhaustive_parity_learner, random.Random(0))
 
