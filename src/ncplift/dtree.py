@@ -213,17 +213,21 @@ def prune(t: DecisionTree, d: int) -> DecisionTree:
 
 def path_masks(t: DecisionTree) -> set[int]:
     """The distinct variable sets of the root-to-leaf paths, as masks
-    (bit i-1 for coordinate i).  One walk over the leaves."""
-    found: set[int] = set()
-    stack = [(t, 0)]
-    while stack:
-        node, pathmask = stack.pop()
-        while isinstance(node, Node):
-            pathmask |= 1 << (node.coord - 1)
-            stack.append((node.high, pathmask))
-            node = node.low
-        found.add(pathmask)
-    return found
+    (bit i-1 for coordinate i).  Memoized on node identity, so a node
+    that several parents share is visited once: a parity DAG of depth d
+    costs O(d), not a walk over its 2**d leaves."""
+    memo: dict[int, set[int]] = {}
+
+    def walk(node: DecisionTree) -> set[int]:
+        if isinstance(node, Leaf):
+            return {0}
+        found = memo.get(id(node))
+        if found is None:
+            bit = 1 << (node.coord - 1)
+            found = {pathmask | bit for pathmask in walk(node.low) | walk(node.high)}
+            memo[id(node)] = found
+        return found
+    return walk(t)
 
 
 def path_support_sets(pathmasks: set[int]) -> list[ParityIndexSet]:

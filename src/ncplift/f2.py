@@ -137,14 +137,15 @@ class BitVector:
         return BitVector(self.length, self.mask ^ other.mask)
 
     def to01(self) -> str:
-        return "".join("1" if (self.mask >> i) & 1 else "0" for i in range(self.length))
+        """Coordinate 1 first; one format call, linear in the length."""
+        # format(0, "00b") is "0", so length 0 needs its own case.
+        return format(self.mask, f"0{self.length}b")[::-1] if self.length else ""
 
     def __len__(self) -> int:
         return self.length
 
     def __iter__(self) -> Iterator[int]:
-        for i in range(self.length):
-            yield (self.mask >> i) & 1
+        return map(int, self.to01())
 
     def __str__(self) -> str:
         return self.to01()

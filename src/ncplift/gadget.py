@@ -14,9 +14,10 @@ proper subset of its coordinates is jointly uniform, and the signed
 expectation of a full-block parity character is +1 or -1 according to
 the required parity.  Over a span base, agreement and tree error need
 no sum over points at all: the span dichotomy settles agreement from
-the basis alone, and each tree path holds with probability 2**-rank of
-an affine system in the subset vector.  A brute-force fiber enumerator
-is kept alongside as an independent cross-check at tiny sizes.
+the basis alone, and the tree error is a Fourier sum of the tree over
+the unions of whole blocks inside its path sets that agree with every
+label (``solution_unions``).  A brute-force fiber enumerator is kept
+alongside as an independent cross-check at tiny sizes.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator
 
-from .dtree import DecisionTree, Leaf, Node, ParityIndexSet
-from .f2 import BitMatrix, BitVector
+from .dtree import DecisionTree, Leaf, Node, ParityIndexSet, path_masks
+from .f2 import BitVector
 from .instance import _randbelow
 from .learners import pack_examples
 
@@ -46,6 +47,7 @@ __all__ = [
     "block_unions",
     "exact_lifted_agreement",
     "span_lifted_agreement",
+    "solution_unions",
     "exact_restriction_probability",
     "exact_lifted_tree_error",
     "span_lifted_tree_error",
@@ -477,30 +479,45 @@ def exact_lifted_tree_error(tree: DecisionTree, base, params: GadgetParams) -> F
     return err
 
 
+def solution_unions(pathmasks: set[int], span, params: GadgetParams) -> set[int]:
+    """The unions of whole blocks inside the given path sets whose
+    agreement with the lifted span source is 1, as lifted masks: by the
+    span dichotomy, the lifts of the solutions s of H s = t supported on
+    whole blocks of a path set.  Each union is scored once, by
+    ``span_lifted_agreement``.
+
+    Raises:
+        ValueError: when a path set holds an index past the lifted arity.
+    """
+    unions = {union for pathmask in pathmasks for union in block_unions(pathmask, params)}
+    return {
+        union
+        for union in unions
+        if span_lifted_agreement(span, ParityIndexSet.from_mask(union), params) == 1
+    }
+
+
 def span_lifted_tree_error(tree: DecisionTree, span, params: GadgetParams) -> Fraction:
     """Exact disagreement of a tree with the lifted source over a span.
 
-    The closed form of ``exact_lifted_tree_error`` for a span base.  The
-    span point selected by a uniform subset vector u of the basis has
-    base bit i equal to <column i of the basis, u> and label
-    <basis labels, u>.  A path therefore asks for affine equations in u:
-    one per full block (its required base bit) and "label != leaf".
-    When they are consistent they hold with probability 2**-rank, so
-    the path contributes 2**-(scale exponent + rank); otherwise it
-    contributes 0.
+    The closed form of ``exact_lifted_tree_error`` for a span base, by
+    the Fourier identity.  Let F = (-1)**tree, with coefficients F^(S)
+    over the uniform cube.  Over the lifted span source, the character
+    of S averages to 0 against (-1)**label when S covers some block
+    partly, and for S = lift(s) it correlates 1 or 0 as the span
+    agreement is 1 or 1/2.  So the error is 1/2 - 1/2 * sum F^(U) over
+    the solution unions U, and F^(U) is 0 unless U lies inside a path
+    set: ``solution_unions`` of the tree's path sets gives every term.
 
-    One depth-first walk gives every path's term.  Down each path it
-    carries the fixed coordinates and their values, the scale exponent
-    (one per fixed coordinate, less one per full block), and an echelon
-    basis of the full-block equations, right-hand side as bit m and
-    pivots lowest bits.  A query that fills a block reduces the block's
-    equation once for both branches, whose right-hand sides differ.  A
-    row that reduces to the bare right-hand-side bit is inconsistent, so
-    every path below contributes 0 and that subtree is skipped.  The
-    label form rides along reduced against the basis, which settles
-    each leaf's label row in one step.  Since exponent + rank is at most
-    depth + 1, the terms are summed as integers over 2**(depth + 1),
-    and one Fraction is made at the end.
+    Each N_U = F^(U) * 2**depth is one recursion over the shared nodes.
+    A query in the rest of U gives (low - high) / 2, any other query
+    (low + high) / 2, a repeated query the branch its first answer
+    fixed, and a leaf +-1 once nothing of U remains.  A subtree that
+    does not query all of the rest gives 0.  The recursion is memoized
+    on (node identity, rest of U, fixed values of the coordinates
+    queried below), so a tree that repeats no query costs O(nodes) per
+    union.  Each node's value is scaled by 2**(its depth), an integer,
+    and one Fraction is made at the end: (2**D - sum N_U) / 2**(D + 1).
 
     Raises:
         ValueError: when the span's length is not the base arity, or a
@@ -508,66 +525,45 @@ def span_lifted_tree_error(tree: DecisionTree, span, params: GadgetParams) -> Fr
     """
     if span.length != params.base_n:
         raise ValueError("base arity does not match the gadget parameters")
-    _check_queries(tree, params.lifted_n)
-    m = span.dimension
-    rhs = 1 << m
-    forms = BitMatrix(m, span.length, span.points).column_masks()
-    label_form = sum(label << j for j, label in enumerate(span.labels))
-    ell = params.ell
-    ones = (1 << ell) - 1
-    top = tree.depth + 1
-    total = 0
-    # A subtree, with the state of the path down to it: the fixed
-    # coordinates and their values as lifted masks, the scale exponent,
-    # the basis, and the label form reduced against the basis.
-    stack = [(tree, 0, 0, 0, (), label_form)]
-    while stack:
-        node, fixed, values, exponent, basis, label_row = stack.pop()
+    unions = solution_unions(path_masks(tree), span, params)
+    below: dict[int, int] = {}
+    memo: dict[tuple[int, int, int, int], int] = {}
+
+    def queried(node: DecisionTree) -> int:
+        # The coordinates queried at or below a node, as a lifted mask.
         if isinstance(node, Leaf):
-            row = label_row ^ (node.label ^ 1) << m
-            if row != rhs:
-                total += 1 << (top - exponent - len(basis) - (row != 0))
-            continue
-        bit = 1 << (node.coord - 1)
-        if fixed & bit:
-            # A repeated query follows the branch its first answer fixed.
-            child = node.high if values & bit else node.low
-            stack.append((child, fixed, values, exponent, basis, label_row))
-            continue
-        fixed |= bit
-        b = (node.coord - 1) // ell
-        block = ones << (b * ell)
-        if fixed & block != block:
-            stack.append((node.low, fixed, values, exponent + 1, basis, label_row))
-            stack.append((node.high, fixed, values | bit, exponent + 1, basis, label_row))
-            continue
-        row = forms[b] | ((values & block).bit_count() & 1) << m
-        for r in basis:
-            if row & r & -r:
-                row ^= r
-        for child, value, eq in ((node.low, 0, row), (node.high, bit, row ^ rhs)):
-            if eq == rhs:
-                continue
-            if eq == 0:
-                stack.append((child, fixed, values | value, exponent, basis, label_row))
+            return 0
+        mask = below.get(id(node))
+        if mask is None:
+            mask = 1 << (node.coord - 1) | queried(node.low) | queried(node.high)
+            below[id(node)] = mask
+        return mask
+
+    def coefficient(node: DecisionTree, rest: int, fixed: int, values: int) -> int:
+        if isinstance(node, Leaf):
+            return 0 if rest else 1 - 2 * node.label
+        live = queried(node)
+        if rest & ~live:
+            return 0
+        key = (id(node), rest, fixed & live, values & live)
+        scaled = memo.get(key)
+        if scaled is None:
+            bit = 1 << (node.coord - 1)
+            if fixed & bit:
+                child = node.high if values & bit else node.low
+                scaled = coefficient(child, rest, fixed, values) << (node.depth - child.depth)
             else:
-                reduced = label_row ^ eq if label_row & eq & -eq else label_row
-                stack.append((child, fixed, values | value, exponent, basis + (eq,), reduced))
-    return Fraction(total, 1 << top)
+                low = coefficient(node.low, rest & ~bit, fixed | bit, values)
+                high = coefficient(node.high, rest & ~bit, fixed | bit, values | bit)
+                low <<= node.depth - 1 - node.low.depth
+                high <<= node.depth - 1 - node.high.depth
+                scaled = low - high if rest & bit else low + high
+            memo[key] = scaled
+        return scaled
 
-
-def _check_queries(tree: DecisionTree, lifted_n: int) -> None:
-    """Raise when a node queries past the lifted arity; a node that
-    several parents share is checked once."""
-    seen: set[int] = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Node) and id(node) not in seen:
-            if node.coord > lifted_n:
-                raise ValueError(f"lifted coordinate {node.coord} out of range")
-            seen.add(id(node))
-            stack += (node.low, node.high)
+    depth = tree.depth
+    total = sum(coefficient(tree, union, 0, 0) for union in unions)
+    return Fraction((1 << depth) - total, 1 << (depth + 1))
 
 
 def enumerate_lifted(base, params: GadgetParams) -> Iterator[tuple[BitVector, Fraction, int]]:

@@ -32,8 +32,7 @@ from .f2 import BitVector, mat_vec
 from .gadget import (
     GadgetOracle,
     GadgetParams,
-    block_unions,
-    span_lifted_agreement,
+    solution_unions,
     span_lifted_tree_error,
     unlift_parity,
 )
@@ -59,11 +58,11 @@ __all__ = [
 
 # Work bound on the learned tree, whose depth is at most ell*k.  The
 # learner's parity tree has 2**depth leaves on 2*depth + 2 shared nodes,
-# but decide's one walk visits every path, and extraction costs leaves +
-# sum over distinct path sets P of 2**|P|, 2**depth for a parity tree
-# but up to 4**depth for a generic one.  At depth 16 a planted search
-# takes about 0.35 s and decide about 0.15 s on a 2-vCPU host (Python
-# 3.11); each further level doubles that.
+# and its path sets and decide's tree error cost O(nodes), not a visit
+# to every path.  Extraction's candidates still grow: sum over distinct
+# path sets P of 2**|P|, 2**depth for a parity tree but up to 4**depth
+# for a generic one.  At depth 16 a planted search takes about 0.25 s
+# on a 2-vCPU host (Python 3.11), and each further level doubles that.
 TREE_MAX_DEPTH = 16
 
 # ``search`` prunes the hypothesis at PRUNE_CONSTANT * ceil(log2(size))
@@ -228,8 +227,8 @@ def extract_parity(
     pipeline builds it.  Every candidate gets its exact agreement with
     the lifted source from the span dichotomy in closed form, exactly 1
     or 1/2: a candidate that covers some block partly is at 1/2, so
-    only the unions of whole blocks inside a path set (``block_unions``)
-    are scored, by ``span_lifted_agreement`` (one pass over the basis).
+    only the unions of whole blocks inside a path set are scored, and
+    ``solution_unions`` gives those at 1.
     The ranking is by agreement descending, then smaller sets, then
     lexicographic order, so it is total.
 
@@ -251,13 +250,7 @@ def extract_parity(
             f"extraction would enumerate {subsets} path subsets, "
             f"past 2**TREE_MAX_DEPTH = {1 << TREE_MAX_DEPTH}"
         )
-    params = oracle.params
-    unions = {union for pathmask in pathmasks for union in block_unions(pathmask, params)}
-    top = {
-        union
-        for union in unions
-        if span_lifted_agreement(base, ParityIndexSet.from_mask(union), params) == 1
-    }
+    top = solution_unions(pathmasks, base, oracle.params)
     # The candidates come in ascending size, then lexicographic order,
     # which the ranking keeps within each agreement.
     candidates = path_support_sets(pathmasks)

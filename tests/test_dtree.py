@@ -334,6 +334,40 @@ def test_path_support_sets_match_every_subset_of_every_path(seed, n, depth):
         assert all(s.mask == ParityIndexSet(s.indices).mask for s in got)
 
 
+def random_dag(rng, n, depth):
+    """Random DAG of exactly the given depth over coordinates 1..n,
+    built a level at a time from (Leaf(0), Leaf(1)): each level holds
+    one to three nodes whose children come from the level below, so
+    nodes have several parents and paths query coordinates again."""
+    level = [Leaf(0), Leaf(1)]
+    for _ in range(depth):
+        level = [
+            Node(rng.randint(1, n), rng.choice(level), rng.choice(level))
+            for _ in range(rng.randint(1, 3))
+        ]
+    return level[0]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 20), st.integers(8, 16))
+def test_path_masks_of_shared_dags_match_every_leaf_path(seed, n, depth):
+    rng = random.Random(seed)
+    coords = rng.sample(range(1, 41), rng.randint(0, depth))
+    trees = [random_dag(rng, n, depth), parity_to_tree(ParityIndexSet.from_iterable(coords))]
+    trees.append(Node(n + 1, trees[0], trees[1]))
+    for t in trees:
+        assert path_masks(t) == {index_set(*p).mask for p in leaf_paths(t)}
+
+
+def test_path_masks_of_a_depth_forty_parity_dag():
+    # 2**40 leaves on 82 nodes: one path set, found without a leaf walk.
+    full = index_set(*range(1, 41))
+    t = parity_to_tree(full)
+    assert t.depth == 40
+    assert path_masks(t) == {full.mask}
+    assert path_masks(Node(41, t, Leaf(0))) == {full.mask | 1 << 40, 1 << 40}
+
+
 # ---------------------------------------------------------------- spectrum
 
 

@@ -57,6 +57,24 @@ def test_bitvector_from01_round_trip():
     assert v.sparsity == 3
 
 
+def per_bit(v):
+    """Reference for ``to01`` and iteration: bit i of byte i // 8 of the
+    mask's little-endian bytes, one coordinate at a time."""
+    data = v.mask.to_bytes((v.length + 7) // 8, "little")
+    return [data[i // 8] >> (i % 8) & 1 for i in range(v.length)]
+
+
+@pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 100_000])
+def test_bitvector_to01_and_iteration_match_the_per_bit_loop(length):
+    rng = random.Random(length)
+    for mask in (0, (1 << length) - 1, rng.getrandbits(length) if length else 0):
+        v = BitVector(length, mask)
+        bits = per_bit(v)
+        assert list(v) == bits
+        assert v.to01() == "".join(map(str, bits))
+        assert BitVector.from01(v.to01()) == v
+
+
 def test_bitvector_zero_and_support_constructors():
     z = BitVector.zeros(4)
     assert z.to01() == "0000"

@@ -27,12 +27,13 @@ from ncplift.gadget import (
     lift_columns,
     lift_parity,
     lift_sample,
+    solution_unions,
     span_lifted_agreement,
     span_lifted_tree_error,
     unlift_parity,
 )
 from ncplift.instance import LabeledSet
-from ncplift.learners import parity_to_tree
+from ncplift.learners import _parity_dags, parity_to_tree
 from ncplift.span import exact_disagreement, make_span_oracle
 
 P2 = GadgetParams(ell=2, base_n=2)
@@ -685,6 +686,164 @@ def test_span_tree_error_matches_the_per_path_form(m, extra, ell, depth, seed):
         assert got == per_path_span_tree_error(tree, span, params)
         if m <= 6:
             assert got == exact_lifted_tree_error(tree, span, params)
+
+
+def walk_span_tree_error(tree, span, params):
+    """Reference for ``span_lifted_tree_error``: one depth-first walk
+    over every reachable path, each path's term 2**-(scale exponent +
+    rank) of its affine system in the subset vector u of the basis.
+
+    Down each path it carries the fixed coordinates and their values,
+    the scale exponent (one per fixed coordinate, less one per full
+    block), and an echelon basis of the full-block equations,
+    right-hand side as bit m and pivots lowest bits.  A row that
+    reduces to the bare right-hand side is inconsistent, and that
+    subtree contributes 0.  The label form rides along reduced against
+    the basis; terms are integers over 2**(depth + 1)."""
+    if span.length != params.base_n:
+        raise ValueError("base arity does not match the gadget parameters")
+    m = span.dimension
+    rhs = 1 << m
+    forms = BitMatrix(m, span.length, span.points).column_masks()
+    label_form = sum(label << j for j, label in enumerate(span.labels))
+    ell = params.ell
+    ones = (1 << ell) - 1
+    top = tree.depth + 1
+    total = 0
+    stack = [(tree, 0, 0, 0, (), label_form)]
+    while stack:
+        node, fixed, values, exponent, basis, label_row = stack.pop()
+        if isinstance(node, Leaf):
+            row = label_row ^ (node.label ^ 1) << m
+            if row != rhs:
+                total += 1 << (top - exponent - len(basis) - (row != 0))
+            continue
+        bit = 1 << (node.coord - 1)
+        if fixed & bit:
+            child = node.high if values & bit else node.low
+            stack.append((child, fixed, values, exponent, basis, label_row))
+            continue
+        fixed |= bit
+        b = (node.coord - 1) // ell
+        block = ones << (b * ell)
+        if fixed & block != block:
+            stack.append((node.low, fixed, values, exponent + 1, basis, label_row))
+            stack.append((node.high, fixed, values | bit, exponent + 1, basis, label_row))
+            continue
+        row = forms[b] | ((values & block).bit_count() & 1) << m
+        for r in basis:
+            if row & r & -r:
+                row ^= r
+        for child, value, eq in ((node.low, 0, row), (node.high, bit, row ^ rhs)):
+            if eq == rhs:
+                continue
+            if eq == 0:
+                stack.append((child, fixed, values | value, exponent, basis, label_row))
+            else:
+                reduced = label_row ^ eq if label_row & eq & -eq else label_row
+                stack.append((child, fixed, values | value, exponent, basis + (eq,), reduced))
+    return Fraction(total, 1 << top)
+
+
+def shared_dag(rng, pool, depth, parity=()):
+    """Random DAG of exactly the given depth, built a level at a time
+    from (Leaf(0), Leaf(1)).  Each level holds two to four nodes whose
+    children come from the level below, so nodes have several parents.
+    Each coordinate of ``parity`` gets a level of its own, at random,
+    that turns the first two nodes (even, odd) into (Node(c, even, odd),
+    Node(c, odd, even)); every other level queries a coordinate of the
+    small pool and keeps even on one side and odd on the other, the
+    other side a copy of it or another node, so paths fill blocks and
+    repeat queries while the root still correlates with the parity over
+    ``parity``."""
+    order = list(parity) + [None] * (depth - len(parity))
+    rng.shuffle(order)
+    level = [Leaf(0), Leaf(1)]
+    for c in order:
+        fresh = [
+            Node(rng.choice(pool), rng.choice(level), rng.choice(level))
+            for _ in range(rng.randint(0, 2))
+        ]
+        even, odd = level[0], level[1]
+        if c is None:
+            c = rng.choice(pool)
+            others = level[2:]
+            level = [Node(c, even, rng.choice([even] + others)), Node(c, rng.choice([odd] + others), odd)]
+        else:
+            level = [Node(c, even, odd), Node(c, odd, even)]
+        level += fresh
+    return level[0]
+
+
+@given(
+    st.integers(1, 10),
+    st.integers(0, 2),
+    st.sampled_from([1, 2, 3]),
+    st.integers(8, 16),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_span_tree_error_matches_the_walk_on_shared_dags(m, extra, ell, depth, planted, seed):
+    # DAGs of depth 8-16 that share nodes and repeat queries, around
+    # the lifted parity of some blocks of the pool; the labels are
+    # planted on those blocks or random.  Against the walk over every
+    # reachable path.
+    rng = random.Random(seed)
+    n = m + extra
+    params = GadgetParams(ell, n)
+    blocks = rng.sample(range(n), min(n, rng.randint(1, 4)))
+    pool = [b * ell + j + 1 for b in blocks for j in range(ell)]
+    chosen = [b + 1 for b in blocks if rng.random() < 0.7][: 8 // ell]
+    s_star = ParityIndexSet.from_iterable(chosen)
+    if planted:
+        masks = independent_masks(rng, n, m)
+        labels = tuple((s_star.mask & mk).bit_count() & 1 for mk in masks)
+        span = make_span_oracle(LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n))
+    else:
+        span = random_span(rng, n, m)
+    tree = shared_dag(rng, pool, depth, lift_parity(s_star, params).indices)
+    assert tree.depth == depth
+    assert span_lifted_tree_error(tree, span, params) == walk_span_tree_error(tree, span, params)
+
+
+def test_span_tree_error_of_a_depth_24_parity_dag():
+    # Eight blocks of width 3 lift to a parity DAG of depth 24, 2**24
+    # paths on 50 objects: distance 0 for the planted set, 1 for its
+    # complement and 1/2 for a set of blocks that solves nothing.
+    rng = random.Random(24)
+    n, m = 12, 8
+    params = GadgetParams(3, n)
+    s_star = index_set(1, 2, 4, 5, 7, 8, 10, 11)
+    wrong = index_set(1, 2, 4, 5, 7, 8, 10, 12)
+    masks = independent_masks(rng, n, m)
+    labels = tuple((s_star.mask & mk).bit_count() & 1 for mk in masks)
+    span = make_span_oracle(LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n))
+    assert span_lifted_agreement(span, lift_parity(wrong, params), params) == Fraction(1, 2)
+    planted, complement = _parity_dags(lift_parity(s_star, params).indices)
+    assert planted.depth == complement.depth == 24
+    assert span_lifted_tree_error(planted, span, params) == 0
+    assert span_lifted_tree_error(complement, span, params) == 1
+    other = parity_to_tree(lift_parity(wrong, params))
+    assert span_lifted_tree_error(other, span, params) == Fraction(1, 2)
+
+
+def test_solution_unions_are_the_unions_at_agreement_one():
+    rng = random.Random(103)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        ell = rng.choice([1, 2, 3])
+        params = GadgetParams(ell, n)
+        span = random_span(rng, n, rng.randint(0, n))
+        pathmasks = {rng.getrandbits(params.lifted_n) for _ in range(rng.randint(0, 3))}
+        want = {
+            union
+            for pathmask in pathmasks
+            for union in range(1 << params.lifted_n)
+            if union & ~pathmask == 0
+            and exact_lifted_agreement(span, ParityIndexSet.from_mask(union), params) == 1
+        }
+        assert solution_unions(pathmasks, span, params) == want
 
 
 def test_tree_errors_match_fiber_enumeration_with_repeated_queries():

@@ -538,6 +538,22 @@ def test_decide_bounds_ell_times_k_before_learning():
         decide(inst, cfg, refusing_learner, random.Random(0))
 
 
+def test_decide_at_depth_twenty_two_on_the_gate_instance(monkeypatch):
+    # The gate instance at ell = 11, with TREE_MAX_DEPTH lifted for this
+    # test: the learner's parity DAG has depth 22 and 2**22 paths, and
+    # the tree error sums the coefficient of its one solution union, a
+    # walk over its 46 objects.  CPU time, so a busy host does not fail
+    # it.
+    monkeypatch.setattr(reduction, "TREE_MAX_DEPTH", 22)
+    raw, _ = random_planted(14, 12, 2, 8001)
+    inst = SyndromeInstance(raw.h, raw.t, raw.k, Fraction(3))
+    started = time.process_time()
+    report = decide(inst, ReductionConfig(ell=11), exhaustive_parity_learner, random.Random(2))
+    assert time.process_time() - started < 0.1
+    assert report.hypothesis.depth == 22
+    assert (report.reason, report.distance) == ("ok-yes", 0)
+
+
 @pytest.mark.parametrize("pipeline", [search, decide])
 def test_pipelines_bound_the_sample_before_sampling(pipeline):
     # The planted learner draws nothing, so the largest sample within
