@@ -9,20 +9,34 @@ brute-force oracles for every step live alongside and back the
 ``selftest`` suites.
 """
 
-from . import dtree, f2, gadget, instance, learners, reduction, selftest, span
+from importlib import import_module
+
+from . import dtree, f2, gadget, instance, learners, reduction, span
 from .dtree import *  # noqa: F403
 from .f2 import *  # noqa: F403
 from .gadget import *  # noqa: F403
 from .instance import *  # noqa: F403
 from .learners import *  # noqa: F403
 from .reduction import *  # noqa: F403
-from .selftest import *  # noqa: F403
 from .span import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"] + [
-    name
-    for module in (dtree, f2, gadget, instance, learners, reduction, selftest, span)
-    for name in module.__all__
-]
+
+def __getattr__(name: str):
+    """``selftest``, its public names and ``__all__``, resolved on first
+    use (PEP 562): the suite is the largest module, and the pipelines
+    need none of it."""
+    if name.startswith("__") and name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    selftest = import_module(".selftest", __name__)
+    namespace = globals()
+    namespace.update((n, getattr(selftest, n)) for n in selftest.__all__)
+    namespace["__all__"] = ["__version__"] + [
+        n
+        for module in (dtree, f2, gadget, instance, learners, reduction, selftest, span)
+        for n in module.__all__
+    ]
+    if name not in namespace:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return namespace[name]

@@ -131,17 +131,54 @@ class Leaf:
 
 @dataclass(frozen=True)
 class Node:
+    """A query of one coordinate.  Equality is structural and the hash
+    is cached from the children's, so on a DAG that shares subtrees
+    both cost the number of distinct nodes, not of paths."""
+
     coord: int
     low: "DecisionTree"
     high: "DecisionTree"
     size: int = field(init=False, compare=False, repr=False)
     depth: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.coord < 1:
             raise ValueError("queried coordinate must be >= 1")
         object.__setattr__(self, "size", self.low.size + self.high.size)
         object.__setattr__(self, "depth", 1 + max(self.low.depth, self.high.depth))
+        object.__setattr__(self, "_hash", hash((self.coord, self.low, self.high)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Node:
+            return NotImplemented
+        # Pairs already met are not walked again: on a DAG a pair of
+        # nodes is reached along many paths.  A pair is recorded before
+        # its children are compared, which is safe because any mismatch
+        # below ends the whole comparison.
+        met = set()
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if a is b or (id(a), id(b)) in met:
+                continue
+            if a.__class__ is not b.__class__ or hash(a) != hash(b):
+                return False
+            if a.__class__ is Leaf:
+                if a.label != b.label:
+                    return False
+                continue
+            if a.coord != b.coord:
+                return False
+            met.add((id(a), id(b)))
+            pending.append((a.low, b.low))
+            pending.append((a.high, b.high))
+        return True
 
 
 DecisionTree = Leaf | Node

@@ -151,6 +151,10 @@ class BitVector:
         return self.to01()
 
 
+# Entry b maps every byte to the ASCII digit of its bit b.
+_BIT_DIGITS = tuple(bytes(0x30 | v >> b & 1 for v in range(256)) for b in range(8))
+
+
 @dataclass(frozen=True)
 class BitMatrix:
     """Immutable GF(2) matrix stored as one packed int per row."""
@@ -209,12 +213,16 @@ class BitMatrix:
 
     def column_masks(self) -> list[int]:
         """Columns packed as ints: bit i-1 of entry j-1 is the (i, j) entry."""
-        if not self.rows or not self.cols:
-            return [0] * self.cols
-        # One binary string per row, last row first, so that reading a
-        # string position down the rows spells a column, row 1 lowest.
-        spelled = map(format, reversed(self.row_masks), repeat(f"0{self.cols}b"))
-        return list(map(int, map("".join, zip(*spelled)), repeat(2)))[::-1]
+        w = self.cols
+        if not self.rows or not w:
+            return [0] * w
+        # Every row as `width` little-endian bytes, last row first, in one
+        # bytes object: every width-th byte from byte c // 8 holds column c
+        # of each row, row 1 last, and mapping those bytes to the digit of
+        # their bit c % 8 spells the column in binary, row 1 lowest.
+        width = (w + 7) // 8
+        packed = b"".join(map(int.to_bytes, reversed(self.row_masks), repeat(width), repeat("little")))
+        return [int(packed[c >> 3::width].translate(_BIT_DIGITS[c & 7]), 2) for c in range(w)]
 
     def transpose(self) -> BitMatrix:
         return BitMatrix(self.cols, self.rows, tuple(self.column_masks()))

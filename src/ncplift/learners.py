@@ -117,14 +117,20 @@ def sample_bytes(arity: int, nsamp: int, lifted: int) -> int:
     given arity, then lifting it to ``lifted`` columns, as CPython 3
     lays them out.
 
-    Packing keeps, per example, its row as an int and as an
-    (arity + 1)-character string while ``column_masks`` transposes
-    them.  Lifting starts once that is freed and keeps the base columns
-    and the lifted ones, each an nsamp-bit int in 30-bit digits plus
-    about 48 bytes of header, list slot and list growth.  The peak is
-    the larger phase.
+    Packing peaks while ``column_masks`` joins the rows' bytes.  Per
+    example it then holds the row as an int (24 bytes of header and 4
+    per 30 bits) in a tuple slot (8), the row as a bytes object (33
+    bytes of header and 1 per 8 bits), that object's slot in the list
+    ``bytes.join`` builds (about 9 with growth) and the 80-byte buffer
+    view ``bytes.join`` takes of it, and the row's share of the joined
+    bytes (1 per 8 bits): 154 bytes of headers and 2/15 + 1/4 of a byte
+    per coordinate, rounded up to 168 and 2/5 for each row's partial
+    digit and byte.  Lifting starts once that is freed and keeps the
+    base columns and the lifted ones, each an nsamp-bit int in 30-bit
+    digits plus about 48 bytes of header, list slot and list growth.
+    The peak is the larger phase.
     """
-    packing = nsamp * (arity * 4 // 3 + 176)
+    packing = nsamp * (arity * 2 // 5 + 168)
     lifting = (arity + lifted) * ((nsamp + 29) // 30 * 4 + 48)
     return max(packing, lifting)
 

@@ -4,7 +4,9 @@ The labels of a labeled set with independent points extend linearly to
 the whole span: the point indexed by a subset I is the XOR of the basis
 points in I, and its label is the XOR of their labels.  Sampling a
 uniform subset therefore emits uniform labeled span points in time
-proportional to the basis size.
+proportional to the basis size.  ``SpanOracle.sample`` folds the subset
+through XOR tables of ``FOLD_ROWS`` basis rows each; ``sample_span`` is
+the plain per-bit fold, kept as its oracle.
 
 Key exact fact, verified by the test suites rather than assumed here:
 for any parity, the disagreement fraction over the full span is either
@@ -32,16 +34,25 @@ __all__ = [
 
 DEFAULT_MAX_DIMENSION = 20
 
+# Basis rows per XOR table of ``SpanOracle.sample``.  A group's table
+# holds 2**FOLD_ROWS entries, so the tables hold 2**FOLD_ROWS / FOLD_ROWS
+# ints per basis row, each as wide as a basis point: four at 4 rows, so
+# at most four times the basis the oracle keeps anyway.  8-row tables
+# would hold 32 per row, about 86 MB at m = 4000, n = 5000.
+FOLD_ROWS = 4
+_FOLD_MASK = (1 << FOLD_ROWS) - 1
+
 
 class SpanOracle:
     """Sampling and enumeration handle for the span of a labeled basis.
 
     Immutable after construction.  ``points`` and ``labels`` keep the
     basis in its original order; ``dimension`` is the basis size, so the
-    span has ``2**dimension`` elements, all distinct.
+    span has ``2**dimension`` elements, all distinct.  The sampling
+    tables and the bit-sliced span are built on first use.
     """
 
-    __slots__ = ("length", "dimension", "points", "labels", "_table")
+    __slots__ = ("length", "dimension", "points", "labels", "_table", "_fold")
 
     def __init__(self, labeled: LabeledSet) -> None:
         masks = tuple(p.mask for p in labeled.points)
@@ -53,9 +64,40 @@ class SpanOracle:
         self.points = masks
         self.labels = tuple(labeled.labels)
         self._table = None
+        self._fold = None
 
     def sample(self, rng: Random) -> tuple[BitVector, int]:
-        return sample_span(self, rng)
+        """One uniform labeled span point, drawn as ``sample_span``
+        draws it, from the same ``getrandbits(dimension)``.
+
+        The subset is folded ``FOLD_ROWS`` bits at a time: entry e of
+        a group's table is the XOR of ``point << 1 | label`` over the
+        group's rows set in e, so a draw takes one lookup per group.
+        """
+        m = self.dimension
+        subset = rng.getrandbits(m) if m else 0
+        tables = self._fold
+        if tables is None:
+            tables = self._fold_tables()
+        acc = 0
+        for table in tables:
+            acc ^= table[subset & _FOLD_MASK]
+            subset >>= FOLD_ROWS
+        return BitVector(self.length, acc >> 1), acc & 1
+
+    def _fold_tables(self) -> list[list[int]]:
+        """The XOR tables of ``sample``, built by doubling, one per
+        group of ``FOLD_ROWS`` basis rows, the last group possibly
+        shorter.  Cached; safe to race because the build is idempotent."""
+        rows = [p << 1 | label for p, label in zip(self.points, self.labels)]
+        tables = []
+        for start in range(0, len(rows), FOLD_ROWS):
+            table = [0]
+            for row in rows[start:start + FOLD_ROWS]:
+                table += [x ^ row for x in table]
+            tables.append(table)
+        self._fold = tables
+        return tables
 
     def enumerate_weighted(self):
         w = Fraction(1, 1 << self.dimension)
@@ -92,7 +134,8 @@ def make_span_oracle(labeled: LabeledSet) -> SpanOracle:
 
 def sample_span(oracle: SpanOracle, rng: Random) -> tuple[BitVector, int]:
     """One uniform labeled span point: a fresh uniform subset of the
-    basis, XOR-folded with its labels."""
+    basis, XOR-folded with its labels a set bit at a time.  The oracle
+    of ``SpanOracle.sample``."""
     subset = rng.getrandbits(oracle.dimension) if oracle.dimension else 0
     pm = 0
     label = 0

@@ -1,8 +1,11 @@
 """Decision trees: evaluation, pruning, spectra, serialization."""
 
 import random
+import time
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +32,7 @@ from ncplift.dtree import (
 )
 from ncplift.f2 import BitMatrix, BitVector, rank
 from ncplift.instance import LabeledSet
-from ncplift.learners import parity_to_tree
+from ncplift.learners import _parity_dags, parity_to_tree
 from ncplift.span import make_span_oracle
 
 
@@ -162,6 +165,59 @@ def test_measures_follow_recurrences():
         t = random_sloppy_tree(rng, 5, 4)
         assert t.size == size_of(t)
         assert t.depth == depth_of(t)
+
+
+def same_tree_by_recursion(a, b):
+    """Oracle: structural equality by plain recursion, no memo."""
+    if isinstance(a, Leaf) or isinstance(b, Leaf):
+        return isinstance(a, Leaf) and isinstance(b, Leaf) and a.label == b.label
+    return (
+        a.coord == b.coord
+        and same_tree_by_recursion(a.low, b.low)
+        and same_tree_by_recursion(a.high, b.high)
+    )
+
+
+def unshared_copy(t):
+    """The same tree with every node built anew, shared subtrees apart."""
+    if isinstance(t, Leaf):
+        return Leaf(t.label)
+    return Node(t.coord, unshared_copy(t.low), unshared_copy(t.high))
+
+
+@pytest.mark.parametrize("colliding", [False, True], ids=["hashed", "colliding"])
+def test_equality_and_hash_match_the_recursive_comparison(colliding):
+    # colliding: every Node hashes alike, so no comparison is settled by
+    # the hashes and the walk and its memo of met pairs decide alone.
+    rng = random.Random(9)
+    trees = [random_sloppy_tree(rng, 2, rng.randint(0, 3)) for _ in range(50)]
+    trees += [random_dag(rng, 2, rng.randint(1, 5)) for _ in range(30)]
+    trees += [unshared_copy(t) for t in trees[::3]]
+    equal_pairs = 0
+    with mock.patch.object(Node, "__hash__", lambda self: 0) if colliding else nullcontext():
+        for a in trees:
+            for b in trees:
+                same = same_tree_by_recursion(a, b)
+                assert (a == b) is same
+                assert (a != b) is not same
+                if same:
+                    assert hash(a) == hash(b)
+                    equal_pairs += a is not b
+    assert equal_pairs > 100
+    assert Node(1, Leaf(0), Leaf(1)) != Leaf(0)
+    assert Node(1, Leaf(0), Leaf(1)) != (1, Leaf(0), Leaf(1))
+
+
+def test_parity_dags_compare_and_hash_in_linear_time():
+    # Built apart, the two depth-20 DAGs share no node; each has 2**20
+    # paths on 42 nodes, so a walk of every path would take seconds.
+    indices = tuple(range(1, 21))
+    started = time.process_time()
+    even, odd = _parity_dags(indices)
+    even_again, odd_again = _parity_dags(indices)
+    assert even == even_again and odd == odd_again and even != odd_again
+    assert hash(even) == hash(even_again) and hash(odd) == hash(odd_again)
+    assert time.process_time() - started < 0.05
 
 
 def test_eval_tree():

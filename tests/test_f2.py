@@ -185,6 +185,29 @@ def test_column_masks_match_the_bit_loop(m):
     assert t.transpose() == m
 
 
+def column_masks_by_zip(m):
+    """Oracle: spell each row in binary, last row first, and read the
+    columns down the strings with zip."""
+    if not m.rows or not m.cols:
+        return [0] * m.cols
+    spelled = [format(r, f"0{m.cols}b") for r in reversed(m.row_masks)]
+    return [int("".join(chars), 2) for chars in zip(*spelled)][::-1]
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [(0, 3), (3, 0), (1, 1), (12, 14), (48, 64), (2000, 25), (2000, 400)]
+)
+def test_column_masks_match_the_zip_transpose(rows, cols):
+    rng = random.Random(rows * 1000 + cols)
+    for masks in (
+        [rng.getrandbits(cols) for _ in range(rows)],
+        [(1 << cols) - 1] * rows,
+        [1 << rng.randrange(cols) if cols else 0 for _ in range(rows)],
+    ):
+        m = BitMatrix(rows, cols, tuple(masks))
+        assert m.column_masks() == column_masks_by_zip(m)
+
+
 def test_column_masks_of_empty_shapes():
     assert BitMatrix.zeros(0, 0).column_masks() == []
     assert BitMatrix.zeros(0, 3).column_masks() == [0, 0, 0]

@@ -71,6 +71,15 @@ def parity_span_oracle(rng, n, s):
     return make_span_oracle(LabeledSet(points, labels, n))
 
 
+def random_labeled_basis(rng, n, m):
+    """m independent random points of length n with random labels."""
+    while True:
+        masks = tuple(rng.getrandbits(n) for _ in range(m))
+        if rank(BitMatrix(m, n, masks)) == m:
+            points = tuple(BitVector(n, mk) for mk in masks)
+            return LabeledSet(points, tuple(rng.getrandbits(1) for _ in masks), n)
+
+
 def budget(size=16, depth=4, samples=200):
     return LearnerBudget(size, depth, samples)
 
@@ -612,20 +621,25 @@ def test_sample_columns_draws_in_the_oracle_order():
 
 
 @pytest.mark.parametrize(
-    "arity, ell",
+    "arity, ell, span_rows",
     [
-        pytest.param(arity, ell, id=f"{arity}-ell{ell}" if ell else f"{arity}")
+        pytest.param(arity, ell, 0, id=f"{arity}-ell{ell}" if ell else f"{arity}")
         for arity, ell in [(2, 0), (28, 0), (200, 0), (800, 0), (14, 2), (2, 400), (1, 2000)]
-    ],
+    ]
+    + [pytest.param(24, 2, 16, id="24-ell2-span16")],
 )
-def test_sample_columns_peaks_within_its_estimate(arity, ell):
+def test_sample_columns_peaks_within_its_estimate(arity, ell, span_rows):
     # ``sample_bytes`` is what the pipelines check against
     # ``SAMPLE_MAX_BYTES`` before sampling.  ell = 0: a plain oracle;
     # otherwise a gadget over it, (14, 2) as the pipelines run it,
     # (1, 2000) with lifting the larger phase, (2, 400) near the point
-    # where the two phases cross.
+    # where the two phases cross.  span_rows: a gadget over the span of
+    # that many rows, the pipelines' base, whose sampling tables are
+    # built inside the measured call.
     nsamp = 5000
     oracle = NoiseOracle(arity)
+    if span_rows:
+        oracle = make_span_oracle(random_labeled_basis(random.Random(2), arity, span_rows))
     if ell:
         oracle = GadgetOracle(oracle, GadgetParams(ell, arity))
     tracemalloc.start()

@@ -146,6 +146,23 @@ def test_sampling_is_uniform_chi_squared():
         assert stat < threshold
 
 
+@pytest.mark.parametrize("labels", ["random", "zeros", "ones"])
+@pytest.mark.parametrize("dim", [0, 1, 3, 4, 5, 8, 16, 17, 33])
+def test_oracle_sample_matches_sample_span(dim, labels):
+    # The table fold draws the same subset from the same getrandbits
+    # call, so it must give the same points and labels and leave the
+    # rng where sample_span leaves it, ragged last group included.
+    base = random_basis(random.Random(dim), dim + 3, dim)
+    if labels != "random":
+        base = LabeledSet(base.points, (int(labels == "ones"),) * dim, base.length)
+    oracle = make_span_oracle(base)
+    for seed in range(5):
+        rng, replay = random.Random(seed), random.Random(seed)
+        got = [oracle.sample(rng) for _ in range(300)]
+        assert got == [sample_span(oracle, replay) for _ in range(300)]
+        assert rng.random() == replay.random()
+
+
 def test_planted_parity_labels_survive_sampling():
     # Labels built from a parity on the basis stay that parity on every
     # sampled span point.
