@@ -29,9 +29,8 @@ from random import Random
 from typing import Iterator
 
 from .dtree import DecisionTree, Leaf, Node, ParityIndexSet, path_masks
-from .f2 import BitVector
+from .f2 import BitMatrix, BitVector
 from .instance import _randbelow
-from .learners import pack_examples
 
 __all__ = [
     "GadgetParams",
@@ -57,6 +56,11 @@ __all__ = [
 # Cap on the lifted arity of ``enumerate_lifted``, which yields
 # 2**(n*(ell-1)) fibers per base point.
 MAX_LIFTED_ARITY = 16
+
+# Bound, in bytes, on ``sample_bytes``.  Neither the oracle nor the
+# learner checks it; whoever sets the sample budget does, before any
+# sampling.
+SAMPLE_MAX_BYTES = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -160,19 +164,20 @@ class GadgetOracle:
     def length(self) -> int:
         return self.params.lifted_n
 
-    def sample(self, rng: Random) -> tuple[BitVector, int]:
-        """One lifted example: row 0 of ``sample_columns(rng, 1)``."""
-        cols, label = self.sample_columns(rng, 1)
-        return BitVector(self.length, sum(c << j for j, c in enumerate(cols))), label
-
     def sample_columns(self, rng: Random, count: int) -> tuple[list[int], int]:
         """count lifted examples packed into per-coordinate bit columns
         (bit r of a column is example r), with the label column.
 
-        The base examples are drawn first and packed at base arity,
-        then ``lift_columns`` draws every block's free columns.
+        The base examples are drawn first, one ``base.sample(rng)`` each,
+        and packed at base arity, the labels riding in as column 0 of
+        the transposed matrix; then ``lift_columns`` draws every block's
+        free columns.  ``sample_bytes`` bounds the peak.
         """
-        base_cols, label_col = pack_examples(self.base, count, rng)
+        draws = (self.base.sample(rng) for _ in range(count))
+        rows = tuple(point.mask << 1 | label for point, label in draws)
+        label_col, *base_cols = BitMatrix(count, self.base.length + 1, rows).column_masks()
+        # Freed before lifting starts, as ``sample_bytes`` counts it.
+        del rows
         return lift_columns(base_cols, count, self.params, rng), label_col
 
     def enumerate_weighted(self) -> Iterator[tuple[BitVector, Fraction, int]]:
@@ -268,6 +273,29 @@ def lift_columns(
     return out
 
 
+def sample_bytes(arity: int, nsamp: int, lifted: int) -> int:
+    """Peak bytes of ``GadgetOracle.sample_columns`` drawing nsamp
+    examples at base arity ``arity`` and lifting them to ``lifted``
+    columns, as CPython 3 lays them out.
+
+    Packing peaks while ``column_masks`` joins the rows' bytes.  Per
+    example it then holds the row as an int (24 bytes of header and 4
+    per 30 bits) in a tuple slot (8), the row as a bytes object (33
+    bytes of header and 1 per 8 bits), that object's slot in the list
+    ``bytes.join`` builds (about 9 with growth) and the 80-byte buffer
+    view ``bytes.join`` takes of it, and the row's share of the joined
+    bytes (1 per 8 bits): 154 bytes of headers and 2/15 + 1/4 of a byte
+    per coordinate, rounded up to 168 and 2/5 for each row's partial
+    digit and byte.  Lifting starts once that is freed and keeps the
+    base columns and the lifted ones, each an nsamp-bit int in 30-bit
+    digits plus about 48 bytes of header, list slot and list growth.
+    The peak is the larger phase.
+    """
+    packing = nsamp * (arity * 2 // 5 + 168)
+    lifting = (arity + lifted) * ((nsamp + 29) // 30 * 4 + 48)
+    return max(packing, lifting)
+
+
 def lift_parity(s_star: ParityIndexSet, params: GadgetParams) -> ParityIndexSet:
     """Base index set to the union of its full blocks."""
     out = []
@@ -358,8 +386,6 @@ def exact_lifted_agreement(base, s: ParityIndexSet, params: GadgetParams) -> Fra
     return (1 + corr) / 2
 
 
-# The two values of the span dichotomy, built once rather than per call:
-# extraction scores every candidate with one of them.
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
 

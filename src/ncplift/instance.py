@@ -105,9 +105,9 @@ class SyndromeInstance:
 class LabeledSet:
     """Finite list of labeled points; the consistency view of a system.
 
-    Points coming out of ``syndrome_to_labeled_set`` are pairwise
-    distinct and linearly independent; arbitrary hand-built sets are
-    only checked structurally here, and span construction re-checks
+    Points coming out of ``syndrome_to_labeled_set`` on a normalized
+    instance are pairwise distinct and linearly independent; every set
+    is only checked structurally here, and span construction checks
     independence.
     """
 
@@ -152,11 +152,10 @@ def generator_to_syndrome(inst: NcpInstance) -> SyndromeInstance:
 def syndrome_to_labeled_set(inst: SyndromeInstance) -> LabeledSet:
     """Rows of H as points labeled by the entries of t.
 
-    Requires independent rows; run ``normalize_syndrome`` first when in
-    doubt.
+    Does not check that the rows are independent, which the span
+    requires: run ``normalize_syndrome`` first when in doubt, and
+    ``span.SpanOracle`` refuses dependent points.
     """
-    if rank(inst.h) != inst.h.rows:
-        raise ValueError("dependent rows; normalize the instance first")
     return LabeledSet(
         tuple(inst.h.row_vectors()),
         tuple(inst.t),

@@ -3,10 +3,11 @@
 A learner is any callable ``learner(oracle, arity, budget, rng)``
 that draws at most ``budget.sample_budget`` labeled examples from an
 oracle of length ``arity`` and returns a decision tree whose size and
-depth respect the budget (a hard contract).  An oracle offers
-``sample(rng)``, one (point, label) pair, and may offer
-``sample_columns(rng, count)``, count examples already packed into bit
-columns; the exhaustive learner draws through the latter when it is there.
+depth respect the budget (a hard contract).  An oracle has a
+``length`` and one method, ``sample_columns(rng, count)``: count
+examples packed into per-coordinate bit columns (bit r of a column is
+example r), with the label column.  ``gadget.GadgetOracle`` is that oracle; a per-example
+source reaches a learner through it, at block width 1 when unlifted.
 No clock bounds a learner: a search whose cost estimate passes
 ``f2.SEARCH_MAX_COST`` raises ``ValueError`` before it starts.
 
@@ -26,7 +27,7 @@ from itertools import combinations  # noqa: F401
 from random import Random
 
 from .dtree import DecisionTree, Leaf, Node, ParityIndexSet
-from .f2 import BitMatrix, sparse_xor_search
+from .f2 import sparse_xor_search
 
 __all__ = [
     "LearnerBudget",
@@ -34,10 +35,6 @@ __all__ = [
     "exhaustive_parity_learner",
     "planted_learner",
 ]
-
-# Bound, in bytes, on ``sample_bytes``.  Learners do not check it;
-# whoever sets the sample budget does, before any sampling.
-SAMPLE_MAX_BYTES = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -77,64 +74,6 @@ def _parity_dags(indices: tuple[int, ...]) -> tuple[DecisionTree, DecisionTree]:
     return even, odd
 
 
-def _sample_columns(
-    oracle, arity: int, budget: LearnerBudget, rng: Random
-) -> tuple[list[int], int, int]:
-    """A fresh sample packed into per-coordinate bit columns (bit r of
-    a column is example r), with the label column and the sample count.
-
-    An oracle with a ``sample_columns(rng, count)`` method draws the
-    packed sample itself; any other is drawn an example at a time by
-    ``pack_examples``.
-
-    Raises:
-        ValueError: when ``arity`` is not the oracle's length.
-    """
-    if arity != oracle.length:
-        raise ValueError(f"arity {arity} does not match the oracle's length {oracle.length}")
-    nsamp = budget.sample_budget
-    if hasattr(oracle, "sample_columns"):
-        cols, label_col = oracle.sample_columns(rng, nsamp)
-    else:
-        cols, label_col = pack_examples(oracle, nsamp, rng)
-    return cols, label_col, nsamp
-
-
-def pack_examples(oracle, count: int, rng: Random) -> tuple[list[int], int]:
-    """``count`` draws of ``oracle.sample(rng)`` packed into the
-    oracle's ``length`` bit columns and a label column.
-
-    The labels ride in as column 0 of the transposed matrix.
-    """
-    draws = (oracle.sample(rng) for _ in range(count))
-    rows = tuple(point.mask << 1 | label for point, label in draws)
-    label_col, *cols = BitMatrix(count, oracle.length + 1, rows).column_masks()
-    return cols, label_col
-
-
-def sample_bytes(arity: int, nsamp: int, lifted: int) -> int:
-    """Peak bytes of drawing a packed sample of nsamp examples at the
-    given arity, then lifting it to ``lifted`` columns, as CPython 3
-    lays them out.
-
-    Packing peaks while ``column_masks`` joins the rows' bytes.  Per
-    example it then holds the row as an int (24 bytes of header and 4
-    per 30 bits) in a tuple slot (8), the row as a bytes object (33
-    bytes of header and 1 per 8 bits), that object's slot in the list
-    ``bytes.join`` builds (about 9 with growth) and the 80-byte buffer
-    view ``bytes.join`` takes of it, and the row's share of the joined
-    bytes (1 per 8 bits): 154 bytes of headers and 2/15 + 1/4 of a byte
-    per coordinate, rounded up to 168 and 2/5 for each row's partial
-    digit and byte.  Lifting starts once that is freed and keeps the
-    base columns and the lifted ones, each an nsamp-bit int in 30-bit
-    digits plus about 48 bytes of header, list slot and list growth.
-    The peak is the larger phase.
-    """
-    packing = nsamp * (arity * 2 // 5 + 168)
-    lifting = (arity + lifted) * ((nsamp + 29) // 30 * 4 + 48)
-    return max(packing, lifting)
-
-
 def exhaustive_parity_learner(
     oracle, arity: int, budget: LearnerBudget, rng: Random
 ) -> DecisionTree:
@@ -145,7 +84,7 @@ def exhaustive_parity_learner(
     set S with ``|S| <= depth_budget`` (also capped so the output tree
     fits the size budget).  The first such fit in ascending size, then
     lexicographic order, plain before complemented, wins.  The sample
-    is packed into per-coordinate bit columns; an exact fit is a sparse
+    comes packed into per-coordinate bit columns; an exact fit is a sparse
     XOR of columns equal to the label column or to its complement,
     found by ``f2.sparse_xor_search`` (targets plain then complement).
 
@@ -157,13 +96,16 @@ def exhaustive_parity_learner(
     example sits at 1/2.
 
     Raises:
-        ValueError: when the depth budget exceeds the arity, or, after
-            sampling, when the exact-fit search would pass
-            ``f2.SEARCH_MAX_COST``.
+        ValueError: when the depth budget exceeds the arity, when the
+            arity is not the oracle's length, or, after sampling, when
+            the exact-fit search would pass ``f2.SEARCH_MAX_COST``.
     """
     if budget.depth_budget > arity:
         raise ValueError("depth budget exceeds the arity")
-    cols, label_col, nsamp = _sample_columns(oracle, arity, budget, rng)
+    if arity != oracle.length:
+        raise ValueError(f"arity {arity} does not match the oracle's length {oracle.length}")
+    nsamp = budget.sample_budget
+    cols, label_col = oracle.sample_columns(rng, nsamp)
     max_size = min(budget.depth_budget, budget.size_budget.bit_length() - 1)
     targets = (label_col, label_col ^ ((1 << nsamp) - 1))
     exact = sparse_xor_search(cols, targets, max_size)

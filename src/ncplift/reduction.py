@@ -30,8 +30,10 @@ from .dtree import estimate_distance  # noqa: F401
 from .gadget import exact_lifted_agreement  # noqa: F401
 from .f2 import BitVector, mat_vec
 from .gadget import (
+    SAMPLE_MAX_BYTES,
     GadgetOracle,
     GadgetParams,
+    sample_bytes,
     solution_unions,
     span_lifted_tree_error,
     unlift_parity,
@@ -42,7 +44,7 @@ from .instance import (
     normalize_syndrome,
     syndrome_to_labeled_set,
 )
-from .learners import SAMPLE_MAX_BYTES, LearnerBudget, sample_bytes
+from .learners import LearnerBudget
 from .span import SpanOracle, make_span_oracle
 
 __all__ = [

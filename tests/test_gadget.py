@@ -235,16 +235,6 @@ def test_sample_columns_fiber_uniform_chi_squared(ell):
     assert stat < threshold
 
 
-@pytest.mark.parametrize("ell", [1, 2, 3])
-def test_gadget_sample_is_row_zero_of_sample_columns(ell):
-    base = pmf([("00", 0, 1), ("11", 1, 2), ("10", 1, 1)], 2)
-    oracle = GadgetOracle(base, GadgetParams(ell=ell, base_n=2))
-    for seed in range(20):
-        y, lab = oracle.sample(random.Random(seed))
-        cols, label_col = oracle.sample_columns(random.Random(seed), 1)
-        assert (y.mask, lab) == (column_rows(cols, 1)[0], label_col)
-
-
 def test_lift_columns_rejects_a_column_count_off_the_base():
     with pytest.raises(ValueError):
         lift_columns([0, 1, 1], 1, P2, random.Random(0))
@@ -254,12 +244,11 @@ def test_gadget_oracle_wraps_base():
     base = pmf([("01", 1, 1), ("10", 0, 1)], 2)
     oracle = GadgetOracle(base, P2)
     assert oracle.length == 4
-    rng = random.Random(8)
     support = {p.mask: lab for p, _, lab in base.enumerate_weighted()}
-    for _ in range(200):
-        y, lab = oracle.sample(rng)
-        folded = blockwise_parity(y, P2)
-        assert support[folded.mask] == lab
+    cols, label_col = oracle.sample_columns(random.Random(8), 200)
+    for r, y in enumerate(column_rows(cols, 200)):
+        folded = blockwise_parity(BitVector(4, y), P2)
+        assert support[folded.mask] == label_col >> r & 1
     assert list(oracle.enumerate_weighted()) == list(enumerate_lifted(base, P2))
 
 

@@ -29,6 +29,7 @@ from ncplift.instance import (
     write_syndrome_instance,
 )
 from ncplift.reduction import verify_certificate
+from ncplift.span import make_span_oracle
 
 
 def random_full_rank(rng, m, n):
@@ -144,12 +145,15 @@ def test_syndrome_to_labeled_set_transcription():
     assert ls.m == 2
 
 
-def test_syndrome_to_labeled_set_rejects_dependent_rows():
+def test_span_of_syndrome_rows_rejects_dependent_rows():
+    # syndrome_to_labeled_set takes the rows as they are; the span
+    # built on them is the one independence check on that path.
     inst = SyndromeInstance(
         BitMatrix.from_rows(["11", "11"]), BitVector.from01("11"), 1, Fraction(1)
     )
-    with pytest.raises(ValueError):
-        syndrome_to_labeled_set(inst)
+    labeled = syndrome_to_labeled_set(inst)
+    with pytest.raises(ValueError, match="independent"):
+        make_span_oracle(labeled)
 
 
 def test_parity_consistency_matches_matrix_equation():

@@ -26,6 +26,7 @@ from ncplift.gadget import (
     GadgetOracle,
     GadgetParams,
     exact_lifted_tree_error,
+    sample_bytes,
     span_lifted_tree_error,
 )
 from ncplift.instance import LabeledSet
@@ -82,6 +83,13 @@ def random_labeled_basis(rng, n, m):
 
 def budget(size=16, depth=4, samples=200):
     return LearnerBudget(size, depth, samples)
+
+
+def unlifted(source):
+    """A per-example source as a learner's oracle: the identity gadget
+    (ell = 1), which packs its draws into columns and lifts nothing, so
+    every sample and the next rng draw are the source's own."""
+    return GadgetOracle(source, GadgetParams(1, source.length))
 
 
 # ---------------------------------------------------------------- plumbing
@@ -168,7 +176,7 @@ def test_complemented_fit_shares_its_nodes():
     points = [format(y, "05b") for y in range(32)]
     oracle = pmf_oracle([(b, 1 ^ s.chi(BitVector.from01(b)), 1) for b in points], 5)
     tree = exhaustive_parity_learner(
-        oracle, 5, budget(size=8, depth=3, samples=400), random.Random(1)
+        unlifted(oracle), 5, budget(size=8, depth=3, samples=400), random.Random(1)
     )
     assert tree == complement_tree(recursive_parity_tree(s.indices))
     assert distinct_nodes(tree) == 7
@@ -194,7 +202,7 @@ def test_exhaustive_recovers_planted_parity():
         s = ParityIndexSet.from_iterable(rng.sample(range(1, n + 1), size))
         oracle = parity_span_oracle(rng, n, s)
         tree = exhaustive_parity_learner(
-            oracle, n, budget(size=8, depth=3, samples=200), random.Random(seed)
+            unlifted(oracle), n, budget(size=8, depth=3, samples=200), random.Random(seed)
         )
         if tree == parity_to_tree(s):
             hits += 1
@@ -204,14 +212,14 @@ def test_exhaustive_recovers_planted_parity():
 def test_exhaustive_depth_zero_returns_better_constant():
     oracle = pmf_oracle([("0", 1, 3), ("1", 0, 1)], 1)
     tree = exhaustive_parity_learner(
-        oracle, 1, budget(size=16, depth=0, samples=400), random.Random(5)
+        unlifted(oracle), 1, budget(size=16, depth=0, samples=400), random.Random(5)
     )
     assert tree == Leaf(1)
 
 
 def test_exhaustive_is_deterministic_given_seed():
     rng_oracle = random.Random(7)
-    oracle = parity_span_oracle(rng_oracle, 6, index_set(2, 4))
+    oracle = unlifted(parity_span_oracle(rng_oracle, 6, index_set(2, 4)))
     a = exhaustive_parity_learner(oracle, 6, budget(), random.Random(11))
     b = exhaustive_parity_learner(oracle, 6, budget(), random.Random(11))
     assert a == b
@@ -234,7 +242,7 @@ def test_exhaustive_matches_independent_enumeration():
             LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n)
         )
         bud = budget(size=16, depth=min(n, 3), samples=64)
-        tree = exhaustive_parity_learner(oracle, n, bud, random.Random(seed))
+        tree = exhaustive_parity_learner(unlifted(oracle), n, bud, random.Random(seed))
 
         rng_replay = random.Random(seed)
         sample = [oracle.sample(rng_replay) for _ in range(bud.sample_budget)]
@@ -262,7 +270,7 @@ def test_exhaustive_prefers_smaller_support_on_ties():
         LabeledSet((BitVector.from01("10"),), (1,), 2)
     )
     tree = exhaustive_parity_learner(
-        oracle, 2, budget(size=4, depth=2, samples=50), random.Random(3)
+        unlifted(oracle), 2, budget(size=4, depth=2, samples=50), random.Random(3)
     )
     assert tree == parity_to_tree(index_set(1))
 
@@ -272,7 +280,7 @@ def test_exhaustive_respects_size_budget_over_depth():
     # depth budget allows more.
     oracle = pmf_oracle([("00", 0, 1), ("11", 1, 1)], 2)
     tree = exhaustive_parity_learner(
-        oracle, 2, LearnerBudget(1, 2, 100), random.Random(1)
+        unlifted(oracle), 2, LearnerBudget(1, 2, 100), random.Random(1)
     )
     assert isinstance(tree, Leaf)
 
@@ -296,7 +304,7 @@ def test_exhaustive_hard_contract_on_random_oracles():
         size_b = rng.choice([1, 2, 4, 8])
         depth_b = rng.randint(0, n)
         tree = exhaustive_parity_learner(
-            oracle, n, LearnerBudget(size_b, depth_b, 64), random.Random(rng.random())
+            unlifted(oracle), n, LearnerBudget(size_b, depth_b, 64), random.Random(rng.random())
         )
         assert tree.size <= size_b
         assert tree.depth <= depth_b
@@ -305,7 +313,7 @@ def test_exhaustive_hard_contract_on_random_oracles():
 def test_exhaustive_rejects_depth_beyond_arity():
     oracle = pmf_oracle([("0", 0, 1)], 1)
     with pytest.raises(ValueError):
-        exhaustive_parity_learner(oracle, 1, budget(depth=2), random.Random(0))
+        exhaustive_parity_learner(unlifted(oracle), 1, budget(depth=2), random.Random(0))
 
 
 def scan_learner(oracle, arity, budget, rng):
@@ -379,7 +387,7 @@ def learner_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_exhaustive_matches_the_linear_scan(case):
     oracle, n, bud, seed = case
-    got = exhaustive_parity_learner(oracle, n, bud, random.Random(seed))
+    got = exhaustive_parity_learner(unlifted(oracle), n, bud, random.Random(seed))
     assert got == scan_learner(oracle, n, bud, random.Random(seed))
 
 
@@ -401,7 +409,7 @@ def test_greedy_matches_the_row_learner_on_fixed_cycles(pairs, samples, size, de
     # the row-by-row scan: a pure sample, constant ties that must
     # break to 0, and an exact fit cut short by the size budget.
     bud = LearnerBudget(size, depth, samples)
-    got = exhaustive_parity_learner(CycleOracle(pairs, 4), 4, bud, random.Random(0))
+    got = exhaustive_parity_learner(unlifted(CycleOracle(pairs, 4)), 4, bud, random.Random(0))
     assert got == scan_learner(CycleOracle(pairs, 4), 4, bud, random.Random(0))
 
 
@@ -428,7 +436,7 @@ def test_exhaustive_answers_a_huge_search_at_once():
         try:
             started = time.monotonic()
             tree = exhaustive_parity_learner(
-                NoiseOracle(80), 80, LearnerBudget(1 << 16, 16, 256), random.Random(4)
+                unlifted(NoiseOracle(80)), 80, LearnerBudget(1 << 16, 16, 256), random.Random(4)
             )
             elapsed = time.monotonic() - started
             _, peak = tracemalloc.get_traced_memory()
@@ -479,7 +487,7 @@ def noisy_cases():
 
 def test_exhaustive_matches_the_scan_on_noisy_labels():
     for oracle, arity, bud, seed in noisy_cases():
-        got = exhaustive_parity_learner(oracle, arity, bud, random.Random(seed))
+        got = exhaustive_parity_learner(unlifted(oracle), arity, bud, random.Random(seed))
         assert got == scan_learner(oracle, arity, bud, random.Random(seed)), seed
 
 
@@ -535,7 +543,7 @@ def test_exhaustive_bounds_the_exact_fit_search(monkeypatch):
     # of dimension >= 32, so the search meets in the middle, and its
     # estimate is the meet in the middle's alone.  The labels are a
     # parity of three coordinates, so an exact fit exists.
-    oracle = NoisyParityOracle(40, 0b1011, 0.0)
+    oracle = unlifted(NoisyParityOracle(40, 0b1011, 0.0))
     bud = LearnerBudget(16, 4, 8)
     estimate = f2._mitm_cost(40, 2, 4)
     monkeypatch.setattr(f2, "SEARCH_MAX_COST", estimate)
@@ -553,7 +561,7 @@ def test_error_scan_retains_no_memory():
     # arity 28 that each return a parity tree must create no unreachable
     # object and leave no memory behind.  The warm-up calls run traced,
     # so that objects parked in CPython's free lists are counted before.
-    oracle = NoisyParityOracle(28, 0b1011, 0.0)
+    oracle = unlifted(NoisyParityOracle(28, 0b1011, 0.0))
     bud = LearnerBudget(8, 3, 100)
     enabled = gc.isenabled()
     gc.disable()
@@ -588,9 +596,7 @@ def test_error_scan_retains_no_memory():
 def test_sample_columns_matches_the_per_bit_loop(case):
     arity, pairs = case
     oracle = CycleOracle([(BitVector(arity, mask).to01(), label) for mask, label in pairs], arity)
-    cols, label_col, nsamp = learners._sample_columns(
-        oracle, arity, LearnerBudget(1, 0, len(pairs)), random.Random(0)
-    )
+    cols, label_col = unlifted(oracle).sample_columns(random.Random(0), len(pairs))
     want_cols = [0] * arity
     want_labels = 0
     for row, (mask, label) in enumerate(pairs):
@@ -600,7 +606,7 @@ def test_sample_columns_matches_the_per_bit_loop(case):
         for j in range(arity):
             if mask >> j & 1:
                 want_cols[j] |= bit
-    assert (cols, label_col, nsamp) == (want_cols, want_labels, len(pairs))
+    assert (cols, label_col) == (want_cols, want_labels)
 
 
 def test_sample_columns_draws_in_the_oracle_order():
@@ -608,11 +614,10 @@ def test_sample_columns_draws_in_the_oracle_order():
     # per example would, so seeds keep their meaning.
     oracle = NoisyParityOracle(12, 0b101, 0.2)
     rng = random.Random(3)
-    cols, label_col, nsamp = learners._sample_columns(oracle, 12, budget(samples=50), rng)
+    cols, label_col = unlifted(oracle).sample_columns(rng, 50)
     replay = random.Random(3)
     rows = [oracle.sample(replay) for _ in range(50)]
     assert rng.random() == replay.random()
-    assert nsamp == 50
     assert label_col == sum(label << r for r, (_, label) in enumerate(rows))
     assert cols == [
         sum((point.mask >> j & 1) << r for r, (point, _) in enumerate(rows))
@@ -623,40 +628,39 @@ def test_sample_columns_draws_in_the_oracle_order():
 @pytest.mark.parametrize(
     "arity, ell, span_rows",
     [
-        pytest.param(arity, ell, 0, id=f"{arity}-ell{ell}" if ell else f"{arity}")
-        for arity, ell in [(2, 0), (28, 0), (200, 0), (800, 0), (14, 2), (2, 400), (1, 2000)]
+        pytest.param(arity, ell, 0, id=f"{arity}-ell{ell}" if ell > 1 else f"{arity}")
+        for arity, ell in [(2, 1), (28, 1), (200, 1), (800, 1), (14, 2), (2, 400), (1, 2000)]
     ]
     + [pytest.param(24, 2, 16, id="24-ell2-span16")],
 )
 def test_sample_columns_peaks_within_its_estimate(arity, ell, span_rows):
-    # ``sample_bytes`` is what the pipelines check against
-    # ``SAMPLE_MAX_BYTES`` before sampling.  ell = 0: a plain oracle;
-    # otherwise a gadget over it, (14, 2) as the pipelines run it,
-    # (1, 2000) with lifting the larger phase, (2, 400) near the point
-    # where the two phases cross.  span_rows: a gadget over the span of
-    # that many rows, the pipelines' base, whose sampling tables are
-    # built inside the measured call.
+    # ``gadget.sample_bytes`` is what the pipelines check against
+    # ``SAMPLE_MAX_BYTES`` before sampling.  A gadget over a plain
+    # oracle: ell = 1 lifts nothing, so packing binds, (14, 2) as the
+    # pipelines run it, (1, 2000) with lifting the larger phase, (2, 400)
+    # near the point where the two phases cross.  span_rows: a gadget
+    # over the span of that many rows, the pipelines' base, whose
+    # sampling tables are built inside the measured call.
     nsamp = 5000
-    oracle = NoiseOracle(arity)
+    base = NoiseOracle(arity)
     if span_rows:
-        oracle = make_span_oracle(random_labeled_basis(random.Random(2), arity, span_rows))
-    if ell:
-        oracle = GadgetOracle(oracle, GadgetParams(ell, arity))
+        base = make_span_oracle(random_labeled_basis(random.Random(2), arity, span_rows))
+    oracle = GadgetOracle(base, GadgetParams(ell, arity))
     tracemalloc.start()
     try:
-        learners._sample_columns(oracle, oracle.length, budget(samples=nsamp), random.Random(1))
+        oracle.sample_columns(random.Random(1), nsamp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    estimate = learners.sample_bytes(arity, nsamp, ell * arity)
+    estimate = sample_bytes(arity, nsamp, ell * arity)
     assert estimate * 2 // 3 < peak <= estimate
 
 
 @pytest.mark.parametrize("ell", [0, 2])
 def test_sample_columns_refuses_an_arity_off_the_oracle(ell):
-    oracle = NoiseOracle(6)
-    if ell:
-        oracle = GadgetOracle(oracle, GadgetParams(ell, 6))
+    # ell = 0: the plain oracle, through the identity gadget.
+    base = NoiseOracle(6)
+    oracle = GadgetOracle(base, GadgetParams(ell, 6)) if ell else unlifted(base)
     for arity in (oracle.length - 1, oracle.length + 1):
         with pytest.raises(ValueError, match="length"):
-            learners._sample_columns(oracle, arity, budget(samples=10), random.Random(0))
+            exhaustive_parity_learner(oracle, arity, budget(samples=10), random.Random(0))

@@ -11,14 +11,15 @@ import pytest
 
 from ncplift import f2, reduction
 from ncplift.dtree import Leaf, Node, ParityIndexSet, path_masks, path_support_sets, reduce_tree
-from ncplift.learners import parity_to_tree
 from ncplift.f2 import BitMatrix, BitVector, mat_vec, rank
 from ncplift.gadget import (
+    SAMPLE_MAX_BYTES,
     FinitePmf,
     GadgetOracle,
     GadgetParams,
     exact_lifted_agreement,
     lift_parity,
+    sample_bytes,
 )
 from ncplift.instance import (
     LabeledSet,
@@ -26,12 +27,7 @@ from ncplift.instance import (
     brute_force_nearest,
     random_planted,
 )
-from ncplift.learners import (
-    SAMPLE_MAX_BYTES,
-    exhaustive_parity_learner,
-    planted_learner,
-    sample_bytes,
-)
+from ncplift.learners import exhaustive_parity_learner, parity_to_tree, planted_learner
 from ncplift.reduction import (
     PRUNE_CONSTANT,
     TREE_MAX_DEPTH,
@@ -121,6 +117,20 @@ def test_lifted_labels_follow_planted_parity():
         count += 1
     # One entry per span element and free fiber bit pattern.
     assert count == 1 << (4 + 5)
+
+
+def test_build_learning_instance_spans_the_kept_rows():
+    # Row 3 is rows 1 + 2 with the matching label, so normalization
+    # drops it, and the span over the two kept rows is what gets lifted.
+    inst = SyndromeInstance(
+        BitMatrix.from_rows(["1100", "0110", "1010"]), BitVector.from01("101"), 1, Fraction(1)
+    )
+    oracle = build_learning_instance(inst, CFG)
+    span = oracle.base
+    assert span.dimension == 2
+    assert span.points == tuple(BitVector.from01(r).mask for r in ("1100", "0110"))
+    assert span.labels == (1, 0)
+    assert oracle.params == GadgetParams(CFG.ell, 4)
 
 
 def test_build_learning_instance_rejects_contradiction():
