@@ -13,10 +13,11 @@ two elementary facts about a uniform parity-constrained block: any
 proper subset of its coordinates is jointly uniform, and the signed
 expectation of a full-block parity character is +1 or -1 according to
 the required parity.  Over a span base, agreement and tree error need
-no sum over points at all: the span dichotomy settles agreement from
-the basis alone, and the tree error is a Fourier sum of the tree over
-the unions of whole blocks inside its path sets that agree with every
-label (``solution_unions``).  A brute-force fiber enumerator is kept
+no sum over points at all.  By the span dichotomy the unions of whole
+blocks at agreement 1 are the lifts of the solutions of H s = t, and
+``solution_unions`` finds those inside a tree's path sets with one
+``f2.eliminate`` per set of whole blocks; the tree error is a Fourier
+sum of the tree over them.  A brute-force fiber enumerator is kept
 alongside as an independent cross-check at tiny sizes.
 """
 
@@ -29,7 +30,7 @@ from random import Random
 from typing import Iterator
 
 from .dtree import DecisionTree, Leaf, Node, ParityIndexSet, path_masks
-from .f2 import BitMatrix, BitVector
+from .f2 import BitMatrix, BitVector, eliminate
 from .instance import _randbelow
 
 __all__ = [
@@ -43,9 +44,7 @@ __all__ = [
     "lift_parity",
     "unlift_parity",
     "is_block_complete",
-    "block_unions",
     "exact_lifted_agreement",
-    "span_lifted_agreement",
     "solution_unions",
     "exact_restriction_probability",
     "exact_lifted_tree_error",
@@ -343,28 +342,6 @@ def _block_fold(mask: int, params: GadgetParams) -> int | None:
     return fmask
 
 
-def block_unions(mask: int, params: GadgetParams) -> list[int]:
-    """Every union of the blocks that lie wholly inside a lifted index
-    mask, as lifted masks, the empty union first: the block-complete
-    subsets of the mask, 2**(whole blocks) of them.
-
-    Raises:
-        ValueError: when the mask holds an index past the lifted arity.
-    """
-    if mask >> params.lifted_n:
-        raise ValueError("parity index exceeds the lifted arity")
-    ell = params.ell
-    ones = (1 << ell) - 1
-    unions = [0]
-    while mask:
-        b = ((mask & -mask).bit_length() - 1) // ell
-        block = ones << (b * ell)
-        if mask & block == block:
-            unions += [union | block for union in unions]
-        mask &= ~block
-    return unions
-
-
 def exact_lifted_agreement(base, s: ParityIndexSet, params: GadgetParams) -> Fraction:
     """Exact probability that the parity matches the lifted label.
 
@@ -373,7 +350,7 @@ def exact_lifted_agreement(base, s: ParityIndexSet, params: GadgetParams) -> Fra
     expectations, which is 0 for a partially covered block and
     (-1)**x_i for a fully covered block i.  No fibers are enumerated,
     but every base point is; over a span this is the enumerating oracle
-    for ``span_lifted_agreement``.
+    for ``solution_unions``.
     """
     fmask = _block_fold(s.mask, params)
     if fmask is None:
@@ -384,30 +361,6 @@ def exact_lifted_agreement(base, s: ParityIndexSet, params: GadgetParams) -> Fra
         sign = (label ^ ((point.mask & fmask).bit_count() & 1)) & 1
         corr += -prob if sign else prob
     return (1 + corr) / 2
-
-
-_HALF = Fraction(1, 2)
-_ONE = Fraction(1)
-
-
-def span_lifted_agreement(span, s: ParityIndexSet, params: GadgetParams) -> Fraction:
-    """Exact agreement of a parity with the lifted source over a span.
-
-    The span dichotomy in closed form.  A partially covered block gives
-    1/2, as in ``exact_lifted_agreement``.  Otherwise the agreement is
-    that of the folded base parity F over the span, whose labels extend
-    the basis labels linearly: F matches every span label when it
-    matches every basis row (agreement 1), and exactly half of them
-    otherwise (agreement 1/2).  One pass over the basis, no dimension
-    cap.
-    """
-    fmask = _block_fold(s.mask, params)
-    if fmask is None:
-        return _HALF
-    for row, label in zip(span.points, span.labels):
-        if (row & fmask).bit_count() & 1 != label:
-            return _HALF
-    return _ONE
 
 
 def _restriction_blocks(rho: Restriction, params: GadgetParams) -> tuple[int, int, int]:
@@ -509,18 +462,44 @@ def solution_unions(pathmasks: set[int], span, params: GadgetParams) -> set[int]
     """The unions of whole blocks inside the given path sets whose
     agreement with the lifted span source is 1, as lifted masks: by the
     span dichotomy, the lifts of the solutions s of H s = t supported on
-    whole blocks of a path set.  Each union is scored once, by
-    ``span_lifted_agreement``.
+    whole blocks of a path set.
+
+    Each distinct set W of whole blocks is one solve.  Bit i of the
+    column of block b is bit b of basis row i, and bit i of the target
+    is the label of row i.  ``f2.eliminate`` takes the |W| columns and
+    reduces the target: a nonzero residue leaves no solution in W, and
+    otherwise the solutions are the particular combination XOR the span
+    of the kernel, 2**(|W| - rank) of them, built by doubling on their
+    lifts.
 
     Raises:
         ValueError: when a path set holds an index past the lifted arity.
     """
-    unions = {union for pathmask in pathmasks for union in block_unions(pathmask, params)}
-    return {
-        union
-        for union in unions
-        if span_lifted_agreement(span, ParityIndexSet.from_mask(union), params) == 1
-    }
+    ell = params.ell
+    ones = (1 << ell) - 1
+    wholes = set()
+    for pathmask in pathmasks:
+        if pathmask >> params.lifted_n:
+            raise ValueError("parity index exceeds the lifted arity")
+        wholes.add(tuple(b for b in range(params.base_n) if pathmask >> (b * ell) & ones == ones))
+    target = sum(label << i for i, label in enumerate(span.labels))
+    unions: set[int] = set()
+    for whole in wholes:
+        elim = eliminate(
+            sum((row >> b & 1) << i for i, row in enumerate(span.points)) for b in whole
+        )
+        residue, combo = elim.reduce(target)
+        if residue:
+            continue
+        particular, *steps = [
+            sum(ones << (b * ell) for j, b in enumerate(whole) if v >> j & 1)
+            for v in (combo, *elim.kernel)
+        ]
+        found = [particular]
+        for step in steps:
+            found += [union ^ step for union in found]
+        unions.update(found)
+    return unions
 
 
 def span_lifted_tree_error(tree: DecisionTree, span, params: GadgetParams) -> Fraction:
@@ -530,10 +509,11 @@ def span_lifted_tree_error(tree: DecisionTree, span, params: GadgetParams) -> Fr
     the Fourier identity.  Let F = (-1)**tree, with coefficients F^(S)
     over the uniform cube.  Over the lifted span source, the character
     of S averages to 0 against (-1)**label when S covers some block
-    partly, and for S = lift(s) it correlates 1 or 0 as the span
-    agreement is 1 or 1/2.  So the error is 1/2 - 1/2 * sum F^(U) over
-    the solution unions U, and F^(U) is 0 unless U lies inside a path
-    set: ``solution_unions`` of the tree's path sets gives every term.
+    partly, and for S = lift(s) it correlates 1 when H s = t and 0
+    otherwise.  So the error is 1/2 - 1/2 * sum F^(U) over the lifts U
+    of the solutions, and F^(U) is 0 unless U lies inside a path set:
+    ``solution_unions`` solves for every term on the whole blocks of
+    the tree's path sets, with no scan over their unions.
 
     Each N_U = F^(U) * 2**depth is one recursion over the shared nodes.
     A query in the rest of U gives (low - high) / 2, any other query
@@ -547,7 +527,8 @@ def span_lifted_tree_error(tree: DecisionTree, span, params: GadgetParams) -> Fr
 
     Raises:
         ValueError: when the span's length is not the base arity, or a
-            node queries a coordinate past the lifted arity.
+            node queries a coordinate past the lifted arity (refused by
+            ``solution_unions``).
     """
     if span.length != params.base_n:
         raise ValueError("base arity does not match the gadget parameters")

@@ -1,8 +1,8 @@
 """Proper decision-tree learners over labeled-example oracles.
 
-A learner is any callable ``learner(oracle, arity, budget, rng)``
-that draws at most ``budget.sample_budget`` labeled examples from an
-oracle of length ``arity`` and returns a decision tree whose size and
+A learner is any callable ``learner(oracle, budget, rng)`` that draws
+at most ``budget.sample_budget`` labeled examples from the oracle and
+returns a decision tree over its ``length`` coordinates whose size and
 depth respect the budget (a hard contract).  An oracle has a
 ``length`` and one method, ``sample_columns(rng, count)``: count
 examples packed into per-coordinate bit columns (bit r of a column is
@@ -74,9 +74,7 @@ def _parity_dags(indices: tuple[int, ...]) -> tuple[DecisionTree, DecisionTree]:
     return even, odd
 
 
-def exhaustive_parity_learner(
-    oracle, arity: int, budget: LearnerBudget, rng: Random
-) -> DecisionTree:
+def exhaustive_parity_learner(oracle, budget: LearnerBudget, rng: Random) -> DecisionTree:
     """First exact parity fit on a fresh sample, else the better constant.
 
     A consistent learner: it returns a parity (or complemented parity)
@@ -96,14 +94,12 @@ def exhaustive_parity_learner(
     example sits at 1/2.
 
     Raises:
-        ValueError: when the depth budget exceeds the arity, when the
-            arity is not the oracle's length, or, after sampling, when
-            the exact-fit search would pass ``f2.SEARCH_MAX_COST``.
+        ValueError: when the depth budget exceeds the oracle's length,
+            or, after sampling, when the exact-fit search would pass
+            ``f2.SEARCH_MAX_COST``.
     """
-    if budget.depth_budget > arity:
-        raise ValueError("depth budget exceeds the arity")
-    if arity != oracle.length:
-        raise ValueError(f"arity {arity} does not match the oracle's length {oracle.length}")
+    if budget.depth_budget > oracle.length:
+        raise ValueError("depth budget exceeds the oracle's length")
     nsamp = budget.sample_budget
     cols, label_col = oracle.sample_columns(rng, nsamp)
     max_size = min(budget.depth_budget, budget.size_budget.bit_length() - 1)
@@ -121,6 +117,6 @@ def planted_learner(s: ParityIndexSet):
     Test double for exercising the downstream pipeline with a known
     hypothesis.
     """
-    def learner(oracle, arity: int, budget: LearnerBudget, rng: Random) -> DecisionTree:
+    def learner(oracle, budget: LearnerBudget, rng: Random) -> DecisionTree:
         return parity_to_tree(s)
     return learner

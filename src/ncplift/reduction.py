@@ -58,13 +58,14 @@ __all__ = [
     "verify_certificate",
 ]
 
-# Work bound on the learned tree, whose depth is at most ell*k.  The
-# learner's parity tree has 2**depth leaves on 2*depth + 2 shared nodes,
-# and its path sets and decide's tree error cost O(nodes), not a visit
-# to every path.  Extraction's candidates still grow: sum over distinct
-# path sets P of 2**|P|, 2**depth for a parity tree but up to 4**depth
-# for a generic one.  At depth 16 a planted search takes about 0.25 s
-# on a 2-vCPU host (Python 3.11), and each further level doubles that.
+# Work bound on the learned tree, whose depth is at most ell*k: it
+# bounds extraction's candidates, sum over distinct path sets P of
+# 2**|P|, 2**depth for the learner's parity tree but up to 4**depth for
+# a generic one.  At depth 16 a planted search takes about 0.25 s on a
+# 2-vCPU host (Python 3.11), and each further level doubles that.  The
+# parity tree's 2**depth leaves sit on 2*depth + 2 shared nodes, its
+# path sets cost O(nodes), and decide's tree error scans no unions: it
+# solves for them (``solution_unions``), one elimination per path set.
 TREE_MAX_DEPTH = 16
 
 # ``search`` prunes the hypothesis at PRUNE_CONSTANT * ceil(log2(size))
@@ -177,7 +178,7 @@ def _learn(
         return None
     depth_cap = cfg.ell * inst.k
     budget = LearnerBudget(1 << depth_cap, depth_cap, cfg.learner_samples)
-    return oracle, learner(oracle, oracle.length, budget, rng)
+    return oracle, learner(oracle, budget, rng)
 
 
 def decide(
@@ -228,9 +229,10 @@ def extract_parity(
     The oracle's base must be a span (a ``SpanOracle``), as every
     pipeline builds it.  Every candidate gets its exact agreement with
     the lifted source from the span dichotomy in closed form, exactly 1
-    or 1/2: a candidate that covers some block partly is at 1/2, so
-    only the unions of whole blocks inside a path set are scored, and
-    ``solution_unions`` gives those at 1.
+    or 1/2: a candidate that covers some block partly is at 1/2, and a
+    union of whole blocks is at 1 exactly when it lifts a solution of
+    H s = t.  ``solution_unions`` solves for those on the whole blocks
+    of each path set, with no scan, and every other candidate is at 1/2.
     The ranking is by agreement descending, then smaller sets, then
     lexicographic order, so it is total.
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,12 @@ from hypothesis import strategies as st
 
 from ncplift import gadget
 from ncplift.dtree import Leaf, Node, ParityIndexSet, complement_tree, exact_distance
-from ncplift.f2 import BitMatrix, BitVector, eliminate, rank
+from ncplift.f2 import BitMatrix, BitVector, eliminate, mat_vec, rank
 from ncplift.gadget import (
     FinitePmf,
     GadgetOracle,
     GadgetParams,
     Restriction,
-    block_unions,
     blockwise_parity,
     enumerate_lifted,
     exact_lifted_agreement,
@@ -28,7 +28,6 @@ from ncplift.gadget import (
     lift_parity,
     lift_sample,
     solution_unions,
-    span_lifted_agreement,
     span_lifted_tree_error,
     unlift_parity,
 )
@@ -317,18 +316,16 @@ def test_block_fold_matches_the_dict_count(ell):
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
 def test_block_unions_are_the_block_complete_subsets(ell):
-    # Every lifted mask up to 8 bits: the unions are exactly the
-    # subsets that the fold finds block complete, each once, the empty
-    # union first.
+    # Every lifted mask up to 8 bits, over a span with no rows, where
+    # every union of whole blocks solves the empty system: the solution
+    # unions are exactly the subsets that the fold finds block complete.
     params = GadgetParams(ell=ell, base_n=8 // ell)
+    span = make_span_oracle(LabeledSet((), (), params.base_n))
     for mask in range(1 << params.lifted_n):
-        unions = block_unions(mask, params)
         subsets = [sub for sub in range(1 << params.lifted_n) if sub & mask == sub]
-        assert unions[0] == 0
-        assert len(set(unions)) == len(unions)
-        assert set(unions) == {sub for sub in subsets if gadget._block_fold(sub, params) is not None}
-    with pytest.raises(ValueError):
-        block_unions(1 << params.lifted_n, params)
+        assert solution_unions({mask}, span, params) == {
+            sub for sub in subsets if gadget._block_fold(sub, params) is not None
+        }
 
 
 @given(st.integers(1, 4), st.integers(1, 5), st.data())
@@ -442,7 +439,10 @@ def test_span_agreement_matches_both_oracles(m, extra, ell, mode, seed):
     # "planted" labels the basis by chi_{S*} and asks for lift(S*), the
     # agreement-1 branch; "lifted" asks for the lift of a random base
     # set under random labels (block-complete, mostly inconsistent);
-    # "any" asks for a random lifted set (mostly a partial block).
+    # "any" asks for a random lifted set (mostly a partial block).  The
+    # set is looked up in the solution unions of a path set around it,
+    # and the span oracle is the enumerating one the dichotomy is
+    # checked against.
     rng = random.Random(seed)
     n = max(m, 1) + extra
     params = GadgetParams(ell, n)
@@ -459,21 +459,25 @@ def test_span_agreement_matches_both_oracles(m, extra, ell, mode, seed):
         s = ParityIndexSet.from_mask(rng.getrandbits(params.lifted_n))
     else:
         s = lift_parity(s_star, params)
-    got = span_lifted_agreement(span, s, params)
-    assert got in (Fraction(1, 2), Fraction(1))
-    assert got == exact_lifted_agreement(span, s, params)
+    pathmask = s.mask | rng.getrandbits(params.lifted_n)
+    got = s.mask in solution_unions({pathmask}, span, params)
+    agreement = exact_lifted_agreement(span, s, params)
+    assert agreement in (Fraction(1, 2), Fraction(1))
+    assert got == (agreement == 1)
     if is_block_complete(s, params):
-        assert got == 1 - exact_disagreement(span, unlift_parity(s, params))
+        assert agreement == 1 - exact_disagreement(span, unlift_parity(s, params))
     else:
-        assert got == Fraction(1, 2)
+        assert agreement == Fraction(1, 2)
     if mode == "planted":
-        assert got == 1
+        assert got
 
 
 def test_span_agreement_rejects_foreign_index():
     span = make_span_oracle(LabeledSet((BitVector.from01("10"),), (1,), 2))
     with pytest.raises(ValueError):
-        span_lifted_agreement(span, index_set(5), P2)
+        solution_unions({index_set(5).mask}, span, P2)
+    with pytest.raises(ValueError):
+        solution_unions({index_set(1, 2).mask, 1 << P2.lifted_n}, span, P2)
 
 
 # ---------------------------------------------------------------- restrictions
@@ -808,7 +812,12 @@ def test_span_tree_error_of_a_depth_24_parity_dag():
     masks = independent_masks(rng, n, m)
     labels = tuple((s_star.mask & mk).bit_count() & 1 for mk in masks)
     span = make_span_oracle(LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n))
-    assert span_lifted_agreement(span, lift_parity(wrong, params), params) == Fraction(1, 2)
+    assert lift_parity(s_star, params).mask in solution_unions(
+        {lift_parity(s_star, params).mask}, span, params
+    )
+    assert lift_parity(wrong, params).mask not in solution_unions(
+        {lift_parity(wrong, params).mask}, span, params
+    )
     planted, complement = _parity_dags(lift_parity(s_star, params).indices)
     assert planted.depth == complement.depth == 24
     assert span_lifted_tree_error(planted, span, params) == 0
@@ -833,6 +842,33 @@ def test_solution_unions_are_the_unions_at_agreement_one():
             and exact_lifted_agreement(span, ParityIndexSet.from_mask(union), params) == 1
         }
         assert solution_unions(pathmasks, span, params) == want
+
+
+def test_solution_unions_of_twenty_two_whole_blocks_solve_the_system():
+    # A path set of 22 whole blocks of width 2 over 30 coordinates, plus
+    # a half-covered block: one elimination of 22 columns of 12 rows,
+    # no scan of the 2**22 unions.  Every union unlifts to a solution of
+    # H s = t on those blocks, and there are 2**(22 - rank) of them.
+    rng = random.Random(22)
+    n, m = 30, 12
+    params = GadgetParams(2, n)
+    span = random_span(rng, n, m)
+    h = BitMatrix(m, n, span.points)
+    t = BitVector(m, sum(label << i for i, label in enumerate(span.labels)))
+    whole = sorted(rng.sample(range(1, n + 1), 23))
+    half = whole.pop()
+    pathmask = lift_parity(ParityIndexSet.from_iterable(whole), params).mask
+    pathmask |= 1 << (2 * half - 1)
+    columns = [sum((row >> (b - 1) & 1) << i for i, row in enumerate(span.points)) for b in whole]
+    started = time.process_time()
+    unions = solution_unions({pathmask}, span, params)
+    assert time.process_time() - started < 0.5
+    assert len(unions) == 1 << (len(whole) - rank(BitMatrix(len(whole), m, columns)))
+    for union in unions:
+        s = unlift_parity(ParityIndexSet.from_mask(union), params)
+        assert lift_parity(s, params).mask == union
+        assert set(s.indices) <= set(whole)
+        assert mat_vec(h, BitVector.from_support(s.indices, n)) == t
 
 
 def test_tree_errors_match_fiber_enumeration_with_repeated_queries():

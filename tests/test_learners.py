@@ -176,7 +176,7 @@ def test_complemented_fit_shares_its_nodes():
     points = [format(y, "05b") for y in range(32)]
     oracle = pmf_oracle([(b, 1 ^ s.chi(BitVector.from01(b)), 1) for b in points], 5)
     tree = exhaustive_parity_learner(
-        unlifted(oracle), 5, budget(size=8, depth=3, samples=400), random.Random(1)
+        unlifted(oracle), budget(size=8, depth=3, samples=400), random.Random(1)
     )
     assert tree == complement_tree(recursive_parity_tree(s.indices))
     assert distinct_nodes(tree) == 7
@@ -184,7 +184,7 @@ def test_complemented_fit_shares_its_nodes():
 
 def test_planted_learner_ignores_oracle():
     learner = planted_learner(index_set(1, 3))
-    tree = learner(object(), 4, budget(), random.Random(0))
+    tree = learner(object(), budget(), random.Random(0))
     assert tree == parity_to_tree(index_set(1, 3))
 
 
@@ -202,7 +202,7 @@ def test_exhaustive_recovers_planted_parity():
         s = ParityIndexSet.from_iterable(rng.sample(range(1, n + 1), size))
         oracle = parity_span_oracle(rng, n, s)
         tree = exhaustive_parity_learner(
-            unlifted(oracle), n, budget(size=8, depth=3, samples=200), random.Random(seed)
+            unlifted(oracle), budget(size=8, depth=3, samples=200), random.Random(seed)
         )
         if tree == parity_to_tree(s):
             hits += 1
@@ -212,7 +212,7 @@ def test_exhaustive_recovers_planted_parity():
 def test_exhaustive_depth_zero_returns_better_constant():
     oracle = pmf_oracle([("0", 1, 3), ("1", 0, 1)], 1)
     tree = exhaustive_parity_learner(
-        unlifted(oracle), 1, budget(size=16, depth=0, samples=400), random.Random(5)
+        unlifted(oracle), budget(size=16, depth=0, samples=400), random.Random(5)
     )
     assert tree == Leaf(1)
 
@@ -220,8 +220,8 @@ def test_exhaustive_depth_zero_returns_better_constant():
 def test_exhaustive_is_deterministic_given_seed():
     rng_oracle = random.Random(7)
     oracle = unlifted(parity_span_oracle(rng_oracle, 6, index_set(2, 4)))
-    a = exhaustive_parity_learner(oracle, 6, budget(), random.Random(11))
-    b = exhaustive_parity_learner(oracle, 6, budget(), random.Random(11))
+    a = exhaustive_parity_learner(oracle, budget(), random.Random(11))
+    b = exhaustive_parity_learner(oracle, budget(), random.Random(11))
     assert a == b
 
 
@@ -242,7 +242,7 @@ def test_exhaustive_matches_independent_enumeration():
             LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n)
         )
         bud = budget(size=16, depth=min(n, 3), samples=64)
-        tree = exhaustive_parity_learner(unlifted(oracle), n, bud, random.Random(seed))
+        tree = exhaustive_parity_learner(unlifted(oracle), bud, random.Random(seed))
 
         rng_replay = random.Random(seed)
         sample = [oracle.sample(rng_replay) for _ in range(bud.sample_budget)]
@@ -270,7 +270,7 @@ def test_exhaustive_prefers_smaller_support_on_ties():
         LabeledSet((BitVector.from01("10"),), (1,), 2)
     )
     tree = exhaustive_parity_learner(
-        unlifted(oracle), 2, budget(size=4, depth=2, samples=50), random.Random(3)
+        unlifted(oracle), budget(size=4, depth=2, samples=50), random.Random(3)
     )
     assert tree == parity_to_tree(index_set(1))
 
@@ -280,7 +280,7 @@ def test_exhaustive_respects_size_budget_over_depth():
     # depth budget allows more.
     oracle = pmf_oracle([("00", 0, 1), ("11", 1, 1)], 2)
     tree = exhaustive_parity_learner(
-        unlifted(oracle), 2, LearnerBudget(1, 2, 100), random.Random(1)
+        unlifted(oracle), LearnerBudget(1, 2, 100), random.Random(1)
     )
     assert isinstance(tree, Leaf)
 
@@ -304,7 +304,7 @@ def test_exhaustive_hard_contract_on_random_oracles():
         size_b = rng.choice([1, 2, 4, 8])
         depth_b = rng.randint(0, n)
         tree = exhaustive_parity_learner(
-            unlifted(oracle), n, LearnerBudget(size_b, depth_b, 64), random.Random(rng.random())
+            unlifted(oracle), LearnerBudget(size_b, depth_b, 64), random.Random(rng.random())
         )
         assert tree.size <= size_b
         assert tree.depth <= depth_b
@@ -313,13 +313,14 @@ def test_exhaustive_hard_contract_on_random_oracles():
 def test_exhaustive_rejects_depth_beyond_arity():
     oracle = pmf_oracle([("0", 0, 1)], 1)
     with pytest.raises(ValueError):
-        exhaustive_parity_learner(unlifted(oracle), 1, budget(depth=2), random.Random(0))
+        exhaustive_parity_learner(unlifted(oracle), budget(depth=2), random.Random(0))
 
 
-def scan_learner(oracle, arity, budget, rng):
+def scan_learner(oracle, budget, rng):
     """The exhaustive learner's contract as one linear scan: the first
     zero-error candidate in (size, lex, plain before complement) order,
     else the better constant (1 only when ones outnumber zeros)."""
+    arity = oracle.length
     samples = [oracle.sample(rng) for _ in range(budget.sample_budget)]
     nsamp = len(samples)
     cols = [0] * arity
@@ -387,8 +388,8 @@ def learner_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_exhaustive_matches_the_linear_scan(case):
     oracle, n, bud, seed = case
-    got = exhaustive_parity_learner(unlifted(oracle), n, bud, random.Random(seed))
-    assert got == scan_learner(oracle, n, bud, random.Random(seed))
+    got = exhaustive_parity_learner(unlifted(oracle), bud, random.Random(seed))
+    assert got == scan_learner(oracle, bud, random.Random(seed))
 
 
 @pytest.mark.parametrize(
@@ -409,8 +410,8 @@ def test_greedy_matches_the_row_learner_on_fixed_cycles(pairs, samples, size, de
     # the row-by-row scan: a pure sample, constant ties that must
     # break to 0, and an exact fit cut short by the size budget.
     bud = LearnerBudget(size, depth, samples)
-    got = exhaustive_parity_learner(unlifted(CycleOracle(pairs, 4)), 4, bud, random.Random(0))
-    assert got == scan_learner(CycleOracle(pairs, 4), 4, bud, random.Random(0))
+    got = exhaustive_parity_learner(unlifted(CycleOracle(pairs, 4)), bud, random.Random(0))
+    assert got == scan_learner(CycleOracle(pairs, 4), bud, random.Random(0))
 
 
 class NoiseOracle:
@@ -436,7 +437,7 @@ def test_exhaustive_answers_a_huge_search_at_once():
         try:
             started = time.monotonic()
             tree = exhaustive_parity_learner(
-                unlifted(NoiseOracle(80)), 80, LearnerBudget(1 << 16, 16, 256), random.Random(4)
+                unlifted(NoiseOracle(80)), LearnerBudget(1 << 16, 16, 256), random.Random(4)
             )
             elapsed = time.monotonic() - started
             _, peak = tracemalloc.get_traced_memory()
@@ -487,8 +488,8 @@ def noisy_cases():
 
 def test_exhaustive_matches_the_scan_on_noisy_labels():
     for oracle, arity, bud, seed in noisy_cases():
-        got = exhaustive_parity_learner(unlifted(oracle), arity, bud, random.Random(seed))
-        assert got == scan_learner(oracle, arity, bud, random.Random(seed)), seed
+        got = exhaustive_parity_learner(unlifted(oracle), bud, random.Random(seed))
+        assert got == scan_learner(oracle, bud, random.Random(seed)), seed
 
 
 @given(
@@ -547,12 +548,12 @@ def test_exhaustive_bounds_the_exact_fit_search(monkeypatch):
     bud = LearnerBudget(16, 4, 8)
     estimate = f2._mitm_cost(40, 2, 4)
     monkeypatch.setattr(f2, "SEARCH_MAX_COST", estimate)
-    tree = exhaustive_parity_learner(oracle, 40, bud, random.Random(3))
+    tree = exhaustive_parity_learner(oracle, bud, random.Random(3))
     assert tree.depth <= 3
     monkeypatch.setattr(f2, "SEARCH_MAX_COST", estimate - 1)
     with mock.patch.object(f2, "_search", side_effect=AssertionError):
         with pytest.raises(ValueError, match="exact search too large"):
-            exhaustive_parity_learner(oracle, 40, bud, random.Random(3))
+            exhaustive_parity_learner(oracle, bud, random.Random(3))
 
 
 def test_error_scan_retains_no_memory():
@@ -569,10 +570,10 @@ def test_error_scan_retains_no_memory():
     tracemalloc.start()
     try:
         for seed in range(3):
-            assert exhaustive_parity_learner(oracle, 28, bud, random.Random(seed)).size == 8
+            assert exhaustive_parity_learner(oracle, bud, random.Random(seed)).size == 8
         before, _ = tracemalloc.get_traced_memory()
         for seed in range(30):
-            exhaustive_parity_learner(oracle, 28, bud, random.Random(seed))
+            exhaustive_parity_learner(oracle, bud, random.Random(seed))
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -654,13 +655,3 @@ def test_sample_columns_peaks_within_its_estimate(arity, ell, span_rows):
         tracemalloc.stop()
     estimate = sample_bytes(arity, nsamp, ell * arity)
     assert estimate * 2 // 3 < peak <= estimate
-
-
-@pytest.mark.parametrize("ell", [0, 2])
-def test_sample_columns_refuses_an_arity_off_the_oracle(ell):
-    # ell = 0: the plain oracle, through the identity gadget.
-    base = NoiseOracle(6)
-    oracle = GadgetOracle(base, GadgetParams(ell, 6)) if ell else unlifted(base)
-    for arity in (oracle.length - 1, oracle.length + 1):
-        with pytest.raises(ValueError, match="length"):
-            exhaustive_parity_learner(oracle, arity, budget(samples=10), random.Random(0))

@@ -189,7 +189,7 @@ def test_decide_rejects_far_instance():
         assert report.distance > report.error_gate + report.tolerance
 
 
-def refusing_learner(oracle, arity, budget, rng):
+def refusing_learner(oracle, budget, rng):
     raise AssertionError("a vacuous gate must not run the learner")
 
 
@@ -233,7 +233,7 @@ def test_decide_size_cap_stops_at_the_depth_budget():
     raw, _ = random_planted(14, 12, 2, 5)
     seen = []
 
-    def recording_learner(oracle, arity, budget, rng):
+    def recording_learner(oracle, budget, rng):
         seen.append(budget.size_budget)
         return parity_to_tree(index_set())
 
@@ -561,6 +561,21 @@ def test_decide_at_depth_twenty_two_on_the_gate_instance(monkeypatch):
     report = decide(inst, ReductionConfig(ell=11), exhaustive_parity_learner, random.Random(2))
     assert time.process_time() - started < 0.1
     assert report.hypothesis.depth == 22
+    assert (report.reason, report.distance) == ("ok-yes", 0)
+
+
+def test_decide_at_depth_thirty_two_solves_for_its_unions(monkeypatch):
+    # k = 16 at ell = 2, with TREE_MAX_DEPTH lifted for this test: the
+    # learner's parity DAG has depth 32 and its one path set 16 whole
+    # blocks.  The tree error's unions come from one elimination of
+    # those 16 columns, not a scan of their 2**16 unions.
+    monkeypatch.setattr(reduction, "TREE_MAX_DEPTH", 32)
+    raw, _ = random_planted(34, 33, 16, 5)
+    inst = SyndromeInstance(raw.h, raw.t, raw.k, Fraction(3))
+    started = time.process_time()
+    report = decide(inst, CFG, exhaustive_parity_learner, random.Random(1))
+    assert time.process_time() - started < 0.1
+    assert report.hypothesis.depth == 32
     assert (report.reason, report.distance) == ("ok-yes", 0)
 
 
