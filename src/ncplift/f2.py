@@ -255,17 +255,21 @@ class Elimination(NamedTuple):
     """Greedy GF(2) elimination of a list of packed vectors, with the
     combination of inputs behind every result.
 
-    Inputs are taken in order, each reduced against the basis so far.
-    ``basis`` holds the reduced forms of the inputs independent of the
-    inputs before them, in input order; ``pivots[i]`` is the lowest set
-    bit of ``basis[i]``, and every basis vector is clear of the pivots
-    of the ones before it, so reducing against them in order clears
-    each pivot for good.  ``combos[i]`` packs the inputs (bit j for
-    input j) whose XOR is ``basis[i]``.  ``kernel`` has one entry per
-    dependent input j, in input order: inputs whose XOR is zero, j the
-    highest of them and the rest independent inputs.  The entries are a
-    basis of the kernel, so ``len(basis) + len(kernel)`` is the number of
-    inputs.
+    Inputs are taken in order, each reduced against the basis so far by
+    clearing its highest set bit with the basis vector whose pivot it
+    is, until that bit is no pivot.  ``basis`` holds the reduced forms
+    of the inputs independent of the inputs before them, in input order;
+    ``pivots[i]`` is the highest set bit of ``basis[i]``, no two pivots
+    are equal, and a basis vector may keep pivot bits below its own.
+    ``combos[i]`` packs the inputs (bit j for input j) whose XOR is
+    ``basis[i]``: the input it reduces, its highest bit, and independent
+    inputs before that.  ``kernel`` has one entry per dependent input j,
+    in input order: inputs whose XOR is zero, j the highest of them and
+    the rest independent inputs.  The entries are a basis of the kernel,
+    so ``len(basis) + len(kernel)`` is the number of inputs.  No two XORs
+    of independent inputs are equal, so the kernel, the rank and the
+    highest bit of each of ``combos`` depend only on the inputs, not on
+    how the basis is laid out.
     """
 
     basis: tuple[int, ...]
@@ -274,35 +278,38 @@ class Elimination(NamedTuple):
     kernel: tuple[int, ...]
 
     def reduce(self, v: int) -> tuple[int, int]:
-        """``v`` reduced against the basis, and the inputs removed from
-        it: the residue is 0 exactly when ``v`` is in the span, and then
-        the XOR of the inputs in the combination is ``v``."""
-        return _reduce(v, 0, self.basis, self.pivots, self.combos)
+        """``v`` reduced against the basis until its highest set bit is
+        no pivot, and the inputs removed from it: the residue is 0
+        exactly when ``v`` is in the span, and then the XOR of the inputs
+        in the combination is ``v``.  A nonzero residue may keep pivot
+        bits below its highest bit."""
+        return _reduce(v, 0, dict(zip(map(int.bit_length, self.basis), zip(self.basis, self.combos))))
 
 
-def _reduce(v: int, combo: int, basis, pivots, combos) -> tuple[int, int]:
-    for b, piv, c in zip(basis, pivots, combos):
-        if v & piv:
-            v ^= b
-            combo ^= c
+def _reduce(v: int, combo: int, by_top: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    """``by_top`` maps the bit length of each basis vector to it and its
+    combination; each step clears the highest bit of ``v``."""
+    while (hit := by_top.get(v.bit_length())) is not None:
+        v ^= hit[0]
+        combo ^= hit[1]
     return v, combo
 
 
 def eliminate(vectors: Iterable[int]) -> Elimination:
-    """Greedy elimination of ``vectors`` in order; see ``Elimination``."""
-    basis: list[int] = []
-    pivots: list[int] = []
-    combos: list[int] = []
+    """Greedy elimination of ``vectors`` in order; see ``Elimination``.
+    The basis is kept by pivot: an input costs a lookup and an XOR per
+    bit it clears."""
+    by_top: dict[int, tuple[int, int]] = {}
     kernel: list[int] = []
     for j, v in enumerate(vectors):
-        v, combo = _reduce(v, 1 << j, basis, pivots, combos)
+        v, combo = _reduce(v, 1 << j, by_top)
         if v:
-            basis.append(v)
-            pivots.append(v & -v)
-            combos.append(combo)
+            by_top[v.bit_length()] = v, combo
         else:
             kernel.append(combo)
-    return Elimination(tuple(basis), tuple(pivots), tuple(combos), tuple(kernel))
+    basis = tuple(v for v, _ in by_top.values())
+    combos = tuple(c for _, c in by_top.values())
+    return Elimination(basis, tuple(1 << v.bit_length() - 1 for v in basis), combos, tuple(kernel))
 
 
 def rank(m: BitMatrix) -> int:
@@ -339,7 +346,10 @@ COSET_MAX_KERNEL_DIM = 28
 # What one step of the coset path costs, in meet-in-the-middle steps,
 # when ``sparse_xor_search`` weighs the two paths.  Both took 90 to 250
 # ns a step on 64-bit columns (Python 3.11, 48 x 64 to 10 x 18 parity
-# checks and the learner's lifted columns), an elimination step too.
+# checks and the learner's lifted columns).  An elimination does about
+# half the n * rank / 2 steps it is charged, one XOR per pivot an input
+# meets; per charged step it took 140 to 290 ns on those shapes, on a
+# host where a coset step took 110 to 200 ns.
 COSET_STEP_COST = 1
 
 # Most steps ``sparse_xor_search`` may take.  At 90 to 250 ns a step
@@ -514,13 +524,14 @@ def _keys(
     bits of each column and target at the pivots, with the targets
     outside the column span dropped.
 
-    Each basis vector has its own pivot bit set and the pivot bits of
-    the ones before it clear, so the basis restricted to the pivots is
-    triangular with a unit diagonal, and no two vectors of the span
-    share their pivot bits.  A target outside the span has no fit, but
-    its pivot bits may equal those of a vector in the span, so it is not
-    keyed.  Returns the column keys and a map from the index of each
-    target kept to its key.
+    A nonzero vector of the span is the XOR of some basis vectors.  The
+    highest of their pivots is set in its own vector and in none of the
+    others, whose highest bits lie below it, so the XOR keeps that bit:
+    no nonzero vector of the span is clear of the pivots, and no two
+    vectors of the span share their pivot bits.  A target outside the
+    span has no fit, but its pivot bits may equal those of a vector in
+    the span, so it is not keyed.  Returns the column keys and a map
+    from the index of each target kept to its key.
     """
     pivots = sum(elim.pivots)
     live = {ti: t & pivots for ti, t in enumerate(targets) if not elim.reduce(t)[0]}

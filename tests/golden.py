@@ -1,7 +1,8 @@
 """Golden outputs: one digest per named case of the pipelines' results.
 
-A case runs ``search``, ``decide`` or ``brute_force_nearest`` on fixed
-instances and seeds.  Its digest is the sha256 of every field of every
+A case runs ``search``, ``decide``, ``brute_force_nearest``, or
+``extract_parity`` and ``span_lifted_tree_error`` on generic trees, on
+fixed instances and seeds.  Its digest is the sha256 of every field of every
 report it gets, in order, followed for a learner case by the next
 ``rng.random()`` of the generator the pipeline drew from, so a change to
 an answer, a report field or the RNG stream changes the digest.  A
@@ -31,11 +32,18 @@ from random import Random
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
-from ncplift.dtree import Leaf  # noqa: E402
+from ncplift.dtree import Leaf, Node  # noqa: E402
 from ncplift.f2 import BitVector  # noqa: E402
 from ncplift.instance import brute_force_nearest, random_planted  # noqa: E402
+from ncplift.gadget import span_lifted_tree_error  # noqa: E402
 from ncplift.learners import exhaustive_parity_learner  # noqa: E402
-from ncplift.reduction import ReductionConfig, decide, search  # noqa: E402
+from ncplift.reduction import (  # noqa: E402
+    ReductionConfig,
+    build_learning_instance,
+    decide,
+    extract_parity,
+    search,
+)
 from ncplift.selftest import _far_instance  # noqa: E402
 
 GOLDEN_PATH = os.path.join(HERE, "golden.json")
@@ -49,7 +57,10 @@ def tree_nodes(tree) -> list:
 
     def visit(t) -> int:
         if t not in index:
-            entry = ["l", t.label] if isinstance(t, Leaf) else ["q", t.coord, visit(t.low), visit(t.high)]
+            if isinstance(t, Leaf):
+                entry = ["l", t.label]
+            else:
+                entry = ["q", t.coord, visit(t.low), visit(t.high)]
             index[t] = len(nodes)
             nodes.append(entry)
         return index[t]
@@ -106,24 +117,48 @@ def _nearest(n: int, m: int, k: int, seeds, caps) -> list:
     return out
 
 
+def _generic_tree(rng: Random, coords: list[int], depth: int):
+    """A random tree over a few lifted coordinates, so that its paths
+    query coordinates again and cover blocks partly and wholly, with a
+    subtree shared now and then."""
+    if depth == 0 or rng.random() < 0.1:
+        return Leaf(rng.getrandbits(1))
+    low = _generic_tree(rng, coords, depth - 1)
+    high = low if rng.random() < 0.2 else _generic_tree(rng, coords, depth - 1)
+    return Node(rng.choice(coords), low, high)
+
+
+def _generic_trees(seeds) -> list:
+    """Extraction's ranking and the exact tree error of a generic tree
+    over the first three blocks of a planted (6, 4, 2) instance."""
+    out = []
+    for seed in seeds:
+        oracle = build_learning_instance(random_planted(6, 4, 2, seed)[0], ReductionConfig())
+        tree = _generic_tree(Random(seed), list(range(1, 7)), 7)
+        ranked = [[list(s.indices), encode(a)] for s, a in extract_parity(tree, oracle)]
+        error = span_lifted_tree_error(tree, oracle.base, oracle.params)
+        out.append([tree_nodes(tree), ranked, encode(error)])
+    return out
+
+
 # Planted search on the shapes of the search-extract and search-scan
 # workloads and of decide-gate; decide at alpha 3, on selftest's planted
 # seeds and certified-far instances, at three block widths (ell 8 is
 # depth 16, the bound); the instances of CI's deep, wide and span steps
-# at the CLI's default seed 0; and brute force on the solve-exact shape
-# and on shapes small enough for the coset walk, each at caps that hit
-# and that miss.
+# at the CLI's default seed 0; brute force on the solve-exact shape and
+# on shapes small enough for the coset walk, each at caps that hit and
+# that miss; and extraction and the tree error on generic trees.
 CASES = {
     "search-24-16-2": lambda: _learned(search, _planted(24, 16, 2, range(1, 6)), 2),
     "search-18-10-3": lambda: _learned(search, _planted(18, 10, 3, range(1, 6)), 2),
     "search-14-12-2": lambda: _learned(search, _planted(14, 12, 2, range(1, 6)), 2),
     **{
-        f"decide-planted-ell{ell}": (
-            lambda ell=ell: _learned(decide, _planted(14, 12, 2, range(8000, 8004), Fraction(3)), ell)
+        f"decide-planted-ell{ell}": lambda ell=ell: _learned(
+            decide, _planted(14, 12, 2, range(8000, 8004), Fraction(3)), ell
         )
         for ell in (2, 3, 8)
     },
-    **{f"decide-far-ell{ell}": (lambda ell=ell: _learned(decide, _far(4), ell)) for ell in (2, 3, 8)},
+    **{f"decide-far-ell{ell}": lambda ell=ell: _learned(decide, _far(4), ell) for ell in (2, 3, 8)},
     "ci-deep-k7": lambda: _learned(search, [(random_planted(48, 36, 7, 1)[0], 0)], 2),
     "ci-deep-k8": lambda: _learned(search, [(random_planted(48, 36, 8, 1)[0], 0)], 2),
     "ci-deep-k8-decide": lambda: _learned(
@@ -134,6 +169,7 @@ CASES = {
     "nearest-64-48-5": lambda: _nearest(64, 48, 5, range(1, 4), (5, 4)),
     "nearest-20-16-3": lambda: _nearest(20, 16, 3, range(1, 6), (3, 2)),
     "nearest-30-18-4": lambda: _nearest(30, 18, 4, range(1, 4), (4, 3)),
+    "generic-trees": lambda: _generic_trees(range(1, 21)),
 }
 
 

@@ -266,11 +266,11 @@ def test_eliminate_tracks_combinations_exhaustively():
             elim = eliminate(vectors)
             assert len(elim.basis) + len(elim.kernel) == count
             assert len(elim.basis) == rank(BitMatrix(count, 3, vectors))
-            assert elim.pivots == tuple(b & -b for b in elim.basis)
-            for i, (b, combo) in enumerate(zip(elim.basis, elim.combos)):
+            assert elim.pivots == tuple(1 << b.bit_length() - 1 for b in elim.basis)
+            assert len(set(elim.pivots)) == len(elim.pivots)
+            for b, combo in zip(elim.basis, elim.combos):
                 assert combo.bit_length() - 1 not in {k.bit_length() - 1 for k in elim.kernel}
                 assert xor_of(vectors, combo) == b
-                assert all(not b & piv for piv in elim.pivots[:i])
             for combo in elim.kernel:
                 assert xor_of(vectors, combo) == 0
             assert rank(BitMatrix(len(elim.kernel), max(count, 1), elim.kernel)) == len(elim.kernel)
@@ -280,6 +280,68 @@ def test_eliminate_tracks_combinations_exhaustively():
                 assert (residue == 0) == in_span
                 if in_span:
                     assert xor_of(vectors, combo) == v
+
+
+def lowest_bit_eliminate(vectors):
+    """Reference for ``eliminate``: each input is tested against the
+    lowest-bit pivot of every earlier basis vector in turn, and every
+    basis vector is clear of the pivots before it.  Returns the basis,
+    combinations and kernel, and the reduction against that basis."""
+    basis, pivots, combos, kernel = [], [], [], []
+
+    def reduce(v, combo=0):
+        for b, piv, c in zip(basis, pivots, combos):
+            if v & piv:
+                v ^= b
+                combo ^= c
+        return v, combo
+
+    for j, v in enumerate(vectors):
+        v, combo = reduce(v, 1 << j)
+        if v:
+            basis.append(v)
+            pivots.append(v & -v)
+            combos.append(combo)
+        else:
+            kernel.append(combo)
+    return basis, combos, kernel, reduce
+
+
+def assert_eliminate_matches_the_lowest_bit_loop(vectors, probes):
+    """Rank, kernel, the input each basis vector reduces, and the
+    residue and the combination of every probe in the span agree."""
+    elim = eliminate(vectors)
+    basis, combos, kernel, reduce = lowest_bit_eliminate(vectors)
+    assert len(elim.basis) == len(basis)
+    assert elim.kernel == tuple(kernel)
+    assert [c.bit_length() for c in elim.combos] == [c.bit_length() for c in combos]
+    for v in probes:
+        residue, combo = elim.reduce(v)
+        old_residue, old_combo = reduce(v)
+        assert (residue == 0) == (old_residue == 0)
+        if not residue:
+            assert combo == old_combo
+            assert xor_of(vectors, combo) == v
+
+
+def test_eliminate_matches_the_lowest_bit_loop_exhaustively():
+    for count in range(5):
+        for vectors in itertools.product(range(8), repeat=count):
+            assert_eliminate_matches_the_lowest_bit_loop(vectors, range(8))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_eliminate_matches_the_lowest_bit_loop_on_random_inputs(seed):
+    # Up to 64 vectors of up to 80 bits, drawn from a random subspace of
+    # up to that width so that some inputs depend on earlier ones, and
+    # probes in the span (XORs of inputs) and mostly outside it.
+    rng = random.Random(seed)
+    count, width = rng.randint(1, 64), rng.randint(1, 80)
+    gens = [rng.getrandbits(width) for _ in range(rng.randint(1, width))]
+    vectors = [xor_of(gens, rng.getrandbits(len(gens))) for _ in range(count)]
+    probes = [xor_of(vectors, rng.getrandbits(count)) for _ in range(20)]
+    probes += [rng.getrandbits(width) for _ in range(20)]
+    assert_eliminate_matches_the_lowest_bit_loop(vectors, probes)
 
 
 # ---------------------------------------------------------------- dual basis
@@ -589,16 +651,17 @@ def test_sparse_xor_search_chooses_by_cost():
 
 
 def test_sparse_xor_search_keys_on_the_pivots():
-    # Sixteen 204-bit columns in a span of rank 4, whose pivots (bits
-    # 10, 17, 24 and 31) are not its lowest bits: the elimination shows a
-    # kernel of dimension 12, the search meets in the middle on the pivot
-    # bits.  The first target differs from column 0 at bit 3 alone, so it
-    # is outside the span with the pivot bits of column 0: it has no fit,
-    # and the second target's fit is the answer.
+    # Sixteen 204-bit columns in a span of rank 4, whose pivots are the
+    # highest bits of its basis vectors (bits 200 to 203), not its lowest
+    # bits: the elimination shows a kernel of dimension 12, the search
+    # meets in the middle on the pivot bits.  The first target differs
+    # from column 0 at bit 3 alone, so it is outside the span with the
+    # pivot bits of column 0: it has no fit, and the second target's fit
+    # is the answer.
     basis = [1 << 10 + 7 * i | 1 << 200 + i for i in range(4)]
     columns = basis * 4
     pivots = sum(eliminate(columns).pivots)
-    assert pivots == sum(1 << 10 + 7 * i for i in range(4))
+    assert pivots == sum(1 << 200 + i for i in range(4))
     shadow, reachable = columns[0] ^ 1 << 3, basis[1] ^ basis[3]
     assert shadow & pivots == columns[0] & pivots
     keys = mock.Mock(wraps=f2._keys)

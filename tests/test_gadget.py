@@ -634,9 +634,9 @@ def per_path_span_tree_error(tree, span, params):
             b = low.bit_length() - 1
             rows.append(forms[b] | (req >> b & 1) << m)
             fmask ^= low
-        basis = eliminate(rows).basis
-        if 1 << m not in basis:
-            err += Fraction(1, 1 << (exponent + len(basis)))
+        elim = eliminate(rows)
+        if elim.reduce(1 << m)[0] != 0:
+            err += Fraction(1, 1 << (exponent + len(elim.basis)))
     return err
 
 
