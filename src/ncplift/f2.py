@@ -259,7 +259,7 @@ class Elimination(NamedTuple):
     clearing its highest set bit with the basis vector whose pivot it
     is, until that bit is no pivot.  ``basis`` holds the reduced forms
     of the inputs independent of the inputs before them, in input order;
-    ``pivots[i]`` is the highest set bit of ``basis[i]``, no two pivots
+    the pivot of a basis vector is its highest set bit, no two pivots
     are equal, and a basis vector may keep pivot bits below its own.
     ``combos[i]`` packs the inputs (bit j for input j) whose XOR is
     ``basis[i]``: the input it reduces, its highest bit, and independent
@@ -273,7 +273,6 @@ class Elimination(NamedTuple):
     """
 
     basis: tuple[int, ...]
-    pivots: tuple[int, ...]
     combos: tuple[int, ...]
     kernel: tuple[int, ...]
 
@@ -309,7 +308,7 @@ def eliminate(vectors: Iterable[int]) -> Elimination:
             kernel.append(combo)
     basis = tuple(v for v, _ in by_top.values())
     combos = tuple(c for _, c in by_top.values())
-    return Elimination(basis, tuple(1 << v.bit_length() - 1 for v in basis), combos, tuple(kernel))
+    return Elimination(basis, combos, tuple(kernel))
 
 
 def rank(m: BitMatrix) -> int:
@@ -401,10 +400,9 @@ def sparse_xor_search(
     ``s - h`` indices L and its highest h indices U, where h is the
     largest split up to ``s // 2`` whose table of all C(n, h) upper
     halves holds at most ``XOR_TABLE_MAX_ENTRIES`` entries.  The table
-    maps the key of the XOR over every U to the lexicographically first
-    U with that key.  Keys are exact: the columns themselves, or, when
-    the columns were eliminated, their bits at the pivots (``_keys``).
-    The L are streamed in lexicographic order against the table, and
+    maps the XOR over every U to the lexicographically first U with
+    that XOR; when the columns were eliminated, the targets outside
+    their span, which have no fit, are dropped first.  The L are streamed in lexicographic order against the table, and
     supports sharing L are ordered by U, so the first L with a hit holds
     the answer and the stream stops there.  Every hit is a fit, and its
     U lies wholly above L: a U that overlaps L makes the smaller support
@@ -414,7 +412,7 @@ def sparse_xor_search(
     fit) is a one-entry table and the stream is the plain scan.
 
     Both sides go a row at a time.  A streamed row is every L that
-    shares all its indices but the last; the row's keys, the prefix XOR
+    shares all its indices but the last; the row's XORs, the prefix XOR
     with each later column, are probed for every target at C level, and
     only a row with a hit is walked index by index.  A table row is
     every U with the same lowest index, and it goes into the table with
@@ -448,9 +446,8 @@ def sparse_xor_search(
         )
     if use_coset:
         return _coset_search(elim, targets, max_size)
-    if elim is None:
-        return _search(columns, dict(enumerate(targets)), max_size)
-    return _search(*_keys(elim, columns, targets), max_size)
+    live = {ti: t for ti, t in enumerate(targets) if elim is None or not elim.reduce(t)[0]}
+    return _search(columns, live, max_size)
 
 
 def _mitm_cost(n: int, n_targets: int, max_size: int) -> int:
@@ -517,56 +514,35 @@ def _precedes(a: int, b: int) -> bool:
     return bool(diff & -diff & a)
 
 
-def _keys(
-    elim: Elimination, columns: Sequence[int], targets: tuple[int, ...]
-) -> tuple[list[int], dict[int, int]]:
-    """Exact keys for meeting in the middle over eliminated columns: the
-    bits of each column and target at the pivots, with the targets
-    outside the column span dropped.
-
-    A nonzero vector of the span is the XOR of some basis vectors.  The
-    highest of their pivots is set in its own vector and in none of the
-    others, whose highest bits lie below it, so the XOR keeps that bit:
-    no nonzero vector of the span is clear of the pivots, and no two
-    vectors of the span share their pivot bits.  A target outside the
-    span has no fit, but its pivot bits may equal those of a vector in
-    the span, so it is not keyed.  Returns the column keys and a map
-    from the index of each target kept to its key.
-    """
-    pivots = sum(elim.pivots)
-    live = {ti: t & pivots for ti, t in enumerate(targets) if not elim.reduce(t)[0]}
-    return [c & pivots for c in columns], live
-
-
-def _search(keys: Sequence[int], targets: dict[int, int], max_size: int) -> tuple[int, int] | None:
-    """``sparse_xor_search`` by meeting in the middle: ``keys[j]`` keys
-    column j, and ``targets`` maps a target's index to its key."""
-    n = len(keys)
+def _search(columns: Sequence[int], targets: dict[int, int], max_size: int) -> tuple[int, int] | None:
+    """``sparse_xor_search`` by meeting in the middle; ``targets`` maps
+    a target's index to the target."""
+    n = len(columns)
     bits = [1 << j for j in range(n)]
     half, table = 0, {0: 0}
     for size in range(1, max_size + 1):
         if half < size // 2 and comb(n, half + 1) <= XOR_TABLE_MAX_ENTRIES:
             half += 1
-            table = _half_table(keys, bits, half)
+            table = _half_table(columns, bits, half)
         table_keys = table.keys()
         top = n - half
         for prefix in combinations(range(top - 1), size - half - 1):
             mask = acc = 0
             for j in prefix:
                 mask |= bits[j]
-                acc ^= keys[j]
+                acc ^= columns[j]
             start = prefix[-1] + 1 if prefix else 0
-            row = keys[start:top]
+            row = columns[start:top]
             for target in targets.values():
                 if not table_keys.isdisjoint(map((acc ^ target).__xor__, row)):
                     break
             else:
                 continue
             for j in range(start, top):
-                lower, key = mask | bits[j], acc ^ keys[j]
+                lower, xor = mask | bits[j], acc ^ columns[j]
                 best = None
                 for ti, target in targets.items():
-                    upper = table.get(key ^ target)
+                    upper = table.get(xor ^ target)
                     if upper is not None and (best is None or _precedes(lower | upper, best[0])):
                         best = (lower | upper, ti)
                 if best is not None:
@@ -574,26 +550,26 @@ def _search(keys: Sequence[int], targets: dict[int, int], max_size: int) -> tupl
     return None
 
 
-def _half_table(keys: Sequence[int], bits: list[int], half: int) -> dict:
-    """Every XOR of the keys of ``half >= 1`` columns, mapped to the
+def _half_table(columns: Sequence[int], bits: list[int], half: int) -> dict:
+    """Every XOR of ``half >= 1`` columns, mapped to the
     lexicographically first support of ``half`` indices that makes it.
 
     Supports of each size are listed in decreasing lexicographic order:
     row a, from the last index down, puts a in front of every support
     one index smaller whose indices all lie above a, and those lead the
     list of that size.  The last size goes into the table a row at a
-    time, in that order, so each key keeps the last support written for
+    time, in that order, so each XOR keeps the last support written for
     it, its lexicographically first.
     """
-    n = len(keys)
-    xors, uppers = keys[::-1], bits[::-1]
+    n = len(columns)
+    xors, uppers = columns[::-1], bits[::-1]
     table = dict(zip(xors, uppers)) if half == 1 else {}
     for level in range(2, half + 1):
         longer_xors: list[int] = []
         longer_uppers: list[int] = []
         for a in range(n - level, -1, -1):
             count = comb(n - 1 - a, level - 1)
-            row_xors = map(keys[a].__xor__, islice(xors, count))
+            row_xors = map(columns[a].__xor__, islice(xors, count))
             row_uppers = map(bits[a].__or__, islice(uppers, count))
             if level == half:
                 table.update(zip(row_xors, row_uppers))

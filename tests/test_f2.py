@@ -266,8 +266,7 @@ def test_eliminate_tracks_combinations_exhaustively():
             elim = eliminate(vectors)
             assert len(elim.basis) + len(elim.kernel) == count
             assert len(elim.basis) == rank(BitMatrix(count, 3, vectors))
-            assert elim.pivots == tuple(1 << b.bit_length() - 1 for b in elim.basis)
-            assert len(set(elim.pivots)) == len(elim.pivots)
+            assert len({b.bit_length() for b in elim.basis}) == len(elim.basis)
             for b, combo in zip(elim.basis, elim.combos):
                 assert combo.bit_length() - 1 not in {k.bit_length() - 1 for k in elim.kernel}
                 assert xor_of(vectors, combo) == b
@@ -650,36 +649,37 @@ def test_sparse_xor_search_chooses_by_cost():
         assert elim.call_count == 2
 
 
-def test_sparse_xor_search_keys_on_the_pivots():
+def test_sparse_xor_search_drops_shadow_targets_after_elimination():
     # Sixteen 204-bit columns in a span of rank 4, whose pivots are the
     # highest bits of its basis vectors (bits 200 to 203), not its lowest
     # bits: the elimination shows a kernel of dimension 12, the search
-    # meets in the middle on the pivot bits.  The first target differs
-    # from column 0 at bit 3 alone, so it is outside the span with the
-    # pivot bits of column 0: it has no fit, and the second target's fit
-    # is the answer.
+    # meets in the middle.  The first target differs from column 0 at
+    # bit 3 alone, so it is outside the span with the pivot bits of
+    # column 0: it has no fit and is dropped before the search, and the
+    # second target's fit is the answer.
     basis = [1 << 10 + 7 * i | 1 << 200 + i for i in range(4)]
     columns = basis * 4
-    pivots = sum(eliminate(columns).pivots)
+    pivots = sum(1 << b.bit_length() - 1 for b in eliminate(columns).basis)
     assert pivots == sum(1 << 200 + i for i in range(4))
     shadow, reachable = columns[0] ^ 1 << 3, basis[1] ^ basis[3]
     assert shadow & pivots == columns[0] & pivots
-    keys = mock.Mock(wraps=f2._keys)
-    with mock.patch.object(f2, "_keys", keys):
+    search = mock.Mock(wraps=f2._search)
+    with mock.patch.object(f2, "_search", search):
         assert sparse_xor_search(columns, (shadow,), 3) is None
         assert sparse_xor_search(columns, (shadow, reachable), 3) == (0b1010, 1)
         assert sparse_xor_search(columns, (reachable, shadow), 3) == (0b1010, 0)
-    assert keys.call_count == 3
+    assert [call.args[1] for call in search.call_args_list] == [{}, {1: reachable}, {0: reachable}]
     for targets in ((shadow,), (shadow, reachable), (reachable, shadow)):
         assert sparse_xor_search(columns, targets, 3) == linear_xor_search(columns, targets, 3)
 
 
 @st.composite
 def projected_problems(draw):
-    """Columns, 1 or 2 targets and a size cap that the search meets in
-    the middle on pivot bits: 12 to 14 nonzero columns of at least 65
-    bits in a span of rank at most 4, so the elimination runs and shows
-    a kernel too large to walk, and sizes up to 3.
+    """Columns, 1 or 2 targets and a size cap on which the search
+    eliminates the columns and then meets in the middle: 12 to 14
+    nonzero columns of at least 65 bits in a span of rank at most 4, so
+    the elimination runs and shows a kernel too large to walk, and sizes
+    up to 3.
 
     Targets are XORs of drawn columns, drawn values, or shadows: an XOR
     of drawn columns changed off the pivots, so outside the span with
@@ -694,7 +694,7 @@ def projected_problems(draw):
             if pattern >> i & 1:
                 acc ^= basis[i]
         columns.append(acc)
-    pivots = sum(eliminate(columns).pivots)
+    pivots = sum(1 << b.bit_length() - 1 for b in eliminate(columns).basis)
     targets = []
     for _ in range(draw(st.integers(1, 2))):
         kind = draw(st.sampled_from(("support", "shadow", "value")))
@@ -713,13 +713,14 @@ def projected_problems(draw):
 
 @given(projected_problems())
 @settings(max_examples=300, deadline=None)
-def test_sparse_xor_search_on_pivot_keys_matches_linear_scan(problem):
+def test_sparse_xor_search_after_elimination_matches_linear_scan(problem):
     columns, targets, max_size = problem
-    keys = mock.Mock(wraps=f2._keys)
-    with mock.patch.object(f2, "_keys", keys):
+    elim = mock.Mock(wraps=f2.eliminate)
+    search = mock.Mock(wraps=f2._search)
+    with mock.patch.object(f2, "eliminate", elim), mock.patch.object(f2, "_search", search):
         got = sparse_xor_search(columns, targets, max_size)
     # A zero target is answered by the empty support before any search.
-    assert keys.call_count == (0 not in targets)
+    assert elim.call_count == search.call_count == (0 not in targets)
     assert got == linear_xor_search(columns, targets, max_size)
 
 
