@@ -46,7 +46,8 @@ __all__ = [
 class ParityIndexSet:
     """Sorted distinct 1-indexed coordinates defining a parity function.
 
-    Slotted: extraction makes one per candidate, 2**depth of them.
+    Slotted: ``path_support_sets`` makes one per path subset, 2**depth
+    of them for a parity tree.
     """
 
     indices: tuple[int, ...]

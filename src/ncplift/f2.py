@@ -402,9 +402,10 @@ def sparse_xor_search(
     halves holds at most ``XOR_TABLE_MAX_ENTRIES`` entries.  The table
     maps the XOR over every U to the lexicographically first U with
     that XOR; when the columns were eliminated, the targets outside
-    their span, which have no fit, are dropped first.  The L are streamed in lexicographic order against the table, and
-    supports sharing L are ordered by U, so the first L with a hit holds
-    the answer and the stream stops there.  Every hit is a fit, and its
+    their span, which have no fit, are dropped first.  The L are
+    streamed in lexicographic order against the table, and supports
+    sharing L are ordered by U, so the first L with a hit holds the
+    answer and the stream stops there.  Every hit is a fit, and its
     U lies wholly above L: a U that overlaps L makes the smaller support
     L ^ U fit, which the smaller sizes already ruled out, and otherwise
     the support's own lowest indices come earlier in the stream and
@@ -551,8 +552,8 @@ def _search(columns: Sequence[int], targets: dict[int, int], max_size: int) -> t
 
 
 def _half_table(columns: Sequence[int], bits: list[int], half: int) -> dict:
-    """Every XOR of ``half >= 1`` columns, mapped to the
-    lexicographically first support of ``half`` indices that makes it.
+    """Every XOR of ``half >= 1`` columns, mapped to the lexicographically
+    first support of ``half`` indices that makes it.
 
     Supports of each size are listed in decreasing lexicographic order:
     row a, from the last index down, puts a in front of every support

@@ -3,12 +3,12 @@
 ``build_learning_instance`` turns a syndrome instance into a lifted
 example oracle: the rows of H labeled by t, extended to their span, and
 pushed through the blockwise-parity gadget.  ``search`` runs a learner
-on that oracle, prunes the hypothesis, reads candidate parities off its
-path supports, and ranks them by their exact agreement with the lifted
-span source, which the span dichotomy gives in closed form (1 or 1/2).
-Each candidate is folded back to base coordinates and the first one
-that passes ``verify_certificate`` on the original instance is
-returned, so any returned vector is an exact solution of H x = t.
+on that oracle, prunes the hypothesis, and solves for the parities
+inside its path sets that agree with the lifted span source exactly,
+the lifts of the solutions of H s = t on whole blocks.  Each candidate
+is folded back to base coordinates and the first one that passes
+``verify_certificate`` on the original instance is returned, so any
+returned vector is an exact solution of H x = t.
 ``decide`` wraps the same learning step with explicit size and error
 thresholds and compares the tree's exact distance to the lifted source,
 again in closed form over the span, with the error gate.
@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .dtree import DecisionTree, ParityIndexSet, path_masks, path_support_sets, prune
+from .dtree import DecisionTree, ParityIndexSet, path_masks, prune
 
 # Not called here: the benchmark's tracer (bench/spans.py) wraps
-# ``reduction.estimate_distance`` and ``reduction.exact_lifted_agreement``,
-# and a traced run fails when either name is missing.
-from .dtree import estimate_distance  # noqa: F401
+# ``reduction.estimate_distance``, ``reduction.exact_lifted_agreement``
+# and ``reduction.path_support_sets``, and a traced run fails when any
+# of those names is missing.
+from .dtree import estimate_distance, path_support_sets  # noqa: F401
 from .gadget import exact_lifted_agreement  # noqa: F401
 from .f2 import BitVector, mat_vec
 from .gadget import (
@@ -59,13 +60,15 @@ __all__ = [
 ]
 
 # Work bound on the learned tree, whose depth is at most ell*k: it
-# bounds extraction's candidates, sum over distinct path sets P of
-# 2**|P|, 2**depth for the learner's parity tree but up to 4**depth for
-# a generic one.  At depth 16 a planted search takes about 0.25 s on a
-# 2-vCPU host (Python 3.11), and each further level doubles that.  The
-# parity tree's 2**depth leaves sit on 2*depth + 2 shared nodes, its
-# path sets cost O(nodes), and decide's tree error scans no unions: it
-# solves for them (``solution_unions``), one elimination per path set.
+# bounds the path subsets extraction solves among, sum over distinct
+# path sets P of 2**|P|, 2**depth for the learner's parity tree but up
+# to 4**depth for a generic one, and so the solution unions returned.
+# Neither extraction nor decide's tree error lists those subsets: both
+# solve for the unions (``solution_unions``), one elimination per path
+# set, and the parity tree's 2**depth leaves sit on 2*depth + 2 shared
+# nodes, so its path sets cost O(nodes).  With the bound lifted, a
+# planted depth-24 search takes about 0.04 s on a 2-vCPU host (Python
+# 3.11).
 TREE_MAX_DEPTH = 16
 
 # ``search`` prunes the hypothesis at PRUNE_CONSTANT * ceil(log2(size))
@@ -221,27 +224,25 @@ def decide(
     return DecideReport(False, "distance-gate", tree.size, distance, size_cap, error_gate, tolerance, tree)
 
 
-def extract_parity(
-    tree: DecisionTree, oracle: GadgetOracle
-) -> list[tuple[ParityIndexSet, Fraction]]:
-    """Candidate parities from the tree's path supports, best first.
+def extract_parity(tree: DecisionTree, oracle: GadgetOracle) -> list[ParityIndexSet]:
+    """The parities inside the tree's path sets that agree with the
+    lifted source exactly, in ascending size, then lexicographic order.
 
     The oracle's base must be a span (a ``SpanOracle``), as every
-    pipeline builds it.  Every candidate gets its exact agreement with
-    the lifted source from the span dichotomy in closed form, exactly 1
-    or 1/2: a candidate that covers some block partly is at 1/2, and a
-    union of whole blocks is at 1 exactly when it lifts a solution of
-    H s = t.  ``solution_unions`` solves for those on the whole blocks
-    of each path set, with no scan, and every other candidate is at 1/2.
-    The ranking is by agreement descending, then smaller sets, then
-    lexicographic order, so it is total.
+    pipeline builds it.  By the span dichotomy a subset of a path set
+    agrees with the lifted span source 1 or 1/2: 1 exactly when it is a
+    union of whole blocks lifting a solution of H s = t, which
+    ``solution_unions`` solves for on the whole blocks of each path set,
+    with no scan.  Every other subset is at 1/2 and is not returned.
 
-    If the tree sits at distance 1/2 - gamma from the source, the top
-    candidate has agreement at least 1/2 + gamma / 4**depth.
+    If the tree sits at distance 1/2 - gamma < 1/2 from the source, its
+    Fourier weight on those lifts is 2 * gamma, so the list is not
+    empty, and each of its entries has agreement 1 >= 1/2 + gamma /
+    4**depth.
 
     Raises:
-        ValueError: before enumerating, when the base is not a span or
-            the tree's distinct path sets P give sum 2**|P| past
+        ValueError: before solving, when the base is not a span or the
+            tree's distinct path sets P give sum 2**|P| past
             2**``TREE_MAX_DEPTH``.
     """
     base = oracle.base
@@ -254,14 +255,8 @@ def extract_parity(
             f"extraction would enumerate {subsets} path subsets, "
             f"past 2**TREE_MAX_DEPTH = {1 << TREE_MAX_DEPTH}"
         )
-    top = solution_unions(pathmasks, base, oracle.params)
-    # The candidates come in ascending size, then lexicographic order,
-    # which the ranking keeps within each agreement.
-    candidates = path_support_sets(pathmasks)
-    one, half = Fraction(1), Fraction(1, 2)
-    ranked = [(s, one) for s in candidates if s.mask in top]
-    ranked += [(s, half) for s in candidates if s.mask not in top]
-    return ranked
+    found = map(ParityIndexSet.from_mask, solution_unions(pathmasks, base, oracle.params))
+    return sorted(found, key=lambda s: (len(s.indices), s.indices))
 
 
 @dataclass(frozen=True)
@@ -272,6 +267,7 @@ class SearchReport:
     reason: str  # ok | unsatisfiable | no-candidate-verified
     hypothesis_size: int | None
     pruned_depth: int | None
+    # How many parities ``extract_parity`` returned for the pruned tree.
     candidates: int
     hypothesis: DecisionTree | None = None
 
@@ -309,13 +305,13 @@ def search(
         log_size += 1  # ceil(log2(size))
     prune_depth = PRUNE_CONSTANT * log_size
     pruned = prune(tree, prune_depth)
-    ranked = extract_parity(pruned, oracle)
+    candidates = extract_parity(pruned, oracle)
     sparsity_cap = prune_depth // cfg.ell
-    for s, _agreement in ranked:
+    for s in candidates:
         x = BitVector.from_support(unlift_parity(s, oracle.params).indices, inst.n)
         if verify_certificate(inst, x, sparsity_cap):
-            return SearchReport(x, "ok", tree.size, prune_depth, len(ranked), pruned)
-    return SearchReport(None, "no-candidate-verified", tree.size, prune_depth, len(ranked), pruned)
+            return SearchReport(x, "ok", tree.size, prune_depth, len(candidates), pruned)
+    return SearchReport(None, "no-candidate-verified", tree.size, prune_depth, len(candidates), pruned)
 
 
 def verify_certificate(inst: SyndromeInstance, x: BitVector, k_max: int) -> bool:

@@ -14,7 +14,8 @@ fixed seeds so a run is reproducible bit for bit:
 5.  prune-error-bound: cutting a tree at c*ceil(log2(size)) costs at
     most size**(1 - c*(1 - 1/ell)) extra distance.
 6.  parity-extraction-advantage: a tree at distance 1/2 - gamma yields
-    a candidate parity with agreement at least 1/2 + gamma/4**depth.
+    a candidate parity, and the first one has agreement at least
+    1/2 + gamma/4**depth.
 7.  search-end-to-end: planted instances are solved with certificates.
 8.  decide-end-to-end: planted instances accepted, certified-far
     instances rejected.
@@ -500,8 +501,10 @@ def _criterion_extraction_advantage(scale: _Scale, ctx: dict) -> tuple[bool, str
         gamma = half - dist
         if gamma < Fraction(1, 8):
             continue
-        ranked = extract_parity(tree, GadgetOracle(span, params))
-        top = ranked[0][1]
+        found = extract_parity(tree, GadgetOracle(span, params))
+        if not found:
+            return False, f"distance {dist} (gamma {gamma}) but no candidate was extracted"
+        top = exact_lifted_agreement(span, found[0], params)
         need = half + gamma / (4**tree.depth)
         if top < need:
             return False, (

@@ -129,15 +129,15 @@ def _generic_tree(rng: Random, coords: list[int], depth: int):
 
 
 def _generic_trees(seeds) -> list:
-    """Extraction's ranking and the exact tree error of a generic tree
-    over the first three blocks of a planted (6, 4, 2) instance."""
+    """Extraction's candidates and the exact tree error of a generic
+    tree over the first three blocks of a planted (6, 4, 2) instance."""
     out = []
     for seed in seeds:
         oracle = build_learning_instance(random_planted(6, 4, 2, seed)[0], ReductionConfig())
         tree = _generic_tree(Random(seed), list(range(1, 7)), 7)
-        ranked = [[list(s.indices), encode(a)] for s, a in extract_parity(tree, oracle)]
+        found = [list(s.indices) for s in extract_parity(tree, oracle)]
         error = span_lifted_tree_error(tree, oracle.base, oracle.params)
-        out.append([tree_nodes(tree), ranked, encode(error)])
+        out.append([tree_nodes(tree), found, encode(error)])
     return out
 
 

@@ -221,8 +221,9 @@ def test_work_past_the_bounds_is_input_error(tmp_path, capsys, command, flags, b
 
 
 def test_solve_reduce_at_depth_fourteen(tmp_path, capsys):
-    # k = 7 at ell = 2: the learner's parity tree has depth 14 and
-    # extraction reads its 2**14 path subsets, within TREE_MAX_DEPTH.
+    # k = 7 at ell = 2: the learner's parity tree has depth 14, within
+    # TREE_MAX_DEPTH, and its one path set holds 2**14 subsets, among
+    # which extraction solves for the one lifting a solution.
     out = gen_planted(tmp_path, capsys, n=48, m=36, k=7, seed=1)
     started = time.monotonic()
     code, stdout, _ = run(capsys, "solve-reduce", str(out), "--ell", "2")

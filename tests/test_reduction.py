@@ -11,7 +11,7 @@ import pytest
 
 from ncplift import f2, reduction
 from ncplift.dtree import Leaf, Node, ParityIndexSet, path_masks, path_support_sets, reduce_tree
-from ncplift.f2 import BitMatrix, BitVector, mat_vec, rank
+from ncplift.f2 import BitMatrix, BitVector, eliminate, mat_vec, rank
 from ncplift.gadget import (
     SAMPLE_MAX_BYTES,
     FinitePmf,
@@ -20,6 +20,7 @@ from ncplift.gadget import (
     exact_lifted_agreement,
     lift_parity,
     sample_bytes,
+    span_lifted_tree_error,
 )
 from ncplift.instance import (
     LabeledSet,
@@ -38,6 +39,7 @@ from ncplift.reduction import (
     search,
     verify_certificate,
 )
+from ncplift.selftest import _far_instance
 from ncplift.span import make_span_oracle
 
 CFG = ReductionConfig()
@@ -189,6 +191,53 @@ def test_decide_rejects_far_instance():
         assert report.distance > report.error_gate + report.tolerance
 
 
+def caterpillar(coords, off, parity):
+    """A spine querying ``coords`` in order, each node's low branch a
+    leaf labeled ``off`` and its high branch the rest of the spine; the
+    last node outputs its coordinate XOR ``parity``."""
+    tree = Node(coords[-1], Leaf(parity), Leaf(1 - parity))
+    for c in reversed(coords[:-1]):
+        tree = Node(c, Leaf(off), tree)
+    return tree
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_decide_far_side_caterpillars_stay_past_the_gate(ell):
+    # The size lower bound that decide's gate rests on: on a far
+    # instance, trees of size up to 2**(r/3), r = ell*alpha*k, stay at
+    # distance at least 1/2 - 2**(-r/6) from the lifted source.  The
+    # selftest's first far instance (n = 14, m = 12, k = 2, alpha = 3)
+    # has four solutions, of weights 7, 8, 8 and 7, and a caterpillar
+    # along the lift of each aims at it; a spine that would pass the
+    # size cap is cut there.  The closest ones sit at 1/2 - 2**-14
+    # (ell = 2) and 1/2 - 2**-21 (ell = 3).
+    inst = _far_instance(random.Random(909), 14, 12, 2)
+    cfg = ReductionConfig(ell=ell)
+    size_cap, error_gate, tolerance = reduction._thresholds(inst, cfg)
+    oracle = build_learning_instance(inst, cfg)
+    elim = eliminate(inst.h.column_masks())
+    residue, particular = elim.reduce(inst.t.mask)
+    assert residue == 0
+    solutions = [particular]
+    for vec in elim.kernel:
+        solutions += [s ^ vec for s in solutions]
+    assert sorted(s.bit_count() for s in solutions) == [7, 7, 8, 8]
+    r = ell * inst.alpha * inst.k
+    bound = 0.5 - 2.0 ** -float(r / 6)
+    best = Fraction(1, 2)
+    for s in solutions:
+        coords = lift_parity(ParityIndexSet.from_mask(s), oracle.params).indices[: size_cap - 1]
+        for off in (0, 1):
+            for parity in (0, 1):
+                tree = caterpillar(coords, off, parity)
+                assert tree.size <= size_cap
+                distance = span_lifted_tree_error(tree, oracle.base, oracle.params)
+                assert distance >= bound
+                assert distance > error_gate + tolerance
+                best = min(best, distance)
+    assert best == Fraction(1, 2) - Fraction(1, 2 ** (7 * ell))
+
+
 def refusing_learner(oracle, budget, rng):
     raise AssertionError("a vacuous gate must not run the learner")
 
@@ -266,22 +315,34 @@ def test_decide_unsatisfiable():
 # ---------------------------------------------------------------- extraction
 
 
+def agreeing_path_subsets(tree, oracle):
+    """Oracle for ``extract_parity``: every subset of the tree's path
+    sets, in (size, lex) order, kept when its exact agreement with the
+    lifted source is 1."""
+    return [
+        s
+        for s in path_support_sets(path_masks(tree))
+        if exact_lifted_agreement(oracle.base, s, oracle.params) == 1
+    ]
+
+
 def test_extract_parity_from_its_own_tree():
+    # The tree's own parity is the one candidate: every other subset of
+    # its path set sits at 1/2.
     s_star = index_set(2, 4)
     oracle = parity_lifted_oracle(5, s_star)
     lifted = lift_parity(s_star, oracle.params)
     tree = parity_to_tree(lifted)
-    ranked = extract_parity(tree, oracle)
-    assert ranked[0] == (lifted, Fraction(1))
-    # Every other candidate sits strictly below.
-    for s, agr in ranked[1:]:
-        assert agr < 1
+    assert extract_parity(tree, oracle) == [lifted] == agreeing_path_subsets(tree, oracle)
+    assert len(path_support_sets(path_masks(tree))) == 16
 
 
 def test_extract_constant_tree_is_balanced():
+    # The empty parity, the constant tree's only path subset, sits at
+    # 1/2 against a nonzero target, so nothing is extracted.
     oracle = parity_lifted_oracle(4, index_set(1, 3))
-    ranked = extract_parity(Leaf(0), oracle)
-    assert ranked == [(index_set(), Fraction(1, 2))]
+    assert exact_lifted_agreement(oracle.base, index_set(), oracle.params) == Fraction(1, 2)
+    assert extract_parity(Leaf(0), oracle) == []
 
 
 def test_extract_refuses_a_base_that_is_not_a_span():
@@ -296,37 +357,32 @@ def test_extract_refuses_a_base_that_is_not_a_span():
 
 
 def test_extract_ranking_is_total_and_exact():
-    # Exact backend: scores equal the closed-form agreement and the
-    # order follows (agreement desc, size asc, lexicographic).
-    from ncplift.gadget import exact_lifted_agreement
-
-    oracle = parity_lifted_oracle(4, index_set(2))
-    tree = Node(1, Node(2, Leaf(0), Leaf(1)), Node(3, Leaf(1), Leaf(0)))
-    ranked = extract_parity(tree, oracle)
-    assert len(ranked) == len({s for s, _ in ranked})
-    for s, agr in ranked:
-        assert agr == exact_lifted_agreement(oracle.base, s, oracle.params)
-    keys = [(-agr, len(s), s.indices) for s, agr in ranked]
-    assert keys == sorted(keys)
+    # One labeled point, x1 + x2 with label 1, and x3 with label 0: the
+    # solutions of H s = t at n = 4 are {1}, {2}, {1, 4} and {2, 4}.
+    # The path set {1, 2, 3, 4, 7, 8} holds all four lifts, which come
+    # back at agreement 1 in (size, lex) order.
+    n = 4
+    points = (BitVector(n, 0b0011), BitVector(n, 0b0100))
+    span = make_span_oracle(LabeledSet(points, (1, 0), n))
+    oracle = GadgetOracle(span, GadgetParams(2, n))
+    tree = parity_to_tree(index_set(1, 2, 3, 4, 7, 8))
+    found = extract_parity(tree, oracle)
+    assert found == [index_set(1, 2), index_set(3, 4), index_set(1, 2, 7, 8), index_set(3, 4, 7, 8)]
+    assert found == agreeing_path_subsets(tree, oracle)
 
 
 def test_extract_exact_on_wide_span():
-    # Past dimension 20, where span enumeration stops, agreements stay
-    # exact: 1 for the lift of the planted parity, 1/2 for every other
-    # candidate, and 1/2 for all candidates of a wrong fold.
+    # Past dimension 20, where span enumeration stops, extraction stays
+    # exact: the lift of the planted parity is the one subset of its
+    # path set at agreement 1, and a wrong fold has none.
     for n in (21, 24):
         s_star = index_set(1, n)
         oracle = parity_lifted_oracle(n, s_star)
         assert oracle.base.dimension == n
         planted = lift_parity(s_star, oracle.params)
-        ranked = extract_parity(parity_to_tree(planted), oracle)
-        assert len(ranked) == 16
-        assert ranked[0] == (planted, Fraction(1))
-        assert all(agr == Fraction(1, 2) for _, agr in ranked[1:])
+        assert extract_parity(parity_to_tree(planted), oracle) == [planted]
         wrong = lift_parity(index_set(2, n), oracle.params)
-        ranked = extract_parity(parity_to_tree(wrong), oracle)
-        assert len(ranked) == 16
-        assert all(agr == Fraction(1, 2) for _, agr in ranked)
+        assert extract_parity(parity_to_tree(wrong), oracle) == []
 
 
 def test_extract_depth_cap():
@@ -338,43 +394,54 @@ def test_extract_depth_cap():
         extract_parity(deep, oracle)
 
 
-def test_extract_ranking_matches_the_fraction_sort():
-    # extract_parity sorts on (agreement != 1, size, indices).  Over a
-    # span every agreement is 1 or 1/2, so that is the order of the
-    # key (-agreement, size, indices) on the exact agreements.
+def random_block_tree(rng, blocks, ell, depth):
+    """A reduced tree of depth at most ``depth`` over the lifted
+    coordinates of the given base blocks, so that its several path sets
+    often hold whole blocks."""
+    coords = [b * ell + j + 1 for b in blocks for j in range(ell)]
+
+    def build(level):
+        if level == depth or rng.random() < 0.15:
+            return Leaf(rng.getrandbits(1))
+        return Node(rng.choice(coords), build(level + 1), build(level + 1))
+
+    return reduce_tree(build(0))
+
+
+def test_extract_matches_the_agreement_filter():
+    # Differential: on random generic trees with several path sets, and
+    # on systems with several solutions, extraction returns exactly the
+    # path subsets at agreement 1, in (size, lex) order.
     rng = random.Random(29)
-    for seed in range(40):
-        n = rng.randint(4, 10)
+    several = found = 0
+    for seed in range(60):
+        n = rng.randint(3, 7)
         inst, x = random_planted(n, rng.randint(1, n), rng.randint(1, 3), seed)
         oracle = build_learning_instance(inst, ReductionConfig(ell=2))
-        params = oracle.params
-        planted = lift_parity(ParityIndexSet.from_mask(x.mask), params)
-        sparse = rng.getrandbits(params.lifted_n) & rng.getrandbits(params.lifted_n)
-        other = ParityIndexSet.from_mask(sparse)
-        trees = [
-            parity_to_tree(planted),
-            parity_to_tree(other),
-            reduce_tree(Node(1, parity_to_tree(planted), parity_to_tree(other))),
-        ]
-        for tree in trees:
-            scored = [
-                (s, exact_lifted_agreement(oracle.base, s, params))
-                for s in path_support_sets(path_masks(tree))
-            ]
-            expected = sorted(scored, key=lambda item: (-item[1], len(item[0]), item[0].indices))
-            assert extract_parity(tree, oracle) == expected
+        planted = parity_to_tree(lift_parity(ParityIndexSet.from_mask(x.mask), oracle.params))
+        blocks = rng.sample(range(n), min(n, 3))
+        for tree in (
+            random_block_tree(rng, blocks, 2, 6),
+            reduce_tree(Node(rng.randint(1, 2 * n), planted, random_block_tree(rng, blocks, 2, 5))),
+        ):
+            want = agreeing_path_subsets(tree, oracle)
+            assert extract_parity(tree, oracle) == want
+            several += len(path_masks(tree)) > 1
+            found += len(want) > 1
+    assert several >= 100 and found >= 20
 
 
 def test_extract_bounds_the_path_subsets(monkeypatch):
     # The bound counts sum 2**|P| over the distinct path sets P, at
     # most 2**TREE_MAX_DEPTH, here 8: the parity tree over {1, 2, 3} has
-    # one path set and 8 subsets; path sets {1, 2} and {1, 3} give 4 + 4
-    # (6 distinct subsets); adding {1, 3, 4} gives 16.
+    # one path set and 8 subsets; path sets {1, 2} and {1, 3} give 4 + 4;
+    # adding {1, 3, 4} gives 16.  Within the bound, the lift {1, 2} of
+    # the one solution {1} is extracted from either tree.
     monkeypatch.setattr(reduction, "TREE_MAX_DEPTH", 3)
-    oracle = parity_lifted_oracle(4, index_set(1, 2))
-    assert len(extract_parity(parity_to_tree(index_set(1, 2, 3)), oracle)) == 8
+    oracle = parity_lifted_oracle(4, index_set(1))
+    assert extract_parity(parity_to_tree(index_set(1, 2, 3)), oracle) == [index_set(1, 2)]
     two = Node(1, Node(2, Leaf(0), Leaf(1)), Node(3, Leaf(1), Leaf(0)))
-    assert len(extract_parity(two, oracle)) == 6
+    assert extract_parity(two, oracle) == [index_set(1, 2)]
     three = Node(1, Node(2, Leaf(0), Leaf(1)), Node(3, Node(4, Leaf(0), Leaf(1)), Leaf(0)))
     with pytest.raises(ValueError, match="16 path subsets, past 2\\*\\*TREE_MAX_DEPTH = 8"):
         extract_parity(three, oracle)
@@ -455,14 +522,14 @@ def test_search_learner_budget_failure(monkeypatch):
 
 
 def test_search_reports_unverified_candidates():
-    # A constant hypothesis only offers the empty parity, which cannot
-    # match a nonzero target.
+    # A constant hypothesis only holds the empty parity, which cannot
+    # match a nonzero target, so nothing is extracted.
     inst, _ = random_planted(10, 6, 2, 19)
     assert inst.t.mask != 0
     report = search(inst, CFG, planted_learner(index_set()), random.Random(0))
     assert not report.ok
     assert report.reason == "no-candidate-verified"
-    assert report.candidates == 1
+    assert report.candidates == 0
 
 
 @contextmanager
@@ -489,6 +556,19 @@ def test_search_past_enumeration_cap_finishes():
             report = search(inst, CFG, exhaustive_parity_learner, random.Random(1))
         assert report.ok
         assert verify_certificate(inst, report.solution, PRUNE_CONSTANT * inst.k)
+
+
+def test_search_at_depth_twenty_four_solves_for_its_candidates(monkeypatch):
+    # k = 12 at ell = 2, with TREE_MAX_DEPTH lifted for this test: the
+    # pruned tree's one path set has 2**24 subsets, and extraction
+    # solves for the one at agreement 1 instead of listing them.  CPU
+    # time, so a busy host does not fail it.
+    monkeypatch.setattr(reduction, "TREE_MAX_DEPTH", 24)
+    inst, x = random_planted(72, 54, 12, 1)
+    with cpu_limit(10):
+        report = search(inst, CFG, exhaustive_parity_learner, random.Random(1))
+    assert report.hypothesis.depth == 24
+    assert (report.solution, report.candidates) == (x, 1)
 
 
 def test_search_many_planted_seeds():
