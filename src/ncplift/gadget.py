@@ -61,6 +61,11 @@ MAX_LIFTED_ARITY = 16
 # sampling.
 SAMPLE_MAX_BYTES = 1 << 27
 
+# Bound on the unions ``solution_unions`` builds for extraction and
+# decide's tree error, 2**(|W| - rank) per solvable set W of whole
+# blocks, counted before any is built.
+UNIONS_MAX = 1 << 16
+
 
 @dataclass(frozen=True)
 class GadgetParams:
@@ -469,11 +474,12 @@ def solution_unions(pathmasks: set[int], span, params: GadgetParams) -> set[int]
     is the label of row i.  ``f2.eliminate`` takes the |W| columns and
     reduces the target: a nonzero residue leaves no solution in W, and
     otherwise the solutions are the particular combination XOR the span
-    of the kernel, 2**(|W| - rank) of them, built by doubling on their
-    lifts.
+    of the kernel, 2**(|W| - rank) of them.  Their lifts are counted
+    over every W, then built by doubling.
 
     Raises:
-        ValueError: when a path set holds an index past the lifted arity.
+        ValueError: when a path set holds an index past the lifted arity,
+            or, before any union is built, when they pass ``UNIONS_MAX``.
     """
     ell = params.ell
     ones = (1 << ell) - 1
@@ -483,18 +489,22 @@ def solution_unions(pathmasks: set[int], span, params: GadgetParams) -> set[int]
             raise ValueError("parity index exceeds the lifted arity")
         wholes.add(tuple(b for b in range(params.base_n) if pathmask >> (b * ell) & ones == ones))
     target = sum(label << i for i, label in enumerate(span.labels))
-    unions: set[int] = set()
+    cosets = []
     for whole in wholes:
         elim = eliminate(
             sum((row >> b & 1) << i for i, row in enumerate(span.points)) for b in whole
         )
         residue, combo = elim.reduce(target)
-        if residue:
-            continue
-        particular, *steps = [
-            sum(ones << (b * ell) for j, b in enumerate(whole) if v >> j & 1)
-            for v in (combo, *elim.kernel)
-        ]
+        if not residue:
+            cosets.append([
+                sum(ones << (b * ell) for j, b in enumerate(whole) if v >> j & 1)
+                for v in (combo, *elim.kernel)
+            ])
+    count = sum(1 << (len(coset) - 1) for coset in cosets)
+    if count > UNIONS_MAX:
+        raise ValueError(f"would build {count} solution unions, past UNIONS_MAX = {UNIONS_MAX}")
+    unions: set[int] = set()
+    for particular, *steps in cosets:
         found = [particular]
         for step in steps:
             found += [union ^ step for union in found]

@@ -5,10 +5,10 @@ example oracle: the rows of H labeled by t, extended to their span, and
 pushed through the blockwise-parity gadget.  ``search`` runs a learner
 on that oracle, prunes the hypothesis, and solves for the parities
 inside its path sets that agree with the lifted span source exactly,
-the lifts of the solutions of H s = t on whole blocks.  Each candidate
-is folded back to base coordinates and the first one that passes
-``verify_certificate`` on the original instance is returned, so any
-returned vector is an exact solution of H x = t.
+the lifts of the solutions of H s = t on whole blocks.  The first
+candidate is folded back to base coordinates and verified with
+``verify_certificate`` on the original instance, so any returned vector
+is an exact solution of H x = t.
 ``decide`` wraps the same learning step with explicit size and error
 thresholds and compares the tree's exact distance to the lifted source,
 again in closed form over the span, with the error gate.
@@ -59,16 +59,11 @@ __all__ = [
     "verify_certificate",
 ]
 
-# Work bound on the learned tree, whose depth is at most ell*k: it
-# bounds the path subsets extraction solves among, sum over distinct
-# path sets P of 2**|P|, 2**depth for the learner's parity tree but up
-# to 4**depth for a generic one, and so the solution unions returned.
-# Neither extraction nor decide's tree error lists those subsets: both
-# solve for the unions (``solution_unions``), one elimination per path
-# set, and the parity tree's 2**depth leaves sit on 2*depth + 2 shared
-# nodes, so its path sets cost O(nodes).  With the bound lifted, a
-# planted depth-24 search takes about 0.04 s on a 2-vCPU host (Python
-# 3.11).
+# Bound on ell*k, the learner's tree depth; ``gadget.UNIONS_MAX``
+# bounds the unions.  The tree walks recurse per level (a planted k = 7
+# search at ell = 200 raises RecursionError in ``path_masks``), and
+# ``format_tree`` (``--dump-hypothesis``) writes 2**depth leaves: 7.3 MB
+# in 0.6-0.8 s at depth 20 on a 2-vCPU host, 4x more per two levels.
 TREE_MAX_DEPTH = 16
 
 # ``search`` prunes the hypothesis at PRUNE_CONSTANT * ceil(log2(size))
@@ -151,7 +146,8 @@ def _check_work(inst: SyndromeInstance, cfg: ReductionConfig) -> None:
 
     The gadget oracle packs its sample at base arity n and lifts it to
     ell*n columns (``GadgetOracle.sample_columns``), and the learner may
-    build a tree of depth ell*k.
+    build a tree of depth ell*k, which the tree walks recurse through
+    level by level and ``format_tree`` writes out leaf by leaf.
     """
     lifted = cfg.ell * inst.n
     need = sample_bytes(inst.n, cfg.learner_samples, lifted)
@@ -206,7 +202,8 @@ def decide(
         ValueError: before any sampling, when packing the learner's
             sample would pass ``SAMPLE_MAX_BYTES`` or ell*k passes
             ``TREE_MAX_DEPTH``; from the learner, when its search would
-            pass ``f2.SEARCH_MAX_COST``.
+            pass ``f2.SEARCH_MAX_COST``; from the tree error, when the
+            tree's solution unions pass ``gadget.UNIONS_MAX``.
     """
     _check_work(inst, cfg)
     size_cap, error_gate, tolerance = _thresholds(inst, cfg)
@@ -241,21 +238,14 @@ def extract_parity(tree: DecisionTree, oracle: GadgetOracle) -> list[ParityIndex
     4**depth.
 
     Raises:
-        ValueError: before solving, when the base is not a span or the
-            tree's distinct path sets P give sum 2**|P| past
-            2**``TREE_MAX_DEPTH``.
+        ValueError: before solving, when the base is not a span; from
+            ``solution_unions``, before any union is built, when they
+            pass ``gadget.UNIONS_MAX``.
     """
     base = oracle.base
     if not isinstance(base, SpanOracle):
         raise ValueError(f"extraction needs a span base, not {type(base).__name__}")
-    pathmasks = path_masks(tree)
-    subsets = sum(1 << pathmask.bit_count() for pathmask in pathmasks)
-    if subsets > 1 << TREE_MAX_DEPTH:
-        raise ValueError(
-            f"extraction would enumerate {subsets} path subsets, "
-            f"past 2**TREE_MAX_DEPTH = {1 << TREE_MAX_DEPTH}"
-        )
-    found = map(ParityIndexSet.from_mask, solution_unions(pathmasks, base, oracle.params))
+    found = map(ParityIndexSet.from_mask, solution_unions(path_masks(tree), base, oracle.params))
     return sorted(found, key=lambda s: (len(s.indices), s.indices))
 
 
@@ -282,34 +272,32 @@ def search(
     """Learn, prune, extract, fold back, and verify exactly.
 
     The learner gets depth budget ell*k and size budget 2**(ell*k); the
-    hypothesis is pruned at PRUNE_CONSTANT * ceil(log2(size)); every
-    candidate parity is folded to base blocks and kept only when
-    ``verify_certificate`` accepts it on the original instance with
-    sparsity cap floor(PRUNE_CONSTANT * ceil(log2(size)) / ell), so a
-    returned vector always satisfies H x = t within that bound;
-    failures report which stage gave out.
+    hypothesis is pruned at PRUNE_CONSTANT * ceil(log2(size)), and the
+    first candidate is folded to base blocks and verified with
+    ``verify_certificate`` at sparsity cap floor(PRUNE_CONSTANT *
+    ceil(log2(size)) / ell), so a returned vector always satisfies
+    H x = t within that bound.  Each candidate folds to a solution of
+    weight at most |P| / ell, P a path set of the pruned tree, and the
+    list is in size order, so no later one verifies where the first fails.
 
     Raises:
         ValueError: before any sampling, when packing the learner's
             sample would pass ``SAMPLE_MAX_BYTES`` or ell*k passes
             ``TREE_MAX_DEPTH``; from the learner, when its search would
-            pass ``f2.SEARCH_MAX_COST``.
+            pass ``f2.SEARCH_MAX_COST``; from extraction, when the
+            pruned tree's solution unions pass ``gadget.UNIONS_MAX``.
     """
     _check_work(inst, cfg)
     learned = _learn(inst, cfg, learner, rng)
     if learned is None:
         return SearchReport(None, "unsatisfiable", None, None, 0)
     oracle, tree = learned
-    log_size = max(1, tree.size).bit_length() - 1
-    if 1 << log_size != tree.size:
-        log_size += 1  # ceil(log2(size))
-    prune_depth = PRUNE_CONSTANT * log_size
+    prune_depth = PRUNE_CONSTANT * (tree.size - 1).bit_length()  # ceil(log2(size))
     pruned = prune(tree, prune_depth)
     candidates = extract_parity(pruned, oracle)
-    sparsity_cap = prune_depth // cfg.ell
-    for s in candidates:
-        x = BitVector.from_support(unlift_parity(s, oracle.params).indices, inst.n)
-        if verify_certificate(inst, x, sparsity_cap):
+    if candidates:
+        x = BitVector.from_support(unlift_parity(candidates[0], oracle.params).indices, inst.n)
+        if verify_certificate(inst, x, prune_depth // cfg.ell):
             return SearchReport(x, "ok", tree.size, prune_depth, len(candidates), pruned)
     return SearchReport(None, "no-candidate-verified", tree.size, prune_depth, len(candidates), pruned)
 

@@ -9,8 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from ncplift import f2, reduction
-from ncplift.dtree import Leaf, Node, ParityIndexSet, path_masks, path_support_sets, reduce_tree
+from ncplift import f2, gadget, reduction
+from ncplift.dtree import (
+    Leaf,
+    Node,
+    ParityIndexSet,
+    path_masks,
+    path_support_sets,
+    prune,
+    reduce_tree,
+)
 from ncplift.f2 import BitMatrix, BitVector, eliminate, mat_vec, rank
 from ncplift.gadget import (
     SAMPLE_MAX_BYTES,
@@ -21,6 +29,7 @@ from ncplift.gadget import (
     lift_parity,
     sample_bytes,
     span_lifted_tree_error,
+    unlift_parity,
 )
 from ncplift.instance import (
     LabeledSet,
@@ -33,6 +42,7 @@ from ncplift.reduction import (
     PRUNE_CONSTANT,
     TREE_MAX_DEPTH,
     ReductionConfig,
+    SearchReport,
     build_learning_instance,
     decide,
     extract_parity,
@@ -55,6 +65,12 @@ def parity_lifted_oracle(n, s_star, ell=2):
     labels = tuple(1 if (i + 1) in s_star else 0 for i in range(n))
     span = make_span_oracle(LabeledSet(points, labels, n))
     return GadgetOracle(span, GadgetParams(ell, n))
+
+
+def empty_span_oracle(n, ell=2):
+    """Lifted oracle over a span with no rows, where every union of
+    whole blocks solves the empty system."""
+    return GadgetOracle(make_span_oracle(LabeledSet((), (), n)), GadgetParams(ell, n))
 
 
 def vacuous_far_instance():
@@ -189,6 +205,13 @@ def test_decide_rejects_far_instance():
         )
         assert report.reason == "distance-gate"
         assert report.distance > report.error_gate + report.tolerance
+
+
+def block_caterpillar(blocks):
+    """The caterpillar along lifted coordinates 1 .. 2*blocks: size
+    2*blocks + 1, and its path sets are the prefixes, of up to
+    ``blocks`` whole blocks of width 2."""
+    return caterpillar(list(range(1, 2 * blocks + 1)), 0, 0)
 
 
 def caterpillar(coords, off, parity):
@@ -386,12 +409,18 @@ def test_extract_exact_on_wide_span():
 
 
 def test_extract_depth_cap():
+    # Depth alone caps nothing: the unions are bounded.  Over the
+    # identity system the depth-31 caterpillar has one solution union,
+    # the lift of {1}, and it is extracted.  Over a span with no rows,
+    # the depth-32 caterpillar's prefixes of 0 .. 16 whole blocks hold
+    # 2**17 - 1 unions, past UNIONS_MAX.
     deep = Leaf(0)
     for c in range(31, 0, -1):
         deep = Node(c, deep, Leaf(1))
     oracle = parity_lifted_oracle(16, index_set(1))
-    with pytest.raises(ValueError):
-        extract_parity(deep, oracle)
+    assert extract_parity(deep, oracle) == [index_set(1, 2)]
+    with pytest.raises(ValueError, match=f"{2**17 - 1} solution unions"):
+        extract_parity(block_caterpillar(16), empty_span_oracle(16))
 
 
 def random_block_tree(rng, blocks, ell, depth):
@@ -432,38 +461,42 @@ def test_extract_matches_the_agreement_filter():
 
 
 def test_extract_bounds_the_path_subsets(monkeypatch):
-    # The bound counts sum 2**|P| over the distinct path sets P, at
-    # most 2**TREE_MAX_DEPTH, here 8: the parity tree over {1, 2, 3} has
-    # one path set and 8 subsets; path sets {1, 2} and {1, 3} give 4 + 4;
-    # adding {1, 3, 4} gives 16.  Within the bound, the lift {1, 2} of
-    # the one solution {1} is extracted from either tree.
-    monkeypatch.setattr(reduction, "TREE_MAX_DEPTH", 3)
-    oracle = parity_lifted_oracle(4, index_set(1))
-    assert extract_parity(parity_to_tree(index_set(1, 2, 3)), oracle) == [index_set(1, 2)]
-    two = Node(1, Node(2, Leaf(0), Leaf(1)), Node(3, Leaf(1), Leaf(0)))
-    assert extract_parity(two, oracle) == [index_set(1, 2)]
-    three = Node(1, Node(2, Leaf(0), Leaf(1)), Node(3, Node(4, Leaf(0), Leaf(1)), Leaf(0)))
-    with pytest.raises(ValueError, match="16 path subsets, past 2\\*\\*TREE_MAX_DEPTH = 8"):
-        extract_parity(three, oracle)
+    # The bound counts the solution unions, 2**(|W| - rank) for each
+    # solvable set W of whole blocks, here at most 4.  Over a span with
+    # no rows every union of whole blocks solves: the parity tree over
+    # blocks 1 and 2 has one path set and 4 unions, all extracted.  A
+    # second path set with block 1 whole adds 2, and the 6 are refused.
+    monkeypatch.setattr(gadget, "UNIONS_MAX", 4)
+    oracle = empty_span_oracle(3)
+    both = parity_to_tree(index_set(1, 2, 3, 4))
+    want = [index_set(), index_set(1, 2), index_set(3, 4), index_set(1, 2, 3, 4)]
+    assert extract_parity(both, oracle) == want
+    two = Node(5, both, parity_to_tree(index_set(1, 2)))
+    with pytest.raises(ValueError, match="6 solution unions, past UNIONS_MAX = 4"):
+        extract_parity(two, oracle)
 
 
 def test_extract_refuses_a_generic_tree_before_enumerating():
     # A complete depth-10 tree whose every node queries its own
-    # coordinate: depth 10 is within TREE_MAX_DEPTH, but its 1024
-    # distinct path sets of size 10 give 2**20 path subsets.  The
-    # refusal walks the leaves only.
+    # coordinate has 512 distinct path sets of size 10, 2**19 path
+    # subsets, but over the identity system each set of whole blocks
+    # solves at most once: extraction returns the one lift.  Over a span
+    # with no rows, the caterpillar over 20 whole blocks holds 2**21 - 1
+    # solution unions, and is refused before any is built.
     coords = iter(range(1, 1 << 10))
     def build(depth):
         if depth == 0:
             return Leaf(0)
         return Node(next(coords), build(depth - 1), build(depth - 1))
     tree = build(10)
-    oracle = parity_lifted_oracle(16, index_set(1))
+    assert len(path_masks(tree)) == 512
+    assert extract_parity(tree, parity_lifted_oracle(512, index_set(1))) == [index_set(1, 2)]
+    oracle = empty_span_oracle(20)
     tracemalloc.start()
     try:
         started = time.monotonic()
-        with pytest.raises(ValueError, match="TREE_MAX_DEPTH"):
-            extract_parity(tree, oracle)
+        with pytest.raises(ValueError, match=f"{2**21 - 1} solution unions"):
+            extract_parity(block_caterpillar(20), oracle)
         elapsed = time.monotonic() - started
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -587,6 +620,56 @@ def test_search_many_planted_seeds():
     assert hits >= 24
 
 
+def search_by_the_loop(inst, cfg, learner, rng):
+    """Oracle for ``search``: every candidate folded in turn, the first
+    whose fold verifies returned, and ceil(log2(size)) from the bit
+    length and a power-of-two test."""
+    reduction._check_work(inst, cfg)
+    learned = reduction._learn(inst, cfg, learner, rng)
+    if learned is None:
+        return SearchReport(None, "unsatisfiable", None, None, 0)
+    oracle, tree = learned
+    log_size = max(1, tree.size).bit_length() - 1
+    if 1 << log_size != tree.size:
+        log_size += 1
+    prune_depth = PRUNE_CONSTANT * log_size
+    pruned = prune(tree, prune_depth)
+    candidates = extract_parity(pruned, oracle)
+    for s in candidates:
+        x = BitVector.from_support(unlift_parity(s, oracle.params).indices, inst.n)
+        if verify_certificate(inst, x, prune_depth // cfg.ell):
+            return SearchReport(x, "ok", tree.size, prune_depth, len(candidates), pruned)
+    return SearchReport(None, "no-candidate-verified", tree.size, prune_depth, len(candidates), pruned)
+
+
+def test_one_check_search_matches_the_candidate_loop():
+    # Differential: planted searches with the exhaustive learner, and
+    # random generic trees over a few blocks from a custom learner, on
+    # systems with several solutions.  Checking the first candidate
+    # alone gives the report the loop over all of them gives.
+    rng = random.Random(37)
+    runs = [(random_planted(14, 10, 2, seed)[0], CFG, exhaustive_parity_learner) for seed in range(8)]
+    for seed in range(300):
+        n = rng.randint(3, 7)
+        inst, _ = random_planted(n, rng.randint(1, n), rng.randint(1, 3), seed)
+        cfg = ReductionConfig(ell=rng.choice([2, 3]))
+        blocks = rng.sample(range(n), min(n, 3))
+        depth = rng.randint(1, 7)
+
+        def learner(oracle, budget, rng, blocks=blocks, depth=depth):
+            return random_block_tree(rng, blocks, oracle.params.ell, depth)
+
+        runs.append((inst, cfg, learner))
+    reports = []
+    for seed, (inst, cfg, learner) in enumerate(runs):
+        want = search_by_the_loop(inst, cfg, learner, random.Random(seed))
+        assert search(inst, cfg, learner, random.Random(seed)) == want
+        reports.append(want)
+    # Every candidate verifies, so a report fails only with none.
+    assert all(r.ok == (r.candidates > 0) for r in reports)
+    assert sum(r.ok for r in reports) >= 75 and sum(r.candidates > 1 for r in reports) >= 20
+
+
 # ---------------------------------------------------------------- certificates
 
 
@@ -657,6 +740,30 @@ def test_decide_at_depth_thirty_two_solves_for_its_unions(monkeypatch):
     assert time.process_time() - started < 0.1
     assert report.hypothesis.depth == 32
     assert (report.reason, report.distance) == ("ok-yes", 0)
+
+
+def test_decide_bounds_the_solution_unions():
+    # An m = 1 system at alpha 3: the caterpillar over 20 whole blocks
+    # has size 41, inside the size cap 2**16, but each prefix W of
+    # whole blocks holds 2**(|W| - rank) solution unions, about 2**20
+    # in all.  Decide refuses it naming the count, before building any
+    # union; extraction gives the same refusal.
+    raw, _ = random_planted(24, 1, 8, 1)
+    inst = SyndromeInstance(raw.h, raw.t, raw.k, Fraction(3))
+    row, = inst.h.row_masks
+    want = 0
+    for w in range(21):
+        restricted = row & ((1 << w) - 1)
+        if restricted or not inst.t.mask:
+            want += 1 << (w - 1 if restricted else w)
+    tree = block_caterpillar(20)
+    assert tree.size == 41 <= reduction._thresholds(inst, CFG)[0]
+    with cpu_limit(1), pytest.raises(ValueError) as refusal:
+        decide(inst, CFG, lambda oracle, budget, rng: tree, random.Random(0))
+    assert str(refusal.value) == f"would build {want} solution unions, past UNIONS_MAX = 65536"
+    with pytest.raises(ValueError) as again:
+        extract_parity(tree, build_learning_instance(inst, CFG))
+    assert str(again.value) == str(refusal.value)
 
 
 @pytest.mark.parametrize("pipeline", [search, decide])
