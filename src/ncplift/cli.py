@@ -120,6 +120,14 @@ def _config(args) -> ReductionConfig:
     return ReductionConfig(ell=args.ell, learner_samples=args.samples)
 
 
+def _rng(seed: int) -> Random:
+    """The generator for ``--seed``; ``Random`` seeds by the absolute
+    value, so a negative seed is refused rather than aliased."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return Random(seed)
+
+
 def _cmd_gen(args, started: float) -> int:
     from dataclasses import replace
 
@@ -157,7 +165,7 @@ def _cmd_solve_exact(args, started: float) -> int:
 
 def _cmd_solve_reduce(args, started: float) -> int:
     inst = load_instance(Path(args.instance).read_text())
-    report = search(inst, _config(args), exhaustive_parity_learner, Random(args.seed))
+    report = search(inst, _config(args), exhaustive_parity_learner, _rng(args.seed))
     if args.dump_hypothesis and report.hypothesis is not None:
         Path(args.dump_hypothesis).write_text(format_tree(report.hypothesis) + "\n")
     _report(
@@ -176,7 +184,7 @@ def _cmd_solve_reduce(args, started: float) -> int:
 
 def _cmd_decide(args, started: float) -> int:
     inst = load_instance(Path(args.instance).read_text())
-    report = decide(inst, _config(args), exhaustive_parity_learner, Random(args.seed))
+    report = decide(inst, _config(args), exhaustive_parity_learner, _rng(args.seed))
     vacuous = report.reason == "vacuous-gate"
     _report(
         command="decide", **_instance_fields(inst), ell=args.ell, seed=args.seed,

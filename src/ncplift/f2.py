@@ -282,33 +282,40 @@ class Elimination(NamedTuple):
         exactly when ``v`` is in the span, and then the XOR of the inputs
         in the combination is ``v``.  A nonzero residue may keep pivot
         bits below its highest bit."""
-        return _reduce(v, 0, dict(zip(map(int.bit_length, self.basis), zip(self.basis, self.combos))))
+        m = len(self.basis) + len(self.kernel)
+        by_top = {b.bit_length() + m: b << m | c for b, c in zip(self.basis, self.combos)}
+        v = _reduce(v << m, by_top)
+        return v >> m, v & ((1 << m) - 1)
 
 
-def _reduce(v: int, combo: int, by_top: dict[int, tuple[int, int]]) -> tuple[int, int]:
-    """``by_top`` maps the bit length of each basis vector to it and its
-    combination; each step clears the highest bit of ``v``."""
-    while (hit := by_top.get(v.bit_length())) is not None:
-        v ^= hit[0]
-        combo ^= hit[1]
-    return v, combo
+def _reduce(v: int, by_top: dict[int, int]) -> int:
+    """``v`` and the basis vectors, which ``by_top`` keys by bit length,
+    carry their combination of the ``m`` inputs in their low ``m`` bits;
+    one XOR clears the highest bit of ``v`` and updates its combination.
+    Every key is above ``m``, so no combination bit is taken for a pivot."""
+    while hit := by_top.get(v.bit_length()):
+        v ^= hit
+    return v
 
 
 def eliminate(vectors: Iterable[int]) -> Elimination:
     """Greedy elimination of ``vectors`` in order; see ``Elimination``.
-    The basis is kept by pivot: an input costs a lookup and an XOR per
-    bit it clears."""
-    by_top: dict[int, tuple[int, int]] = {}
+    The basis is kept by pivot, input j of m packed as ``v << m | 1 << j``
+    (so the inputs are read before the first is packed): an input costs a
+    lookup and an XOR per bit it clears."""
+    vectors = tuple(vectors)
+    m = len(vectors)
+    low = (1 << m) - 1
+    by_top: dict[int, int] = {}
     kernel: list[int] = []
     for j, v in enumerate(vectors):
-        v, combo = _reduce(v, 1 << j, by_top)
-        if v:
-            by_top[v.bit_length()] = v, combo
+        v = _reduce(v << m | 1 << j, by_top)
+        if v > low:
+            by_top[v.bit_length()] = v
         else:
-            kernel.append(combo)
-    basis = tuple(v for v, _ in by_top.values())
-    combos = tuple(c for _, c in by_top.values())
-    return Elimination(basis, combos, tuple(kernel))
+            kernel.append(v)
+    packed = by_top.values()
+    return Elimination(tuple(v >> m for v in packed), tuple(v & low for v in packed), tuple(kernel))
 
 
 def rank(m: BitMatrix) -> int:
@@ -347,8 +354,10 @@ COSET_MAX_KERNEL_DIM = 28
 # ns a step on 64-bit columns (Python 3.11, 48 x 64 to 10 x 18 parity
 # checks and the learner's lifted columns).  An elimination does about
 # half the n * rank / 2 steps it is charged, one XOR per pivot an input
-# meets; per charged step it took 140 to 290 ns on those shapes, on a
-# host where a coset step took 110 to 200 ns.
+# meets, its combination riding in the low bits; per charged step it
+# took 60 to 120 ns on those shapes and on 12 x 14, next to 126 ns a
+# step of a dimension-16 coset walk, and 110 to 230 ns next to 191 ns in
+# a slower spell of the same shared 2-vCPU host (Python 3.11).
 COSET_STEP_COST = 1
 
 # Most steps ``sparse_xor_search`` may take.  At 90 to 250 ns a step

@@ -240,8 +240,11 @@ def random_planted(n: int, m: int, k: int, seed: int) -> tuple[SyndromeInstance,
 
     The whole H is redrawn until its rows are independent, keeping the
     matrix uniform over full-rank choices.  Determinism: a fixed seed
-    yields a bit-identical instance (MT19937 through getrandbits).
+    yields a bit-identical instance (MT19937 through getrandbits).  A
+    negative seed is refused: ``Random`` seeds by its absolute value.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n for independent rows")
     if not 0 <= k <= n:

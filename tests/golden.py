@@ -16,10 +16,14 @@ from the root of the checkout
     python3 tests/golden.py
 
 and name each case whose digest changed, and why, with the change.
+``python3 tests/golden.py --check`` writes nothing: it prints the name
+of each case whose digest differs from ``golden.json`` and exits 1 if
+there is one, so an interpreter without pytest can run the check.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -178,13 +182,34 @@ def digest(name: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def main() -> None:
+def check() -> int:
+    """Print each case whose digest differs from ``golden.json``, or
+    that is missing from ``CASES`` or from the file; 1 if there is one,
+    else 0."""
+    with open(GOLDEN_PATH) as f:
+        golden = json.load(f)
+    mismatched = [
+        name for name in sorted(set(CASES) | set(golden))
+        if name not in CASES or golden.get(name) != digest(name)
+    ]
+    for name in mismatched:
+        print(f"mismatch: {name}")
+    print(f"{len(set(CASES) - set(mismatched))} of {len(CASES)} cases match {GOLDEN_PATH}")
+    return 1 if mismatched else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description="Write or check the golden digests.")
+    parser.add_argument("--check", action="store_true", help="compare with golden.json, write nothing")
+    if parser.parse_args().check:
+        return check()
     golden = {name: digest(name) for name in CASES}
     with open(GOLDEN_PATH, "w") as f:
         json.dump(golden, f, indent=2)
         f.write("\n")
     print(f"wrote {len(golden)} digests to {GOLDEN_PATH}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

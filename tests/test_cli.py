@@ -89,6 +89,22 @@ def test_gen_rejects_bad_shape(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["gen", "solve-reduce", "decide"])
+def test_negative_seed_is_input_error(tmp_path, capsys, command):
+    # Random(-1) seeds like Random(1), so --seed -1 would silently repeat
+    # the run of --seed 1 while reporting seed=-1.
+    if command == "gen":
+        argv = ["gen", "--n", "14", "--m", "10", "--k", "2", "--out", str(tmp_path / "neg")]
+    else:
+        argv = [command, str(gen_planted(tmp_path, capsys, alpha="3"))]
+    code, stdout, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert stdout == ""
+    assert "outcome=error" in err
+    assert "error=seed must be >= 0, got -1" in err
+    assert not (tmp_path / "neg").exists()
+
+
 # ---------------------------------------------------------------- solve-exact
 
 

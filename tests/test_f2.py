@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ncplift.f2 import (
     BitMatrix,
     BitVector,
+    Elimination,
     FormatError,
     bit_column,
     dual_basis,
@@ -341,6 +342,71 @@ def test_eliminate_matches_the_lowest_bit_loop_on_random_inputs(seed):
     probes = [xor_of(vectors, rng.getrandbits(count)) for _ in range(20)]
     probes += [rng.getrandbits(width) for _ in range(20)]
     assert_eliminate_matches_the_lowest_bit_loop(vectors, probes)
+
+
+def two_xor_eliminate(vectors):
+    """Reference for ``eliminate``: the same pivot lookup with each
+    vector and its combination kept apart, two XORs per step.  Returns
+    the elimination and the reduction against its basis."""
+    by_top = {}
+
+    def reduce(v, combo=0):
+        while (hit := by_top.get(v.bit_length())) is not None:
+            v ^= hit[0]
+            combo ^= hit[1]
+        return v, combo
+
+    kernel = []
+    for j, v in enumerate(vectors):
+        v, combo = reduce(v, 1 << j)
+        if v:
+            by_top[v.bit_length()] = v, combo
+        else:
+            kernel.append(combo)
+    basis = tuple(v for v, _ in by_top.values())
+    combos = tuple(c for _, c in by_top.values())
+    return Elimination(basis, combos, tuple(kernel)), reduce
+
+
+def assert_eliminate_matches_the_two_xor_loop(vectors, probes):
+    """Every field of the elimination, and the residue and combination
+    of every probe, equal the two-XOR loop's; ``eliminate`` gets a
+    one-shot generator, as ``gadget.solution_unions`` passes it."""
+    vectors = list(vectors)
+    elim = eliminate(v for v in vectors)
+    expected, reduce = two_xor_eliminate(vectors)
+    assert elim.basis == expected.basis
+    assert elim.combos == expected.combos
+    assert elim.kernel == expected.kernel
+    for v in probes:
+        assert elim.reduce(v) == reduce(v)
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [[], [0], [0, 0, 0], [5, 5], [1, 2, 3], [6, 0, 6, 3, 5], [1, 1, 2, 2, 3, 3, 1 << 40], list(range(16))],
+    ids=["empty", "zero", "zeros", "duplicate", "dependent", "mixed", "pairs", "more-than-bits"],
+)
+def test_eliminate_matches_the_two_xor_loop_on_edge_inputs(vectors):
+    width = max(map(int.bit_length, vectors), default=0) + 2
+    assert_eliminate_matches_the_two_xor_loop(vectors, range(1 << min(width, 8)))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_eliminate_matches_the_two_xor_loop_on_random_inputs(seed):
+    # Widths from 1 to 2000 bits, from fewer inputs than bits to several
+    # times more, drawn from a random subspace so that most are
+    # rank-deficient, with repeated and zero inputs mixed in.
+    rng = random.Random(seed)
+    width = rng.choice([1, 3, 8, 24, 64, 200, 2000])
+    count = rng.randint(0, min(3 * width, 120))
+    gens = [rng.getrandbits(width) for _ in range(rng.randint(1, min(width, 100)))]
+    vectors = [xor_of(gens, rng.getrandbits(len(gens))) for _ in range(count)]
+    for _ in range(count // 8):
+        vectors.insert(rng.randint(0, len(vectors)), rng.choice([0, *vectors]))
+    probes = [xor_of(vectors, rng.getrandbits(len(vectors))) for _ in range(20)]
+    probes += [rng.getrandbits(width) for _ in range(20)]
+    assert_eliminate_matches_the_two_xor_loop(vectors, probes)
 
 
 # ---------------------------------------------------------------- dual basis

@@ -423,6 +423,12 @@ def test_random_planted_rejects_bad_shapes():
         random_planted(4, 2, 5, 0)
 
 
+def test_random_planted_rejects_a_negative_seed():
+    # Random(-s) seeds like Random(s), so -1 would alias seed 1.
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        random_planted(4, 2, 1, -1)
+
+
 # ---------------------------------------------------------------- file formats
 
 
