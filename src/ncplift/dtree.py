@@ -2,9 +2,11 @@
 
 Trees are immutable recursive structures: a ``Leaf`` holds a 0/1 label,
 a ``Node`` queries one coordinate (1-indexed) and branches on its value.
-All trees produced by this package are reduced: no coordinate repeats
-on a root-to-leaf path.  ``reduce_tree`` collapses repeated queries and
-is applied when parsing untrusted input.
+Nodes may be shared: the learner's parity tree of depth d is a DAG of
+2*d + 1 nodes and 2**d leaves.  Every tree walk goes through ``walk``,
+once per distinct state, so it costs the distinct nodes, not the depth
+or the paths.  A path may query a coordinate again; every consumer
+follows the branch that the first query fixed.
 
 Size is the number of leaves, depth the number of edges on the longest
 path.  Fourier coefficients use the +/-1 convention (bit b maps to
@@ -26,9 +28,9 @@ __all__ = [
     "Leaf",
     "Node",
     "DecisionTree",
+    "walk",
     "eval_tree",
     "truth_table",
-    "reduce_tree",
     "complement_tree",
     "prune",
     "path_masks",
@@ -158,31 +160,49 @@ class Node:
             return True
         if other.__class__ is not Node:
             return NotImplemented
-        # Pairs already met are not walked again: on a DAG a pair of
-        # nodes is reached along many paths.  A pair is recorded before
-        # its children are compared, which is safe because any mismatch
-        # below ends the whole comparison.
-        met = set()
-        pending = [(self, other)]
-        while pending:
-            a, b = pending.pop()
-            if a is b or (id(a), id(b)) in met:
-                continue
+        def step(pair):
+            a, b = pair
+            if a is b:
+                return True
             if a.__class__ is not b.__class__ or hash(a) != hash(b):
                 return False
             if a.__class__ is Leaf:
-                if a.label != b.label:
-                    return False
-                continue
-            if a.coord != b.coord:
-                return False
-            met.add((id(a), id(b)))
-            pending.append((a.low, b.low))
-            pending.append((a.high, b.high))
-        return True
+                return a.label == b.label
+            return a.coord == b.coord and (yield a.low, b.low) and (yield a.high, b.high)
+        # A pair of nodes that a DAG reaches along many paths is met once.
+        return walk(step, (self, other), key=lambda pair: (id(pair[0]), id(pair[1])))
 
 
 DecisionTree = Leaf | Node
+
+
+def walk(step, start, key=id, memo: dict | None = None):
+    """The value of a recursion over states at ``start``, computed with
+    an explicit stack, once per distinct ``key(state)``.
+
+    ``step(state)`` is a generator written as the recursion: it yields
+    each state whose value it needs, is sent that value, and returns its
+    own.  ``memo``, when given, keeps the values by key across calls.
+    """
+    memo = {} if memo is None else memo
+    top = key(start)
+    stack = [(top, step(start))]
+    value = None
+    while stack:
+        k, pending = stack[-1]
+        try:
+            state = pending.send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = memo[k] = done.value
+            continue
+        k = key(state)
+        if k in memo:
+            value = memo[k]
+        else:
+            stack.append((k, step(state)))
+            value = None
+    return memo[top]
 
 
 def eval_tree(t: DecisionTree, y: BitVector) -> int:
@@ -203,69 +223,63 @@ def _eval_mask(t: DecisionTree, mask: int) -> int:
 def truth_table(t: DecisionTree, n: int) -> int:
     """Packed outputs over all 2**n inputs; bit x is the label at point x."""
     full = (1 << (1 << n)) - 1
-    def build(node: DecisionTree) -> int:
+    def step(node: DecisionTree):
         if isinstance(node, Leaf):
             return full if node.label else 0
         if node.coord > n:
             raise ValueError(f"tree queries coordinate {node.coord} beyond arity {n}")
         wave = bit_column(node.coord - 1, n)
-        return (build(node.low) & ~wave) | (build(node.high) & wave)
-    return build(t) & full
-
-
-def reduce_tree(t: DecisionTree) -> DecisionTree:
-    """Collapse queries that repeat an ancestor's coordinate."""
-    def walk(node: DecisionTree, fixed: dict[int, int]) -> DecisionTree:
-        if isinstance(node, Leaf):
-            return node
-        if node.coord in fixed:
-            return walk(node.high if fixed[node.coord] else node.low, fixed)
-        low = walk(node.low, {**fixed, node.coord: 0})
-        high = walk(node.high, {**fixed, node.coord: 1})
-        return Node(node.coord, low, high)
-    return walk(t, {})
+        return ((yield node.low) & ~wave) | ((yield node.high) & wave)
+    return walk(step, t) & full
 
 
 def complement_tree(t: DecisionTree) -> DecisionTree:
-    """Same queries, every leaf label flipped."""
-    if isinstance(t, Leaf):
-        return Leaf(1 - t.label)
-    return Node(t.coord, complement_tree(t.low), complement_tree(t.high))
+    """Same queries, every leaf label flipped, shared nodes kept shared."""
+    def step(node: DecisionTree):
+        if isinstance(node, Leaf):
+            return Leaf(1 - node.label)
+        return Node(node.coord, (yield node.low), (yield node.high))
+    return walk(step, t)
 
 
 def prune(t: DecisionTree, d: int) -> DecisionTree:
     """Cut the tree at depth d, replacing removed subtrees by Leaf(0).
 
     Returns the tree itself, node for node, when its depth is already
-    within d.
+    within d.  Memoized on (node, depth left), so linear in a parity DAG.
     """
     if d < 0:
         raise ValueError("prune depth must be >= 0")
     if t.depth <= d:
         return t
-    if d == 0:
-        return Leaf(0)
-    assert isinstance(t, Node)
-    return Node(t.coord, prune(t.low, d - 1), prune(t.high, d - 1))
+    def step(state):
+        node, left = state
+        if node.depth <= left:
+            return node
+        if left == 0:
+            return Leaf(0)
+        return Node(node.coord, (yield node.low, left - 1), (yield node.high, left - 1))
+    return walk(step, (t, d), key=lambda state: (id(state[0]), state[1]))
 
 
-def path_masks(t: DecisionTree) -> set[int]:
+def path_masks(t: DecisionTree, most: float = math.inf) -> set[int] | None:
     """The distinct variable sets of the root-to-leaf paths, as masks
-    (bit i-1 for coordinate i).  Memoized on node identity, so a node
-    that several parents share is visited once: a parity DAG of depth d
-    costs O(d), not a walk over its 2**d leaves."""
-    memo: dict[int, set[int]] = {}
-
-    def walk(node: DecisionTree) -> set[int]:
+    (bit i-1 for coordinate i), found once per distinct node: a parity
+    DAG of depth d costs O(d), not a walk over its 2**d leaves.  None
+    once some node has more than ``most`` path sets: a DAG of two nodes
+    per level on distinct coordinates has 2**d of them on 2*d nodes.
+    """
+    def step(node: DecisionTree):
         if isinstance(node, Leaf):
             return {0}
-        found = memo.get(id(node))
-        if found is None:
-            bit = 1 << (node.coord - 1)
-            found = {pathmask | bit for pathmask in walk(node.low) | walk(node.high)}
-            memo[id(node)] = found
-        return found
-    return walk(t)
+        low = yield node.low
+        high = yield node.high
+        if low is None or high is None:
+            return None
+        bit = 1 << (node.coord - 1)
+        found = {pathmask | bit for pathmask in low | high}
+        return found if len(found) <= most else None
+    return walk(step, t)
 
 
 def path_support_sets(pathmasks: set[int]) -> list[ParityIndexSet]:
@@ -362,45 +376,41 @@ def estimate_distance(t: DecisionTree, oracle, tol: float, confidence: float, rn
 
 
 def format_tree(t: DecisionTree) -> str:
-    """Prefix token stream: ``q<i>`` then both children, or ``l0``/``l1``."""
-    out: list[str] = []
-    def walk(node: DecisionTree) -> None:
+    """One line per distinct node, children before parents and the root
+    last: ``l0`` or ``l1`` for a leaf, ``q<i> <low> <high>`` for a query
+    of coordinate i, its children named by line number, counted from 1.
+    A parity DAG of depth d takes 2*d + 1 lines."""
+    lines: list[str] = []
+    def step(node: DecisionTree):
         if isinstance(node, Leaf):
-            out.append(f"l{node.label}")
+            lines.append(f"l{node.label}")
         else:
-            out.append(f"q{node.coord}")
-            walk(node.low)
-            walk(node.high)
-    walk(t)
-    return " ".join(out)
+            lines.append(f"q{node.coord} {(yield node.low)} {(yield node.high)}")
+        return len(lines)
+    walk(step, t)
+    return "\n".join(lines)
 
 
 def parse_tree(text: str) -> DecisionTree:
-    """Parse the prefix format; repeated queries on a path are collapsed."""
-    tokens = text.split()
-    pos = 0
-    def take() -> DecisionTree:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise FormatError("unexpected end of tree text")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "l0":
-            return Leaf(0)
-        if tok == "l1":
-            return Leaf(1)
-        if tok.startswith("q"):
-            try:
-                coord = int(tok[1:])
-            except ValueError as e:
-                raise FormatError(f"malformed token {tok!r}") from e
-            if coord < 1:
-                raise FormatError(f"coordinate must be >= 1 in token {tok!r}")
-            low = take()
-            high = take()
-            return Node(coord, low, high)
-        raise FormatError(f"malformed token {tok!r}")
-    tree = take()
-    if pos != len(tokens):
-        raise FormatError(f"trailing tokens after tree: {tokens[pos:]!r}")
-    return reduce_tree(tree)
+    """Read ``format_tree``'s text back as written: a line that several
+    lines name is one shared node, and repeated queries are kept.  Each
+    line but the last, the root, must be a child of a later line."""
+    nodes: list[DecisionTree] = []
+    named: set[int] = set()
+    for number, line in enumerate(text.splitlines(), 1):
+        match line.split():
+            case ["l0" | "l1" as leaf]:
+                nodes.append(Leaf(int(leaf[1])))
+            case [query, low, high] if query[0] == "q" and all(map(str.isdecimal, (query[1:], low, high))):
+                coord, low, high = int(query[1:]), int(low), int(high)
+                if coord < 1 or not (0 < low < number and 0 < high < number):
+                    raise FormatError(f"line {number}: needs a coordinate >= 1 and earlier children")
+                named.update((low, high))
+                nodes.append(Node(coord, nodes[low - 1], nodes[high - 1]))
+            case _:
+                raise FormatError(f"line {number}: malformed node {line!r}")
+    if not nodes:
+        raise FormatError("empty tree text")
+    if len(named) < len(nodes) - 1:
+        raise FormatError("a line before the last is no later line's child")
+    return nodes[-1]

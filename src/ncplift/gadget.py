@@ -29,7 +29,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator
 
-from .dtree import DecisionTree, Leaf, Node, ParityIndexSet, path_masks
+from .dtree import DecisionTree, Leaf, Node, ParityIndexSet, path_masks, walk
 from .f2 import BitMatrix, BitVector, eliminate
 from .instance import _randbelow
 
@@ -463,24 +463,30 @@ def exact_lifted_tree_error(tree: DecisionTree, base, params: GadgetParams) -> F
     return err
 
 
-def solution_unions(pathmasks: set[int], span, params: GadgetParams) -> set[int]:
-    """The unions of whole blocks inside the given path sets whose
+def solution_unions(tree: DecisionTree, span, params: GadgetParams) -> set[int]:
+    """The unions of whole blocks inside the tree's path sets whose
     agreement with the lifted span source is 1, as lifted masks: by the
     span dichotomy, the lifts of the solutions s of H s = t supported on
     whole blocks of a path set.
 
-    Each distinct set W of whole blocks is one solve.  Bit i of the
-    column of block b is bit b of basis row i, and bit i of the target
-    is the label of row i.  ``f2.eliminate`` takes the |W| columns and
-    reduces the target: a nonzero residue leaves no solution in W, and
-    otherwise the solutions are the particular combination XOR the span
-    of the kernel, 2**(|W| - rank) of them.  Their lifts are counted
-    over every W, then built by doubling.
+    The path sets come from ``path_masks``, which stops once a node has
+    more than ``UNIONS_MAX`` of them.  Each distinct set W of whole
+    blocks is one solve.  Bit i of the column of block b is bit b of
+    basis row i, and bit i of the target is the label of row i.
+    ``f2.eliminate`` takes the |W| columns and reduces the target: a
+    nonzero residue leaves no solution in W, and otherwise the solutions
+    are the particular combination XOR the span of the kernel,
+    2**(|W| - rank) of them.  Their lifts are counted over every W, then
+    built by doubling.
 
     Raises:
-        ValueError: when a path set holds an index past the lifted arity,
-            or, before any union is built, when they pass ``UNIONS_MAX``.
+        ValueError: when the tree queries a coordinate past the lifted
+            arity, or, before any union is built, when the path sets or
+            the unions pass ``UNIONS_MAX``.
     """
+    pathmasks = path_masks(tree, UNIONS_MAX)
+    if pathmasks is None:
+        raise ValueError(f"the tree has more than {UNIONS_MAX} path sets, past UNIONS_MAX")
     ell = params.ell
     ones = (1 << ell) - 1
     wholes = set()
@@ -525,62 +531,59 @@ def span_lifted_tree_error(tree: DecisionTree, span, params: GadgetParams) -> Fr
     ``solution_unions`` solves for every term on the whole blocks of
     the tree's path sets, with no scan over their unions.
 
-    Each N_U = F^(U) * 2**depth is one recursion over the shared nodes.
-    A query in the rest of U gives (low - high) / 2, any other query
-    (low + high) / 2, a repeated query the branch its first answer
+    Each N_U = F^(U) * 2**depth is one ``dtree.walk`` over the shared
+    nodes.  A query in the rest of U gives (low - high) / 2, any other
+    query (low + high) / 2, a repeated query the branch its first answer
     fixed, and a leaf +-1 once nothing of U remains.  A subtree that
-    does not query all of the rest gives 0.  The recursion is memoized
-    on (node identity, rest of U, fixed values of the coordinates
-    queried below), so a tree that repeats no query costs O(nodes) per
-    union.  Each node's value is scaled by 2**(its depth), an integer,
-    and one Fraction is made at the end: (2**D - sum N_U) / 2**(D + 1).
+    does not query all of the rest (a first walk finds what each node
+    queries below it) gives 0.  The walks share a memo on (node, rest
+    of U, fixed values of the coordinates queried below), so a tree
+    that repeats no query costs O(nodes) per union at any depth.  Each
+    node's value is scaled by 2**(its depth), an integer, and one
+    Fraction is made at the end: (2**D - sum N_U) / 2**(D + 1).
 
     Raises:
-        ValueError: when the span's length is not the base arity, or a
-            node queries a coordinate past the lifted arity (refused by
-            ``solution_unions``).
+        ValueError: when the span's length is not the base arity; from
+            ``solution_unions``, when a node queries a coordinate past
+            the lifted arity or the path sets or unions pass
+            ``UNIONS_MAX``.
     """
     if span.length != params.base_n:
         raise ValueError("base arity does not match the gadget parameters")
-    unions = solution_unions(path_masks(tree), span, params)
-    below: dict[int, int] = {}
-    memo: dict[tuple[int, int, int, int], int] = {}
+    unions = solution_unions(tree, span, params)
 
-    def queried(node: DecisionTree) -> int:
+    def queried(node: DecisionTree):
         # The coordinates queried at or below a node, as a lifted mask.
         if isinstance(node, Leaf):
             return 0
-        mask = below.get(id(node))
-        if mask is None:
-            mask = 1 << (node.coord - 1) | queried(node.low) | queried(node.high)
-            below[id(node)] = mask
-        return mask
+        return 1 << (node.coord - 1) | (yield node.low) | (yield node.high)
 
-    def coefficient(node: DecisionTree, rest: int, fixed: int, values: int) -> int:
+    def coefficient(state):
+        node, rest, fixed, values = state
         if isinstance(node, Leaf):
             return 0 if rest else 1 - 2 * node.label
-        live = queried(node)
-        if rest & ~live:
+        if rest & ~below[id(node)]:
             return 0
-        key = (id(node), rest, fixed & live, values & live)
-        scaled = memo.get(key)
-        if scaled is None:
-            bit = 1 << (node.coord - 1)
-            if fixed & bit:
-                child = node.high if values & bit else node.low
-                scaled = coefficient(child, rest, fixed, values) << (node.depth - child.depth)
-            else:
-                low = coefficient(node.low, rest & ~bit, fixed | bit, values)
-                high = coefficient(node.high, rest & ~bit, fixed | bit, values | bit)
-                low <<= node.depth - 1 - node.low.depth
-                high <<= node.depth - 1 - node.high.depth
-                scaled = low - high if rest & bit else low + high
-            memo[key] = scaled
-        return scaled
+        bit = 1 << (node.coord - 1)
+        if fixed & bit:
+            child = node.high if values & bit else node.low
+            return (yield child, rest, fixed, values) << (node.depth - child.depth)
+        low = yield node.low, rest & ~bit, fixed | bit, values
+        high = yield node.high, rest & ~bit, fixed | bit, values | bit
+        low <<= node.depth - 1 - node.low.depth
+        high <<= node.depth - 1 - node.high.depth
+        return low - high if rest & bit else low + high
 
-    depth = tree.depth
-    total = sum(coefficient(tree, union, 0, 0) for union in unions)
-    return Fraction((1 << depth) - total, 1 << (depth + 1))
+    def key(state):
+        node, rest, fixed, values = state
+        live = below[id(node)]
+        return id(node), rest, fixed & live, values & live
+
+    below: dict[int, int] = {}
+    walk(queried, tree, memo=below)
+    memo: dict[tuple[int, int, int, int], int] = {}
+    total = sum(walk(coefficient, (tree, union, 0, 0), key, memo) for union in unions)
+    return Fraction((1 << tree.depth) - total, 1 << (tree.depth + 1))
 
 
 def enumerate_lifted(base, params: GadgetParams) -> Iterator[tuple[BitVector, Fraction, int]]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .dtree import DecisionTree, ParityIndexSet, path_masks, prune
+from .dtree import DecisionTree, ParityIndexSet, prune
 
 # Not called here: the benchmark's tracer (bench/spans.py) wraps
 # ``reduction.estimate_distance``, ``reduction.exact_lifted_agreement``
@@ -58,13 +58,6 @@ __all__ = [
     "search",
     "verify_certificate",
 ]
-
-# Bound on ell*k, the learner's tree depth; ``gadget.UNIONS_MAX``
-# bounds the unions.  The tree walks recurse per level (a planted k = 7
-# search at ell = 200 raises RecursionError in ``path_masks``), and
-# ``format_tree`` (``--dump-hypothesis``) writes 2**depth leaves: 7.3 MB
-# in 0.6-0.8 s at depth 20 on a 2-vCPU host, 4x more per two levels.
-TREE_MAX_DEPTH = 16
 
 # ``search`` prunes the hypothesis at PRUNE_CONSTANT * ceil(log2(size))
 # and caps a certificate's sparsity at that depth over ell.  The
@@ -142,12 +135,12 @@ def _thresholds(inst: SyndromeInstance, cfg: ReductionConfig) -> tuple[int, floa
 
 
 def _check_work(inst: SyndromeInstance, cfg: ReductionConfig) -> None:
-    """Refuse, before any sampling, a learning step past the work bounds.
+    """Refuse, before any sampling, a sample past ``SAMPLE_MAX_BYTES``.
 
     The gadget oracle packs its sample at base arity n and lifts it to
-    ell*n columns (``GadgetOracle.sample_columns``), and the learner may
-    build a tree of depth ell*k, which the tree walks recurse through
-    level by level and ``format_tree`` writes out leaf by leaf.
+    ell*n columns (``GadgetOracle.sample_columns``).  The tree depth
+    ell*k needs no bound: every tree walk costs the distinct nodes, and
+    the learner's search and the path sets are bounded where built.
     """
     lifted = cfg.ell * inst.n
     need = sample_bytes(inst.n, cfg.learner_samples, lifted)
@@ -156,12 +149,6 @@ def _check_work(inst: SyndromeInstance, cfg: ReductionConfig) -> None:
             f"packing {cfg.learner_samples} samples of arity {inst.n} and lifting them "
             f"to arity {lifted} takes about {need} bytes, "
             f"past SAMPLE_MAX_BYTES = {SAMPLE_MAX_BYTES}"
-        )
-    depth = cfg.ell * inst.k
-    if depth > TREE_MAX_DEPTH:
-        raise ValueError(
-            f"the learner's tree of depth ell*k = {depth} may have 2**{depth} leaves, "
-            f"past TREE_MAX_DEPTH = {TREE_MAX_DEPTH}"
         )
 
 
@@ -200,10 +187,10 @@ def decide(
 
     Raises:
         ValueError: before any sampling, when packing the learner's
-            sample would pass ``SAMPLE_MAX_BYTES`` or ell*k passes
-            ``TREE_MAX_DEPTH``; from the learner, when its search would
-            pass ``f2.SEARCH_MAX_COST``; from the tree error, when the
-            tree's solution unions pass ``gadget.UNIONS_MAX``.
+            sample would pass ``SAMPLE_MAX_BYTES``; from the learner,
+            when its search would pass ``f2.SEARCH_MAX_COST``; from the
+            tree error, when the tree's path sets or solution unions
+            pass ``gadget.UNIONS_MAX``.
     """
     _check_work(inst, cfg)
     size_cap, error_gate, tolerance = _thresholds(inst, cfg)
@@ -239,13 +226,13 @@ def extract_parity(tree: DecisionTree, oracle: GadgetOracle) -> list[ParityIndex
 
     Raises:
         ValueError: before solving, when the base is not a span; from
-            ``solution_unions``, before any union is built, when they
-            pass ``gadget.UNIONS_MAX``.
+            ``solution_unions``, before any union is built, when the
+            tree's path sets or its unions pass ``gadget.UNIONS_MAX``.
     """
     base = oracle.base
     if not isinstance(base, SpanOracle):
         raise ValueError(f"extraction needs a span base, not {type(base).__name__}")
-    found = map(ParityIndexSet.from_mask, solution_unions(path_masks(tree), base, oracle.params))
+    found = map(ParityIndexSet.from_mask, solution_unions(tree, base, oracle.params))
     return sorted(found, key=lambda s: (len(s.indices), s.indices))
 
 
@@ -282,10 +269,10 @@ def search(
 
     Raises:
         ValueError: before any sampling, when packing the learner's
-            sample would pass ``SAMPLE_MAX_BYTES`` or ell*k passes
-            ``TREE_MAX_DEPTH``; from the learner, when its search would
-            pass ``f2.SEARCH_MAX_COST``; from extraction, when the
-            pruned tree's solution unions pass ``gadget.UNIONS_MAX``.
+            sample would pass ``SAMPLE_MAX_BYTES``; from the learner,
+            when its search would pass ``f2.SEARCH_MAX_COST``; from
+            extraction, when the pruned tree's path sets or solution
+            unions pass ``gadget.UNIONS_MAX``.
     """
     _check_work(inst, cfg)
     learned = _learn(inst, cfg, learner, rng)

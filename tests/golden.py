@@ -148,7 +148,7 @@ def _generic_trees(seeds) -> list:
 # Planted search on the shapes of the search-extract and search-scan
 # workloads and of decide-gate; decide at alpha 3, on selftest's planted
 # seeds and certified-far instances, at three block widths (ell 8 is
-# depth 16, the bound); the instances of CI's deep, wide and span steps
+# depth 16); the instances of CI's deep, wide and span steps
 # at the CLI's default seed 0; brute force on the solve-exact shape and
 # on shapes small enough for the coset walk, each at caps that hit and
 # that miss; and extraction and the tree error on generic trees.

@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from random import Random
 
 import pytest
 
@@ -9,6 +10,8 @@ from ncplift.cli import main
 from ncplift.dtree import parse_tree
 from ncplift.f2 import BitVector, parse_vector
 from ncplift.instance import brute_force_nearest, read_syndrome_instance
+from ncplift.learners import exhaustive_parity_learner
+from ncplift.reduction import ReductionConfig, search
 
 UNSAT = "ncpsd v1\n2 2 1 1 1\n11\n11\n10\n"
 # Identity system, all-ones target, k=1, alpha=3: far (the only
@@ -205,20 +208,21 @@ def test_solve_reduce_past_span_enumeration_cap(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, flags, bound",
+    "command, flags",
     [
-        ("solve-reduce", ("--ell", "9"), "TREE_MAX_DEPTH"),
-        ("solve-reduce", ("--samples", "1000000000000"), "SAMPLE_MAX_BYTES"),
-        ("decide", ("--samples", "1000000000000"), "SAMPLE_MAX_BYTES"),
-        ("decide", ("--ell", "1000000000000"), "SAMPLE_MAX_BYTES"),
-        ("decide", ("--ell", "100"), "TREE_MAX_DEPTH"),
+        pytest.param(
+            "solve-reduce", ("--samples", "1000000000000"), id="solve-reduce-flags1-SAMPLE_MAX_BYTES"
+        ),
+        pytest.param(
+            "decide", ("--samples", "1000000000000"), id="decide-flags2-SAMPLE_MAX_BYTES"
+        ),
+        pytest.param("decide", ("--ell", "1000000000000"), id="decide-flags3-SAMPLE_MAX_BYTES"),
     ],
 )
-def test_work_past_the_bounds_is_input_error(tmp_path, capsys, command, flags, bound):
-    # On the README demo (k = 2), ell = 9 or 100 lets the learner build
-    # a parity tree of depth 18 or 200, 2**18 or 2**200 leaves, and
-    # 10**12 samples or a 10**12-wide block cannot be packed.  All are
-    # refused at once, before anything of their size is allocated.
+def test_work_past_the_bounds_is_input_error(tmp_path, capsys, command, flags):
+    # On the README demo, 10**12 samples or a 10**12-wide block cannot
+    # be packed.  Both are refused at once, before anything of their
+    # size is allocated.
     out = gen_planted(tmp_path, capsys, alpha="3")
     tracemalloc.start()
     try:
@@ -231,17 +235,68 @@ def test_work_past_the_bounds_is_input_error(tmp_path, capsys, command, flags, b
     assert code == 2
     assert stdout == ""
     assert "outcome=error" in err
-    assert bound in err
+    assert "SAMPLE_MAX_BYTES" in err
     assert "Traceback" not in err
     assert elapsed < 1.0
     assert peak < 2**20
 
 
+def check_certificate(tmp_path, capsys, instance, body, n, k_max):
+    sol = tmp_path / "sol"
+    sol.write_text(f"1 {n}\n{body.strip()}\n")
+    code, stdout, _ = run(capsys, "verify", str(instance), str(sol), "--k-max", str(k_max))
+    assert (code, stdout.strip()) == (0, "OK")
+
+
+@pytest.mark.parametrize("ell", ["9", "100"], ids=["ell9", "ell100"])
+def test_deep_trees_answer(tmp_path, capsys, ell):
+    # On the README demo (k = 2), ell = 9 or 100 lets the learner build
+    # a parity tree of depth 18 or 200, 2**18 or 2**200 leaves on 37 or
+    # 401 nodes.  Every walk costs the nodes: decide reports distance 0
+    # and solve-reduce's certificate verifies, within its sparsity cap
+    # 3 * ceil(log2(size)) // ell = 6.
+    out = gen_planted(tmp_path, capsys, alpha="3")
+    started = time.process_time()
+    code, stdout, err = run(capsys, "decide", str(out), "--ell", ell)
+    assert (code, stdout.strip()) == (0, "YES")
+    assert "distance=0" in err.splitlines()
+    code, stdout, err = run(capsys, "solve-reduce", str(out), "--ell", ell)
+    assert code == 0
+    assert time.process_time() - started < 5.0
+    check_certificate(tmp_path, capsys, out, stdout, 14, 6)
+
+
+def test_depth_1400_trees_answer_and_dump_one_line_per_node(tmp_path, capsys):
+    # Planted (14, 12, 7) at ell = 200: a parity DAG of depth 1400 on
+    # 2801 nodes.  With 3000 samples, more than the 2800 lifted columns,
+    # both pipelines answer, and the dump has one line per node and
+    # parses back to the tree search learned.  At the default 2000
+    # samples the learner's search is refused: its kernel has dimension
+    # at least 800.
+    out = gen_planted(tmp_path, capsys, n=14, m=12, k=7, seed=8001, alpha="3")
+    flags = ("--ell", "200", "--samples", "3000")
+    code, stdout, err = run(capsys, "decide", str(out), *flags)
+    assert (code, stdout.strip()) == (0, "YES")
+    assert "distance=0" in err.splitlines()
+    dump = tmp_path / "hyp"
+    code, stdout, _ = run(capsys, "solve-reduce", str(out), *flags, "--dump-hypothesis", str(dump))
+    assert code == 0
+    check_certificate(tmp_path, capsys, out, stdout, 14, 21)
+    text = dump.read_text()
+    assert len(text.splitlines()) == 2 * 1400 + 1 and len(text) < 2**16
+    inst = read_syndrome_instance(out.read_text())
+    cfg = ReductionConfig(ell=200, learner_samples=3000)
+    assert parse_tree(text) == search(inst, cfg, exhaustive_parity_learner, Random(0)).hypothesis
+    for command in ("decide", "solve-reduce"):
+        code, stdout, err = run(capsys, command, str(out), "--ell", "200")
+        assert (code, stdout) == (2, "")
+        assert "exact search too large" in err and "Traceback" not in err
+
+
 def test_solve_reduce_at_depth_fourteen(tmp_path, capsys):
-    # k = 7 at ell = 2: the learner's parity tree has depth 14, within
-    # TREE_MAX_DEPTH, and one elimination on the seven whole blocks of
-    # its one path set gives the one solution union, with no listing of
-    # the set's subsets.
+    # k = 7 at ell = 2: the learner's parity tree has depth 14, and one
+    # elimination on the seven whole blocks of its one path set gives
+    # the one solution union, with no listing of the set's subsets.
     out = gen_planted(tmp_path, capsys, n=48, m=36, k=7, seed=1)
     started = time.monotonic()
     code, stdout, _ = run(capsys, "solve-reduce", str(out), "--ell", "2")

@@ -1,5 +1,6 @@
 """Decision trees: evaluation, pruning, spectra, serialization."""
 
+import math
 import random
 import time
 from contextlib import nullcontext
@@ -26,7 +27,6 @@ from ncplift.dtree import (
     path_masks,
     path_support_sets,
     prune,
-    reduce_tree,
     sample_size,
     truth_table,
 )
@@ -34,6 +34,8 @@ from ncplift.f2 import BitMatrix, BitVector, rank
 from ncplift.instance import LabeledSet
 from ncplift.learners import _parity_dags, parity_to_tree
 from ncplift.span import make_span_oracle
+from golden import _generic_tree
+from helpers import cpu_limit, reduce_tree
 
 
 def index_set(*indices):
@@ -424,6 +426,84 @@ def test_path_masks_of_a_depth_forty_parity_dag():
     assert path_masks(Node(41, t, Leaf(0))) == {full.mask | 1 << 40, 1 << 40}
 
 
+def recursive_prune(t, d):
+    """Oracle for ``prune``: the recursion it replaces, one frame per
+    level and no memo."""
+    if t.depth <= d:
+        return t
+    if d == 0:
+        return Leaf(0)
+    return Node(t.coord, recursive_prune(t.low, d - 1), recursive_prune(t.high, d - 1))
+
+
+def recursive_path_masks(t, most=math.inf):
+    """Oracle for ``path_masks``: the recursion it replaces, memoized on
+    node identity, then None when any node has more than ``most``."""
+    memo = {}
+
+    def walk(node):
+        if isinstance(node, Leaf):
+            return {0}
+        found = memo.get(id(node))
+        if found is None:
+            bit = 1 << (node.coord - 1)
+            found = {pathmask | bit for pathmask in walk(node.low) | walk(node.high)}
+            memo[id(node)] = found
+        return found
+    found = walk(t)
+    return found if all(len(sets) <= most for sets in memo.values()) else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 8), st.integers(0, 9))
+def test_walks_match_the_recursions_they_replace(seed, n, depth):
+    # Shared subtrees and repeated queries, cut at every depth up to
+    # past the tree's own, and path sets bounded at a random count.
+    rng = random.Random(seed)
+    trees = [_generic_tree(rng, list(range(1, n + 1)), depth), random_dag(rng, n, depth)]
+    trees.append(Node(n + 1, trees[0], trees[1]))
+    for t in trees:
+        for d in range(t.depth + 2):
+            assert prune(t, d) == recursive_prune(t, d)
+        assert path_masks(t) == recursive_path_masks(t)
+        most = rng.randint(1, 12)
+        assert path_masks(t, most) == recursive_path_masks(t, most)
+        assert parse_tree(format_tree(t)) == t
+        assert truth_table(complement_tree(t), n + 1) == truth_table(t, n + 1) ^ ((1 << (1 << n + 1)) - 1)
+
+
+def test_prune_of_a_depth_forty_parity_dag_is_linear():
+    # Each (node, depth left) is cut once: 2**20 paths above the cut,
+    # but 2 nodes per level.
+    t = parity_to_tree(index_set(*range(1, 41)))
+    want = Leaf(0)
+    for c in range(20, 0, -1):
+        want = Node(c, want, want)
+    with cpu_limit(1):
+        cut = prune(t, 20)
+        assert cut == want
+        assert len(format_tree(cut).splitlines()) <= 2 * 20 + 1
+
+
+def test_complement_of_a_depth_forty_parity_dag():
+    even, odd = _parity_dags(tuple(range(1, 41)))
+    with cpu_limit(1):
+        assert complement_tree(even) == odd
+        assert complement_tree(odd) == even
+
+
+def test_walks_hold_no_frame_per_level():
+    # A parity DAG of depth 3000, past the interpreter's recursion
+    # limit, through every walk over it.
+    full = index_set(*range(1, 3001))
+    even, odd = _parity_dags(full.indices)
+    with cpu_limit(5):
+        assert path_masks(even) == {full.mask}
+        assert prune(even, 1500).depth == 1500
+        assert complement_tree(even) == odd
+        assert parse_tree(format_tree(even)) == even
+
+
 # ---------------------------------------------------------------- spectrum
 
 
@@ -525,15 +605,25 @@ def test_estimate_distance_within_tolerance():
 
 
 def test_format_parse_round_trip():
+    # One line per distinct node, children first, named by line number.
     t = Node(2, Leaf(0), Node(1, Leaf(1), Leaf(0)))
     text = format_tree(t)
-    assert text == "q2 l0 q1 l1 l0"
+    assert text == "l0\nl1\nl0\nq1 2 3\nq2 1 4"
     assert parse_tree(text) == t
     assert parse_tree(format_tree(Leaf(1))) == Leaf(1)
+    # A shared node is one line, and parses back as one node.
+    dag = parity_to_tree(index_set(2, 5))
+    assert format_tree(dag) == "l0\nl1\nq5 1 2\nq5 2 1\nq2 3 4"
+    parsed = parse_tree(format_tree(dag) + "\n")
+    assert parsed == dag and parsed.low.low is parsed.high.high
 
 
-def test_parse_reduces_repeated_queries():
-    assert parse_tree("q1 q1 l1 l0 l1") == Node(1, Leaf(1), Leaf(1))
+def test_parse_keeps_repeated_queries():
+    # Every consumer follows the branch the first query fixed, so the
+    # text is read as written.
+    t = parse_tree("l1\nl0\nq1 1 2\nq1 3 1")
+    assert t == Node(1, Node(1, Leaf(1), Leaf(0)), Leaf(1))
+    assert truth_table(t, 1) == truth_table(Node(1, Leaf(1), Leaf(1)), 1)
 
 
 def test_parse_round_trip_random():
@@ -544,6 +634,19 @@ def test_parse_round_trip_random():
 
 
 def test_parse_rejections():
-    for bad in ("", "q1 l0", "l2", "x1 l0 l1", "q0 l0 l1", "l0 l1", "q1 l0 l1 l0"):
+    for bad in (
+        "", "l2", "x1", "q1", "q1 1", "q1 1 1", "l0 l1", "l0\nq0 1 1", "l0\nq1 1 2",
+        "l0\nq1 0 1", "l0\nq1 1 x", "l0\nq+1 1 1", "l0\n\nq1 1 1", "l0\nl1",
+        "l0\nl1\nq1 1 1", "l0\nq1 1 1 1", "l0\nq 1 1",
+    ):
         with pytest.raises(FormatError):
             parse_tree(bad)
+
+
+def test_format_parse_round_trip_of_a_depth_200_parity_dag():
+    # 2**200 leaves on 2*200 + 1 nodes: one line each.
+    t = parity_to_tree(index_set(*range(1, 201)))
+    with cpu_limit(1):
+        text = format_tree(t)
+        assert len(text.splitlines()) == 2 * 200 + 1
+        assert parse_tree(text) == t

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncplift import gadget
-from ncplift.dtree import Leaf, Node, ParityIndexSet, complement_tree, exact_distance
+from ncplift.dtree import Leaf, Node, ParityIndexSet, complement_tree, exact_distance, path_masks
 from ncplift.f2 import BitMatrix, BitVector, eliminate, mat_vec, rank
 from ncplift.gadget import (
     FinitePmf,
@@ -34,6 +35,7 @@ from ncplift.gadget import (
 from ncplift.instance import LabeledSet
 from ncplift.learners import _parity_dags, parity_to_tree
 from ncplift.span import exact_disagreement, make_span_oracle
+from helpers import cpu_limit
 
 P2 = GadgetParams(ell=2, base_n=2)
 
@@ -316,14 +318,15 @@ def test_block_fold_matches_the_dict_count(ell):
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
 def test_block_unions_are_the_block_complete_subsets(ell):
-    # Every lifted mask up to 8 bits, over a span with no rows, where
-    # every union of whole blocks solves the empty system: the solution
-    # unions are exactly the subsets that the fold finds block complete.
+    # Every lifted mask up to 8 bits, as the one path set of its parity
+    # tree, over a span with no rows, where every union of whole blocks
+    # solves the empty system: the solution unions are exactly the
+    # subsets that the fold finds block complete.
     params = GadgetParams(ell=ell, base_n=8 // ell)
     span = make_span_oracle(LabeledSet((), (), params.base_n))
     for mask in range(1 << params.lifted_n):
         subsets = [sub for sub in range(1 << params.lifted_n) if sub & mask == sub]
-        assert solution_unions({mask}, span, params) == {
+        assert solution_unions(parity_to_tree(ParityIndexSet.from_mask(mask)), span, params) == {
             sub for sub in subsets if gadget._block_fold(sub, params) is not None
         }
 
@@ -460,7 +463,7 @@ def test_span_agreement_matches_both_oracles(m, extra, ell, mode, seed):
     else:
         s = lift_parity(s_star, params)
     pathmask = s.mask | rng.getrandbits(params.lifted_n)
-    got = s.mask in solution_unions({pathmask}, span, params)
+    got = s.mask in solution_unions(parity_to_tree(ParityIndexSet.from_mask(pathmask)), span, params)
     agreement = exact_lifted_agreement(span, s, params)
     assert agreement in (Fraction(1, 2), Fraction(1))
     assert got == (agreement == 1)
@@ -475,9 +478,9 @@ def test_span_agreement_matches_both_oracles(m, extra, ell, mode, seed):
 def test_span_agreement_rejects_foreign_index():
     span = make_span_oracle(LabeledSet((BitVector.from01("10"),), (1,), 2))
     with pytest.raises(ValueError):
-        solution_unions({index_set(5).mask}, span, P2)
+        solution_unions(Node(5, Leaf(0), Leaf(1)), span, P2)
     with pytest.raises(ValueError):
-        solution_unions({index_set(1, 2).mask, 1 << P2.lifted_n}, span, P2)
+        solution_unions(Node(1, parity_to_tree(index_set(2)), Node(5, Leaf(0), Leaf(1))), span, P2)
 
 
 # ---------------------------------------------------------------- restrictions
@@ -813,10 +816,10 @@ def test_span_tree_error_of_a_depth_24_parity_dag():
     labels = tuple((s_star.mask & mk).bit_count() & 1 for mk in masks)
     span = make_span_oracle(LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n))
     assert lift_parity(s_star, params).mask in solution_unions(
-        {lift_parity(s_star, params).mask}, span, params
+        parity_to_tree(lift_parity(s_star, params)), span, params
     )
     assert lift_parity(wrong, params).mask not in solution_unions(
-        {lift_parity(wrong, params).mask}, span, params
+        parity_to_tree(lift_parity(wrong, params)), span, params
     )
     planted, complement = _parity_dags(lift_parity(s_star, params).indices)
     assert planted.depth == complement.depth == 24
@@ -826,22 +829,55 @@ def test_span_tree_error_of_a_depth_24_parity_dag():
     assert span_lifted_tree_error(other, span, params) == Fraction(1, 2)
 
 
+def submasks(mask):
+    """Every mask whose bits lie within the given one."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
 def test_solution_unions_are_the_unions_at_agreement_one():
+    # The path sets of random trees over a few blocks, each subset of
+    # each scored by the enumerating agreement.
     rng = random.Random(103)
     for _ in range(40):
         n = rng.randint(1, 6)
         ell = rng.choice([1, 2, 3])
         params = GadgetParams(ell, n)
         span = random_span(rng, n, rng.randint(0, n))
-        pathmasks = {rng.getrandbits(params.lifted_n) for _ in range(rng.randint(0, 3))}
+        tree = random_block_tree(rng, params, rng.randint(0, 4))
+        pathmasks = path_masks(tree)
         want = {
             union
             for pathmask in pathmasks
-            for union in range(1 << params.lifted_n)
-            if union & ~pathmask == 0
-            and exact_lifted_agreement(span, ParityIndexSet.from_mask(union), params) == 1
+            for union in submasks(pathmask)
+            if exact_lifted_agreement(span, ParityIndexSet.from_mask(union), params) == 1
         }
-        assert solution_unions(pathmasks, span, params) == want
+        assert solution_unions(tree, span, params) == want
+
+
+def test_path_sets_past_unions_max_are_refused_in_bounded_memory():
+    # Two nodes per level, on coordinates 2i-1 and 2i: 2**20 path sets
+    # on 42 nodes.  Building them stops at the first node past
+    # UNIONS_MAX = 2**16, 17 levels up, before anything is solved.
+    params = GadgetParams(2, 20)
+    span = random_span(random.Random(5), 20, 10)
+    level = [Leaf(0), Leaf(1)]
+    for i in range(20, 0, -1):
+        level = [Node(2 * i - 1, *level), Node(2 * i, *level[::-1])]
+    tracemalloc.start()
+    try:
+        for refused in (solution_unions, span_lifted_tree_error):
+            with cpu_limit(5), pytest.raises(ValueError) as refusal:
+                refused(level[0], span, params)
+            assert str(refusal.value) == "the tree has more than 65536 path sets, past UNIONS_MAX"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**26
 
 
 def test_solution_unions_of_twenty_two_whole_blocks_solve_the_system():
@@ -861,7 +897,7 @@ def test_solution_unions_of_twenty_two_whole_blocks_solve_the_system():
     pathmask |= 1 << (2 * half - 1)
     columns = [sum((row >> (b - 1) & 1) << i for i, row in enumerate(span.points)) for b in whole]
     started = time.process_time()
-    unions = solution_unions({pathmask}, span, params)
+    unions = solution_unions(parity_to_tree(ParityIndexSet.from_mask(pathmask)), span, params)
     assert time.process_time() - started < 0.5
     assert len(unions) == 1 << (len(whole) - rank(BitMatrix(len(whole), m, columns)))
     for union in unions:

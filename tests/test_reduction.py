@@ -1,10 +1,8 @@
 """End-to-end pipelines: learn on lifted examples, decide or extract."""
 
 import random
-import signal
 import time
 import tracemalloc
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -17,7 +15,6 @@ from ncplift.dtree import (
     path_masks,
     path_support_sets,
     prune,
-    reduce_tree,
 )
 from ncplift.f2 import BitMatrix, BitVector, eliminate, mat_vec, rank
 from ncplift.gadget import (
@@ -40,7 +37,6 @@ from ncplift.instance import (
 from ncplift.learners import exhaustive_parity_learner, parity_to_tree, planted_learner
 from ncplift.reduction import (
     PRUNE_CONSTANT,
-    TREE_MAX_DEPTH,
     ReductionConfig,
     SearchReport,
     build_learning_instance,
@@ -51,6 +47,7 @@ from ncplift.reduction import (
 )
 from ncplift.selftest import _far_instance
 from ncplift.span import make_span_oracle
+from helpers import cpu_limit, reduce_tree
 
 CFG = ReductionConfig()
 
@@ -565,21 +562,6 @@ def test_search_reports_unverified_candidates():
     assert report.candidates == 0
 
 
-@contextmanager
-def cpu_limit(seconds):
-    """Raise TimeoutError once the process has used `seconds` more CPU."""
-    def expire(signum, frame):
-        raise TimeoutError(f"over {seconds} s of CPU")
-
-    previous = signal.signal(signal.SIGPROF, expire)
-    signal.setitimer(signal.ITIMER_PROF, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_PROF, 0)
-        signal.signal(signal.SIGPROF, previous)
-
-
 def test_search_past_enumeration_cap_finishes():
     # Span dimensions 21..32 are beyond exhaustive span enumeration;
     # search must still finish and return a verified certificate.
@@ -591,12 +573,10 @@ def test_search_past_enumeration_cap_finishes():
         assert verify_certificate(inst, report.solution, PRUNE_CONSTANT * inst.k)
 
 
-def test_search_at_depth_twenty_four_solves_for_its_candidates(monkeypatch):
-    # k = 12 at ell = 2, with TREE_MAX_DEPTH lifted for this test: the
-    # pruned tree's one path set has 2**24 subsets, and extraction
-    # solves for the one at agreement 1 instead of listing them.  CPU
-    # time, so a busy host does not fail it.
-    monkeypatch.setattr(reduction, "TREE_MAX_DEPTH", 24)
+def test_search_at_depth_twenty_four_solves_for_its_candidates():
+    # k = 12 at ell = 2: the pruned tree's one path set has 2**24
+    # subsets, and extraction solves for the one at agreement 1 instead
+    # of listing them.  CPU time, so a busy host does not fail it.
     inst, x = random_planted(72, 54, 12, 1)
     with cpu_limit(10):
         report = search(inst, CFG, exhaustive_parity_learner, random.Random(1))
@@ -686,38 +666,43 @@ def largest_sample_within_the_bound(n, ell):
     return lo
 
 
-def test_search_bounds_ell_times_k_before_learning():
-    # k = 1: ell = TREE_MAX_DEPTH is the deepest tree allowed.  A
-    # planted one-coordinate hypothesis keeps the allowed run short.
-    inst, _ = random_planted(8, 6, 1, 3)
-    cfg = ReductionConfig(ell=TREE_MAX_DEPTH)
-    search(inst, cfg, planted_learner(index_set(1)), random.Random(0))
-    cfg = ReductionConfig(ell=TREE_MAX_DEPTH + 1)
-    with pytest.raises(ValueError, match="TREE_MAX_DEPTH"):
-        search(inst, cfg, refusing_learner, random.Random(0))
+def deep_planted_instance():
+    """Planted (14, 12, 7) at alpha 3, seed 8001: at ell = 200 the
+    learner's parity DAG has depth 1400, 2**1400 leaves on 2801 nodes,
+    and the 3000 samples outnumber the 2800 lifted columns."""
+    raw, x = random_planted(14, 12, 7, 8001)
+    return SyndromeInstance(raw.h, raw.t, raw.k, Fraction(3)), x
 
 
-def test_decide_bounds_ell_times_k_before_learning():
-    # As for search, on a k = 1 instance with alpha = 3, whose gate is
-    # not vacuous at ell = TREE_MAX_DEPTH: the one-coordinate hypothesis
-    # covers no block, so it sits at distance 1/2 and is rejected.
-    raw, _ = random_planted(8, 6, 1, 3)
-    inst = SyndromeInstance(raw.h, raw.t, raw.k, Fraction(3))
-    cfg = ReductionConfig(ell=TREE_MAX_DEPTH)
-    report = decide(inst, cfg, planted_learner(index_set(1)), random.Random(0))
-    assert (report.reason, report.distance) == ("distance-gate", Fraction(1, 2))
-    cfg = ReductionConfig(ell=TREE_MAX_DEPTH + 1)
-    with pytest.raises(ValueError, match="TREE_MAX_DEPTH"):
-        decide(inst, cfg, refusing_learner, random.Random(0))
+def test_search_answers_on_a_depth_1400_tree():
+    # No bound on ell*k: every tree walk costs the DAG's distinct nodes,
+    # so a depth-1400 tree is searched as fast as its 2801 nodes allow.
+    inst, x = deep_planted_instance()
+    cfg = ReductionConfig(ell=200, learner_samples=3000)
+    with cpu_limit(10):
+        report = search(inst, cfg, exhaustive_parity_learner, random.Random(0))
+    assert (report.hypothesis.depth, report.pruned_depth) == (1400, 4200)
+    assert (report.solution, report.candidates) == (x, 1)
+    assert verify_certificate(inst, report.solution, inst.k)
 
 
-def test_decide_at_depth_twenty_two_on_the_gate_instance(monkeypatch):
-    # The gate instance at ell = 11, with TREE_MAX_DEPTH lifted for this
-    # test: the learner's parity DAG has depth 22 and 2**22 paths, and
-    # the tree error sums the coefficient of its one solution union, a
-    # walk over its 46 objects.  CPU time, so a busy host does not fail
-    # it.
-    monkeypatch.setattr(reduction, "TREE_MAX_DEPTH", 22)
+def test_decide_answers_on_a_depth_1400_tree():
+    # As for search: the exact distance of the depth-1400 parity DAG is
+    # one walk over its nodes per solution union, and the size cap
+    # 2**1400 holds its 2**1400 leaves.
+    inst, _ = deep_planted_instance()
+    cfg = ReductionConfig(ell=200, learner_samples=3000)
+    with cpu_limit(10):
+        report = decide(inst, cfg, exhaustive_parity_learner, random.Random(0))
+    assert report.hypothesis.depth == 1400
+    assert (report.reason, report.distance) == ("ok-yes", 0)
+
+
+def test_decide_at_depth_twenty_two_on_the_gate_instance():
+    # The gate instance at ell = 11: the learner's parity DAG has depth
+    # 22 and 2**22 paths, and the tree error sums the coefficient of its
+    # one solution union, a walk over its 45 nodes.  CPU time, so a busy
+    # host does not fail it.
     raw, _ = random_planted(14, 12, 2, 8001)
     inst = SyndromeInstance(raw.h, raw.t, raw.k, Fraction(3))
     started = time.process_time()
@@ -727,12 +712,11 @@ def test_decide_at_depth_twenty_two_on_the_gate_instance(monkeypatch):
     assert (report.reason, report.distance) == ("ok-yes", 0)
 
 
-def test_decide_at_depth_thirty_two_solves_for_its_unions(monkeypatch):
-    # k = 16 at ell = 2, with TREE_MAX_DEPTH lifted for this test: the
-    # learner's parity DAG has depth 32 and its one path set 16 whole
-    # blocks.  The tree error's unions come from one elimination of
-    # those 16 columns, not a scan of their 2**16 unions.
-    monkeypatch.setattr(reduction, "TREE_MAX_DEPTH", 32)
+def test_decide_at_depth_thirty_two_solves_for_its_unions():
+    # k = 16 at ell = 2: the learner's parity DAG has depth 32 and its
+    # one path set 16 whole blocks.  The tree error's unions come from
+    # one elimination of those 16 columns, not a scan of their 2**16
+    # unions.
     raw, _ = random_planted(34, 33, 16, 5)
     inst = SyndromeInstance(raw.h, raw.t, raw.k, Fraction(3))
     started = time.process_time()
@@ -784,9 +768,10 @@ def test_pipelines_bound_the_sample_before_sampling(pipeline):
 
 @pytest.mark.parametrize("pipeline", [search, decide])
 def test_pipelines_check_the_sample_bound_first(pipeline):
-    # Past both work bounds, both pipelines name the sample bound.
+    # A sample one example past the bound, at a block width that lifts
+    # the learner's tree to depth 17, is refused naming the sample bound.
     inst, _ = random_planted(8, 6, 1, 3)
-    ell = TREE_MAX_DEPTH + 1
+    ell = 17
     cfg = ReductionConfig(ell=ell, learner_samples=largest_sample_within_the_bound(8, ell) + 1)
     with pytest.raises(ValueError, match="SAMPLE_MAX_BYTES"):
         pipeline(inst, cfg, refusing_learner, random.Random(0))
