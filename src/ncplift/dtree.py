@@ -31,16 +31,15 @@ __all__ = [
     "walk",
     "eval_tree",
     "truth_table",
-    "complement_tree",
     "prune",
     "path_masks",
     "path_support_sets",
     "exact_uniform_fourier",
-    "exact_distance",
     "sample_size",
     "estimate_distance",
     "format_tree",
     "parse_tree",
+    "int_text",
 ]
 
 
@@ -155,6 +154,10 @@ class Node:
     def __hash__(self) -> int:
         return self._hash
 
+    def __repr__(self) -> str:
+        # The dataclass repr would write every path of a shared DAG.
+        return f"Node(coord={self.coord}, depth={self.depth}, size={int_text(self.size)})"
+
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
@@ -174,6 +177,14 @@ class Node:
 
 
 DecisionTree = Leaf | Node
+
+
+def int_text(value: int) -> str:
+    """``value`` in decimal, or as ``2**k`` when it is a power of two of
+    at least 2**64, such as the size of a parity tree of depth k."""
+    if value >= 1 << 64 and value & (value - 1) == 0:
+        return f"2**{value.bit_length() - 1}"
+    return str(value)
 
 
 def walk(step, start, key=id, memo: dict | None = None):
@@ -214,12 +225,6 @@ def eval_tree(t: DecisionTree, y: BitVector) -> int:
     return t.label
 
 
-def _eval_mask(t: DecisionTree, mask: int) -> int:
-    while isinstance(t, Node):
-        t = t.high if (mask >> (t.coord - 1)) & 1 else t.low
-    return t.label
-
-
 def truth_table(t: DecisionTree, n: int) -> int:
     """Packed outputs over all 2**n inputs; bit x is the label at point x."""
     full = (1 << (1 << n)) - 1
@@ -231,15 +236,6 @@ def truth_table(t: DecisionTree, n: int) -> int:
         wave = bit_column(node.coord - 1, n)
         return ((yield node.low) & ~wave) | ((yield node.high) & wave)
     return walk(step, t) & full
-
-
-def complement_tree(t: DecisionTree) -> DecisionTree:
-    """Same queries, every leaf label flipped, shared nodes kept shared."""
-    def step(node: DecisionTree):
-        if isinstance(node, Leaf):
-            return Leaf(1 - node.label)
-        return Node(node.coord, (yield node.low), (yield node.high))
-    return walk(step, t)
 
 
 def prune(t: DecisionTree, d: int) -> DecisionTree:
@@ -336,17 +332,6 @@ def exact_uniform_fourier(t: DecisionTree, n: int) -> dict[ParityIndexSet, Fract
     }
 
 
-def exact_distance(
-    t: DecisionTree, weighted: Iterable[tuple[BitVector, Fraction, int]]
-) -> Fraction:
-    """Exact weighted disagreement with a labeled enumeration."""
-    total = Fraction(0)
-    for point, weight, label in weighted:
-        if eval_tree(t, point) != label:
-            total += weight
-    return total
-
-
 def sample_size(tol: float, confidence: float) -> int:
     """Draws needed so the empirical mean lands within tol of the truth
     with the stated confidence (two-sided Hoeffding)."""
@@ -367,7 +352,7 @@ def estimate_distance(t: DecisionTree, oracle, tol: float, confidence: float, rn
     bad = 0
     for _ in range(n):
         point, label = oracle.sample(rng)
-        if _eval_mask(t, point.mask) != label:
+        if eval_tree(t, point) != label:
             bad += 1
     return Fraction(bad, n)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice, repeat
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "FormatError",
@@ -224,9 +224,6 @@ class BitMatrix:
         packed = b"".join(map(int.to_bytes, reversed(self.row_masks), repeat(width), repeat("little")))
         return [int(packed[c >> 3::width].translate(_BIT_DIGITS[c & 7]), 2) for c in range(w)]
 
-    def transpose(self) -> BitMatrix:
-        return BitMatrix(self.cols, self.rows, tuple(self.column_masks()))
-
 
 def mat_vec(m: BitMatrix, v: BitVector) -> BitVector:
     """Matrix-vector product over GF(2).
@@ -251,7 +248,8 @@ def mat_vec(m: BitMatrix, v: BitVector) -> BitVector:
     return BitVector(m.rows, out)
 
 
-class Elimination(NamedTuple):
+@dataclass(frozen=True)
+class Elimination:
     """Greedy GF(2) elimination of a list of packed vectors, with the
     combination of inputs behind every result.
 
@@ -270,11 +268,24 @@ class Elimination(NamedTuple):
     of independent inputs are equal, so the kernel, the rank and the
     highest bit of each of ``combos`` depend only on the inputs, not on
     how the basis is laid out.
+
+    ``reduce`` uses the pivot table that ``eliminate`` built, each basis
+    vector carrying its combination in the low bits, and ``basis`` and
+    ``combos`` are read out of it.
     """
 
-    basis: tuple[int, ...]
-    combos: tuple[int, ...]
     kernel: tuple[int, ...]
+    _by_top: dict[int, int]
+    _inputs: int
+
+    @property
+    def basis(self) -> tuple[int, ...]:
+        return tuple(v >> self._inputs for v in self._by_top.values())
+
+    @property
+    def combos(self) -> tuple[int, ...]:
+        low = (1 << self._inputs) - 1
+        return tuple(v & low for v in self._by_top.values())
 
     def reduce(self, v: int) -> tuple[int, int]:
         """``v`` reduced against the basis until its highest set bit is
@@ -282,9 +293,8 @@ class Elimination(NamedTuple):
         exactly when ``v`` is in the span, and then the XOR of the inputs
         in the combination is ``v``.  A nonzero residue may keep pivot
         bits below its highest bit."""
-        m = len(self.basis) + len(self.kernel)
-        by_top = {b.bit_length() + m: b << m | c for b, c in zip(self.basis, self.combos)}
-        v = _reduce(v << m, by_top)
+        m = self._inputs
+        v = _reduce(v << m, self._by_top)
         return v >> m, v & ((1 << m) - 1)
 
 
@@ -314,8 +324,7 @@ def eliminate(vectors: Iterable[int]) -> Elimination:
             by_top[v.bit_length()] = v
         else:
             kernel.append(v)
-    packed = by_top.values()
-    return Elimination(tuple(v >> m for v in packed), tuple(v & low for v in packed), tuple(kernel))
+    return Elimination(tuple(kernel), by_top, m)
 
 
 def rank(m: BitMatrix) -> int:

@@ -23,22 +23,19 @@ alongside as an independent cross-check at tiny sizes.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Iterator
 
 from .dtree import DecisionTree, Leaf, Node, ParityIndexSet, path_masks, walk
 from .f2 import BitMatrix, BitVector, eliminate
-from .instance import _randbelow
 
 __all__ = [
     "GadgetParams",
     "FinitePmf",
     "GadgetOracle",
     "Restriction",
-    "blockwise_parity",
     "lift_sample",
     "lift_columns",
     "lift_parity",
@@ -97,19 +94,16 @@ class GadgetParams:
 
 @dataclass(frozen=True)
 class FinitePmf:
-    """Explicit labeled distribution on distinct points.
+    """Explicit labeled distribution on distinct points, for the exact
+    closed forms and their enumerating oracles.
 
-    Probabilities are exact rationals summing to one.  Sampling inverts
-    the cumulative distribution with a uniform draw over the common
-    denominator, so it is exact and fully determined by the seed.
+    Probabilities are exact rationals summing to one.
     """
 
     points: tuple[BitVector, ...]
     probs: tuple[Fraction, ...]
     labels: tuple[int, ...]
     length: int
-    _denom: int = field(init=False, compare=False, repr=False)
-    _cum: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (len(self.points) == len(self.probs) == len(self.labels)):
@@ -129,28 +123,14 @@ class FinitePmf:
         for b in self.labels:
             if b not in (0, 1):
                 raise ValueError("labels must be 0 or 1")
-        denom = math.lcm(*(pr.denominator for pr in self.probs)) if self.probs else 1
-        cum = []
-        acc = 0
-        for pr in self.probs:
-            acc += pr.numerator * (denom // pr.denominator)
-            cum.append(acc)
-        object.__setattr__(self, "_denom", denom)
-        object.__setattr__(self, "_cum", tuple(cum))
-
-    def sample(self, rng: Random) -> tuple[BitVector, int]:
-        u = _randbelow(rng, self._denom)
-        for i, edge in enumerate(self._cum):
-            if u < edge:
-                return self.points[i], self.labels[i]
-        raise AssertionError("cumulative walk fell off the end")
 
     def enumerate_weighted(self) -> Iterator[tuple[BitVector, Fraction, int]]:
         yield from zip(self.points, self.probs, self.labels)
 
 
 class GadgetOracle:
-    """Lifted example source over a base source (span oracle or pmf).
+    """Lifted example source over a base source that draws one example
+    at a time with ``sample(rng)``, a span oracle in the pipelines.
 
     Every emitted pair (y, b) satisfies: b is the base label of the
     per-block parity fold of y.
@@ -184,9 +164,6 @@ class GadgetOracle:
         del rows
         return lift_columns(base_cols, count, self.params, rng), label_col
 
-    def enumerate_weighted(self) -> Iterator[tuple[BitVector, Fraction, int]]:
-        return enumerate_lifted(self.base, self.params)
-
 
 @dataclass(frozen=True)
 class Restriction:
@@ -212,20 +189,6 @@ class Restriction:
     def of(cls, assignment: dict[int, int]) -> Restriction:
         coords = tuple(sorted(assignment))
         return cls(coords, BitVector.from_bits(assignment[c] for c in coords))
-
-
-def blockwise_parity(y: BitVector, params: GadgetParams) -> BitVector:
-    """Fold a lifted string to its per-block parities."""
-    if y.length != params.lifted_n:
-        raise ValueError(f"expected length {params.lifted_n}, got {y.length}")
-    ell = params.ell
-    ones = (1 << ell) - 1
-    out = 0
-    ym = y.mask
-    for i in range(params.base_n):
-        if ((ym >> (i * ell)) & ones).bit_count() & 1:
-            out |= 1 << i
-    return BitVector(params.base_n, out)
 
 
 def lift_sample(

@@ -2,11 +2,12 @@
 
 A learner is any callable ``learner(oracle, budget, rng)`` that draws
 at most ``budget.sample_budget`` labeled examples from the oracle and
-returns a decision tree over its ``length`` coordinates whose size and
-depth respect the budget (a hard contract).  An oracle has a
-``length`` and one method, ``sample_columns(rng, count)``: count
-examples packed into per-coordinate bit columns (bit r of a column is
-example r), with the label column.  ``gadget.GadgetOracle`` is that oracle; a per-example
+returns a decision tree over its ``length`` coordinates whose depth,
+and so whose size of at most ``2**depth_budget``, respects the budget
+(a hard contract).  An oracle has a ``length`` and one method,
+``sample_columns(rng, count)``: count examples packed into
+per-coordinate bit columns (bit r of a column is example r), with the
+label column.  ``gadget.GadgetOracle`` is that oracle; a per-example
 source reaches a learner through it, at block width 1 when unlifted.
 No clock bounds a learner: a search whose cost estimate passes
 ``f2.SEARCH_MAX_COST`` raises ``ValueError`` before it starts.
@@ -33,21 +34,19 @@ __all__ = [
     "LearnerBudget",
     "parity_to_tree",
     "exhaustive_parity_learner",
-    "planted_learner",
 ]
 
 
 @dataclass(frozen=True)
 class LearnerBudget:
-    """Resource limits a learner must respect; the size and depth
-    limits are binding on the returned tree."""
+    """Resource limits a learner must respect; the depth limit binds the
+    returned tree, and so its size, at most ``2**depth_budget``."""
 
-    size_budget: int
     depth_budget: int
     sample_budget: int
 
     def __post_init__(self) -> None:
-        if self.size_budget < 1 or self.depth_budget < 0 or self.sample_budget < 1:
+        if self.depth_budget < 0 or self.sample_budget < 1:
             raise ValueError("budgets must be positive")
 
 
@@ -79,12 +78,12 @@ def exhaustive_parity_learner(oracle, budget: LearnerBudget, rng: Random) -> Dec
 
     A consistent learner: it returns a parity (or complemented parity)
     tree that fits every drawn example, when one exists over an index
-    set S with ``|S| <= depth_budget`` (also capped so the output tree
-    fits the size budget).  The first such fit in ascending size, then
-    lexicographic order, plain before complemented, wins.  The sample
-    comes packed into per-coordinate bit columns; an exact fit is a sparse
-    XOR of columns equal to the label column or to its complement,
-    found by ``f2.sparse_xor_search`` (targets plain then complement).
+    set S with ``|S| <= depth_budget``.  The first such fit in ascending
+    size, then lexicographic order, plain before complemented, wins.  The
+    sample comes packed into per-coordinate bit columns; an exact fit is
+    a sparse XOR of columns equal to the label column or to its
+    complement, found by ``f2.sparse_xor_search`` (targets plain then
+    complement).
 
     When nothing fits it returns the better constant, ``Leaf(1)`` only
     when ones outnumber zeros.  Over a span source, which is all the
@@ -102,21 +101,10 @@ def exhaustive_parity_learner(oracle, budget: LearnerBudget, rng: Random) -> Dec
         raise ValueError("depth budget exceeds the oracle's length")
     nsamp = budget.sample_budget
     cols, label_col = oracle.sample_columns(rng, nsamp)
-    max_size = min(budget.depth_budget, budget.size_budget.bit_length() - 1)
     targets = (label_col, label_col ^ ((1 << nsamp) - 1))
-    exact = sparse_xor_search(cols, targets, max_size)
+    exact = sparse_xor_search(cols, targets, budget.depth_budget)
     if exact is None:
         return Leaf(int(2 * label_col.bit_count() > nsamp))
     support, target = exact
     return _parity_dags(ParityIndexSet.from_mask(support).indices)[target]
 
-
-def planted_learner(s: ParityIndexSet):
-    """Learner that ignores its examples and returns the given parity.
-
-    Test double for exercising the downstream pipeline with a known
-    hypothesis.
-    """
-    def learner(oracle, budget: LearnerBudget, rng: Random) -> DecisionTree:
-        return parity_to_tree(s)
-    return learner

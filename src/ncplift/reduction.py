@@ -156,14 +156,14 @@ def _learn(
     inst: SyndromeInstance, cfg: ReductionConfig, learner, rng: Random
 ) -> tuple[GadgetOracle, DecisionTree] | None:
     """The lifted oracle and the learner's tree on it, with depth budget
-    ell*k and size budget 2**(ell*k); None when the system is
+    ell*k, which bounds its size by 2**(ell*k); None when the system is
     inconsistent."""
     try:
         oracle = build_learning_instance(inst, cfg)
     except UnsatisfiableInstanceError:
         return None
     depth_cap = cfg.ell * inst.k
-    budget = LearnerBudget(1 << depth_cap, depth_cap, cfg.learner_samples)
+    budget = LearnerBudget(depth_cap, cfg.learner_samples)
     return oracle, learner(oracle, budget, rng)
 
 
@@ -172,12 +172,12 @@ def decide(
 ) -> DecideReport:
     """Accept when a small learned tree tracks the lifted labels.
 
-    Runs the learner with depth budget ell*k and size budget 2**(ell*k),
-    where the size cap 2**floor(ell*alpha*k/3) stops, then computes the
-    tree's exact distance to the lifted source
-    (``span_lifted_tree_error``).  Accepts exactly
-    when the hypothesis fits the size cap and the distance is at most
-    the gate plus tolerance and below 1/2: a tree at 1/2 tracks nothing,
+    Runs the learner with depth budget ell*k, so at most 2**(ell*k)
+    leaves, where the size cap 2**floor(ell*alpha*k/3) stops, then
+    computes the tree's exact distance to the lifted source
+    (``span_lifted_tree_error``).  Accepts exactly when the hypothesis
+    fits the size cap and the distance is at most the gate plus
+    tolerance and below 1/2: a tree at 1/2 tracks nothing,
     and the gate plus tolerance, below 1/2 for every alpha, rounds to
     1/2 as a float once alpha is large.  Thresholds that cannot
     separate planted from far instances (gate plus tolerance <= 0, or a
@@ -258,7 +258,7 @@ def search(
 ) -> SearchReport:
     """Learn, prune, extract, fold back, and verify exactly.
 
-    The learner gets depth budget ell*k and size budget 2**(ell*k); the
+    The learner gets depth budget ell*k, so at most 2**(ell*k) leaves; the
     hypothesis is pruned at PRUNE_CONSTANT * ceil(log2(size)), and the
     first candidate is folded to base blocks and verified with
     ``verify_certificate`` at sparsity cap floor(PRUNE_CONSTANT *

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from ncplift.cli import main
+from ncplift.cli import _report, main
 from ncplift.dtree import parse_tree
 from ncplift.f2 import BitVector, parse_vector
 from ncplift.instance import brute_force_nearest, read_syndrome_instance
@@ -277,7 +277,7 @@ def test_depth_1400_trees_answer_and_dump_one_line_per_node(tmp_path, capsys):
     flags = ("--ell", "200", "--samples", "3000")
     code, stdout, err = run(capsys, "decide", str(out), *flags)
     assert (code, stdout.strip()) == (0, "YES")
-    assert "distance=0" in err.splitlines()
+    assert {"distance=0", "hypothesis_size=2**1400", "size_cap=2**1400"} <= set(err.splitlines())
     dump = tmp_path / "hyp"
     code, stdout, _ = run(capsys, "solve-reduce", str(out), *flags, "--dump-hypothesis", str(dump))
     assert code == 0
@@ -291,6 +291,16 @@ def test_depth_1400_trees_answer_and_dump_one_line_per_node(tmp_path, capsys):
         code, stdout, err = run(capsys, command, str(out), "--ell", "200")
         assert (code, stdout) == (2, "")
         assert "exact search too large" in err and "Traceback" not in err
+
+
+def test_report_writes_large_powers_of_two_by_exponent(capsys):
+    # A tree of depth d has up to 2**d leaves: from 2**64 on, a power of
+    # two is written as one; every other value stays decimal.
+    values = [2**63, 2**64, 2**64 + 1, 3 << 64, 2**1400, 0, True]
+    _report(**{f"v{i}": v for i, v in enumerate(values)})
+    assert capsys.readouterr().err.splitlines() == [
+        f"v0={2**63}", "v1=2**64", f"v2={2**64 + 1}", f"v3={3 << 64}", "v4=2**1400", "v5=0", "v6=True",
+    ]
 
 
 def test_solve_reduce_at_depth_fourteen(tmp_path, capsys):
@@ -543,3 +553,9 @@ def test_selftest_fault_injection_is_detected(capsys):
     assert any(
         "block-correlation" in ln and "FAIL" in ln for ln in stdout.splitlines()
     )
+
+
+def test_selftest_unknown_fault_is_input_error(capsys):
+    code, stdout, err = run(capsys, "selftest", "--inject-fault", "no-such-fault")
+    assert (code, stdout) == (2, "")
+    assert "unknown fault id 'no-such-fault'" in err

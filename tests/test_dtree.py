@@ -17,10 +17,8 @@ from ncplift.dtree import (
     Leaf,
     Node,
     ParityIndexSet,
-    complement_tree,
     estimate_distance,
     eval_tree,
-    exact_distance,
     exact_uniform_fourier,
     format_tree,
     parse_tree,
@@ -33,9 +31,10 @@ from ncplift.dtree import (
 from ncplift.f2 import BitMatrix, BitVector, rank
 from ncplift.instance import LabeledSet
 from ncplift.learners import _parity_dags, parity_to_tree
+from ncplift.reduction import DecideReport, SearchReport
 from ncplift.span import make_span_oracle
 from golden import _generic_tree
-from helpers import cpu_limit, reduce_tree
+from helpers import complement_tree, cpu_limit, exact_distance, reduce_tree
 
 
 def index_set(*indices):
@@ -502,6 +501,22 @@ def test_walks_hold_no_frame_per_level():
         assert prune(even, 1500).depth == 1500
         assert complement_tree(even) == odd
         assert parse_tree(format_tree(even)) == even
+
+
+def test_repr_names_the_node_not_its_paths():
+    # The dataclass repr wrote every path of a shared DAG, one frame per
+    # level: at depth 3000 a RecursionError.  A report that holds the
+    # tree prints through the same repr.
+    even, _ = _parity_dags(tuple(range(1, 3001)))
+    root = "Node(coord=1, depth=3000, size=2**3000)"
+    with cpu_limit(1):
+        assert repr(even) == root
+        for report in (
+            SearchReport(None, "no-candidate-verified", even.size, 9000, 0, even),
+            DecideReport(False, "distance-gate", even.size, Fraction(1, 2), even.size, 0.0, 0.0, even),
+        ):
+            assert repr(report).endswith(f"hypothesis={root})")
+    assert repr(Node(2, Leaf(0), Leaf(1))) == "Node(coord=2, depth=1, size=2)"
 
 
 # ---------------------------------------------------------------- spectrum

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from ncplift.f2 import (
     BitMatrix,
     BitVector,
-    Elimination,
     FormatError,
     bit_column,
     dual_basis,
@@ -144,18 +144,6 @@ def test_matrix_constructors_and_entry():
     assert BitMatrix.zeros(2, 5).row_masks == (0, 0)
 
 
-def test_matrix_transpose_involution():
-    rng = random.Random(11)
-    for _ in range(50):
-        m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        t = m.transpose()
-        assert t.rows == m.cols and t.cols == m.rows
-        assert t.transpose() == m
-        for i in range(1, m.rows + 1):
-            for j in range(1, m.cols + 1):
-                assert m.entry(i, j) == t.entry(j, i)
-
-
 def column_masks_by_bits(m):
     """Oracle: set each column bit from its row, one set bit at a time."""
     cols = [0] * m.cols
@@ -181,9 +169,6 @@ def test_column_masks_match_the_bit_loop(m):
     cols = m.column_masks()
     assert cols == column_masks_by_bits(m)
     assert len(cols) == m.cols
-    t = m.transpose()
-    assert (t.rows, t.cols) == (m.cols, m.rows)
-    assert t.transpose() == m
 
 
 def column_masks_by_zip(m):
@@ -213,8 +198,6 @@ def test_column_masks_of_empty_shapes():
     assert BitMatrix.zeros(0, 0).column_masks() == []
     assert BitMatrix.zeros(0, 3).column_masks() == [0, 0, 0]
     assert BitMatrix.zeros(4, 0).column_masks() == []
-    assert BitMatrix.zeros(0, 3).transpose() == BitMatrix.zeros(3, 0)
-    assert BitMatrix.zeros(4, 0).transpose() == BitMatrix.zeros(0, 4)
 
 
 def test_matrix_rejects_ragged_rows():
@@ -347,7 +330,8 @@ def test_eliminate_matches_the_lowest_bit_loop_on_random_inputs(seed):
 def two_xor_eliminate(vectors):
     """Reference for ``eliminate``: the same pivot lookup with each
     vector and its combination kept apart, two XORs per step.  Returns
-    the elimination and the reduction against its basis."""
+    its basis, combinations and kernel, and the reduction against its
+    basis."""
     by_top = {}
 
     def reduce(v, combo=0):
@@ -365,7 +349,7 @@ def two_xor_eliminate(vectors):
             kernel.append(combo)
     basis = tuple(v for v, _ in by_top.values())
     combos = tuple(c for _, c in by_top.values())
-    return Elimination(basis, combos, tuple(kernel)), reduce
+    return SimpleNamespace(basis=basis, combos=combos, kernel=tuple(kernel)), reduce
 
 
 def assert_eliminate_matches_the_two_xor_loop(vectors, probes):

@@ -17,12 +17,10 @@ from ncplift.dtree import (
     Leaf,
     Node,
     ParityIndexSet,
-    complement_tree,
     eval_tree,
 )
 from ncplift.f2 import BitMatrix, BitVector, rank
 from ncplift.gadget import (
-    FinitePmf,
     GadgetOracle,
     GadgetParams,
     exact_lifted_tree_error,
@@ -34,9 +32,9 @@ from ncplift.learners import (
     LearnerBudget,
     exhaustive_parity_learner,
     parity_to_tree,
-    planted_learner,
 )
 from ncplift.span import exact_disagreement, make_span_oracle
+from helpers import SampledPmf, complement_tree, planted_learner
 
 
 def index_set(*indices):
@@ -62,7 +60,7 @@ def pmf_oracle(bits_labels_weights, length):
     pts = tuple(BitVector.from01(b) for b, _, _ in bits_labels_weights)
     labs = tuple(lab for _, lab, _ in bits_labels_weights)
     probs = tuple(Fraction(w, total) for _, _, w in bits_labels_weights)
-    return FinitePmf(pts, probs, labs, length)
+    return SampledPmf(pts, probs, labs, length)
 
 
 def parity_span_oracle(rng, n, s):
@@ -81,8 +79,8 @@ def random_labeled_basis(rng, n, m):
             return LabeledSet(points, tuple(rng.getrandbits(1) for _ in masks), n)
 
 
-def budget(size=16, depth=4, samples=200):
-    return LearnerBudget(size, depth, samples)
+def budget(depth=4, samples=200):
+    return LearnerBudget(depth, samples)
 
 
 def unlifted(source):
@@ -98,11 +96,9 @@ def unlifted(source):
 def test_budget_validation():
     budget()
     with pytest.raises(ValueError):
-        LearnerBudget(0, 1, 10)
+        LearnerBudget(-1, 10)
     with pytest.raises(ValueError):
-        LearnerBudget(1, -1, 10)
-    with pytest.raises(ValueError):
-        LearnerBudget(1, 1, 0)
+        LearnerBudget(1, 0)
 
 
 def test_parity_to_tree_shapes():
@@ -176,7 +172,7 @@ def test_complemented_fit_shares_its_nodes():
     points = [format(y, "05b") for y in range(32)]
     oracle = pmf_oracle([(b, 1 ^ s.chi(BitVector.from01(b)), 1) for b in points], 5)
     tree = exhaustive_parity_learner(
-        unlifted(oracle), budget(size=8, depth=3, samples=400), random.Random(1)
+        unlifted(oracle), budget(depth=3, samples=400), random.Random(1)
     )
     assert tree == complement_tree(recursive_parity_tree(s.indices))
     assert distinct_nodes(tree) == 7
@@ -202,7 +198,7 @@ def test_exhaustive_recovers_planted_parity():
         s = ParityIndexSet.from_iterable(rng.sample(range(1, n + 1), size))
         oracle = parity_span_oracle(rng, n, s)
         tree = exhaustive_parity_learner(
-            unlifted(oracle), budget(size=8, depth=3, samples=200), random.Random(seed)
+            unlifted(oracle), budget(depth=3, samples=200), random.Random(seed)
         )
         if tree == parity_to_tree(s):
             hits += 1
@@ -212,7 +208,7 @@ def test_exhaustive_recovers_planted_parity():
 def test_exhaustive_depth_zero_returns_better_constant():
     oracle = pmf_oracle([("0", 1, 3), ("1", 0, 1)], 1)
     tree = exhaustive_parity_learner(
-        unlifted(oracle), budget(size=16, depth=0, samples=400), random.Random(5)
+        unlifted(oracle), budget(depth=0, samples=400), random.Random(5)
     )
     assert tree == Leaf(1)
 
@@ -241,7 +237,7 @@ def test_exhaustive_matches_independent_enumeration():
         oracle = make_span_oracle(
             LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n)
         )
-        bud = budget(size=16, depth=min(n, 3), samples=64)
+        bud = budget(depth=min(n, 3), samples=64)
         tree = exhaustive_parity_learner(unlifted(oracle), bud, random.Random(seed))
 
         rng_replay = random.Random(seed)
@@ -270,19 +266,9 @@ def test_exhaustive_prefers_smaller_support_on_ties():
         LabeledSet((BitVector.from01("10"),), (1,), 2)
     )
     tree = exhaustive_parity_learner(
-        unlifted(oracle), budget(size=4, depth=2, samples=50), random.Random(3)
+        unlifted(oracle), budget(depth=2, samples=50), random.Random(3)
     )
     assert tree == parity_to_tree(index_set(1))
-
-
-def test_exhaustive_respects_size_budget_over_depth():
-    # A size budget of 1 restricts the search to constants even when the
-    # depth budget allows more.
-    oracle = pmf_oracle([("00", 0, 1), ("11", 1, 1)], 2)
-    tree = exhaustive_parity_learner(
-        unlifted(oracle), LearnerBudget(1, 2, 100), random.Random(1)
-    )
-    assert isinstance(tree, Leaf)
 
 
 def test_exhaustive_hard_contract_on_random_oracles():
@@ -301,13 +287,12 @@ def test_exhaustive_hard_contract_on_random_oracles():
                 n,
             )
         )
-        size_b = rng.choice([1, 2, 4, 8])
         depth_b = rng.randint(0, n)
         tree = exhaustive_parity_learner(
-            unlifted(oracle), LearnerBudget(size_b, depth_b, 64), random.Random(rng.random())
+            unlifted(oracle), LearnerBudget(depth_b, 64), random.Random(rng.random())
         )
-        assert tree.size <= size_b
         assert tree.depth <= depth_b
+        assert tree.size <= 1 << depth_b
 
 
 def test_exhaustive_rejects_depth_beyond_arity():
@@ -332,8 +317,7 @@ def scan_learner(oracle, budget, rng):
         for j in range(arity):
             if point.mask >> j & 1:
                 cols[j] |= bit
-    max_size = min(budget.depth_budget, budget.size_budget.bit_length() - 1)
-    for size in range(max_size + 1):
+    for size in range(budget.depth_budget + 1):
         for combo in itertools.combinations(range(arity), size):
             acc = 0
             for j in combo:
@@ -370,14 +354,13 @@ def learner_cases(draw):
     else:
         points = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6, unique=True))
         weights = [draw(st.integers(1, 3)) for _ in points]
-        oracle = FinitePmf(
+        oracle = SampledPmf(
             tuple(BitVector(n, p) for p in points),
             tuple(Fraction(w, sum(weights)) for w in weights),
             tuple(draw(st.integers(0, 1)) for _ in points),
             n,
         )
     bud = LearnerBudget(
-        draw(st.sampled_from([1, 2, 4, 8, 16, 64, 128])),
         draw(st.integers(0, min(n, 6))),
         draw(st.sampled_from([1, 2, 3, 4, 6, 64])),
     )
@@ -408,8 +391,10 @@ def test_greedy_matches_the_row_learner_on_fixed_cycles(pairs, samples, size, de
     # since deleted, and the test keeps its name and case ids.  They
     # now pin the exhaustive learner, which reads packed columns, to
     # the row-by-row scan: a pure sample, constant ties that must
-    # break to 0, and an exact fit cut short by the size budget.
-    bud = LearnerBudget(size, depth, samples)
+    # break to 0, and an exact fit cut short by the depth budget.  The
+    # ids are (size, depth) pairs of the budget's old size field; each
+    # runs at the depth it allowed, 0, 1, 2 and 4 in turn.
+    bud = LearnerBudget(min(depth, size.bit_length() - 1), samples)
     got = exhaustive_parity_learner(unlifted(CycleOracle(pairs, 4)), bud, random.Random(0))
     assert got == scan_learner(CycleOracle(pairs, 4), bud, random.Random(0))
 
@@ -437,7 +422,7 @@ def test_exhaustive_answers_a_huge_search_at_once():
         try:
             started = time.monotonic()
             tree = exhaustive_parity_learner(
-                unlifted(NoiseOracle(80)), LearnerBudget(1 << 16, 16, 256), random.Random(4)
+                unlifted(NoiseOracle(80)), LearnerBudget(16, 256), random.Random(4)
             )
             elapsed = time.monotonic() - started
             _, peak = tracemalloc.get_traced_memory()
@@ -483,7 +468,7 @@ def noisy_cases():
         noise = rng.choice([0.1, 0.3, 0.5])
         samples = rng.choice([20, 24, 32, 300])
         oracle = NoisyParityOracle(arity, mask, noise, twins=case % 2 == 1)
-        yield oracle, arity, LearnerBudget(16, 4, samples), case
+        yield oracle, arity, LearnerBudget(4, samples), case
 
 
 def test_exhaustive_matches_the_scan_on_noisy_labels():
@@ -545,7 +530,7 @@ def test_exhaustive_bounds_the_exact_fit_search(monkeypatch):
     # estimate is the meet in the middle's alone.  The labels are a
     # parity of three coordinates, so an exact fit exists.
     oracle = unlifted(NoisyParityOracle(40, 0b1011, 0.0))
-    bud = LearnerBudget(16, 4, 8)
+    bud = LearnerBudget(4, 8)
     estimate = f2._mitm_cost(40, 2, 4)
     monkeypatch.setattr(f2, "SEARCH_MAX_COST", estimate)
     tree = exhaustive_parity_learner(oracle, bud, random.Random(3))
@@ -563,7 +548,7 @@ def test_error_scan_retains_no_memory():
     # object and leave no memory behind.  The warm-up calls run traced,
     # so that objects parked in CPython's free lists are counted before.
     oracle = unlifted(NoisyParityOracle(28, 0b1011, 0.0))
-    bud = LearnerBudget(8, 3, 100)
+    bud = LearnerBudget(3, 100)
     enabled = gc.isenabled()
     gc.disable()
     gc.collect()

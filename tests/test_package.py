@@ -20,11 +20,11 @@ def test_exports_are_the_union_of_the_module_exports():
     assert isinstance(ncplift.__version__, str)
 
 
-def test_importing_the_pipelines_leaves_the_selftest_suite_unloaded():
-    # The suite resolves on first use of its names; the pipelines never
-    # touch them.  A fresh interpreter, because this one has it loaded.
+def selftest_loaded_by(module):
+    """Whether importing ``module`` in a fresh interpreter loads the
+    suite, as the text True or False (this interpreter has it loaded)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ncplift.__file__)))
-    code = "import sys, ncplift.reduction; print('ncplift.selftest' in sys.modules)"
+    code = f"import sys, {module}; print('ncplift.selftest' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
@@ -33,4 +33,15 @@ def test_importing_the_pipelines_leaves_the_selftest_suite_unloaded():
         check=True,
         timeout=60,
     )
-    assert out.stdout == "False\n"
+    return out.stdout.strip()
+
+
+def test_importing_the_pipelines_leaves_the_selftest_suite_unloaded():
+    # The suite resolves on first use of its names; the pipelines never
+    # touch them.
+    assert selftest_loaded_by("ncplift.reduction") == "False"
+
+
+def test_importing_the_cli_leaves_the_selftest_suite_unloaded():
+    # Only ``ncplift selftest`` imports the suite, when it runs.
+    assert selftest_loaded_by("ncplift.cli") == "False"

@@ -22,6 +22,7 @@ from ncplift.gadget import (
     FinitePmf,
     GadgetOracle,
     GadgetParams,
+    enumerate_lifted,
     exact_lifted_agreement,
     lift_parity,
     sample_bytes,
@@ -34,7 +35,7 @@ from ncplift.instance import (
     brute_force_nearest,
     random_planted,
 )
-from ncplift.learners import exhaustive_parity_learner, parity_to_tree, planted_learner
+from ncplift.learners import exhaustive_parity_learner, parity_to_tree
 from ncplift.reduction import (
     PRUNE_CONSTANT,
     ReductionConfig,
@@ -47,7 +48,7 @@ from ncplift.reduction import (
 )
 from ncplift.selftest import _far_instance
 from ncplift.span import make_span_oracle
-from helpers import cpu_limit, reduce_tree
+from helpers import cpu_limit, planted_learner, reduce_tree
 
 CFG = ReductionConfig()
 
@@ -126,7 +127,7 @@ def test_lifted_labels_follow_planted_parity():
     oracle = build_learning_instance(inst, CFG)
     lifted = lift_parity(index_set(*x.support()), oracle.params)
     count = 0
-    for point, w, label in oracle.enumerate_weighted():
+    for point, w, label in enumerate_lifted(oracle.base, oracle.params):
         assert w > 0
         assert label == lifted.chi(point)
         count += 1
@@ -297,13 +298,13 @@ def test_decide_size_gate():
 
 
 def test_decide_size_cap_stops_at_the_depth_budget():
-    # floor(ell*alpha*k/3) past ell*k = 4 is cut to 4; the learner gets
-    # the same size budget, and a huge alpha builds no huge int.
+    # floor(ell*alpha*k/3) past ell*k = 4 is cut to 4, the size the
+    # learner's depth budget allows, and a huge alpha builds no huge int.
     raw, _ = random_planted(14, 12, 2, 5)
     seen = []
 
     def recording_learner(oracle, budget, rng):
-        seen.append(budget.size_budget)
+        seen.append(1 << budget.depth_budget)
         return parity_to_tree(index_set())
 
     for alpha, cap in ((Fraction(3), 16), (Fraction(4), 16), (Fraction(10**20), 16)):
