@@ -26,8 +26,9 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     """``selftest``, its public names and ``__all__``, resolved on first
     use (PEP 562): the suite is the largest module, and the pipelines
-    need none of it."""
-    if name.startswith("__") and name != "__all__":
+    need none of it.  Any other name is missing here, so ``from ncplift
+    import cli`` imports the submodule without loading the suite."""
+    if name not in ("__all__", "selftest", "CriterionResult", "run_all", "CRITERIA", "FAULT_IDS"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     selftest = import_module(".selftest", __name__)
     namespace = globals()
@@ -37,6 +38,4 @@ def __getattr__(name: str):
         for module in (dtree, f2, gadget, instance, learners, reduction, selftest, span)
         for n in module.__all__
     ]
-    if name not in namespace:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return namespace[name]

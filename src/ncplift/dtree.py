@@ -95,15 +95,6 @@ class ParityIndexSet:
         object.__setattr__(s, "mask", mask)
         return s
 
-    def chi_mask(self, point_mask: int) -> int:
-        """Parity of the selected coordinates of a packed point."""
-        return (self.mask & point_mask).bit_count() & 1
-
-    def chi(self, v: BitVector) -> int:
-        if self.indices and self.indices[-1] > v.length:
-            raise ValueError("parity index exceeds the vector length")
-        return self.chi_mask(v.mask)
-
     def __len__(self) -> int:
         return len(self.indices)
 

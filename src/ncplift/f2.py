@@ -30,11 +30,9 @@ __all__ = [
     "rank",
     "dual_basis",
     "XOR_TABLE_MAX_ENTRIES",
-    "COSET_MAX_KERNEL_DIM",
     "COSET_STEP_COST",
     "SEARCH_MAX_COST",
     "sparse_xor_search",
-    "format_matrix",
     "parse_matrix",
     "format_vector",
     "parse_vector",
@@ -77,10 +75,6 @@ class BitVector:
             raise ValueError("mask does not fit the stated length")
 
     @classmethod
-    def zeros(cls, length: int) -> BitVector:
-        return cls(length, 0)
-
-    @classmethod
     def from_bits(cls, bits: Iterable[int]) -> BitVector:
         mask = 0
         n = 0
@@ -106,12 +100,6 @@ class BitVector:
             mask |= 1 << (i - 1)
         return cls(length, mask)
 
-    def bit(self, i: int) -> int:
-        """Coordinate i (1-indexed)."""
-        if not 1 <= i <= self.length:
-            raise ValueError(f"coordinate {i} out of range 1..{self.length}")
-        return (self.mask >> (i - 1)) & 1
-
     def support(self) -> tuple[int, ...]:
         """Indices of nonzero coordinates, ascending, 1-indexed."""
         m = self.mask
@@ -125,11 +113,6 @@ class BitVector:
     @property
     def sparsity(self) -> int:
         return self.mask.bit_count()
-
-    def dot(self, other: BitVector) -> int:
-        if self.length != other.length:
-            raise ValueError("dimension mismatch in inner product")
-        return (self.mask & other.mask).bit_count() & 1
 
     def __xor__(self, other: BitVector) -> BitVector:
         if self.length != other.length:
@@ -186,30 +169,12 @@ class BitMatrix:
         return cls(len(vecs), cols, tuple(v.mask for v in vecs))
 
     @classmethod
-    def identity(cls, n: int) -> BitMatrix:
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> BitMatrix:
         return cls(rows, cols, (0,) * rows)
-
-    def row(self, i: int) -> BitVector:
-        """Row i (1-indexed)."""
-        if not 1 <= i <= self.rows:
-            raise ValueError(f"row {i} out of range 1..{self.rows}")
-        return BitVector(self.cols, self.row_masks[i - 1])
 
     def row_vectors(self) -> Iterator[BitVector]:
         for m in self.row_masks:
             yield BitVector(self.cols, m)
-
-    def entry(self, i: int, j: int) -> int:
-        """Entry at row i, column j (both 1-indexed)."""
-        if not 1 <= i <= self.rows:
-            raise ValueError(f"row {i} out of range 1..{self.rows}")
-        if not 1 <= j <= self.cols:
-            raise ValueError(f"column {j} out of range 1..{self.cols}")
-        return (self.row_masks[i - 1] >> (j - 1)) & 1
 
     def column_masks(self) -> list[int]:
         """Columns packed as ints: bit i-1 of entry j-1 is the (i, j) entry."""
@@ -354,10 +319,6 @@ def dual_basis(g: BitMatrix) -> BitMatrix:
 # largest table held the 260130 supports of C(117, 3) (Python 3.11).
 XOR_TABLE_MAX_ENTRIES = 1 << 18
 
-# Kernel dimension past which ``sparse_xor_search`` never walks a coset:
-# 2**28 steps take about a minute.
-COSET_MAX_KERNEL_DIM = 28
-
 # What one step of the coset path costs, in meet-in-the-middle steps,
 # when ``sparse_xor_search`` weighs the two paths.  Both took 90 to 250
 # ns a step on 64-bit columns (Python 3.11, 48 x 64 to 10 x 18 parity
@@ -392,15 +353,14 @@ def sparse_xor_search(
     Two exact methods give that same answer, and the search takes the
     one its estimate says is cheaper.  The fits of one target form a
     coset p + K of the kernel K of the columns, so walking the coset
-    costs ``2**dim K`` steps per target, however large ``max_size`` is;
-    past ``COSET_MAX_KERNEL_DIM`` it is not considered.  Meeting in the
-    middle costs about C(n, ceil(s/2)) steps per size s, however small
-    the kernel is (``_mitm_cost``).  A coset step counts as
-    ``COSET_STEP_COST`` of the others, and so does each of the about
+    costs ``2**dim K`` steps per target, however large ``max_size`` is.
+    Meeting in the middle costs about C(n, ceil(s/2)) steps per size s,
+    however small the kernel is (``_mitm_cost``).  A coset step counts
+    as ``COSET_STEP_COST`` of the others, and so does each of the about
     n * rank / 2 steps of the elimination the coset path needs.  The
     dimension of K is at least n minus the widest column's bit length,
     and the columns are eliminated only when even that bound leaves the
-    coset walk the cheaper.
+    coset walk the cheaper and within ``SEARCH_MAX_COST``.
 
     Coset enumeration (``_coset_search``): one elimination of the
     columns, tracking combinations, gives a kernel basis and, for each
@@ -442,7 +402,8 @@ def sparse_xor_search(
 
     Raises:
         ValueError: when both estimates pass ``SEARCH_MAX_COST``, before
-            any table or walk starts.
+            any table or walk starts, and before the elimination when the
+            bound on the coset walk passes it.
     """
     if max_size >= 0 and 0 in targets:
         return 0, targets.index(0)
@@ -450,11 +411,11 @@ def sparse_xor_search(
     mitm = _mitm_cost(n, len(targets), max_size)
     dim = max(0, n - max(map(int.bit_length, columns), default=0))
     elim = None
-    if dim <= COSET_MAX_KERNEL_DIM and _coset_cost(len(targets), dim, 0, 0) <= mitm:
+    if _coset_cost(len(targets), dim, 0, 0) <= min(mitm, SEARCH_MAX_COST):
         elim = eliminate(columns)
         dim = len(elim.kernel)
     coset = _coset_cost(len(targets), dim, n, n - dim)
-    use_coset = elim is not None and dim <= COSET_MAX_KERNEL_DIM and coset <= mitm
+    use_coset = elim is not None and coset <= mitm
     if (coset if use_coset else mitm) > SEARCH_MAX_COST:
         bound = "" if elim is not None else "at least "
         raise ValueError(
@@ -600,12 +561,6 @@ def _half_table(columns: Sequence[int], bits: list[int], half: int) -> dict:
 
 
 # ---------- text format ----------
-
-
-def format_matrix(m: BitMatrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    lines.extend(v.to01() for v in m.row_vectors())
-    return "\n".join(lines) + "\n"
 
 
 def parse_matrix(text: str) -> BitMatrix:

@@ -46,7 +46,6 @@ __all__ = [
     "random_planted",
     "write_syndrome_instance",
     "read_syndrome_instance",
-    "write_generator_instance",
     "read_generator_instance",
     "load_instance",
 ]
@@ -124,14 +123,6 @@ class LabeledSet:
         for b in self.labels:
             if b not in (0, 1):
                 raise ValueError("labels must be 0 or 1")
-
-    @classmethod
-    def of(cls, pairs, length: int) -> LabeledSet:
-        pts, labs = [], []
-        for p, b in pairs:
-            pts.append(p)
-            labs.append(b)
-        return cls(tuple(pts), tuple(labs), length)
 
     @property
     def m(self) -> int:
@@ -269,13 +260,6 @@ _SD_HEADER = "ncpsd v1"
 _GEN_HEADER = "ncpgen v1"
 
 
-def _write_instance(header: str, mat: BitMatrix, vec: BitVector, k: int, alpha: Fraction) -> str:
-    lines = [header, f"{mat.rows} {mat.cols} {k} {alpha.numerator} {alpha.denominator}"]
-    lines.extend(v.to01() for v in mat.row_vectors())
-    lines.append(vec.to01())
-    return "\n".join(lines) + "\n"
-
-
 def _read_instance(text: str, header: str, what: str, vector: str, make):
     """Parse one view: the header, ``rows cols k num den``, the matrix
     rows, then a vector line of one bit per row; ``make(matrix, vector,
@@ -309,15 +293,15 @@ def _read_instance(text: str, header: str, what: str, vector: str, make):
 
 
 def write_syndrome_instance(inst: SyndromeInstance) -> str:
-    return _write_instance(_SD_HEADER, inst.h, inst.t, inst.k, inst.alpha)
+    alpha = inst.alpha
+    lines = [_SD_HEADER, f"{inst.m} {inst.n} {inst.k} {alpha.numerator} {alpha.denominator}"]
+    lines.extend(v.to01() for v in inst.h.row_vectors())
+    lines.append(inst.t.to01())
+    return "\n".join(lines) + "\n"
 
 
 def read_syndrome_instance(text: str) -> SyndromeInstance:
     return _read_instance(text, _SD_HEADER, "syndrome", "target", SyndromeInstance)
-
-
-def write_generator_instance(inst: NcpInstance) -> str:
-    return _write_instance(_GEN_HEADER, inst.g, inst.z, inst.k, inst.alpha)
 
 
 def read_generator_instance(text: str) -> NcpInstance:

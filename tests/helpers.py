@@ -3,7 +3,8 @@ the CLI or the selftest: tree transforms and distances that the tests
 compare the closed forms against (the reduced form of a tree, its
 complement, the exact distance to a labeled enumeration), the fold of a
 lifted string, a learner that returns a fixed parity, a finite labeled
-distribution that draws examples, and a CPU-time limit."""
+distribution that draws examples, the identity matrix, and a CPU-time
+limit."""
 
 import math
 import signal
@@ -13,7 +14,7 @@ from fractions import Fraction
 from random import Random
 
 from ncplift.dtree import Leaf, Node, eval_tree, walk
-from ncplift.f2 import BitVector
+from ncplift.f2 import BitMatrix, BitVector
 from ncplift.gadget import FinitePmf, GadgetParams
 from ncplift.instance import _randbelow
 from ncplift.learners import parity_to_tree
@@ -105,6 +106,11 @@ class SampledPmf(FinitePmf):
             if u < edge:
                 return self.points[i], self.labels[i]
         raise AssertionError("cumulative walk fell off the end")
+
+
+def identity(n):
+    """The n x n identity matrix."""
+    return BitMatrix(n, n, tuple(1 << i for i in range(n)))
 
 
 @contextmanager

@@ -75,7 +75,7 @@ def test_gen_weight_zero_target_is_zero(tmp_path, capsys):
     inst = read_syndrome_instance(out.read_text())
     assert inst.t.mask == 0
     planted = parse_vector((tmp_path / "inst.planted").read_text())
-    assert planted == BitVector.zeros(8)
+    assert planted == BitVector(8, 0)
 
 
 def test_gen_alpha_is_stamped(tmp_path, capsys):

@@ -18,7 +18,6 @@ from ncplift.f2 import (
     bit_column,
     dual_basis,
     eliminate,
-    format_matrix,
     format_vector,
     mat_vec,
     parse_matrix,
@@ -27,6 +26,8 @@ from ncplift.f2 import (
     sparse_xor_search,
 )
 from ncplift import f2
+
+from helpers import identity
 
 
 def random_matrix(rng, rows, cols):
@@ -53,7 +54,7 @@ def test_bitvector_from01_round_trip():
     v = BitVector.from01("10110")
     assert v.to01() == "10110"
     assert v.length == 5
-    assert v.bit(1) == 1 and v.bit(2) == 0 and v.bit(3) == 1
+    assert v.mask == 0b01101
     assert v.support() == (1, 3, 4)
     assert v.sparsity == 3
 
@@ -77,7 +78,7 @@ def test_bitvector_to01_and_iteration_match_the_per_bit_loop(length):
 
 
 def test_bitvector_zero_and_support_constructors():
-    z = BitVector.zeros(4)
+    z = BitVector(4, 0)
     assert z.to01() == "0000"
     assert z.sparsity == 0
     v = BitVector.from_support((2, 4), 4)
@@ -85,20 +86,19 @@ def test_bitvector_zero_and_support_constructors():
     assert BitVector.from_support((), 4) == z
 
 
-def test_bitvector_xor_and_dot():
+def test_bitvector_xor():
     a = BitVector.from01("1100")
     b = BitVector.from01("1010")
     assert (a ^ b).to01() == "0110"
-    assert a.dot(b) == 1
-    assert a.dot(a) == 0  # weight 2 is even
+    with pytest.raises(ValueError):
+        a ^ BitVector.from01("101")
 
 
 def test_bitvector_rejects_out_of_range():
-    v = BitVector.from01("101")
     with pytest.raises(ValueError):
-        v.bit(0)
+        BitVector.from_support((0,), 3)
     with pytest.raises(ValueError):
-        v.bit(4)
+        BitVector.from_support((4,), 3)
     with pytest.raises(ValueError):
         BitVector(3, 1 << 3)
 
@@ -117,7 +117,7 @@ def test_xor_is_group_operation(n, data):
     b = BitVector(n, data.draw(bits))
     assert (a ^ b) == (b ^ a)
     assert (a ^ b ^ b) == a
-    assert (a ^ BitVector.zeros(n)) == a
+    assert (a ^ BitVector(n, 0)) == a
 
 
 def test_bit_column_doubling():
@@ -137,10 +137,9 @@ def test_bit_column_doubling():
 def test_matrix_constructors_and_entry():
     m = BitMatrix.from_rows(["10", "01", "11"])
     assert m.rows == 3 and m.cols == 2
-    assert m.entry(1, 1) == 1 and m.entry(1, 2) == 0
-    assert m.entry(3, 2) == 1
-    assert m.row(2).to01() == "01"
-    assert BitMatrix.identity(3).row_masks == (1, 2, 4)
+    # Entry (i, j) is bit j - 1 of row mask i - 1.
+    assert m.row_masks == (0b01, 0b10, 0b11)
+    assert [v.to01() for v in m.row_vectors()] == ["10", "01", "11"]
     assert BitMatrix.zeros(2, 5).row_masks == (0, 0)
 
 
@@ -222,14 +221,14 @@ def test_mat_vec_is_linear(r, c, data):
     x = BitVector(c, data.draw(st.integers(0, (1 << c) - 1)))
     y = BitVector(c, data.draw(st.integers(0, (1 << c) - 1)))
     assert mat_vec(m, x ^ y) == mat_vec(m, x) ^ mat_vec(m, y)
-    assert mat_vec(m, BitVector.zeros(c)) == BitVector.zeros(r)
+    assert mat_vec(m, BitVector(c, 0)) == BitVector(r, 0)
 
 
 # ---------------------------------------------------------------- rank, elimination
 
 
 def test_rank_small_cases():
-    assert rank(BitMatrix.identity(4)) == 4
+    assert rank(identity(4)) == 4
     assert rank(BitMatrix.zeros(3, 3)) == 0
     assert rank(BitMatrix.from_rows(["11", "11"])) == 1
 
@@ -400,12 +399,12 @@ def test_dual_basis_repetition_code():
     g = BitMatrix.from_rows(["1", "1"])  # single column (1, 1)
     h = dual_basis(g)
     assert h.rows == 1
-    assert h.row(1).to01() == "11"
+    assert h.row_masks == (0b11,)
 
 
 def test_dual_basis_of_identity_is_empty():
     for n in range(1, 5):
-        h = dual_basis(BitMatrix.identity(n))
+        h = dual_basis(identity(n))
         assert h.rows == 0
         assert h.cols == n
 
@@ -444,15 +443,11 @@ def test_dual_basis_characterizes_column_span():
 
 def test_matrix_text_round_trip():
     m = BitMatrix.from_rows(["10", "01"])
-    text = format_matrix(m)
-    assert text == "2 2\n10\n01\n"
-    assert parse_matrix(text) == m
+    assert parse_matrix("2 2\n10\n01\n") == m
 
 
 def test_zero_row_matrix_round_trip():
-    m = BitMatrix.zeros(0, 4)
-    text = format_matrix(m)
-    assert parse_matrix(text) == m
+    assert parse_matrix("0 4\n") == BitMatrix.zeros(0, 4)
 
 
 def test_vector_text_round_trip():
@@ -805,3 +800,18 @@ def test_sparse_xor_search_refuses_past_max_cost():
     ):
         with pytest.raises(ValueError, match=r"coset walk 1 x 2\*\*12 \(kernel dimension 12\)"):
             sparse_xor_search(copies, (3,), 10)
+
+
+def test_sparse_xor_search_refuses_before_eliminating_past_max_cost():
+    # Sixty 32-bit columns have a kernel of dimension at least 28, so
+    # the walk for two targets takes at least 2**29 steps, and meeting
+    # in the middle up to size 12 takes more: the search is refused
+    # before the columns are eliminated.
+    rng = random.Random(6)
+    columns = [rng.getrandbits(32) | 1 << 31 for _ in range(60)]
+    assert f2._mitm_cost(60, 2, 12) > f2.SEARCH_MAX_COST
+    elim = mock.Mock(wraps=f2.eliminate)
+    with mock.patch.object(f2, "eliminate", elim):
+        with pytest.raises(ValueError, match=r"coset walk 2 x 2\*\*28 \(kernel dimension at least 28\)"):
+            sparse_xor_search(columns, (columns[0] ^ columns[1], 1), 12)
+    assert elim.call_count == 0

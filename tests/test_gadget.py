@@ -70,7 +70,7 @@ def index_set(*indices):
 def chi(s, y):
     val = 0
     for i in s.indices:
-        val ^= y.bit(i)
+        val ^= y.mask >> i - 1 & 1
     return val
 
 
@@ -488,7 +488,7 @@ def brute_restriction_probability(base, rho, params):
     fixed = dict(zip(rho.coords, rho.values))
     total = Fraction(0)
     for y, w, _ in enumerate_lifted(base, params):
-        if all(y.bit(c) == v for c, v in fixed.items()):
+        if all(y.mask >> c - 1 & 1 == v for c, v in fixed.items()):
             total += w
     return total
 

@@ -108,7 +108,7 @@ def test_parity_to_tree_shapes():
     assert t.size == 4 and t.depth == 2
     for ym in range(4):
         y = BitVector(2, ym)
-        assert eval_tree(t, y) == index_set(1, 2).chi(y)
+        assert eval_tree(t, y) == (0b11 & ym).bit_count() & 1
 
 
 def test_parity_tree_queries_ascending():
@@ -170,7 +170,9 @@ def test_complemented_fit_shares_its_nodes():
     # only fit within depth 3 is the complemented parity over s.
     s = index_set(2, 3, 5)
     points = [format(y, "05b") for y in range(32)]
-    oracle = pmf_oracle([(b, 1 ^ s.chi(BitVector.from01(b)), 1) for b in points], 5)
+    oracle = pmf_oracle(
+        [(b, 1 ^ (s.mask & BitVector.from01(b).mask).bit_count() & 1, 1) for b in points], 5
+    )
     tree = exhaustive_parity_learner(
         unlifted(oracle), budget(depth=3, samples=400), random.Random(1)
     )
@@ -248,7 +250,7 @@ def test_exhaustive_matches_independent_enumeration():
             for picks in itertools.combinations(range(1, n + 1), size)
             for s in [ParityIndexSet.from_iterable(picks)]
             for flip in (0, 1)
-            if all(s.chi(p) ^ flip == lab for p, lab in sample)
+            if all((s.mask & p.mask).bit_count() & 1 ^ flip == lab for p, lab in sample)
         ]
         if fits:
             s, flip = fits[0]
@@ -375,28 +377,37 @@ def test_exhaustive_matches_the_linear_scan(case):
     assert got == scan_learner(oracle, bud, random.Random(seed))
 
 
-@pytest.mark.parametrize(
-    "pairs",
-    [
-        [("0110", 1)],  # pure
-        [("0000", 1), ("0000", 0)],  # majority tie, nothing fits
-        [("0001", 1), ("0001", 0), ("1000", 1), ("1000", 0)],  # ties on both sides
-        [("0011", 1), ("0101", 0), ("1001", 1), ("1111", 0), ("0000", 1), ("1100", 0)],
-    ],
-)
-@pytest.mark.parametrize("samples", [1, 2, 7, 64])
-@pytest.mark.parametrize("size, depth", [(1, 4), (2, 4), (5, 2), (16, 4)])
-def test_greedy_matches_the_row_learner_on_fixed_cycles(pairs, samples, size, depth):
-    # These cycles and budgets were written for the greedy learner,
-    # since deleted, and the test keeps its name and case ids.  They
-    # now pin the exhaustive learner, which reads packed columns, to
-    # the row-by-row scan: a pure sample, constant ties that must
-    # break to 0, and an exact fit cut short by the depth budget.  The
-    # ids are (size, depth) pairs of the budget's old size field; each
-    # runs at the depth it allowed, 0, 1, 2 and 4 in turn.
-    bud = LearnerBudget(min(depth, size.bit_length() - 1), samples)
+FIXED_CYCLES = [
+    [("0110", 1)],  # pure
+    [("0000", 1), ("0000", 0)],  # majority tie, nothing fits
+    [("0001", 1), ("0001", 0), ("1000", 1), ("1000", 0)],  # ties on both sides
+    [("0011", 1), ("0101", 0), ("1001", 1), ("1111", 0), ("0000", 1), ("1100", 0)],
+]
+
+
+@pytest.mark.parametrize("pairs", FIXED_CYCLES)
+@pytest.mark.parametrize("samples", [1, 2])
+@pytest.mark.parametrize("depth", [0, 1, 2, 4])
+def test_exhaustive_matches_the_row_learner_on_fixed_cycles(pairs, samples, depth):
+    # The exhaustive learner, which reads packed columns, against the
+    # row-by-row scan: a pure sample, constant ties that must break to
+    # 0, and an exact fit cut short by the depth budget.
+    bud = LearnerBudget(depth, samples)
     got = exhaustive_parity_learner(unlifted(CycleOracle(pairs, 4)), bud, random.Random(0))
     assert got == scan_learner(CycleOracle(pairs, 4), bud, random.Random(0))
+
+
+@pytest.mark.parametrize("pairs", FIXED_CYCLES)
+@pytest.mark.parametrize("samples", [7, 64])
+@pytest.mark.parametrize("size, depth", [(1, 4), (2, 4), (5, 2), (16, 4)])
+def test_greedy_matches_the_row_learner_on_fixed_cycles(pairs, samples, size, depth):
+    # The cases of the test above at 7 and 64 samples, under the ids
+    # they had when they were written for the greedy learner, since
+    # deleted: (size, depth) pairs of the budget's old size field, each
+    # run at the depth it allowed, 0, 1, 2 and 4 in turn.
+    test_exhaustive_matches_the_row_learner_on_fixed_cycles(
+        pairs, samples, min(depth, size.bit_length() - 1)
+    )
 
 
 class NoiseOracle:

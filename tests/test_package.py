@@ -20,11 +20,12 @@ def test_exports_are_the_union_of_the_module_exports():
     assert isinstance(ncplift.__version__, str)
 
 
-def selftest_loaded_by(module):
-    """Whether importing ``module`` in a fresh interpreter loads the
-    suite, as the text True or False (this interpreter has it loaded)."""
+def selftest_loaded_by(statement):
+    """Whether running the import ``statement`` in a fresh interpreter
+    loads the suite, as the text True or False (this interpreter has it
+    loaded)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ncplift.__file__)))
-    code = f"import sys, {module}; print('ncplift.selftest' in sys.modules)"
+    code = f"import sys; {statement}; print('ncplift.selftest' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
@@ -39,9 +40,12 @@ def selftest_loaded_by(module):
 def test_importing_the_pipelines_leaves_the_selftest_suite_unloaded():
     # The suite resolves on first use of its names; the pipelines never
     # touch them.
-    assert selftest_loaded_by("ncplift.reduction") == "False"
+    assert selftest_loaded_by("import ncplift.reduction") == "False"
 
 
 def test_importing_the_cli_leaves_the_selftest_suite_unloaded():
-    # Only ``ncplift selftest`` imports the suite, when it runs.
-    assert selftest_loaded_by("ncplift.cli") == "False"
+    # Only ``ncplift selftest`` imports the suite, when it runs.  The
+    # ``from`` form asks the package for the name before it imports the
+    # submodule.
+    assert selftest_loaded_by("import ncplift.cli") == "False"
+    assert selftest_loaded_by("from ncplift import cli") == "False"

@@ -48,7 +48,7 @@ from ncplift.reduction import (
 )
 from ncplift.selftest import _far_instance
 from ncplift.span import make_span_oracle
-from helpers import cpu_limit, planted_learner, reduce_tree
+from helpers import cpu_limit, identity, planted_learner, reduce_tree
 
 CFG = ReductionConfig()
 
@@ -77,7 +77,7 @@ def vacuous_far_instance():
     # ell * alpha * k = 6 the error gate plus tolerance is -1/3, so no
     # threshold separates anything.
     inst = SyndromeInstance(
-        BitMatrix.identity(6), BitVector.from01("111111"), 1, Fraction(3)
+        identity(6), BitVector.from01("111111"), 1, Fraction(3)
     )
     assert brute_force_nearest(inst, 3) is None
     return inst
@@ -129,7 +129,7 @@ def test_lifted_labels_follow_planted_parity():
     count = 0
     for point, w, label in enumerate_lifted(oracle.base, oracle.params):
         assert w > 0
-        assert label == lifted.chi(point)
+        assert label == (lifted.mask & point.mask).bit_count() & 1
         count += 1
     # One entry per span element and free fiber bit pattern.
     assert count == 1 << (4 + 5)
@@ -528,10 +528,10 @@ def test_search_with_planted_hint_returns_exact_vector():
 
 def test_search_zero_target_returns_zero_vector():
     h = BitMatrix.from_rows(["1010", "0110"])
-    inst = SyndromeInstance(h, BitVector.zeros(2), 1, Fraction(1))
+    inst = SyndromeInstance(h, BitVector(2, 0), 1, Fraction(1))
     report = search(inst, CFG, exhaustive_parity_learner, random.Random(5))
     assert report.ok
-    assert report.solution == BitVector.zeros(4)
+    assert report.solution == BitVector(4, 0)
 
 
 def test_search_unsatisfiable():
