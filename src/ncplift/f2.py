@@ -9,7 +9,9 @@ inside the packed ints is a private detail.
 The text format shared by the CLI and the test fixtures is: a first
 line ``rows cols`` (decimal, one space), then ``rows`` lines each a
 string of exactly ``cols`` characters from {0,1}.  Vectors are written
-as matrices with a single row.
+as matrices with a single row.  Each row of this format, of an instance
+file and of ``BitVector.from01`` is read, and its width and alphabet
+checked, once, by one parser (``_row_mask``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "rank",
     "dual_basis",
     "XOR_TABLE_MAX_ENTRIES",
-    "COSET_STEP_COST",
     "SEARCH_MAX_COST",
     "sparse_xor_search",
     "parse_matrix",
@@ -87,9 +88,7 @@ class BitVector:
 
     @classmethod
     def from01(cls, text: str) -> BitVector:
-        if not set(text) <= {"0", "1"}:
-            raise FormatError(f"invalid characters in bit string {text!r}")
-        return cls(len(text), int(text[::-1], 2) if text else 0)
+        return cls(len(text), _row_mask(text, len(text), "bit string"))
 
     @classmethod
     def from_support(cls, indices: Iterable[int], length: int) -> BitVector:
@@ -155,22 +154,6 @@ class BitMatrix:
         for r in self.row_masks:
             if not 0 <= r < limit:
                 raise ValueError("row mask does not fit the stated width")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[BitVector | str], cols: int | None = None) -> BitMatrix:
-        vecs = [r if isinstance(r, BitVector) else BitVector.from01(r) for r in rows]
-        if cols is None:
-            if not vecs:
-                raise ValueError("column count required for an empty matrix")
-            cols = vecs[0].length
-        for v in vecs:
-            if v.length != cols:
-                raise ValueError("ragged rows")
-        return cls(len(vecs), cols, tuple(v.mask for v in vecs))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> BitMatrix:
-        return cls(rows, cols, (0,) * rows)
 
     def row_vectors(self) -> Iterator[BitVector]:
         for m in self.row_masks:
@@ -319,17 +302,6 @@ def dual_basis(g: BitMatrix) -> BitMatrix:
 # largest table held the 260130 supports of C(117, 3) (Python 3.11).
 XOR_TABLE_MAX_ENTRIES = 1 << 18
 
-# What one step of the coset path costs, in meet-in-the-middle steps,
-# when ``sparse_xor_search`` weighs the two paths.  Both took 90 to 250
-# ns a step on 64-bit columns (Python 3.11, 48 x 64 to 10 x 18 parity
-# checks and the learner's lifted columns).  An elimination does about
-# half the n * rank / 2 steps it is charged, one XOR per pivot an input
-# meets, its combination riding in the low bits; per charged step it
-# took 60 to 120 ns on those shapes and on 12 x 14, next to 126 ns a
-# step of a dimension-16 coset walk, and 110 to 230 ns next to 191 ns in
-# a slower spell of the same shared 2-vCPU host (Python 3.11).
-COSET_STEP_COST = 1
-
 # Most steps ``sparse_xor_search`` may take.  At 90 to 250 ns a step
 # (Python 3.11), about half a minute to a minute.
 SEARCH_MAX_COST = 1 << 28
@@ -356,8 +328,8 @@ def sparse_xor_search(
     costs ``2**dim K`` steps per target, however large ``max_size`` is.
     Meeting in the middle costs about C(n, ceil(s/2)) steps per size s,
     however small the kernel is (``_mitm_cost``).  A coset step counts
-    as ``COSET_STEP_COST`` of the others, and so does each of the about
-    n * rank / 2 steps of the elimination the coset path needs.  The
+    as one of the others, and so does each of the about n * rank / 2
+    steps of the elimination the coset path needs (``_coset_cost``).  The
     dimension of K is at least n minus the widest column's bit length,
     and the columns are eliminated only when even that bound leaves the
     coset walk the cheaper and within ``SEARCH_MAX_COST``.
@@ -444,8 +416,10 @@ def _mitm_cost(n: int, n_targets: int, max_size: int) -> int:
 
 def _coset_cost(n_targets: int, dim: int, n: int, rank: int) -> int:
     """Steps of the coset path: the walks, and eliminating n columns of
-    the given rank."""
-    return COSET_STEP_COST * ((n_targets << dim) + n * rank // 2)
+    the given rank, each counted as one meet-in-the-middle step: both
+    took 90 to 250 ns a step on 64-bit columns, and an elimination 60 to
+    230 ns per step charged (Python 3.11, a shared 2-vCPU host)."""
+    return (n_targets << dim) + n * rank // 2
 
 
 def _coset_search(elim: Elimination, targets: tuple[int, ...], max_size: int) -> tuple[int, int] | None:
@@ -563,29 +537,31 @@ def _half_table(columns: Sequence[int], bits: list[int], half: int) -> dict:
 # ---------- text format ----------
 
 
+def _row_mask(line: str, width: int, label: str) -> int:
+    """Mask of a text row of exactly ``width`` characters from {0,1},
+    coordinate 1 first (mask 0 at width 0); FormatError naming ``label``
+    for any other line.  ``strip`` leaves nothing exactly when every
+    character is 0 or 1, so the sign, space or underscore that ``int``
+    would take is refused too."""
+    if len(line) != width or line.strip("01"):
+        raise FormatError(f"malformed {label} {line!r}")
+    return int(line[::-1], 2) if width else 0
+
+
 def parse_matrix(text: str) -> BitMatrix:
     if not text.endswith("\n"):
         raise FormatError("matrix text must end with a newline")
     lines = text.split("\n")[:-1]
-    if not lines:
-        raise FormatError("empty matrix text")
-    head = lines[0].split(" ")
-    if len(head) != 2:
-        raise FormatError(f"malformed header line {lines[0]!r}")
-    try:
-        rows, cols = int(head[0]), int(head[1])
+    try:  # a wrong field count fails the unpacking with ValueError too
+        rows, cols = map(int, lines[0].split(" "))
     except ValueError as e:
         raise FormatError(f"malformed header line {lines[0]!r}") from e
     if rows < 0 or cols < 0:
         raise FormatError("negative dimensions")
     if len(lines) != rows + 1:
         raise FormatError(f"expected {rows} row lines, found {len(lines) - 1}")
-    masks = []
-    for ln in lines[1:]:
-        if len(ln) != cols or not set(ln) <= {"0", "1"}:
-            raise FormatError(f"malformed row line {ln!r}")
-        masks.append(BitVector.from01(ln).mask)
-    return BitMatrix(rows, cols, tuple(masks))
+    masks = tuple(_row_mask(ln, cols, "row line") for ln in lines[1:])
+    return BitMatrix(rows, cols, masks)
 
 
 def format_vector(v: BitVector) -> str:

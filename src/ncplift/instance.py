@@ -27,6 +27,7 @@ from .f2 import (
     BitMatrix,
     BitVector,
     FormatError,
+    _row_mask,
     dual_basis,
     eliminate,
     mat_vec,
@@ -225,12 +226,21 @@ def _sample_support(rng: Random, n: int, k: int) -> list[int]:
     return sorted(chosen)
 
 
+def _independent_rows(rng: Random, n: int, m: int) -> BitMatrix:
+    """An ``m`` x ``n`` matrix uniform over the full-rank choices: the
+    whole draw is repeated until its rows are independent.  ``rank`` is
+    read from this module, where the benchmark's tracer counts it."""
+    while True:
+        h = BitMatrix(m, n, tuple(rng.getrandbits(n) for _ in range(m)))
+        if rank(h) == m:
+            return h
+
+
 def random_planted(n: int, m: int, k: int, seed: int) -> tuple[SyndromeInstance, BitVector]:
     """Planted syndrome instance: uniform independent-row H and a hidden
     uniform weight-k vector x with t = H x.
 
-    The whole H is redrawn until its rows are independent, keeping the
-    matrix uniform over full-rank choices.  Determinism: a fixed seed
+    H comes from ``_independent_rows``.  Determinism: a fixed seed
     yields a bit-identical instance (MT19937 through getrandbits).  A
     negative seed is refused: ``Random`` seeds by its absolute value.
     """
@@ -243,11 +253,7 @@ def random_planted(n: int, m: int, k: int, seed: int) -> tuple[SyndromeInstance,
     if n == 0:
         raise ValueError("n must be >= 1")
     rng = Random(seed)
-    while True:
-        masks = tuple(rng.getrandbits(n) for _ in range(m))
-        h = BitMatrix(m, n, masks)
-        if rank(h) == m:
-            break
+    h = _independent_rows(rng, n, m)
     support = _sample_support(rng, n, k)
     x = BitVector.from_support((j + 1 for j in support), n)
     t = mat_vec(h, x)
@@ -267,7 +273,7 @@ def _read_instance(text: str, header: str, what: str, vector: str, make):
     if not text.endswith("\n"):
         raise FormatError("instance text must end with a newline")
     lines = text.split("\n")[:-1]
-    if not lines or lines[0] != header:
+    if lines[0] != header:
         raise FormatError(f"expected header {header!r}")
     if len(lines) < 2:
         raise FormatError("missing parameter line")
@@ -279,15 +285,10 @@ def _read_instance(text: str, header: str, what: str, vector: str, make):
         raise FormatError("alpha denominator must be positive")
     if len(lines) != 2 + rows + 1:
         raise FormatError(f"expected {rows} matrix rows plus a {vector} line")
-    matrows, vline = lines[2:-1], lines[-1]
-    for ln in matrows:
-        if len(ln) != cols or not set(ln) <= {"0", "1"}:
-            raise FormatError(f"malformed matrix row {ln!r}")
-    if len(vline) != rows or not set(vline) <= {"0", "1"}:
-        raise FormatError(f"malformed {vector} line {vline!r}")
-    mat = BitMatrix.from_rows(matrows, cols) if rows else BitMatrix.zeros(0, cols)
+    masks = tuple(_row_mask(ln, cols, "matrix row") for ln in lines[2:-1])
+    point = _row_mask(lines[-1], rows, f"{vector} line")
     try:
-        return make(mat, BitVector.from01(vline), k, Fraction(num, den))
+        return make(BitMatrix(rows, cols, masks), BitVector(rows, point), k, Fraction(num, den))
     except ValueError as e:
         raise FormatError(str(e)) from e
 

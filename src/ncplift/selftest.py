@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
@@ -46,7 +47,7 @@ from .dtree import (
     path_support_sets,
     prune,
 )
-from .f2 import BitMatrix, BitVector, mat_vec, rank
+from .f2 import BitVector, mat_vec
 from .gadget import (
     FinitePmf,
     GadgetOracle,
@@ -60,7 +61,13 @@ from .gadget import (
     lift_parity,
     unlift_parity,
 )
-from .instance import LabeledSet, SyndromeInstance, brute_force_nearest, random_planted
+from .instance import (
+    LabeledSet,
+    SyndromeInstance,
+    _independent_rows,
+    brute_force_nearest,
+    random_planted,
+)
 from .learners import exhaustive_parity_learner, parity_to_tree
 from .reduction import (
     PRUNE_CONSTANT,
@@ -107,15 +114,8 @@ _FAST = _Scale(50, 5, 3, 25, 50, 30, 25, 25, 23, 12, 11)
 # ---------- shared generators ----------
 
 
-def _independent_rows(rng: Random, n: int, m: int) -> tuple[int, ...]:
-    while True:
-        masks = tuple(rng.getrandbits(n) for _ in range(m))
-        if m == 0 or rank(BitMatrix(m, n, masks)) == m:
-            return masks
-
-
 def _random_labeled(rng: Random, n: int, m: int) -> LabeledSet:
-    masks = _independent_rows(rng, n, m)
+    masks = _independent_rows(rng, n, m).row_masks
     labels = tuple(rng.getrandbits(1) for _ in range(m))
     return LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n)
 
@@ -195,18 +195,25 @@ def _criterion_span_dichotomy(scale: _Scale, ctx: dict) -> tuple[bool, str]:
 # ---------- criterion 2 ----------
 
 
-def _block_patterns(ell: int) -> list[tuple[int, int, int]]:
-    """(restricted bit count, is_full, required parity) for every
-    concrete restriction pattern of one block; 3**ell entries."""
-    out = []
-    for sub in range(1 << ell):
-        cnt = sub.bit_count()
-        for vals in range(1 << cnt):
-            if cnt == ell:
-                out.append((cnt, 1, vals.bit_count() & 1))
-            else:
-                out.append((cnt, 0, 0))
-    return out
+def _pattern_classes(ell: int, n: int) -> Counter:
+    """Every concrete restriction pattern of ``n`` blocks of ``ell``
+    coordinates, grouped by the three things the bound's test reads:
+    (partial bit count, full-block mask, required parities) -> number of
+    patterns.  Per block there are C(ell, c) * 2**c partial ways of
+    each c < ell and 2**(ell-1) full ways of each parity, so the counts
+    sum to 3**(ell*n)."""
+    partial = [math.comb(ell, c) << c for c in range(ell)]
+    full = 1 << (ell - 1)
+    classes = Counter({(0, 0, 0): 1})
+    for b in range(n):
+        grown: Counter = Counter()
+        for (p_bits, fm, rq), count in classes.items():
+            for c, ways in enumerate(partial):
+                grown[p_bits + c, fm, rq] += count * ways
+            for par in (0, 1):
+                grown[p_bits, fm | 1 << b, rq | par << b] += count * full
+        classes = grown
+    return classes
 
 
 def _joint_table(pmf: FinitePmf, n: int) -> tuple[list[list[int]], int]:
@@ -223,35 +230,16 @@ def _joint_table(pmf: FinitePmf, n: int) -> tuple[list[list[int]], int]:
     return table, denom
 
 
-def _sweep_patterns(n: int, patterns, powed, dl) -> str | None:
-    """Exhaust every restriction pattern; probability p with R
-    restricted coordinates must satisfy p**ell <= 2**-((ell-1) R),
-    which reduces to powed[fmask][req] <= dl << partial_bits (the
-    full-block 2**-(ell-1) factors cancel against their share of R).
-    Returns a description of the first violation, else None.
-    """
-    last = n - 1
-
-    def walk(bi: int, p_bits: int, fm: int, rq: int) -> str | None:
-        if bi == last:
-            for cnt, isfull, par in patterns:
-                if isfull:
-                    f2, r2, p2 = fm | (1 << bi), rq | (par << bi), p_bits
-                else:
-                    f2, r2, p2 = fm, rq, p_bits + cnt
-                if powed[f2][r2] > dl << p2:
-                    return f"pattern partial_bits={p2} full={f2:b} req={r2:b}"
-            return None
-        for cnt, isfull, par in patterns:
-            if isfull:
-                bad = walk(bi + 1, p_bits, fm | (1 << bi), rq | (par << bi))
-            else:
-                bad = walk(bi + 1, p_bits + cnt, fm, rq)
-            if bad:
-                return bad
-        return None
-
-    return walk(0, 0, 0, 0)
+def _sweep_patterns(classes, powed, dl) -> str | None:
+    """Check every pattern class once; probability p with R restricted
+    coordinates must satisfy p**ell <= 2**-((ell-1) R), which reduces to
+    powed[fmask][req] <= dl << partial_bits (the full-block 2**-(ell-1)
+    factors cancel against their share of R).  Returns a description of
+    the first violation, else None."""
+    for p_bits, fm, rq in classes:
+        if powed[fm][rq] > dl << p_bits:
+            return f"pattern partial_bits={p_bits} full={fm:b} req={rq:b}"
+    return None
 
 
 def _random_restriction(rng: Random, params: GadgetParams) -> Restriction:
@@ -312,18 +300,18 @@ def _criterion_restriction_bound(scale: _Scale, ctx: dict) -> tuple[bool, str]:
     spot_checked = 0
     fiber_checked = 0
     for ell in (2, 3):
-        patterns = _block_patterns(ell)
         for n in range(1, scale.restriction_max_n + 1):
             params = GadgetParams(ell, n)
+            classes = _pattern_classes(ell, n)
             for _ in range(scale.restriction_pmfs):
                 pmf = _random_pmf(rng, n)
                 table, denom = _joint_table(pmf, n)
                 powed = [[v**ell for v in row] for row in table]
                 dl = denom**ell
-                bad = _sweep_patterns(n, patterns, powed, dl)
+                bad = _sweep_patterns(classes, powed, dl)
                 if bad is not None:
                     return False, f"bound violated at ell={ell} n={n}: {bad}"
-                pairs_checked += 3 ** (ell * n)
+                pairs_checked += sum(classes.values())
                 # Tie the sweep's integer arithmetic to the public
                 # closed form and the rational bound on a few concrete
                 # restrictions.
@@ -490,7 +478,7 @@ def _criterion_extraction_advantage(scale: _Scale, ctx: dict) -> tuple[bool, str
         m = rng.randint(1, min(n, 6))
         params = GadgetParams(2, n)
         s_star = ParityIndexSet.from_iterable(rng.sample(range(1, n + 1), rng.randint(0, 2)))
-        masks = _independent_rows(rng, n, m)
+        masks = _independent_rows(rng, n, m).row_masks
         labels = tuple((s_star.mask & mk).bit_count() & 1 for mk in masks)
         span = make_span_oracle(LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n))
         if rng.random() < 0.3:
@@ -548,9 +536,8 @@ def _far_instance(rng: Random, n: int, m: int, k: int) -> SyndromeInstance:
     """Random instance certified by brute force to admit no solution of
     weight 3k."""
     while True:
-        masks = _independent_rows(rng, n, m)
-        t = BitVector(m, rng.getrandbits(m))
-        inst = SyndromeInstance(BitMatrix(m, n, masks), t, k, Fraction(3))
+        h = _independent_rows(rng, n, m)
+        inst = SyndromeInstance(h, BitVector(m, rng.getrandbits(m)), k, Fraction(3))
         if brute_force_nearest(inst, 3 * k) is None:
             return inst
 

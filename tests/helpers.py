@@ -3,7 +3,8 @@ the CLI or the selftest: tree transforms and distances that the tests
 compare the closed forms against (the reduced form of a tree, its
 complement, the exact distance to a labeled enumeration), the fold of a
 lifted string, a learner that returns a fixed parity, a finite labeled
-distribution that draws examples, the identity matrix, and a CPU-time
+distribution that draws examples, matrices written as rows of 0/1
+text, the identity matrix, a random labeled basis, and a CPU-time
 limit."""
 
 import math
@@ -14,9 +15,9 @@ from fractions import Fraction
 from random import Random
 
 from ncplift.dtree import Leaf, Node, eval_tree, walk
-from ncplift.f2 import BitMatrix, BitVector
+from ncplift.f2 import BitMatrix, BitVector, parse_matrix
 from ncplift.gadget import FinitePmf, GadgetParams
-from ncplift.instance import _randbelow
+from ncplift.instance import LabeledSet, _independent_rows, _randbelow
 from ncplift.learners import parity_to_tree
 
 
@@ -108,9 +109,22 @@ class SampledPmf(FinitePmf):
         raise AssertionError("cumulative walk fell off the end")
 
 
+def matrix(*rows):
+    """The matrix whose rows are the given 0/1 strings, coordinate 1
+    first, read by the package's text parser."""
+    return parse_matrix(f"{len(rows)} {len(rows[0])}\n" + "".join(r + "\n" for r in rows))
+
+
 def identity(n):
     """The n x n identity matrix."""
     return BitMatrix(n, n, tuple(1 << i for i in range(n)))
+
+
+def random_labeled_basis(rng, n, m):
+    """m independent random points of length n with random labels."""
+    masks = _independent_rows(rng, n, m).row_masks
+    points = tuple(BitVector(n, mk) for mk in masks)
+    return LabeledSet(points, tuple(rng.getrandbits(1) for _ in masks), n)
 
 
 @contextmanager

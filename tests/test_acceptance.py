@@ -6,9 +6,19 @@ readable scoreboard.  The suites themselves live in ncplift.selftest
 and are shared with the `ncplift selftest` subcommand.
 """
 
+from collections import Counter
+
 import pytest
 
-from ncplift.selftest import CRITERIA, run_all
+from ncplift.gadget import GadgetParams
+from ncplift.selftest import (
+    CRITERIA,
+    _all_restrictions,
+    _pattern_classes,
+    _pattern_of,
+    _sweep_patterns,
+    run_all,
+)
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +45,29 @@ def test_01_span_dichotomy(full_results):
 
 def test_02_restriction_probability_bound(full_results):
     _report(full_results, "restriction-probability-bound")
+
+
+@pytest.mark.parametrize("ell, n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_02_pattern_classes_count_every_restriction(ell, n):
+    # Criterion 2 checks each class once; the counts must be those of
+    # the concrete restrictions, read one at a time.
+    params = GadgetParams(ell, n)
+    by_hand = Counter(_pattern_of(rho, params) for rho in _all_restrictions(params))
+    assert _pattern_classes(ell, n) == by_hand
+    assert sum(by_hand.values()) == 3 ** (ell * n)
+
+
+def test_02_sweep_reports_a_violating_entry():
+    # ell = 2, n = 2, denominator 1: full block 1 of parity 1 with block
+    # 2 unrestricted is bounded by 1 << 0, and with one bit of block 2
+    # by 1 << 1.  A required parity outside the full blocks is no
+    # pattern.
+    classes = _pattern_classes(2, 2)
+    powed = [[0] * 4 for _ in range(4)]
+    powed[0b00][0b01] = 100
+    assert _sweep_patterns(classes, powed, 1) is None
+    powed[0b01][0b01] = 2
+    assert _sweep_patterns(classes, powed, 1) == "pattern partial_bits=0 full=1 req=1"
 
 
 def test_03_block_correlation_dichotomy(full_results):

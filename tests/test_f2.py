@@ -27,7 +27,7 @@ from ncplift.f2 import (
 )
 from ncplift import f2
 
-from helpers import identity
+from helpers import identity, matrix
 
 
 def random_matrix(rng, rows, cols):
@@ -57,6 +57,11 @@ def test_bitvector_from01_round_trip():
     assert v.mask == 0b01101
     assert v.support() == (1, 3, 4)
     assert v.sparsity == 3
+    assert BitVector.from01("") == BitVector(0, 0)
+    # int(..., 2) would take a sign, spaces or an underscore.
+    for bad in ("0120", "+1", "-1", " 10", "10 ", "1_0", "0b1"):
+        with pytest.raises(FormatError):
+            BitVector.from01(bad)
 
 
 def per_bit(v):
@@ -135,12 +140,11 @@ def test_bit_column_doubling():
 
 
 def test_matrix_constructors_and_entry():
-    m = BitMatrix.from_rows(["10", "01", "11"])
+    m = matrix("10", "01", "11")
     assert m.rows == 3 and m.cols == 2
     # Entry (i, j) is bit j - 1 of row mask i - 1.
     assert m.row_masks == (0b01, 0b10, 0b11)
     assert [v.to01() for v in m.row_vectors()] == ["10", "01", "11"]
-    assert BitMatrix.zeros(2, 5).row_masks == (0, 0)
 
 
 def column_masks_by_bits(m):
@@ -194,18 +198,18 @@ def test_column_masks_match_the_zip_transpose(rows, cols):
 
 
 def test_column_masks_of_empty_shapes():
-    assert BitMatrix.zeros(0, 0).column_masks() == []
-    assert BitMatrix.zeros(0, 3).column_masks() == [0, 0, 0]
-    assert BitMatrix.zeros(4, 0).column_masks() == []
+    assert BitMatrix(0, 0, ()).column_masks() == []
+    assert BitMatrix(0, 3, ()).column_masks() == [0, 0, 0]
+    assert BitMatrix(4, 0, (0,) * 4).column_masks() == []
 
 
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(ValueError):
-        BitMatrix.from_rows(["10", "011"])
+        BitMatrix(2, 2, (0b01, 0b110))
 
 
 def test_mat_vec_by_hand():
-    h = BitMatrix.from_rows(["110", "011"])
+    h = matrix("110", "011")
     x = BitVector.from01("110")
     y = mat_vec(h, x)
     assert y.length == 2
@@ -229,8 +233,8 @@ def test_mat_vec_is_linear(r, c, data):
 
 def test_rank_small_cases():
     assert rank(identity(4)) == 4
-    assert rank(BitMatrix.zeros(3, 3)) == 0
-    assert rank(BitMatrix.from_rows(["11", "11"])) == 1
+    assert rank(matrix("000", "000", "000")) == 0
+    assert rank(matrix("11", "11")) == 1
 
 
 def xor_of(vectors, combo):
@@ -396,7 +400,7 @@ def test_eliminate_matches_the_two_xor_loop_on_random_inputs(seed):
 
 
 def test_dual_basis_repetition_code():
-    g = BitMatrix.from_rows(["1", "1"])  # single column (1, 1)
+    g = matrix("1", "1")  # single column (1, 1)
     h = dual_basis(g)
     assert h.rows == 1
     assert h.row_masks == (0b11,)
@@ -410,7 +414,7 @@ def test_dual_basis_of_identity_is_empty():
 
 
 def test_dual_basis_fixed_5x2_checked_over_all_vectors():
-    g = BitMatrix.from_rows(["10", "01", "11", "10", "00"])
+    g = matrix("10", "01", "11", "10", "00")
     assert rank(g) == 2
     h = dual_basis(g)
     assert h.rows == 3  # 5 - rank
@@ -442,12 +446,12 @@ def test_dual_basis_characterizes_column_span():
 
 
 def test_matrix_text_round_trip():
-    m = BitMatrix.from_rows(["10", "01"])
+    m = matrix("10", "01")
     assert parse_matrix("2 2\n10\n01\n") == m
 
 
 def test_zero_row_matrix_round_trip():
-    assert parse_matrix("0 4\n") == BitMatrix.zeros(0, 4)
+    assert parse_matrix("0 4\n") == BitMatrix(0, 4, ())
 
 
 def test_vector_text_round_trip():
@@ -466,6 +470,7 @@ def test_parse_matrix_rejections():
         "2 2\n10\n01\n11\n",  # too many rows
         "2\n10\n01\n",  # malformed header
         "2 2\n10\n0x\n",  # non-binary digit
+        "2 2\n10\n+1\n",  # a sign, which int() would take
         "-1 2\n",  # negative dimension
     ):
         with pytest.raises(FormatError):
@@ -500,7 +505,8 @@ def linear_xor_search(columns, targets, max_size):
 def on_path(path):
     """Force ``sparse_xor_search`` onto one path: the coset walk costs
     nothing, or never wins."""
-    return mock.patch.object(f2, "COSET_STEP_COST", {"coset": 0, "mitm": math.inf}[path])
+    cost = {"coset": 0, "mitm": math.inf}[path]
+    return mock.patch.object(f2, "_coset_cost", lambda *args: cost)
 
 
 @st.composite

@@ -31,7 +31,7 @@ from ncplift.gadget import (
     span_lifted_tree_error,
     unlift_parity,
 )
-from ncplift.instance import LabeledSet
+from ncplift.instance import LabeledSet, _independent_rows
 from ncplift.learners import _parity_dags, parity_to_tree
 from ncplift.span import exact_disagreement, make_span_oracle
 from helpers import SampledPmf, blockwise_parity, complement_tree, cpu_limit, exact_distance
@@ -421,13 +421,6 @@ def test_lifting_a_consistent_parity_keeps_agreement_one():
         assert exact_lifted_agreement(base, lifted, params) == 1
 
 
-def independent_masks(rng, n, m):
-    while True:
-        masks = tuple(rng.getrandbits(n) for _ in range(m))
-        if rank(BitMatrix(m, n, masks)) == m:
-            return masks
-
-
 @given(
     st.integers(0, 12),
     st.integers(0, 2),
@@ -447,7 +440,7 @@ def test_span_agreement_matches_both_oracles(m, extra, ell, mode, seed):
     rng = random.Random(seed)
     n = max(m, 1) + extra
     params = GadgetParams(ell, n)
-    masks = independent_masks(rng, n, m)
+    masks = _independent_rows(rng, n, m).row_masks
     s_star = ParityIndexSet.from_mask(rng.getrandbits(n))
     if mode == "planted":
         labels = tuple((s_star.mask & mk).bit_count() & 1 for mk in masks)
@@ -552,7 +545,7 @@ def test_tree_error_closed_form_matches_enumeration():
 
 
 def random_span(rng, n, m, labels=None):
-    masks = independent_masks(rng, n, m)
+    masks = _independent_rows(rng, n, m).row_masks
     if labels is None:
         labels = tuple(rng.getrandbits(1) for _ in masks)
     return make_span_oracle(LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n))
@@ -602,7 +595,7 @@ def test_span_tree_error_matches_the_enumeration(m, extra, ell, mode, seed):
         rng.sample(range(1, n + 1), min(n, rng.randint(0, 5 // ell)))
     )
     if mode == "planted":
-        masks = independent_masks(rng, n, m)
+        masks = _independent_rows(rng, n, m).row_masks
         labels = tuple((s_star.mask & mk).bit_count() & 1 for mk in masks)
         span = make_span_oracle(
             LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n)
@@ -791,7 +784,7 @@ def test_span_tree_error_matches_the_walk_on_shared_dags(m, extra, ell, depth, p
     chosen = [b + 1 for b in blocks if rng.random() < 0.7][: 8 // ell]
     s_star = ParityIndexSet.from_iterable(chosen)
     if planted:
-        masks = independent_masks(rng, n, m)
+        masks = _independent_rows(rng, n, m).row_masks
         labels = tuple((s_star.mask & mk).bit_count() & 1 for mk in masks)
         span = make_span_oracle(LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n))
     else:
@@ -810,7 +803,7 @@ def test_span_tree_error_of_a_depth_24_parity_dag():
     params = GadgetParams(3, n)
     s_star = index_set(1, 2, 4, 5, 7, 8, 10, 11)
     wrong = index_set(1, 2, 4, 5, 7, 8, 10, 12)
-    masks = independent_masks(rng, n, m)
+    masks = _independent_rows(rng, n, m).row_masks
     labels = tuple((s_star.mask & mk).bit_count() & 1 for mk in masks)
     span = make_span_oracle(LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n))
     assert lift_parity(s_star, params).mask in solution_unions(
@@ -929,7 +922,7 @@ def test_span_tree_error_of_planted_lift_and_constants():
     rng = random.Random(101)
     params = GadgetParams(2, 6)
     s_star = index_set(2, 5)
-    masks = independent_masks(rng, 6, 4)
+    masks = _independent_rows(rng, 6, 4).row_masks
     labels = tuple((s_star.mask & mk).bit_count() & 1 for mk in masks)
     span = make_span_oracle(LabeledSet(tuple(BitVector(6, mk) for mk in masks), labels, 6))
     tree = parity_to_tree(lift_parity(s_star, params))

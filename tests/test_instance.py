@@ -17,6 +17,7 @@ from ncplift.instance import (
     NcpInstance,
     SyndromeInstance,
     UnsatisfiableInstanceError,
+    _independent_rows,
     brute_force_nearest,
     generator_to_syndrome,
     load_instance,
@@ -30,14 +31,7 @@ from ncplift.instance import (
 from ncplift.reduction import verify_certificate
 from ncplift.span import make_span_oracle
 
-from helpers import identity
-
-
-def random_full_rank(rng, m, n):
-    while True:
-        h = BitMatrix(m, n, tuple(rng.getrandbits(n) for _ in range(m)))
-        if rank(h) == m:
-            return h
+from helpers import identity, matrix
 
 
 def codewords(g):
@@ -68,7 +62,7 @@ def test_instance_validation():
 
 
 def test_syndrome_properties():
-    h = BitMatrix.from_rows(["101", "011"])
+    h = matrix("101", "011")
     inst = SyndromeInstance(h, BitVector.from01("10"), 1, Fraction(2))
     assert inst.n == 3
     assert inst.m == 2
@@ -93,10 +87,10 @@ def test_labeled_set_validation():
 def test_generator_to_syndrome_repetition_code():
     # Code {00, 11}; the point 10 is at distance 1 from it.
     inst = NcpInstance(
-        BitMatrix.from_rows(["1", "1"]), BitVector.from01("10"), 1, Fraction(1)
+        matrix("1", "1"), BitVector.from01("10"), 1, Fraction(1)
     )
     sd = generator_to_syndrome(inst)
-    assert sd.h == BitMatrix.from_rows(["11"])
+    assert sd.h == matrix("11")
     assert sd.t.to01() == "1"
     assert brute_force_nearest(sd, 1) == BitVector.from01("10")
 
@@ -150,7 +144,7 @@ def test_span_of_syndrome_rows_rejects_dependent_rows():
     # syndrome_to_labeled_set takes the rows as they are; the span
     # built on them is the one independence check on that path.
     inst = SyndromeInstance(
-        BitMatrix.from_rows(["11", "11"]), BitVector.from01("11"), 1, Fraction(1)
+        matrix("11", "11"), BitVector.from01("11"), 1, Fraction(1)
     )
     labeled = syndrome_to_labeled_set(inst)
     with pytest.raises(ValueError, match="independent"):
@@ -164,7 +158,7 @@ def test_parity_consistency_matches_matrix_equation():
     for _ in range(40):
         n = rng.randint(1, 6)
         m = rng.randint(1, n)
-        h = random_full_rank(rng, m, n)
+        h = _independent_rows(rng, n, m)
         t = BitVector(m, rng.getrandbits(m))
         ls = syndrome_to_labeled_set(SyndromeInstance(h, t, 1, Fraction(1)))
         for smask in range(1 << n):
@@ -180,17 +174,17 @@ def test_parity_consistency_matches_matrix_equation():
 
 def test_normalize_drops_consistent_dependent_row():
     inst = SyndromeInstance(
-        BitMatrix.from_rows(["11", "11"]), BitVector.from01("11"), 1, Fraction(1)
+        matrix("11", "11"), BitVector.from01("11"), 1, Fraction(1)
     )
     norm = normalize_syndrome(inst)
-    assert norm.h == BitMatrix.from_rows(["11"])
+    assert norm.h == matrix("11")
     assert norm.t.to01() == "1"
     assert norm.k == inst.k and norm.alpha == inst.alpha
 
 
 def test_normalize_detects_contradiction():
     inst = SyndromeInstance(
-        BitMatrix.from_rows(["11", "11"]), BitVector.from01("10"), 1, Fraction(1)
+        matrix("11", "11"), BitVector.from01("10"), 1, Fraction(1)
     )
     with pytest.raises(UnsatisfiableInstanceError):
         normalize_syndrome(inst)
@@ -222,7 +216,7 @@ def test_normalize_preserves_solution_set():
 
 def test_normalize_keeps_independent_instance():
     rng = random.Random(59)
-    h = random_full_rank(rng, 3, 5)
+    h = _independent_rows(rng, 5, 3)
     inst = SyndromeInstance(h, BitVector(3, 0b101), 2, Fraction(1))
     assert normalize_syndrome(inst) is inst
 
@@ -232,7 +226,7 @@ def test_normalize_keeps_independent_instance():
 
 def test_brute_force_zero_target():
     inst = SyndromeInstance(
-        BitMatrix.from_rows(["110", "011"]), BitVector(2, 0), 1, Fraction(1)
+        matrix("110", "011"), BitVector(2, 0), 1, Fraction(1)
     )
     assert brute_force_nearest(inst, 0) == BitVector(3, 0)
 
@@ -249,7 +243,7 @@ def test_brute_force_lexicographic_tie_break():
     # Both 10 and 01 solve the single equation; the lexicographically
     # first support wins.
     inst = SyndromeInstance(
-        BitMatrix.from_rows(["11"]), BitVector.from01("1"), 1, Fraction(1)
+        matrix("11"), BitVector.from01("1"), 1, Fraction(1)
     )
     assert brute_force_nearest(inst, 1) == BitVector.from01("10")
 
@@ -259,7 +253,7 @@ def test_brute_force_returns_sparsest():
     for _ in range(40):
         n = rng.randint(1, 6)
         m = rng.randint(1, n)
-        h = random_full_rank(rng, m, n)
+        h = _independent_rows(rng, n, m)
         t = BitVector(m, rng.getrandbits(m))
         inst = SyndromeInstance(h, t, 1, Fraction(1))
         sols = [
@@ -445,14 +439,14 @@ def test_syndrome_file_round_trip():
 
 def test_generator_file_round_trip():
     inst = NcpInstance(
-        BitMatrix.from_rows(["1", "1"]), BitVector.from01("10"), 1, Fraction(1)
+        matrix("1", "1"), BitVector.from01("10"), 1, Fraction(1)
     )
     assert read_generator_instance("ncpgen v1\n2 1 1 1 1\n1\n1\n10\n") == inst
 
 
 def test_load_instance_converts_generator_view():
     inst = NcpInstance(
-        BitMatrix.from_rows(["1", "1"]), BitVector.from01("10"), 1, Fraction(1)
+        matrix("1", "1"), BitVector.from01("10"), 1, Fraction(1)
     )
     sd = load_instance("ncpgen v1\n2 1 1 1 1\n1\n1\n10\n")
     assert sd == generator_to_syndrome(inst)
@@ -460,7 +454,7 @@ def test_load_instance_converts_generator_view():
 
 def test_zero_row_syndrome_round_trip():
     inst = SyndromeInstance(
-        BitMatrix.zeros(0, 3), BitVector(0, 0), 1, Fraction(1)
+        BitMatrix(0, 3, ()), BitVector(0, 0), 1, Fraction(1)
     )
     assert read_syndrome_instance(write_syndrome_instance(inst)) == inst
 
@@ -474,6 +468,9 @@ def test_instance_file_rejections():
         "ncpsd v1\n2 2 1 1\n10\n01\n10\n",  # short parameter line
         "ncpsd v1\n2 2 1 1 0\n10\n01\n10\n",  # zero denominator
         "ncpsd v1\n2 2 1 1 1\n10\n011\n10\n",  # ragged row
+        "ncpsd v1\n2 2 1 1 1\n10\n0x\n10\n",  # non-binary digit
+        "ncpsd v1\n2 2 1 1 1\n10\n01\n+1\n",  # a signed target, which int() would take
+        "ncpsd v1\n0 -1 1 1 1\n\n",  # negative column count
         "ncpsd v1\n2 2 1 1 1\n10\n01\n1\n",  # target length mismatch
         "ncpsd v1\n2 2 1 1 1\n10\n10\n",  # missing row
         "ncpsd v1\n2 2 -1 1 1\n10\n01\n10\n",  # negative sparsity

@@ -27,14 +27,14 @@ from ncplift.gadget import (
     sample_bytes,
     span_lifted_tree_error,
 )
-from ncplift.instance import LabeledSet
+from ncplift.instance import LabeledSet, _independent_rows
 from ncplift.learners import (
     LearnerBudget,
     exhaustive_parity_learner,
     parity_to_tree,
 )
 from ncplift.span import exact_disagreement, make_span_oracle
-from helpers import SampledPmf, complement_tree, planted_learner
+from helpers import SampledPmf, complement_tree, planted_learner, random_labeled_basis
 
 
 def index_set(*indices):
@@ -68,15 +68,6 @@ def parity_span_oracle(rng, n, s):
     points = tuple(BitVector(n, 1 << i) for i in range(n))
     labels = tuple(1 if (i + 1) in s else 0 for i in range(n))
     return make_span_oracle(LabeledSet(points, labels, n))
-
-
-def random_labeled_basis(rng, n, m):
-    """m independent random points of length n with random labels."""
-    while True:
-        masks = tuple(rng.getrandbits(n) for _ in range(m))
-        if rank(BitMatrix(m, n, masks)) == m:
-            points = tuple(BitVector(n, mk) for mk in masks)
-            return LabeledSet(points, tuple(rng.getrandbits(1) for _ in masks), n)
 
 
 def budget(depth=4, samples=200):
@@ -230,11 +221,7 @@ def test_exhaustive_matches_independent_enumeration():
     for seed in range(20):
         rng = random.Random(200 + seed)
         n = rng.randint(2, 6)
-        masks = []
-        while True:
-            masks = [rng.getrandbits(n) for _ in range(n)]
-            if rank(BitMatrix(n, n, tuple(masks))) == n:
-                break
+        masks = _independent_rows(rng, n, n).row_masks
         labels = tuple(rng.getrandbits(1) for _ in range(n))
         oracle = make_span_oracle(
             LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n)
@@ -278,10 +265,7 @@ def test_exhaustive_hard_contract_on_random_oracles():
     for _ in range(20):
         n = rng.randint(2, 7)
         m = rng.randint(1, n)
-        while True:
-            masks = tuple(rng.getrandbits(n) for _ in range(m))
-            if rank(BitMatrix(m, n, masks)) == m:
-                break
+        masks = _independent_rows(rng, n, m).row_masks
         oracle = make_span_oracle(
             LabeledSet(
                 tuple(BitVector(n, mk) for mk in masks),
@@ -386,7 +370,7 @@ FIXED_CYCLES = [
 
 
 @pytest.mark.parametrize("pairs", FIXED_CYCLES)
-@pytest.mark.parametrize("samples", [1, 2])
+@pytest.mark.parametrize("samples", [1, 2, 7, 64])
 @pytest.mark.parametrize("depth", [0, 1, 2, 4])
 def test_exhaustive_matches_the_row_learner_on_fixed_cycles(pairs, samples, depth):
     # The exhaustive learner, which reads packed columns, against the
@@ -395,19 +379,6 @@ def test_exhaustive_matches_the_row_learner_on_fixed_cycles(pairs, samples, dept
     bud = LearnerBudget(depth, samples)
     got = exhaustive_parity_learner(unlifted(CycleOracle(pairs, 4)), bud, random.Random(0))
     assert got == scan_learner(CycleOracle(pairs, 4), bud, random.Random(0))
-
-
-@pytest.mark.parametrize("pairs", FIXED_CYCLES)
-@pytest.mark.parametrize("samples", [7, 64])
-@pytest.mark.parametrize("size, depth", [(1, 4), (2, 4), (5, 2), (16, 4)])
-def test_greedy_matches_the_row_learner_on_fixed_cycles(pairs, samples, size, depth):
-    # The cases of the test above at 7 and 64 samples, under the ids
-    # they had when they were written for the greedy learner, since
-    # deleted: (size, depth) pairs of the budget's old size field, each
-    # run at the depth it allowed, 0, 1, 2 and 4 in turn.
-    test_exhaustive_matches_the_row_learner_on_fixed_cycles(
-        pairs, samples, min(depth, size.bit_length() - 1)
-    )
 
 
 class NoiseOracle:
@@ -505,10 +476,7 @@ def test_no_fit_leaves_every_candidate_at_one_half(n, m, ell, seed):
     # labelling has such a fit.
     rng = random.Random(seed)
     m = min(m, n)
-    while True:
-        masks = tuple(rng.getrandbits(n) for _ in range(m))
-        if rank(BitMatrix(m, n, masks)) == m:
-            break
+    masks = _independent_rows(rng, n, m).row_masks
     points = tuple(BitVector(n, mk) for mk in masks)
     small = [
         ParityIndexSet(picks)

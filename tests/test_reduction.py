@@ -16,7 +16,7 @@ from ncplift.dtree import (
     path_support_sets,
     prune,
 )
-from ncplift.f2 import BitMatrix, BitVector, eliminate, mat_vec, rank
+from ncplift.f2 import BitVector, eliminate, mat_vec
 from ncplift.gadget import (
     SAMPLE_MAX_BYTES,
     FinitePmf,
@@ -32,6 +32,7 @@ from ncplift.gadget import (
 from ncplift.instance import (
     LabeledSet,
     SyndromeInstance,
+    _independent_rows,
     brute_force_nearest,
     random_planted,
 )
@@ -48,7 +49,7 @@ from ncplift.reduction import (
 )
 from ncplift.selftest import _far_instance
 from ncplift.span import make_span_oracle
-from helpers import cpu_limit, identity, planted_learner, reduce_tree
+from helpers import cpu_limit, identity, matrix, planted_learner, reduce_tree
 
 CFG = ReductionConfig()
 
@@ -88,11 +89,11 @@ def certified_far_instance(seed=4242):
     random system whose target no vector of weight <= 6 reaches."""
     rng = random.Random(seed)
     while True:
-        masks = tuple(rng.getrandbits(14) for _ in range(12))
-        if rank(BitMatrix(12, 14, masks)) < 12:
-            continue
         inst = SyndromeInstance(
-            BitMatrix(12, 14, masks), BitVector(12, rng.getrandbits(12)), 2, Fraction(3)
+            _independent_rows(rng, 14, 12),
+            BitVector(12, rng.getrandbits(12)),
+            2,
+            Fraction(3),
         )
         if brute_force_nearest(inst, 6) is None:
             return inst
@@ -139,7 +140,7 @@ def test_build_learning_instance_spans_the_kept_rows():
     # Row 3 is rows 1 + 2 with the matching label, so normalization
     # drops it, and the span over the two kept rows is what gets lifted.
     inst = SyndromeInstance(
-        BitMatrix.from_rows(["1100", "0110", "1010"]), BitVector.from01("101"), 1, Fraction(1)
+        matrix("1100", "0110", "1010"), BitVector.from01("101"), 1, Fraction(1)
     )
     oracle = build_learning_instance(inst, CFG)
     span = oracle.base
@@ -153,7 +154,7 @@ def test_build_learning_instance_rejects_contradiction():
     from ncplift.instance import UnsatisfiableInstanceError
 
     inst = SyndromeInstance(
-        BitMatrix.from_rows(["11", "11"]), BitVector.from01("10"), 1, Fraction(1)
+        matrix("11", "11"), BitVector.from01("10"), 1, Fraction(1)
     )
     with pytest.raises(UnsatisfiableInstanceError):
         build_learning_instance(inst, CFG)
@@ -326,7 +327,7 @@ def test_decide_learner_failure(monkeypatch):
 
 def test_decide_unsatisfiable():
     inst = SyndromeInstance(
-        BitMatrix.from_rows(["11", "11"]), BitVector.from01("10"), 2, Fraction(3)
+        matrix("11", "11"), BitVector.from01("10"), 2, Fraction(3)
     )
     report = decide(inst, CFG, exhaustive_parity_learner, random.Random(0))
     assert not report.accepted
@@ -527,7 +528,7 @@ def test_search_with_planted_hint_returns_exact_vector():
 
 
 def test_search_zero_target_returns_zero_vector():
-    h = BitMatrix.from_rows(["1010", "0110"])
+    h = matrix("1010", "0110")
     inst = SyndromeInstance(h, BitVector(2, 0), 1, Fraction(1))
     report = search(inst, CFG, exhaustive_parity_learner, random.Random(5))
     assert report.ok
@@ -536,7 +537,7 @@ def test_search_zero_target_returns_zero_vector():
 
 def test_search_unsatisfiable():
     inst = SyndromeInstance(
-        BitMatrix.from_rows(["11", "11"]), BitVector.from01("10"), 1, Fraction(1)
+        matrix("11", "11"), BitVector.from01("10"), 1, Fraction(1)
     )
     report = search(inst, CFG, exhaustive_parity_learner, random.Random(0))
     assert not report.ok
@@ -816,7 +817,7 @@ def test_reports_do_not_depend_on_the_clock(monkeypatch):
 
 
 def test_verify_certificate():
-    h = BitMatrix.from_rows(["110", "011"])
+    h = matrix("110", "011")
     inst = SyndromeInstance(h, BitVector.from01("10"), 1, Fraction(1))
     good = BitVector.from01("100")
     assert mat_vec(h, good) == inst.t

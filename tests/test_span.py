@@ -8,7 +8,7 @@ import pytest
 import scipy.stats
 
 from ncplift.dtree import ParityIndexSet
-from ncplift.f2 import BitMatrix, BitVector, rank
+from ncplift.f2 import BitVector
 from ncplift.instance import LabeledSet
 from ncplift.span import (
     enumerate_span,
@@ -17,19 +17,12 @@ from ncplift.span import (
     sample_span,
 )
 
+from helpers import random_labeled_basis
+
 
 def basis_set(rows, labels):
     pts = [BitVector.from01(r) for r in rows]
     return LabeledSet(tuple(pts), tuple(labels), len(rows[0]))
-
-
-def random_basis(rng, n, m):
-    while True:
-        masks = tuple(rng.getrandbits(n) for _ in range(m))
-        if rank(BitMatrix(m, n, masks)) == m:
-            pts = tuple(BitVector(n, mk) for mk in masks)
-            labels = tuple(rng.getrandbits(1) for _ in range(m))
-            return LabeledSet(pts, labels, n)
 
 
 # ---------------------------------------------------------------- construction
@@ -66,7 +59,7 @@ def test_enumeration_covers_span_once():
     for _ in range(30):
         n = rng.randint(1, 8)
         m = rng.randint(0, min(n, 6))
-        oracle = make_span_oracle(random_basis(rng, n, m))
+        oracle = make_span_oracle(random_labeled_basis(rng, n, m))
         points = [p.mask for p, _ in enumerate_span(oracle)]
         assert len(points) == 1 << m
         assert len(set(points)) == 1 << m
@@ -78,7 +71,7 @@ def test_enumeration_gray_order():
     for _ in range(20):
         n = rng.randint(2, 8)
         m = rng.randint(1, min(n, 6))
-        oracle = make_span_oracle(random_basis(rng, n, m))
+        oracle = make_span_oracle(random_labeled_basis(rng, n, m))
         basis = set(oracle.points)
         walk = enumerate_span(oracle)
         for (a, _), (b, _) in zip(walk, walk[1:]):
@@ -91,7 +84,7 @@ def test_labels_extend_linearly():
     for _ in range(20):
         n = rng.randint(1, 8)
         m = rng.randint(0, min(n, 5))
-        oracle = make_span_oracle(random_basis(rng, n, m))
+        oracle = make_span_oracle(random_labeled_basis(rng, n, m))
         table = {p.mask: lab for p, lab in enumerate_span(oracle)}
         items = list(table.items())
         for pa, la in items:
@@ -118,7 +111,7 @@ def test_enumeration_respects_dimension_cap():
 
 def test_sampling_stays_inside_span():
     rng = random.Random(37)
-    oracle = make_span_oracle(random_basis(rng, 7, 4))
+    oracle = make_span_oracle(random_labeled_basis(rng, 7, 4))
     table = {p.mask: lab for p, lab in enumerate_span(oracle)}
     for _ in range(500):
         p, lab = sample_span(oracle, rng)
@@ -130,7 +123,7 @@ def test_sampling_is_uniform_chi_squared():
     # 10**-3 quantile, with fixed seeds so the run is reproducible.
     rng = random.Random(41)
     for dim in (1, 3, 6):
-        oracle = make_span_oracle(random_basis(rng, 8, dim))
+        oracle = make_span_oracle(random_labeled_basis(rng, 8, dim))
         draws = 10**5
         counts: dict[int, int] = {}
         for _ in range(draws):
@@ -152,7 +145,7 @@ def test_oracle_sample_matches_sample_span(dim, labels):
     # The table fold draws the same subset from the same getrandbits
     # call, so it must give the same points and labels and leave the
     # rng where sample_span leaves it, ragged last group included.
-    base = random_basis(random.Random(dim), dim + 3, dim)
+    base = random_labeled_basis(random.Random(dim), dim + 3, dim)
     if labels != "random":
         base = LabeledSet(base.points, (int(labels == "ones"),) * dim, base.length)
     oracle = make_span_oracle(base)
@@ -170,7 +163,7 @@ def test_planted_parity_labels_survive_sampling():
     for _ in range(20):
         n = rng.randint(2, 8)
         m = rng.randint(1, min(n, 6))
-        base = random_basis(rng, n, m)
+        base = random_labeled_basis(rng, n, m)
         ind = BitVector(n, rng.getrandbits(n))
         labeled = LabeledSet(
             base.points, tuple((p.mask & ind.mask).bit_count() & 1 for p in base.points), n
@@ -199,7 +192,7 @@ def test_exact_disagreement_matches_naive_count():
     for _ in range(40):
         n = rng.randint(1, 10)
         m = rng.randint(0, min(n, 6))
-        oracle = make_span_oracle(random_basis(rng, n, m))
+        oracle = make_span_oracle(random_labeled_basis(rng, n, m))
         for _ in range(10):
             size = rng.randint(0, min(n, 4))
             s = ParityIndexSet.from_iterable(rng.sample(range(1, n + 1), size))
@@ -212,7 +205,7 @@ def test_disagreement_is_zero_or_half():
     for _ in range(60):
         n = rng.randint(1, 12)
         m = rng.randint(0, min(n, 10))
-        oracle = make_span_oracle(random_basis(rng, n, m))
+        oracle = make_span_oracle(random_labeled_basis(rng, n, m))
         for size in range(0, min(n, 4) + 1):
             for picks in combinations(range(1, n + 1), size):
                 s = ParityIndexSet.from_iterable(picks)
