@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .f2 import BitVector, FormatError, bit_column
+from .f2 import BitVector, FormatError, _is_decimal, bit_column
 
 __all__ = [
     "ParityIndexSet",
@@ -377,7 +377,7 @@ def parse_tree(text: str) -> DecisionTree:
         match line.split():
             case ["l0" | "l1" as leaf]:
                 nodes.append(Leaf(int(leaf[1])))
-            case [query, low, high] if query[0] == "q" and all(map(str.isdecimal, (query[1:], low, high))):
+            case [query, low, high] if query[0] == "q" and all(map(_is_decimal, (query[1:], low, high))):
                 coord, low, high = int(query[1:]), int(low), int(high)
                 if coord < 1 or not (0 < low < number and 0 < high < number):
                     raise FormatError(f"line {number}: needs a coordinate >= 1 and earlier children")

@@ -7,7 +7,7 @@ public API (supports, index sets, retained-row lists); the bit layout
 inside the packed ints is a private detail.
 
 The text format shared by the CLI and the test fixtures is: a first
-line ``rows cols`` (decimal, one space), then ``rows`` lines each a
+line ``rows cols`` (ASCII decimal, one space), then ``rows`` lines each a
 string of exactly ``cols`` characters from {0,1}.  Vectors are written
 as matrices with a single row.  Each row of this format, of an instance
 file and of ``BitVector.from01`` is read, and its width and alphabet
@@ -74,6 +74,17 @@ class BitVector:
             raise ValueError("negative length")
         if not 0 <= self.mask < (1 << self.length):
             raise ValueError("mask does not fit the stated length")
+
+    @classmethod
+    def _unchecked(cls, length: int, mask: int) -> BitVector:
+        # For a mask already known to fit the length: no validation, and
+        # the fields go straight into the instance dict, which is all the
+        # frozen __init__ would leave there.
+        v = object.__new__(cls)
+        fields = v.__dict__
+        fields["length"] = length
+        fields["mask"] = mask
+        return v
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> BitVector:
@@ -375,31 +386,50 @@ def sparse_xor_search(
     Raises:
         ValueError: when both estimates pass ``SEARCH_MAX_COST``, before
             any table or walk starts, and before the elimination when the
-            bound on the coset walk passes it.
+            floor on the coset walk passes it, as ``_check_search_shape``
+            does from the columns' shape alone.
     """
     if max_size >= 0 and 0 in targets:
         return 0, targets.index(0)
-    n = len(columns)
-    mitm = _mitm_cost(n, len(targets), max_size)
+    n, n_targets = len(columns), len(targets)
+    mitm = _mitm_cost(n, n_targets, max_size)
     dim = max(0, n - max(map(int.bit_length, columns), default=0))
-    elim = None
-    if _coset_cost(len(targets), dim, 0, 0) <= min(mitm, SEARCH_MAX_COST):
-        elim = eliminate(columns)
-        dim = len(elim.kernel)
-    coset = _coset_cost(len(targets), dim, n, n - dim)
-    use_coset = elim is not None and coset <= mitm
-    if (coset if use_coset else mitm) > SEARCH_MAX_COST:
-        bound = "" if elim is not None else "at least "
+    coset = _coset_cost(n_targets, dim, 0, 0)
+    _check_estimates(n_targets, mitm, coset, dim, "at least ")
+    if coset > min(mitm, SEARCH_MAX_COST):
+        return _search(columns, dict(enumerate(targets)), max_size)
+    elim = eliminate(columns)
+    dim = len(elim.kernel)
+    coset = _coset_cost(n_targets, dim, n, n - dim)
+    _check_estimates(n_targets, mitm, coset, dim, "")
+    if coset <= mitm:
+        return _coset_search(elim, targets, max_size)
+    live = {ti: t for ti, t in enumerate(targets) if not elim.reduce(t)[0]}
+    return _search(columns, live, max_size)
+
+
+def _check_search_shape(n: int, width: int, n_targets: int, max_size: int) -> None:
+    """Raise the ``ValueError`` that ``sparse_xor_search`` would raise,
+    before it eliminates anything, over ``n`` columns of at most
+    ``width`` bits for ``n_targets`` nonzero targets up to size
+    ``max_size``: its own estimates, the kernel dimension at its floor
+    ``n - width``, so this refuses only what the search refuses."""
+    dim = max(0, n - width)
+    mitm = _mitm_cost(n, n_targets, max_size)
+    _check_estimates(n_targets, mitm, _coset_cost(n_targets, dim, 0, 0), dim, "at least ")
+
+
+def _check_estimates(n_targets: int, mitm: int, coset: int, dim: int, bound: str) -> None:
+    """Refuse a search whose meet-in-the-middle and coset estimates both
+    pass ``SEARCH_MAX_COST``; ``dim`` is the kernel dimension behind
+    ``coset``, prefixed by ``bound`` ("at least ") when it is a floor."""
+    if min(mitm, coset) > SEARCH_MAX_COST:
         raise ValueError(
             f"exact search too large: meeting in the middle takes about "
-            f"2**{mitm.bit_length() - 1} steps and the coset walk {len(targets)} x "
+            f"2**{mitm.bit_length() - 1} steps and the coset walk {n_targets} x "
             f"2**{dim} (kernel dimension {bound}{dim}), both past "
             f"SEARCH_MAX_COST = {SEARCH_MAX_COST}"
         )
-    if use_coset:
-        return _coset_search(elim, targets, max_size)
-    live = {ti: t for ti, t in enumerate(targets) if elim is None or not elim.reduce(t)[0]}
-    return _search(columns, live, max_size)
 
 
 def _mitm_cost(n: int, n_targets: int, max_size: int) -> int:
@@ -548,16 +578,30 @@ def _row_mask(line: str, width: int, label: str) -> int:
     return int(line[::-1], 2) if width else 0
 
 
+def _is_decimal(field: str) -> bool:
+    """Whether ``field`` is a nonempty run of ASCII digits, the one form
+    of a number in the text formats; ``int`` would also take a sign,
+    ``_`` between digits, surrounding spaces and non-ASCII digits."""
+    return field.isascii() and field.isdecimal()
+
+
+def _decimal_fields(line: str, count: int, label: str) -> list[int]:
+    """The ``count`` numbers of ``line``, one space apart, each
+    ``_is_decimal``; FormatError naming ``label`` for any other line."""
+    fields = line.split(" ")
+    try:
+        if len(fields) == count and all(map(_is_decimal, fields)):
+            return list(map(int, fields))
+    except ValueError:  # more digits than ``int`` converts
+        pass
+    raise FormatError(f"malformed {label} {line!r}")
+
+
 def parse_matrix(text: str) -> BitMatrix:
     if not text.endswith("\n"):
         raise FormatError("matrix text must end with a newline")
     lines = text.split("\n")[:-1]
-    try:  # a wrong field count fails the unpacking with ValueError too
-        rows, cols = map(int, lines[0].split(" "))
-    except ValueError as e:
-        raise FormatError(f"malformed header line {lines[0]!r}") from e
-    if rows < 0 or cols < 0:
-        raise FormatError("negative dimensions")
+    rows, cols = _decimal_fields(lines[0], 2, "header line")
     if len(lines) != rows + 1:
         raise FormatError(f"expected {rows} row lines, found {len(lines) - 1}")
     masks = tuple(_row_mask(ln, cols, "row line") for ln in lines[1:])

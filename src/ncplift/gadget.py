@@ -23,8 +23,10 @@ alongside as an independent cross-check at tiny sizes.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from random import Random
 from typing import Iterator
 
@@ -157,12 +159,24 @@ class GadgetOracle:
         the transposed matrix; then ``lift_columns`` draws every block's
         free columns.  ``sample_bytes`` bounds the peak.
         """
-        draws = (self.base.sample(rng) for _ in range(count))
+        draws = map(self.base.sample, repeat(rng, count))
         rows = tuple(point.mask << 1 | label for point, label in draws)
         label_col, *base_cols = BitMatrix(count, self.base.length + 1, rows).column_masks()
         # Freed before lifting starts, as ``sample_bytes`` counts it.
         del rows
         return lift_columns(base_cols, count, self.params, rng), label_col
+
+    def peek_labels(self, rng: Random, count: int) -> int:
+        """The label column that ``sample_columns(rng, count)`` would
+        return, drawn from a copy of ``rng``, which is left as it was.
+        Lifting keeps each base label, so nothing is lifted: a base with
+        a ``label_column`` (a span oracle) draws the labels alone, and
+        any other base its whole examples."""
+        ahead = copy(rng)
+        label_column = getattr(self.base, "label_column", None)
+        if label_column is not None:
+            return label_column(ahead, count)
+        return sum(self.base.sample(ahead)[1] << r for r in range(count))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .f2 import (
     BitMatrix,
     BitVector,
     FormatError,
+    _decimal_fields,
     _row_mask,
     dual_basis,
     eliminate,
@@ -267,9 +268,9 @@ _GEN_HEADER = "ncpgen v1"
 
 
 def _read_instance(text: str, header: str, what: str, vector: str, make):
-    """Parse one view: the header, ``rows cols k num den``, the matrix
-    rows, then a vector line of one bit per row; ``make(matrix, vector,
-    k, alpha)`` builds the instance."""
+    """Parse one view: the header, ``rows cols k num den`` in ASCII
+    decimal, the matrix rows, then a vector line of one bit per row;
+    ``make(matrix, vector, k, alpha)`` builds the instance."""
     if not text.endswith("\n"):
         raise FormatError("instance text must end with a newline")
     lines = text.split("\n")[:-1]
@@ -277,11 +278,8 @@ def _read_instance(text: str, header: str, what: str, vector: str, make):
         raise FormatError(f"expected header {header!r}")
     if len(lines) < 2:
         raise FormatError("missing parameter line")
-    try:  # a wrong field count fails the unpacking with ValueError too
-        rows, cols, k, num, den = (int(p) for p in lines[1].split(" "))
-    except ValueError as e:
-        raise FormatError(f"malformed {what} parameter line {lines[1]!r}") from e
-    if den <= 0:
+    rows, cols, k, num, den = _decimal_fields(lines[1], 5, f"{what} parameter line")
+    if den == 0:
         raise FormatError("alpha denominator must be positive")
     if len(lines) != 2 + rows + 1:
         raise FormatError(f"expected {rows} matrix rows plus a {vector} line")

@@ -4,13 +4,15 @@ A learner is any callable ``learner(oracle, budget, rng)`` that draws
 at most ``budget.sample_budget`` labeled examples from the oracle and
 returns a decision tree over its ``length`` coordinates whose depth,
 and so whose size of at most ``2**depth_budget``, respects the budget
-(a hard contract).  An oracle has a ``length`` and one method,
-``sample_columns(rng, count)``: count examples packed into
+(a hard contract).  An oracle has a ``length`` and two methods:
+``sample_columns(rng, count)``, count examples packed into
 per-coordinate bit columns (bit r of a column is example r), with the
-label column.  ``gadget.GadgetOracle`` is that oracle; a per-example
-source reaches a learner through it, at block width 1 when unlifted.
-No clock bounds a learner: a search whose cost estimate passes
-``f2.SEARCH_MAX_COST`` raises ``ValueError`` before it starts.
+label column; and ``peek_labels(rng, count)``, that label column alone,
+read without advancing ``rng``.  ``gadget.GadgetOracle`` is that
+oracle; a per-example source reaches a learner through it, at block
+width 1 when unlifted.  No clock bounds a learner: a search whose cost
+estimate passes ``f2.SEARCH_MAX_COST`` raises ``ValueError`` before it
+starts, and before sampling when the sample's shape and labels show it.
 
 The exhaustive learner is a consistent learner, which is all the
 reduction needs (Blumer, Ehrenfeucht, Haussler and Warmuth, "Occam's
@@ -28,7 +30,7 @@ from itertools import combinations  # noqa: F401
 from random import Random
 
 from .dtree import DecisionTree, Leaf, Node, ParityIndexSet
-from .f2 import sparse_xor_search
+from .f2 import _check_search_shape, sparse_xor_search
 
 __all__ = [
     "LearnerBudget",
@@ -94,12 +96,22 @@ def exhaustive_parity_learner(oracle, budget: LearnerBudget, rng: Random) -> Dec
 
     Raises:
         ValueError: when the depth budget exceeds the oracle's length,
-            or, after sampling, when the exact-fit search would pass
-            ``f2.SEARCH_MAX_COST``.
+            or when the exact-fit search would pass
+            ``f2.SEARCH_MAX_COST``: before sampling when the shape of
+            ``length`` columns of ``sample_budget`` bits shows it and
+            the labels, read ahead with ``oracle.peek_labels``, are not
+            all equal; otherwise after.  A constant label column is fit
+            by the empty parity with no search, so the check refuses
+            only what the search after sampling refuses.
     """
     if budget.depth_budget > oracle.length:
         raise ValueError("depth budget exceeds the oracle's length")
     nsamp = budget.sample_budget
+    try:
+        _check_search_shape(oracle.length, nsamp, 2, budget.depth_budget)
+    except ValueError:
+        if oracle.peek_labels(rng, nsamp) not in (0, (1 << nsamp) - 1):
+            raise
     cols, label_col = oracle.sample_columns(rng, nsamp)
     targets = (label_col, label_col ^ ((1 << nsamp) - 1))
     exact = sparse_xor_search(cols, targets, budget.depth_budget)

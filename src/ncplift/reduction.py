@@ -24,11 +24,12 @@ from random import Random
 from .dtree import DecisionTree, ParityIndexSet, prune
 
 # Not called here: the benchmark's tracer (bench/spans.py) wraps
-# ``reduction.estimate_distance``, ``reduction.exact_lifted_agreement``
-# and ``reduction.path_support_sets``, and a traced run fails when any
-# of those names is missing.
+# ``reduction.estimate_distance``, ``reduction.exact_lifted_agreement``,
+# ``reduction.make_span_oracle`` and ``reduction.path_support_sets``,
+# and a traced run fails when any of those names is missing.
 from .dtree import estimate_distance, path_support_sets  # noqa: F401
 from .gadget import exact_lifted_agreement  # noqa: F401
+from .span import make_span_oracle  # noqa: F401
 from .f2 import BitVector, mat_vec
 from .gadget import (
     SAMPLE_MAX_BYTES,
@@ -46,7 +47,7 @@ from .instance import (
     syndrome_to_labeled_set,
 )
 from .learners import LearnerBudget
-from .span import SpanOracle, make_span_oracle
+from .span import SpanOracle
 
 __all__ = [
     "ReductionConfig",
@@ -89,13 +90,14 @@ def build_learning_instance(inst: SyndromeInstance, cfg: ReductionConfig) -> Gad
     """Lifted example oracle for an instance.
 
     Normalizes first; an instance whose system is inconsistent raises
-    ``UnsatisfiableInstanceError``.  Emitted examples have arity
-    ell * n.  An instance with no rows yields the oracle over the
-    all-even-blocks strings labeled 0.
+    ``UnsatisfiableInstanceError``.  The rows that normalization keeps
+    are independent, so their span is built without a second
+    elimination.  Emitted examples have arity ell * n.  An instance with
+    no rows yields the oracle over the all-even-blocks strings labeled 0.
     """
     norm = normalize_syndrome(inst)
     labeled = syndrome_to_labeled_set(norm)
-    return GadgetOracle(make_span_oracle(labeled), GadgetParams(cfg.ell, norm.n))
+    return GadgetOracle(SpanOracle._independent(labeled), GadgetParams(cfg.ell, norm.n))
 
 
 @dataclass(frozen=True)

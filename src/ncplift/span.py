@@ -55,13 +55,23 @@ class SpanOracle:
     __slots__ = ("length", "dimension", "points", "labels", "_table", "_fold")
 
     def __init__(self, labeled: LabeledSet) -> None:
-        masks = tuple(p.mask for p in labeled.points)
-        m = len(masks)
-        if m and rank(BitMatrix(m, labeled.length, masks)) != m:
+        self._fill(labeled)
+        m = self.dimension
+        if m and rank(BitMatrix(m, self.length, self.points)) != m:
             raise ValueError("span construction requires independent points")
+
+    @classmethod
+    def _independent(cls, labeled: LabeledSet) -> SpanOracle:
+        # For points already known independent, such as the rows that
+        # ``normalize_syndrome`` keeps: no second elimination.
+        oracle = object.__new__(cls)
+        oracle._fill(labeled)
+        return oracle
+
+    def _fill(self, labeled: LabeledSet) -> None:
         self.length = labeled.length
-        self.dimension = m
-        self.points = masks
+        self.points = tuple(p.mask for p in labeled.points)
+        self.dimension = len(self.points)
         self.labels = tuple(labeled.labels)
         self._table = None
         self._fold = None
@@ -73,6 +83,9 @@ class SpanOracle:
         The subset is folded ``FOLD_ROWS`` bits at a time: entry e of
         a group's table is the XOR of ``point << 1 | label`` over the
         group's rows set in e, so a draw takes one lookup per group.
+        The point is an XOR of basis points, each checked against
+        ``length`` when the oracle was built, so its ``BitVector`` is
+        built unchecked.
         """
         m = self.dimension
         subset = rng.getrandbits(m) if m else 0
@@ -80,10 +93,24 @@ class SpanOracle:
         if tables is None:
             tables = self._fold_tables()
         acc = 0
+        rows, low = FOLD_ROWS, _FOLD_MASK
         for table in tables:
-            acc ^= table[subset & _FOLD_MASK]
-            subset >>= FOLD_ROWS
-        return BitVector(self.length, acc >> 1), acc & 1
+            acc ^= table[subset & low]
+            subset >>= rows
+        return BitVector._unchecked(self.length, acc >> 1), acc & 1
+
+    def label_column(self, rng: Random, count: int) -> int:
+        """The labels of ``count`` draws of ``sample`` from ``rng``, bit
+        r the label of draw r: the same subsets are drawn, and each
+        label is the parity of the subset's labeled rows, with no point
+        built."""
+        m = self.dimension
+        labeled = sum(label << i for i, label in enumerate(self.labels))
+        column = 0
+        for r in range(count):
+            subset = rng.getrandbits(m) if m else 0
+            column |= ((subset & labeled).bit_count() & 1) << r
+        return column
 
     def _fold_tables(self) -> list[list[int]]:
         """The XOR tables of ``sample``, built by doubling, one per

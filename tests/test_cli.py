@@ -3,12 +3,14 @@
 import time
 import tracemalloc
 from random import Random
+from unittest import mock
 
 import pytest
 
 from ncplift.cli import _report, main
 from ncplift.dtree import parse_tree
 from ncplift.f2 import BitVector, parse_vector
+from ncplift.gadget import GadgetOracle
 from ncplift.instance import brute_force_nearest, read_syndrome_instance
 from ncplift.learners import exhaustive_parity_learner
 from ncplift.reduction import ReductionConfig, search
@@ -345,6 +347,48 @@ def test_learner_search_past_the_bound_is_input_error(
     assert refusal in err
 
 
+@pytest.mark.parametrize("command, alpha", [("solve-reduce", None), ("decide", "3")])
+def test_learner_search_refused_before_sampling(tmp_path, capsys, command, alpha):
+    # 300 samples over the 400 lifted columns of a (200, 100, 3) instance
+    # leave a kernel of dimension at least 100, and meeting in the middle
+    # up to size 6 is past the bound too: refused before any sample.
+    path = gen_planted(tmp_path, capsys, n=200, m=100, k=3, seed=1, alpha=alpha)
+    with mock.patch.object(GadgetOracle, "sample_columns", side_effect=AssertionError):
+        code, stdout, err = run(capsys, command, str(path), "--samples", "300")
+    assert code == 2
+    assert stdout == ""
+    assert "error=exact search too large" in err
+    assert "kernel dimension at least 100" in err
+
+
+@pytest.mark.parametrize(
+    "command, alpha, answer",
+    [("solve-reduce", None, "0" * 200), ("decide", "3", "YES")],
+    ids=["solve-reduce", "decide"],
+)
+def test_zero_target_past_the_shape_bound_is_answered(tmp_path, capsys, command, alpha, answer):
+    # The (200, 100, 3) shape of the test above with t = 0: every label
+    # is 0, so the empty parity fits the sample with no search, and the
+    # answer is x = 0 (solve-reduce) or an accept (decide), not a refusal.
+    path = gen_planted(tmp_path, capsys, n=200, m=100, k=3, seed=1, alpha=alpha)
+    lines = path.read_text().split("\n")
+    lines[-2] = "0" * 100
+    path.write_text("\n".join(lines))
+    code, stdout, err = run(capsys, command, str(path), "--samples", "300")
+    assert (code, stdout) == (0, answer + "\n")
+    assert "too large" not in err
+
+
+@pytest.mark.parametrize("command, alpha, code", [("solve-reduce", None, 4), ("decide", "3", 1)])
+def test_one_sample_past_the_shape_bound_is_answered(tmp_path, capsys, command, alpha, code):
+    # One sample gives a one-bit label column, which the empty parity or
+    # its complement fits with no search: a constant tree, which finds
+    # no solution (solve-reduce) and is rejected (decide) at any seed.
+    path = gen_planted(tmp_path, capsys, n=200, m=100, k=3, seed=1, alpha=alpha)
+    for seed in ("0", "1", "2", "3"):
+        assert run(capsys, command, str(path), "--samples", "1", "--seed", seed)[0] == code
+
+
 def test_solve_reduce_is_deterministic(tmp_path, capsys):
     out = gen_planted(tmp_path, capsys, n=12, m=8, k=2, seed=9)
     runs = []
@@ -514,11 +558,14 @@ def test_verify_wrong_length_is_input_error(tmp_path, capsys):
 
 def test_malformed_instance_is_input_error(tmp_path, capsys):
     path = tmp_path / "mangled"
-    path.write_text("ncpsd v1\n2 2 1 1\n11\n11\n10\n")
-    for sub in ("solve-exact", "solve-reduce", "decide"):
-        code, _, err = run(capsys, sub, str(path))
-        assert code == 2
-        assert "error" in err
+    # A short parameter line; then numbers that int() reads but that are
+    # not ASCII decimal: a sign, an underscore and an Arabic-Indic digit.
+    for text in ("ncpsd v1\n2 2 1 1\n11\n11\n10\n", "ncpsd v1\n+1 0_2 \u0661 1 1\n10\n1\n"):
+        path.write_text(text)
+        for sub in ("solve-exact", "solve-reduce", "decide"):
+            code, _, err = run(capsys, sub, str(path))
+            assert code == 2
+            assert "error" in err
 
 
 def test_missing_file_is_input_error(tmp_path, capsys):

@@ -643,6 +643,8 @@ def test_parse_rejections():
         "", "l2", "x1", "q1", "q1 1", "q1 1 1", "l0 l1", "l0\nq0 1 1", "l0\nq1 1 2",
         "l0\nq1 0 1", "l0\nq1 1 x", "l0\nq+1 1 1", "l0\n\nq1 1 1", "l0\nl1",
         "l0\nl1\nq1 1 1", "l0\nq1 1 1 1", "l0\nq 1 1",
+        # Non-ASCII digits, which str.isdecimal and int() take.
+        "l0\nl1\nq\u0661 1 2", "l0\nl1\nq1 \u0661 2", "l0\nl1\nq1 1 \uff12",
     ):
         with pytest.raises(FormatError):
             parse_tree(bad)

@@ -472,6 +472,9 @@ def test_parse_matrix_rejections():
         "2 2\n10\n0x\n",  # non-binary digit
         "2 2\n10\n+1\n",  # a sign, which int() would take
         "-1 2\n",  # negative dimension
+        "+1 0_2\n10\n",  # a sign and an underscore in the header, which int() would take
+        "1\t 2\n10\n",  # a tab, which int() would strip
+        "\u0661 2\n10\n",  # a non-ASCII digit, which int() would read
     ):
         with pytest.raises(FormatError):
             parse_matrix(bad)
@@ -483,6 +486,16 @@ def test_parse_vector_rejections():
             parse_vector(bad)
     with pytest.raises(FormatError):
         parse_vector("2 2\n10\n01\n")  # two rows is not a vector
+
+
+def test_unchecked_vector_equals_the_checked_one():
+    for length, mask in ((0, 0), (5, 0b10110), (70, 1 << 69 | 1)):
+        fast, checked = BitVector._unchecked(length, mask), BitVector(length, mask)
+        assert fast == checked and hash(fast) == hash(checked)
+        assert (fast.length, fast.mask, fast.to01()) == (length, mask, checked.to01())
+        assert vars(fast) == vars(checked)
+        with pytest.raises(AttributeError):
+            fast.mask = 0
 
 
 # ---------------------------------------------------------------- sparse XOR search
@@ -698,6 +711,32 @@ def test_sparse_xor_search_chooses_by_cost():
         assert sparse_xor_search(narrow, (narrow[0] ^ narrow[9],), 5) == (1 | 1 << 9, 0)
         assert walk.call_count == 1
         assert elim.call_count == 2
+
+
+@given(
+    st.integers(1, 48),
+    st.integers(1, 24),
+    st.integers(0, 6),
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_search_shape_refuses_only_what_the_search_refuses(n, width, max_size, n_targets, seed):
+    # Under a bound of 2**12 steps, a shape that _check_search_shape
+    # refuses is refused by the search over any n columns of at most
+    # width bits, for any nonzero targets, with the same message.  Both
+    # take sizes up to n only, as the learner's depth budget is.
+    max_size = min(max_size, n)
+    rng = random.Random(seed)
+    columns = [rng.getrandbits(width) for _ in range(n)]
+    targets = tuple(rng.getrandbits(width) or 1 for _ in range(n_targets))
+    with mock.patch.object(f2, "SEARCH_MAX_COST", 1 << 12):
+        try:
+            f2._check_search_shape(n, width, n_targets, max_size)
+        except ValueError as refusal:
+            assert str(refusal).startswith("exact search too large: ")
+            with pytest.raises(ValueError, match="exact search too large: "):
+                sparse_xor_search(columns, targets, max_size)
 
 
 def test_sparse_xor_search_drops_shadow_targets_after_elimination():

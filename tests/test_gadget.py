@@ -551,6 +551,29 @@ def random_span(rng, n, m, labels=None):
     return make_span_oracle(LabeledSet(tuple(BitVector(n, mk) for mk in masks), labels, n))
 
 
+@pytest.mark.parametrize("n, m, ell", [(6, 0, 2), (6, 1, 1), (9, 5, 3), (40, 30, 2)])
+def test_peek_labels_is_the_sampled_label_column(n, m, ell):
+    # The peek reads the labels that sample_columns then draws, and leaves
+    # the generator where it was, so the sample after it is unchanged.
+    rng = random.Random(n * m + ell)
+    oracle = GadgetOracle(random_span(rng, n, m), GadgetParams(ell, n))
+    for count in (1, 2, 63, 200):
+        state = rng.getstate()
+        peeked = oracle.peek_labels(rng, count)
+        assert rng.getstate() == state
+        assert peeked == oracle.sample_columns(rng, count)[1]
+
+
+def test_peek_labels_of_a_base_without_label_column():
+    # Any other base's labels are read from whole draws, on the same copy.
+    oracle = GadgetOracle(pmf([("01", 1, 1), ("10", 0, 2), ("11", 1, 3)], 2), P2)
+    rng = random.Random(4)
+    state = rng.getstate()
+    peeked = oracle.peek_labels(rng, 90)
+    assert rng.getstate() == state
+    assert peeked == oracle.sample_columns(rng, 90)[1]
+
+
 def random_block_tree(rng, params, depth):
     """Random tree of depth <= ``depth`` that queries the coordinates of
     a few blocks, so paths cover some blocks fully and others partly,

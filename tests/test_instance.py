@@ -474,6 +474,9 @@ def test_instance_file_rejections():
         "ncpsd v1\n2 2 1 1 1\n10\n01\n1\n",  # target length mismatch
         "ncpsd v1\n2 2 1 1 1\n10\n10\n",  # missing row
         "ncpsd v1\n2 2 -1 1 1\n10\n01\n10\n",  # negative sparsity
+        "ncpsd v1\n+1 0_2 \u0661 1 1\n10\n1\n",  # a sign, an underscore and a non-ASCII digit
+        "ncpsd v1\n2 2 1 1 1\t\n10\n01\n10\n",  # a tab, which int() would strip
+        "ncpsd v1\n2 2 1 1 \uff11\n10\n01\n10\n",  # a fullwidth digit
     ):
         with pytest.raises(FormatError):
             read_syndrome_instance(bad)

@@ -520,6 +520,59 @@ def test_exhaustive_bounds_the_exact_fit_search(monkeypatch):
             exhaustive_parity_learner(oracle, bud, random.Random(3))
 
 
+class UnsampledOracle:
+    """An oracle of the given length whose sample must not be drawn,
+    with ``labels`` as the label column it peeks."""
+
+    def __init__(self, length, labels=0b10):
+        self.length = length
+        self.labels = labels
+
+    def peek_labels(self, rng, count):
+        return self.labels
+
+    def sample_columns(self, rng, count):
+        pytest.fail("sampled for a search that its shape already refuses")
+
+
+def test_exhaustive_refuses_before_sampling():
+    # The lifted shape of a (5000, 4000) instance at ell = 2 and k = 5:
+    # 10000 columns of 2000 bits leave a kernel of dimension at least
+    # 8000, and meeting in the middle up to size 10 is as far past the
+    # bound, so the search is refused with no sample drawn.
+    with pytest.raises(ValueError, match=r"exact search too large.*kernel dimension at least 8000"):
+        exhaustive_parity_learner(UnsampledOracle(10000), LearnerBudget(10, 2000), random.Random(0))
+    # The refusal needs both estimates past the bound: at depth 2 the
+    # meet in the middle fits, and at 9990 samples so does the walk, so
+    # both of these sample.
+    for bud in (LearnerBudget(2, 2000), LearnerBudget(10, 9990)):
+        with pytest.raises(pytest.fail.Exception):
+            exhaustive_parity_learner(UnsampledOracle(10000), bud, random.Random(0))
+    # Nor is a constant label column refused, all zeros or all ones, as
+    # one label always is: the empty parity fits it with no search.
+    for labels, bud in ((0, LearnerBudget(10, 2000)), ((1 << 2000) - 1, LearnerBudget(10, 2000)),
+                        (1, LearnerBudget(10, 1))):
+        with pytest.raises(pytest.fail.Exception):
+            exhaustive_parity_learner(UnsampledOracle(10000, labels), bud, random.Random(0))
+
+
+def test_exhaustive_fits_constant_labels_past_the_shape_bound():
+    # At a shape the search refuses, labels that all agree still get the
+    # constant the search after sampling gives: Leaf(0) over a span
+    # labeled 0, and the empty parity or its complement from one sample.
+    rng = random.Random(5)
+    masks = _independent_rows(rng, 400, 200).row_masks
+    points = tuple(BitVector(400, mk) for mk in masks)
+    zero = GadgetOracle(make_span_oracle(LabeledSet(points, (0,) * 200, 400)), GadgetParams(1, 400))
+    assert exhaustive_parity_learner(zero, LearnerBudget(6, 300), random.Random(1)) == Leaf(0)
+    labeled = GadgetOracle(make_span_oracle(LabeledSet(points, (1,) * 200, 400)), GadgetParams(1, 400))
+    with pytest.raises(ValueError, match="exact search too large"):
+        exhaustive_parity_learner(labeled, LearnerBudget(6, 300), random.Random(1))
+    for seed in range(4):
+        label = labeled.peek_labels(random.Random(seed), 1)
+        assert exhaustive_parity_learner(labeled, LearnerBudget(6, 1), random.Random(seed)) == Leaf(label)
+
+
 def test_error_scan_retains_no_memory():
     # With the cyclic collector off, anything caught in a reference cycle
     # (a table, a recursive closure) outlives its call.  Thirty calls at

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncplift import f2, gadget, reduction
+from ncplift import f2, gadget, instance, reduction
 from ncplift.dtree import (
     Leaf,
     Node,
@@ -148,6 +148,43 @@ def test_build_learning_instance_spans_the_kept_rows():
     assert span.points == tuple(BitVector.from01(r).mask for r in ("1100", "0110"))
     assert span.labels == (1, 0)
     assert oracle.params == GadgetParams(CFG.ell, 4)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        random_planted(40, 30, 3, 5)[0],
+        # Row 3 is rows 1 + 2 with the matching label: a kernel to drop.
+        SyndromeInstance(matrix("1100", "0110", "1010"), BitVector.from01("101"), 1, Fraction(1)),
+    ],
+    ids=["full-rank", "dependent-row"],
+)
+def test_build_learning_instance_eliminates_once(monkeypatch, inst):
+    # Normalization eliminates H; the span of the rows it keeps is built
+    # without a second elimination.  The public constructor still checks.
+    calls = []
+
+    def counted(original):
+        def counting(vectors):
+            calls.append(1)
+            return original(vectors)
+        return counting
+
+    monkeypatch.setattr(f2, "eliminate", counted(f2.eliminate))
+    monkeypatch.setattr(instance, "eliminate", counted(eliminate))
+    oracle = build_learning_instance(inst, CFG)
+    assert len(calls) == 1
+    checked = make_span_oracle(LabeledSet(
+        tuple(BitVector(oracle.base.length, p) for p in oracle.base.points),
+        oracle.base.labels,
+        oracle.base.length,
+    ))
+    assert len(calls) == 2
+    assert (checked.length, checked.dimension, checked.points, checked.labels) == (
+        oracle.base.length, oracle.base.dimension, oracle.base.points, oracle.base.labels,
+    )
+    rng_a, rng_b = random.Random(3), random.Random(3)
+    assert [oracle.base.sample(rng_a) for _ in range(20)] == [checked.sample(rng_b) for _ in range(20)]
 
 
 def test_build_learning_instance_rejects_contradiction():
