@@ -360,9 +360,9 @@ def sparse_xor_search(
     codeword search): a support of size s splits into its lowest
     ``s - h`` indices L and its highest h indices U, where h is the
     largest split up to ``s // 2`` whose table of all C(n, h) upper
-    halves holds at most ``XOR_TABLE_MAX_ENTRIES`` entries.  The table
-    maps the XOR over every U to the lexicographically first U with
-    that XOR; when the columns were eliminated, the targets outside
+    halves holds at most ``XOR_TABLE_MAX_ENTRIES`` entries (``_splits``).
+    The table maps the XOR over every U to the lexicographically first U
+    with that XOR; when the columns were eliminated, the targets outside
     their span, which have no fit, are dropped first.  The L are
     streamed in lexicographic order against the table, and supports
     sharing L are ordered by U, so the first L with a hit holds the
@@ -386,16 +386,14 @@ def sparse_xor_search(
     Raises:
         ValueError: when both estimates pass ``SEARCH_MAX_COST``, before
             any table or walk starts, and before the elimination when the
-            floor on the coset walk passes it, as ``_check_search_shape``
-            does from the columns' shape alone.
+            floor on the coset walk passes it, which
+            ``_check_search_shape`` finds from the columns' shape alone.
     """
     if max_size >= 0 and 0 in targets:
         return 0, targets.index(0)
     n, n_targets = len(columns), len(targets)
-    mitm = _mitm_cost(n, n_targets, max_size)
-    dim = max(0, n - max(map(int.bit_length, columns), default=0))
-    coset = _coset_cost(n_targets, dim, 0, 0)
-    _check_estimates(n_targets, mitm, coset, dim, "at least ")
+    width = max(map(int.bit_length, columns), default=0)
+    mitm, coset = _check_search_shape(n, width, n_targets, max_size)
     if coset > min(mitm, SEARCH_MAX_COST):
         return _search(columns, dict(enumerate(targets)), max_size)
     elim = eliminate(columns)
@@ -408,15 +406,19 @@ def sparse_xor_search(
     return _search(columns, live, max_size)
 
 
-def _check_search_shape(n: int, width: int, n_targets: int, max_size: int) -> None:
+def _check_search_shape(n: int, width: int, n_targets: int, max_size: int) -> tuple[int, int]:
     """Raise the ``ValueError`` that ``sparse_xor_search`` would raise,
     before it eliminates anything, over ``n`` columns of at most
     ``width`` bits for ``n_targets`` nonzero targets up to size
-    ``max_size``: its own estimates, the kernel dimension at its floor
-    ``n - width``, so this refuses only what the search refuses."""
+    ``max_size``; otherwise return the meet-in-the-middle estimate and
+    the coset walk's at the kernel dimension's floor ``n - width``.  The
+    search takes its first estimates from here, so this refuses only
+    what the search refuses."""
     dim = max(0, n - width)
     mitm = _mitm_cost(n, n_targets, max_size)
-    _check_estimates(n_targets, mitm, _coset_cost(n_targets, dim, 0, 0), dim, "at least ")
+    coset = _coset_cost(n_targets, dim, 0, 0)
+    _check_estimates(n_targets, mitm, coset, dim, "at least ")
+    return mitm, coset
 
 
 def _check_estimates(n_targets: int, mitm: int, coset: int, dim: int, bound: str) -> None:
@@ -425,22 +427,38 @@ def _check_estimates(n_targets: int, mitm: int, coset: int, dim: int, bound: str
     ``coset``, prefixed by ``bound`` ("at least ") when it is a floor."""
     if min(mitm, coset) > SEARCH_MAX_COST:
         raise ValueError(
-            f"exact search too large: meeting in the middle takes about "
+            f"exact search too large: meeting in the middle takes at least "
             f"2**{mitm.bit_length() - 1} steps and the coset walk {n_targets} x "
             f"2**{dim} (kernel dimension {bound}{dim}), both past "
             f"SEARCH_MAX_COST = {SEARCH_MAX_COST}"
         )
 
 
-def _mitm_cost(n: int, n_targets: int, max_size: int) -> int:
-    """Steps of a meet-in-the-middle search that finds nothing: every
-    table entry built, and every lower half streamed, once per target."""
-    cost = half = 0
-    for size in range(1, max_size + 1):
+def _splits(n: int, max_size: int) -> Iterator[tuple[int, int]]:
+    """Each support size s from 1 to ``min(max_size, n)`` (no support is
+    larger) with the split h that meeting in the middle takes for it.
+    s // 2 grows by at most one a size and C(n, h) grows with h up to
+    n / 2, so one step a size keeps h the largest that fits."""
+    half = 0
+    for size in range(1, min(max_size, n) + 1):
         if half < size // 2 and comb(n, half + 1) <= XOR_TABLE_MAX_ENTRIES:
             half += 1
+        yield size, half
+
+
+def _mitm_cost(n: int, n_targets: int, max_size: int) -> int:
+    """Steps of a meet-in-the-middle search that finds nothing: every
+    table entry built, and every lower half streamed, once per target.
+    It stops at the first size that takes it past ``SEARCH_MAX_COST``:
+    exact up to the bound, a lower bound past it."""
+    cost = built = 0
+    for size, half in _splits(n, max_size):
+        if half > built:
+            built = half
             cost += comb(n, half)
         cost += n_targets * comb(n - half, size - half)
+        if cost > SEARCH_MAX_COST:
+            break
     return cost
 
 
@@ -504,10 +522,9 @@ def _search(columns: Sequence[int], targets: dict[int, int], max_size: int) -> t
     n = len(columns)
     bits = [1 << j for j in range(n)]
     half, table = 0, {0: 0}
-    for size in range(1, max_size + 1):
-        if half < size // 2 and comb(n, half + 1) <= XOR_TABLE_MAX_ENTRIES:
-            half += 1
-            table = _half_table(columns, bits, half)
+    for size, split in _splits(n, max_size):
+        if split > half:
+            half, table = split, _half_table(columns, bits, split)
         table_keys = table.keys()
         top = n - half
         for prefix in combinations(range(top - 1), size - half - 1):

@@ -220,7 +220,7 @@ def lift_sample(
         raise ValueError(f"expected base length {params.base_n}, got {x.length}")
     ell = params.ell
     n = params.base_n
-    free_all = rng.getrandbits(n * (ell - 1)) if ell > 1 and n else 0
+    free_all = rng.getrandbits(n * (ell - 1))
     free_ones = (1 << (ell - 1)) - 1
     ym = 0
     xm = x.mask

@@ -88,7 +88,7 @@ class SpanOracle:
         built unchecked.
         """
         m = self.dimension
-        subset = rng.getrandbits(m) if m else 0
+        subset = rng.getrandbits(m)
         tables = self._fold
         if tables is None:
             tables = self._fold_tables()
@@ -108,7 +108,7 @@ class SpanOracle:
         labeled = sum(label << i for i, label in enumerate(self.labels))
         column = 0
         for r in range(count):
-            subset = rng.getrandbits(m) if m else 0
+            subset = rng.getrandbits(m)
             column |= ((subset & labeled).bit_count() & 1) << r
         return column
 
@@ -163,7 +163,7 @@ def sample_span(oracle: SpanOracle, rng: Random) -> tuple[BitVector, int]:
     """One uniform labeled span point: a fresh uniform subset of the
     basis, XOR-folded with its labels a set bit at a time.  The oracle
     of ``SpanOracle.sample``."""
-    subset = rng.getrandbits(oracle.dimension) if oracle.dimension else 0
+    subset = rng.getrandbits(oracle.dimension)
     pm = 0
     label = 0
     while subset:

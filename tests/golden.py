@@ -149,9 +149,11 @@ def _generic_trees(seeds) -> list:
 # workloads and of decide-gate; decide at alpha 3, on selftest's planted
 # seeds and certified-far instances, at three block widths (ell 8 is
 # depth 16); the instances of CI's deep, wide and span steps
-# at the CLI's default seed 0; brute force on the solve-exact shape and
-# on shapes small enough for the coset walk, each at caps that hit and
-# that miss; and extraction and the tree error on generic trees.
+# at the CLI's default seed 0; search and decide on an empty H, whose
+# span of dimension 0 draws every example from getrandbits(0); brute
+# force on the solve-exact shape and on shapes small enough for the
+# coset walk, each at caps that hit and that miss; and extraction and
+# the tree error on generic trees.
 CASES = {
     "search-24-16-2": lambda: _learned(search, _planted(24, 16, 2, range(1, 6)), 2),
     "search-18-10-3": lambda: _learned(search, _planted(18, 10, 3, range(1, 6)), 2),
@@ -170,6 +172,8 @@ CASES = {
     ),
     "ci-wide": lambda: _learned(search, [(random_planted(48, 12, 3, 1)[0], 0)], 2),
     "ci-span": lambda: _learned(search, [(random_planted(200, 150, 2, 1)[0], 0)], 2),
+    "zero-width-14-0-2": lambda: _learned(search, _planted(14, 0, 2, range(1, 4)), 2)
+    + _learned(decide, _planted(14, 0, 2, range(1, 4), Fraction(3)), 2),
     "nearest-64-48-5": lambda: _nearest(64, 48, 5, range(1, 4), (5, 4)),
     "nearest-20-16-3": lambda: _nearest(20, 16, 3, range(1, 6), (3, 2)),
     "nearest-30-18-4": lambda: _nearest(30, 18, 4, range(1, 4), (4, 3)),

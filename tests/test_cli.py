@@ -153,7 +153,7 @@ def test_solve_exact_refuses_a_search_that_cannot_finish(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert "outcome=error" in err
-    assert "meeting in the middle takes about 2**" in err
+    assert "meeting in the middle takes at least 2**" in err
     assert "coset walk 1 x 2**200" in err
 
 

@@ -27,7 +27,7 @@ from ncplift.f2 import (
 )
 from ncplift import f2
 
-from helpers import identity, matrix
+from helpers import cpu_limit, identity, matrix
 
 
 def random_matrix(rng, rows, cols):
@@ -724,9 +724,8 @@ def test_sparse_xor_search_chooses_by_cost():
 def test_search_shape_refuses_only_what_the_search_refuses(n, width, max_size, n_targets, seed):
     # Under a bound of 2**12 steps, a shape that _check_search_shape
     # refuses is refused by the search over any n columns of at most
-    # width bits, for any nonzero targets, with the same message.  Both
-    # take sizes up to n only, as the learner's depth budget is.
-    max_size = min(max_size, n)
+    # width bits, for any nonzero targets, with the same message, for
+    # caps up to n and past it.
     rng = random.Random(seed)
     columns = [rng.getrandbits(width) for _ in range(n)]
     targets = tuple(rng.getrandbits(width) or 1 for _ in range(n_targets))
@@ -737,6 +736,77 @@ def test_search_shape_refuses_only_what_the_search_refuses(n, width, max_size, n
             assert str(refusal).startswith("exact search too large: ")
             with pytest.raises(ValueError, match="exact search too large: "):
                 sparse_xor_search(columns, targets, max_size)
+
+
+def test_sparse_xor_search_answers_caps_past_the_column_count():
+    # No support has more indices than there are columns, so a cap past
+    # n answers as the cap n does.
+    assert sparse_xor_search([1], (2,), 4) is None
+    assert sparse_xor_search([0], (1,), 4) is None
+    assert sparse_xor_search([1, 2], (4,), 4) is None
+
+
+@st.composite
+def capped_problems(draw):
+    """Up to 8 columns drawn from at most three 4-bit values, so zero
+    and repeated columns are common, 1 or 2 targets, and a cap up to
+    n + 3."""
+    pool = draw(st.lists(st.integers(0, 15), min_size=1, max_size=3))
+    columns = draw(st.lists(st.sampled_from(pool), max_size=8))
+    targets = tuple(draw(st.lists(st.integers(0, 15), min_size=1, max_size=2)))
+    return columns, targets, draw(st.integers(0, len(columns) + 3))
+
+
+@given(capped_problems())
+@settings(max_examples=300, deadline=None)
+def test_sparse_xor_search_matches_linear_scan_past_the_column_count(problem):
+    columns, targets, max_size = problem
+    want = linear_xor_search(columns, targets, max_size)
+    assert sparse_xor_search(columns, targets, max_size) == want
+    for path in ("coset", "mitm"):
+        with on_path(path):
+            assert sparse_xor_search(columns, targets, max_size) == want
+
+
+def old_mitm_cost(n, n_targets, max_size):
+    """The meet-in-the-middle estimate summed over every size up to the
+    cap: the oracle of ``f2._mitm_cost``, which stops at n and at the
+    bound, for caps up to n."""
+    cost = half = 0
+    for size in range(1, max_size + 1):
+        if half < size // 2 and math.comb(n, half + 1) <= f2.XOR_TABLE_MAX_ENTRIES:
+            half += 1
+            cost += math.comb(n, half)
+        cost += n_targets * math.comb(n - half, size - half)
+    return cost
+
+
+def test_mitm_cost_stopped_at_the_bound_decides_as_the_full_sum():
+    # Up to the bound the estimate is the full sum, and past it both
+    # are past it.  So for any coset estimate the search refuses (both
+    # past the bound), skips the elimination (coset above the smaller
+    # of mitm and the bound) and, when not refused, walks the coset
+    # (coset <= mitm) exactly as the full sum would have it.
+    bound = f2.SEARCH_MAX_COST
+    cosets = (0, 1, bound // 2, bound, bound + 1, 1 << 40)
+    for n in range(61):
+        for n_targets in (1, 2):
+            for max_size in range(n + 1):
+                new = f2._mitm_cost(n, n_targets, max_size)
+                old = old_mitm_cost(n, n_targets, max_size)
+                assert new == old if old <= bound else new > bound
+                for coset in cosets:
+                    assert (min(new, coset) > bound) == (min(old, coset) > bound)
+                    assert (coset > min(new, bound)) == (coset > min(old, bound))
+                    if min(old, coset) <= bound:
+                        assert (coset <= new) == (coset <= old)
+
+
+def test_search_shape_refuses_a_cap_of_every_column_at_once():
+    # The (5000, 4000) brute force at cap 5000: the estimate stops at
+    # size 4, where it passes the bound, not at size 5000.
+    with cpu_limit(0.2), pytest.raises(ValueError, match=r"takes at least 2\*\*"):
+        f2._check_search_shape(5000, 4000, 1, 5000)
 
 
 def test_sparse_xor_search_drops_shadow_targets_after_elimination():
