@@ -16,8 +16,9 @@ checked, once, by one parser (``_row_mask``).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, islice, repeat
+from itertools import combinations, compress, count, repeat
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -307,10 +308,14 @@ def dual_basis(g: BitMatrix) -> BitMatrix:
 
 # ---------- sparse XOR search ----------
 
-# Largest half-table ``sparse_xor_search`` builds; a size whose even
-# split would need more splits lower instead.  A full table takes about
-# 30 MiB: tracemalloc measured a 29.6 MiB peak for a search whose
-# largest table held the 260130 supports of C(117, 3) (Python 3.11).
+# Longest level of upper halves ``sparse_xor_search`` builds; a size
+# whose even split would need a longer one splits lower instead.  The
+# levels below it are kept too, and the table is the set of its XORs.
+# At the cap that takes about 24 MiB: tracemalloc measured a 23.9 MiB
+# peak (29.6 MiB for the dict of upper halves this replaced) for a
+# size-7 miss over 117 columns of 64 bits, whose longest level held the
+# C(117, 3) = 260130 XORs of three columns; that search took 1.9 s of
+# CPU untraced (2.2 s before; Python 3.11).
 XOR_TABLE_MAX_ENTRIES = 1 << 18
 
 # Most steps ``sparse_xor_search`` may take.  At 90 to 250 ns a step
@@ -359,29 +364,46 @@ def sparse_xor_search(
     Meet in the middle (the splitting step of Stern's low-weight
     codeword search): a support of size s splits into its lowest
     ``s - h`` indices L and its highest h indices U, where h is the
-    largest split up to ``s // 2`` whose table of all C(n, h) upper
+    largest split up to ``s // 2`` whose level of all C(n, h) upper
     halves holds at most ``XOR_TABLE_MAX_ENTRIES`` entries (``_splits``).
-    The table maps the XOR over every U to the lexicographically first U
-    with that XOR; when the columns were eliminated, the targets outside
-    their span, which have no fit, are dropped first.  The L are
-    streamed in lexicographic order against the table, and supports
-    sharing L are ordered by U, so the first L with a hit holds the
-    answer and the stream stops there.  Every hit is a fit, and its
-    U lies wholly above L: a U that overlaps L makes the smaller support
-    L ^ U fit, which the smaller sizes already ruled out, and otherwise
-    the support's own lowest indices come earlier in the stream and
-    would have stopped it.  h = 0 (size 1, or a table that would not
-    fit) is a one-entry table and the stream is the plain scan.
+    Level j lists the XOR over every support of j indices in
+    lexicographic order, so the first occurrence of an XOR in it comes
+    from the lexicographically first support that makes it, and the
+    supports whose indices all lie above an index a are a suffix of it.
+    Level j is built from level j - 1 with one C-level ``extend`` per
+    lowest index (``_next_level``), once, when h first reaches j, and
+    the lower levels are kept.  The table is the set of level h's XORs;
+    when the columns were eliminated, the targets outside their span,
+    which have no fit, are dropped first.
 
-    Both sides go a row at a time.  A streamed row is every L that
-    shares all its indices but the last; the row's XORs, the prefix XOR
-    with each later column, are probed for every target at C level, and
-    only a row with a hit is walked index by index.  A table row is
-    every U with the same lowest index, and it goes into the table with
-    one ``dict.update``; rows run in decreasing lexicographic order, so
-    each key keeps its first U.  A table is built only when h changes
-    and only the current one is held, so memory stays bounded for every
-    size.
+    The L are streamed in lexicographic order.  Each L is a prefix of
+    its lowest ``s - h - g`` indices followed by g indices above the
+    prefix, a suffix of level g = max(h, 1), so one C-level
+    ``isdisjoint`` probe of the table per prefix and target covers every
+    L that shares the prefix: one probe a size or n while the cap leaves
+    h at ``s // 2``, and C(n, s - h - g) once it holds h lower.  The first
+    prefix with a hit holds the answer and the stream stops there: the
+    hit's place in the suffix, found at C level, unranks to the rest of
+    L (``_unrank``), and U is the first occurrence in level h of the XOR
+    that L leaves.  Of the targets that hit in one suffix, the first
+    support wins, then the lower target index.
+
+    Every hit is a fit, and its U lies wholly above its L, so L and U
+    are the lowest and highest indices of the support they make: a U
+    that overlaps L makes the smaller support L ^ U fit, which the
+    smaller sizes already ruled out; and a U with an index below L's
+    highest makes a support whose own lowest ``s - h`` indices come
+    before L in the stream, with the rest of it as their U, so the
+    stream would have stopped there.  That holds for every U with the
+    hit's XOR, so its first occurrence in level h is the
+    lexicographically first U above L, and the supports that share L
+    are ordered by U.  It also means that no hit occurs at an L whose
+    highest index is past n - h - 1, where no U fits above it, although
+    the stream visits those L.  h = 0 (size 1, or a level 1 that would
+    not fit) is the one-entry table {0}, and the stream is the plain
+    scan.  Only the current table is held, and levels 0 to h, each at
+    most as long as level h for h up to n / 2, so memory stays bounded
+    for every size.
 
     Raises:
         ValueError: when both estimates pass ``SEARCH_MAX_COST``, before
@@ -448,9 +470,17 @@ def _splits(n: int, max_size: int) -> Iterator[tuple[int, int]]:
 
 def _mitm_cost(n: int, n_targets: int, max_size: int) -> int:
     """Steps of a meet-in-the-middle search that finds nothing: every
-    table entry built, and every lower half streamed, once per target.
-    It stops at the first size that takes it past ``SEARCH_MAX_COST``:
-    exact up to the bound, a lower bound past it."""
+    table entry built, and every lower half that can hit streamed, once
+    per target.  It stops at the first size that takes it past
+    ``SEARCH_MAX_COST``: exact up to the bound, a lower bound past it.
+
+    The search probes all C(n, s - h) lower halves of a size, those
+    past index n - h - 1 included, as they share their prefixes' probes.
+    The estimate counts the C(n - h, s - h) that leave room for an upper
+    half, at least 1 - (s - h) h / (n - s + h + 1) of them, so that no
+    path choice or refusal moves.  Each lower half is one XOR and one set
+    lookup at C level, about 75 ns on 64 columns of 48 bits (Python
+    3.11), below the 90 to 250 ns a step ``SEARCH_MAX_COST`` assumes."""
     cost = built = 0
     for size, half in _splits(n, max_size):
         if half > built:
@@ -520,65 +550,68 @@ def _search(columns: Sequence[int], targets: dict[int, int], max_size: int) -> t
     """``sparse_xor_search`` by meeting in the middle; ``targets`` maps
     a target's index to the target."""
     n = len(columns)
-    bits = [1 << j for j in range(n)]
-    half, table = 0, {0: 0}
-    for size, split in _splits(n, max_size):
-        if split > half:
-            half, table = split, _half_table(columns, bits, split)
-        table_keys = table.keys()
-        top = n - half
-        for prefix in combinations(range(top - 1), size - half - 1):
-            mask = acc = 0
+    levels, starts = [[0], list(columns)], [[0] * (n + 1), list(range(n + 1))]
+    built, table = 0, {0}
+    for size, half in _splits(n, max_size):
+        if half > built:
+            if half == len(levels):
+                level, start = _next_level(columns, levels[-1], starts[-1])
+                levels.append(level)
+                starts.append(start)
+            built, table = half, set(levels[half])
+        tail = max(half, 1)
+        level, start = levels[tail], starts[tail]
+        for prefix in combinations(range(n), size - half - tail):
+            acc = 0
             for j in prefix:
-                mask |= bits[j]
                 acc ^= columns[j]
-            start = prefix[-1] + 1 if prefix else 0
-            row = columns[start:top]
-            for target in targets.values():
-                if not table_keys.isdisjoint(map((acc ^ target).__xor__, row)):
-                    break
-            else:
-                continue
-            for j in range(start, top):
-                lower, xor = mask | bits[j], acc ^ columns[j]
-                best = None
-                for ti, target in targets.items():
-                    upper = table.get(xor ^ target)
-                    if upper is not None and (best is None or _precedes(lower | upper, best[0])):
-                        best = (lower | upper, ti)
-                if best is not None:
-                    return best
+            first = start[prefix[-1] + 1] if prefix else 0
+            tails = level[first:]
+            best = None
+            for ti, target in targets.items():
+                key = acc ^ target
+                if table.isdisjoint(map(key.__xor__, tails)):
+                    continue
+                pos = next(compress(count(), map(table.__contains__, map(key.__xor__, tails))))
+                lower = sum(1 << j for j in prefix) | _unrank(starts, tail, first + pos)
+                upper = _unrank(starts, half, levels[half].index(key ^ tails[pos]))
+                if best is None or _precedes(lower | upper, best[0]):
+                    best = (lower | upper, ti)
+            if best is not None:
+                return best
     return None
 
 
-def _half_table(columns: Sequence[int], bits: list[int], half: int) -> dict:
-    """Every XOR of ``half >= 1`` columns, mapped to the lexicographically
-    first support of ``half`` indices that makes it.
+def _next_level(columns: Sequence[int], level: list[int], start: list[int]) -> tuple[list[int], list[int]]:
+    """The level after ``level``: the XOR over every support of one more
+    index, in lexicographic order, and its ``start`` list.
 
-    Supports of each size are listed in decreasing lexicographic order:
-    row a, from the last index down, puts a in front of every support
-    one index smaller whose indices all lie above a, and those lead the
-    list of that size.  The last size goes into the table a row at a
-    time, in that order, so each XOR keeps the last support written for
-    it, its lexicographically first.
+    ``start[a]`` is the position in ``level`` of its first support whose
+    lowest index is at least a, for a from 0 to n, so the supports whose
+    indices all lie above a are the suffix from ``start[a + 1]``.  The
+    longer supports with lowest index a are a in front of each of them,
+    in the same order.
     """
-    n = len(columns)
-    xors, uppers = columns[::-1], bits[::-1]
-    table = dict(zip(xors, uppers)) if half == 1 else {}
-    for level in range(2, half + 1):
-        longer_xors: list[int] = []
-        longer_uppers: list[int] = []
-        for a in range(n - level, -1, -1):
-            count = comb(n - 1 - a, level - 1)
-            row_xors = map(columns[a].__xor__, islice(xors, count))
-            row_uppers = map(bits[a].__or__, islice(uppers, count))
-            if level == half:
-                table.update(zip(row_xors, row_uppers))
-            else:
-                longer_xors.extend(row_xors)
-                longer_uppers.extend(row_uppers)
-        xors, uppers = longer_xors, longer_uppers
-    return table
+    longer: list[int] = []
+    longer_start = []
+    for a, column in enumerate(columns):
+        longer_start.append(len(longer))
+        longer.extend(map(column.__xor__, level[start[a + 1]:]))
+    longer_start.append(len(longer))
+    return longer, longer_start
+
+
+def _unrank(starts: list[list[int]], size: int, position: int) -> int:
+    """The support at ``position`` in the level of ``size`` indices,
+    packed: its lowest index a is the last whose start is at most the
+    position, and the rest of it sits at the same place among the
+    supports above a one level down."""
+    support = 0
+    for j in range(size, 0, -1):
+        a = bisect_right(starts[j], position) - 1
+        support |= 1 << a
+        position += starts[j - 1][a + 1] - starts[j][a]
+    return support
 
 
 # ---------- text format ----------

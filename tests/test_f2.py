@@ -27,6 +27,7 @@ from ncplift.f2 import (
 )
 from ncplift import f2
 
+import row_mitm
 from helpers import cpu_limit, identity, matrix
 
 
@@ -590,6 +591,49 @@ def test_sparse_xor_search_past_the_table_cap(problem, cap):
     assert got == linear_xor_search(columns, targets, max_size)
 
 
+def xor_levels(columns, top):
+    """Levels 0 to ``top`` of ``f2._search`` over ``columns``, with
+    their start lists."""
+    levels, starts = [[0]], [[0] * (len(columns) + 1)]
+    for _ in range(top):
+        level, start = f2._next_level(columns, levels[-1], starts[-1])
+        levels.append(level)
+        starts.append(start)
+    return levels, starts
+
+
+def test_levels_and_unranking_follow_combinations():
+    # Over unit columns each XOR is its own support, so level j lists
+    # the supports of j indices; they, the start lists and the unranked
+    # positions must follow itertools.combinations order.
+    for n in range(13):
+        levels, starts = xor_levels([1 << j for j in range(n)], n)
+        for size in range(n + 1):
+            combos = list(itertools.combinations(range(n), size))
+            want = [sum(1 << j for j in combo) for combo in combos]
+            assert levels[size] == want
+            assert [f2._unrank(starts, size, r) for r in range(len(want))] == want
+            lowest = [combo[0] if combo else n for combo in combos]
+            assert starts[size] == [sum(low < a for low in lowest) for a in range(n + 1)]
+
+
+@given(xor_problems(), st.one_of(st.integers(1, 40), st.just(f2.XOR_TABLE_MAX_ENTRIES)))
+@settings(max_examples=400, deadline=None)
+def test_search_matches_the_row_at_a_time_search(problem, cap):
+    # The row-at-a-time search it replaced is the oracle, on the forced
+    # meet-in-the-middle path.  Small caps split the larger sizes lower
+    # than s // 2, so prefixes of two or more indices occur, and h = 0
+    # once n passes the cap.
+    columns, targets, max_size = problem
+    live = dict(enumerate(targets))
+    with mock.patch.object(f2, "XOR_TABLE_MAX_ENTRIES", cap):
+        want = row_mitm._search(columns, live, max_size)
+        assert f2._search(columns, live, max_size) == want
+        if 0 not in targets:
+            with on_path("mitm"):
+                assert sparse_xor_search(columns, targets, max_size) == want
+
+
 def test_sparse_xor_search_respects_the_table_cap():
     # With the cap at 100 entries a size-4 search over 60 columns must
     # split 3 + 1, not 2 + 2: tracemalloc measured a 195 KiB peak with
@@ -633,17 +677,17 @@ def test_sparse_xor_search_order_within_a_size():
 
 
 def test_sparse_xor_search_duplicate_columns_share_table_keys():
-    # Columns 0-2 are equal, and so are 3-4, so one key of the
-    # two-index table is made by {0, 3} and {0, 4} (one row) and by
-    # {1, 3}, {1, 4}, {2, 3}, {2, 4} (two later rows); the key keeps the
-    # lexicographically first.  The wide copy repeats each column above
-    # its low 64 bits, so that XORs equal there still come from equal
-    # columns.
+    # Columns 0-2 are equal, and so are 3-4, so one XOR of the
+    # two-index level is made by {0, 3} and {0, 4} and, later in the
+    # level, by {1, 3}, {1, 4}, {2, 3}, {2, 4}; its first occurrence is
+    # the lexicographically first.  The wide copy repeats each column
+    # above its low 64 bits, so that XORs equal there still come from
+    # equal columns.
     a, b = 0b0011, 0b0101
     narrow = [a, a, a, b, b, 0b1000, 0b1001]
-    table = f2._half_table(narrow, [1 << j for j in range(7)], 2)
-    assert table[a ^ b] == 0b01001
-    assert table[0] == 0b00011
+    levels, starts = xor_levels(narrow, 2)
+    assert f2._unrank(starts, 2, levels[2].index(a ^ b)) == 0b01001
+    assert f2._unrank(starts, 2, levels[2].index(0)) == 0b00011
     wide = [c | c << 64 for c in narrow]
     for columns in (narrow, wide):
         for target in (a ^ b ^ 0b1001, b ^ 0b1000, 1, a, a ^ b ^ 0b1000, a ^ b ^ 1, 0b10000):

@@ -395,10 +395,10 @@ def test_exhaustive_answers_a_huge_search_at_once():
     # Depth 16 over 80 coordinates: C(80, <=16), about 3e16 candidates.
     # The 256 noise samples give 80 independent columns, so the
     # exact-fit search walks a one-element coset, finds no fit and the
-    # better constant comes back, with no table built.
+    # better constant comes back, with no level or table built.
     with (
         mock.patch.object(f2, "_search", side_effect=AssertionError),
-        mock.patch.object(f2, "_half_table", side_effect=AssertionError),
+        mock.patch.object(f2, "_next_level", side_effect=AssertionError),
     ):
         tracemalloc.start()
         try:
