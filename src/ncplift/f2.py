@@ -308,14 +308,15 @@ def dual_basis(g: BitMatrix) -> BitMatrix:
 
 # ---------- sparse XOR search ----------
 
-# Longest level of upper halves ``sparse_xor_search`` builds; a size
-# whose even split would need a longer one splits lower instead.  The
-# levels below it are kept too, and the table is the set of its XORs.
-# At the cap that takes about 24 MiB: tracemalloc measured a 23.9 MiB
+# Most upper halves whose XORs ``sparse_xor_search`` puts in its table;
+# a size whose even split would need more splits lower instead.  The
+# levels the table is built from, no more entries in all, are kept too.
+# At the cap that takes about 23 MiB: tracemalloc measured a 23.2 MiB
 # peak (29.6 MiB for the dict of upper halves this replaced) for a
-# size-7 miss over 117 columns of 64 bits, whose longest level held the
-# C(117, 3) = 260130 XORs of three columns; that search took 1.9 s of
-# CPU untraced (2.2 s before; Python 3.11).
+# size-7 miss over 117 columns of 64 bits, whose table held the
+# C(117, 3) = 260130 XORs of three columns, from levels over the lowest
+# 114; that search took 1.2 to 2.2 s of CPU untraced (1.5 to 2.4 s for
+# the dict) on a shared 2-vCPU host, Python 3.11.
 XOR_TABLE_MAX_ENTRIES = 1 << 18
 
 # Most steps ``sparse_xor_search`` may take.  At 90 to 250 ns a step
@@ -364,46 +365,51 @@ def sparse_xor_search(
     Meet in the middle (the splitting step of Stern's low-weight
     codeword search): a support of size s splits into its lowest
     ``s - h`` indices L and its highest h indices U, where h is the
-    largest split up to ``s // 2`` whose level of all C(n, h) upper
-    halves holds at most ``XOR_TABLE_MAX_ENTRIES`` entries (``_splits``).
-    Level j lists the XOR over every support of j indices in
-    lexicographic order, so the first occurrence of an XOR in it comes
-    from the lexicographically first support that makes it, and the
-    supports whose indices all lie above an index a are a suffix of it.
-    Level j is built from level j - 1 with one C-level ``extend`` per
-    lowest index (``_next_level``), once, when h first reaches j, and
-    the lower levels are kept.  The table is the set of level h's XORs;
-    when the columns were eliminated, the targets outside their span,
-    which have no fit, are dropped first.
+    largest split up to ``s // 2`` whose C(n, h) upper halves number at
+    most ``XOR_TABLE_MAX_ENTRIES`` (``_splits``).  L lies below n - h,
+    as h indices must fit above it.  Level j lists the XOR over every
+    support of j indices below n - h in lexicographic order, so the first
+    occurrence of an XOR in it comes from the lexicographically first
+    support that makes it, and the supports whose indices all lie above
+    an index a are a suffix of it.  Level j is built from level j - 1
+    with one C-level ``extend`` per lowest index (``_next_level``), and
+    levels 0 to h are built again whenever h grows, as n - h shrinks.
+    An upper half is a support of i indices below n - h, from level i,
+    joined with h - i of the top h indices, so the table, the set of the
+    XORs of all C(n, h) upper halves, takes one C-level ``update`` per
+    subset of the top h indices.  While h is at most 1 the levels run
+    over all n columns instead: level 1 is the columns themselves, the
+    table is the set of level h, and the one-index tails of the lower
+    halves stop below n - h within it.  When the columns were
+    eliminated, the targets outside their span, which have no fit, are
+    dropped first, and the search ends at once if none is left.
 
     The L are streamed in lexicographic order.  Each L is a prefix of
     its lowest ``s - h - g`` indices followed by g indices above the
     prefix, a suffix of level g = max(h, 1), so one C-level
     ``isdisjoint`` probe of the table per prefix and target covers every
-    L that shares the prefix: one probe a size or n while the cap leaves
-    h at ``s // 2``, and C(n, s - h - g) once it holds h lower.  The first
-    prefix with a hit holds the answer and the stream stops there: the
-    hit's place in the suffix, found at C level, unranks to the rest of
-    L (``_unrank``), and U is the first occurrence in level h of the XOR
-    that L leaves.  Of the targets that hit in one suffix, the first
-    support wins, then the lower target index.
+    L that shares the prefix: while the cap leaves h at ``s // 2``, one
+    probe for s = 1 or an even s and n - 2h for an odd s > 1.  A size
+    probes exactly its C(n - h, s - h) lower halves, the count
+    ``_mitm_cost`` charges.  The first prefix with a hit holds the answer
+    and the stream stops there: the hit's place in the suffix, found at
+    C level, unranks to the rest of L (``_unrank``), and U is the
+    lexicographically first upper half with the XOR that L leaves
+    (``_first_upper``).  Of the targets that hit in one suffix, the
+    first support wins, then the lower target index.
 
-    Every hit is a fit, and its U lies wholly above its L, so L and U
-    are the lowest and highest indices of the support they make: a U
-    that overlaps L makes the smaller support L ^ U fit, which the
-    smaller sizes already ruled out; and a U with an index below L's
+    Every hit is a fit, and every U with its XOR lies wholly above its
+    L, so L and U are the lowest and highest indices of the support they
+    make: a U that overlaps L makes the smaller support L ^ U fit, which
+    the smaller sizes already ruled out; and a U with an index below L's
     highest makes a support whose own lowest ``s - h`` indices come
     before L in the stream, with the rest of it as their U, so the
-    stream would have stopped there.  That holds for every U with the
-    hit's XOR, so its first occurrence in level h is the
-    lexicographically first U above L, and the supports that share L
-    are ordered by U.  It also means that no hit occurs at an L whose
-    highest index is past n - h - 1, where no U fits above it, although
-    the stream visits those L.  h = 0 (size 1, or a level 1 that would
-    not fit) is the one-entry table {0}, and the stream is the plain
-    scan.  Only the current table is held, and levels 0 to h, each at
-    most as long as level h for h up to n / 2, so memory stays bounded
-    for every size.
+    stream would have stopped there.  So the lexicographically first U
+    with the hit's XOR is the first above L, and the supports that share
+    L are ordered by U.  h = 0 (size 1, or a level 1 that would not fit)
+    is the one-entry table {0}, and the stream is the plain scan.  Only
+    the current table is held, with levels 0 to h, each no longer than
+    the table for h up to n / 2, so memory stays bounded for every size.
 
     Raises:
         ValueError: when both estimates pass ``SEARCH_MAX_COST``, before
@@ -474,13 +480,15 @@ def _mitm_cost(n: int, n_targets: int, max_size: int) -> int:
     per target.  It stops at the first size that takes it past
     ``SEARCH_MAX_COST``: exact up to the bound, a lower bound past it.
 
-    The search probes all C(n, s - h) lower halves of a size, those
-    past index n - h - 1 included, as they share their prefixes' probes.
-    The estimate counts the C(n - h, s - h) that leave room for an upper
-    half, at least 1 - (s - h) h / (n - s + h + 1) of them, so that no
-    path choice or refusal moves.  Each lower half is one XOR and one set
-    lookup at C level, about 75 ns on 64 columns of 48 bits (Python
-    3.11), below the 90 to 250 ns a step ``SEARCH_MAX_COST`` assumes."""
+    The search probes exactly the C(n - h, s - h) lower halves counted
+    here, with one Python step per prefix.  Its table of C(n, h) entries
+    is built from levels of C(n - h, j) entries for j up to h, at most
+    C(n, h) in all, as C(n, h) sums C(n - h, j) C(h, h - j) over j, with
+    one Python step per subset of the top h indices.  So its work stays
+    within a small multiple of this count.  Each lower half is one XOR
+    and one set lookup at C level, about 75 ns on 64 columns of 48 bits
+    (Python 3.11), below the 90 to 250 ns a step ``SEARCH_MAX_COST``
+    assumes."""
     cost = built = 0
     for size, half in _splits(n, max_size):
         if half > built:
@@ -549,24 +557,30 @@ def _precedes(a: int, b: int) -> bool:
 def _search(columns: Sequence[int], targets: dict[int, int], max_size: int) -> tuple[int, int] | None:
     """``sparse_xor_search`` by meeting in the middle; ``targets`` maps
     a target's index to the target."""
+    if not targets:
+        return None
     n = len(columns)
-    levels, starts = [[0], list(columns)], [[0] * (n + 1), list(range(n + 1))]
-    built, table = 0, {0}
+    levels, starts = _levels(columns, 1)
+    built, tops = None, [(0, 0)]
     for size, half in _splits(n, max_size):
-        if half > built:
-            if half == len(levels):
-                level, start = _next_level(columns, levels[-1], starts[-1])
-                levels.append(level)
-                starts.append(start)
-            built, table = half, set(levels[half])
-        tail = max(half, 1)
-        level, start = levels[tail], starts[tail]
-        for prefix in combinations(range(n), size - half - tail):
+        if half != built:
+            built, low, tail = half, n - half, max(half, 1)
+            if half > 1:
+                levels, starts = _levels(columns[:low], half)
+                tops = [(0, 0)]
+                for j in range(low, n):
+                    tops += [(xor ^ columns[j], top | 1 << j) for xor, top in tops]
+            level, start = levels[tail], starts[tail]
+            stop = start[low - tail + 1]
+            table = set(levels[half])
+            for xor, top in tops[1:]:
+                table.update(map(xor.__xor__, levels[half - top.bit_count()]))
+        for prefix in combinations(range(low - tail), size - half - tail):
             acc = 0
             for j in prefix:
                 acc ^= columns[j]
             first = start[prefix[-1] + 1] if prefix else 0
-            tails = level[first:]
+            tails = level[first:stop]
             best = None
             for ti, target in targets.items():
                 key = acc ^ target
@@ -574,12 +588,42 @@ def _search(columns: Sequence[int], targets: dict[int, int], max_size: int) -> t
                     continue
                 pos = next(compress(count(), map(table.__contains__, map(key.__xor__, tails))))
                 lower = sum(1 << j for j in prefix) | _unrank(starts, tail, first + pos)
-                upper = _unrank(starts, half, levels[half].index(key ^ tails[pos]))
+                upper = _first_upper(levels, starts, tops, half, key ^ tails[pos])
                 if best is None or _precedes(lower | upper, best[0]):
                     best = (lower | upper, ti)
             if best is not None:
                 return best
     return None
+
+
+def _first_upper(
+    levels: list[list[int]], starts: list[list[int]], tops: list[tuple[int, int]], half: int, xor: int
+) -> int:
+    """The lexicographically first support of ``half`` indices whose
+    XOR is ``xor``, which is in the table.  Each subset of the top
+    indices in ``tops`` (its XOR, then its support; only the empty one
+    while half is at most 1) is completed by the first occurrence of the
+    XOR it leaves in the level of the remaining size."""
+    best = None
+    for top_xor, top in tops:
+        size = half - top.bit_count()
+        if xor ^ top_xor in levels[size]:
+            upper = top | _unrank(starts, size, levels[size].index(xor ^ top_xor))
+            if best is None or _precedes(upper, best):
+                best = upper
+    return best
+
+
+def _levels(columns: Sequence[int], top: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Levels 0 to ``top`` (at least 1) over ``columns`` and their start
+    lists (``_next_level``)."""
+    n = len(columns)
+    levels, starts = [[0], list(columns)], [[0] * (n + 1), list(range(n + 1))]
+    while len(levels) <= top:
+        level, start = _next_level(columns, levels[-1], starts[-1])
+        levels.append(level)
+        starts.append(start)
+    return levels, starts
 
 
 def _next_level(columns: Sequence[int], level: list[int], start: list[int]) -> tuple[list[int], list[int]]:

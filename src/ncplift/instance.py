@@ -193,8 +193,8 @@ def brute_force_nearest(inst: SyndromeInstance, k_max: int) -> BitVector | None:
     columns of H (``f2.sparse_xor_search``) and takes the cheaper of two
     exact methods: meeting in the middle, about C(n, ceil(s/2)) steps
     per size s, each a set lookup at C level, with one probe per prefix
-    of the lower halves (one or n a size at the benchmark's n = 64,
-    k = 5), or walking the solution coset x + ker H, 2**(n - rank H)
+    of the lower halves (one for s = 1 or an even s, and n - s + 1 for
+    an odd s > 1, at the benchmark's n = 64, k = 5), or walking the solution coset x + ker H, 2**(n - rank H)
     steps for any cap.  A cap that makes both estimates pass
     ``f2.SEARCH_MAX_COST`` is refused before the search starts.
 

@@ -27,7 +27,6 @@ from ncplift.f2 import (
 )
 from ncplift import f2
 
-import row_mitm
 from helpers import cpu_limit, identity, matrix
 
 
@@ -586,20 +585,12 @@ def test_sparse_xor_search_past_the_table_cap(problem, cap):
     # A small cap makes the larger sizes split lower than s // 2, down
     # to the plain scan; the answers must not change.
     columns, targets, max_size = problem
-    with on_path("mitm"), mock.patch.object(f2, "XOR_TABLE_MAX_ENTRIES", cap):
-        got = sparse_xor_search(columns, targets, max_size)
-    assert got == linear_xor_search(columns, targets, max_size)
-
-
-def xor_levels(columns, top):
-    """Levels 0 to ``top`` of ``f2._search`` over ``columns``, with
-    their start lists."""
-    levels, starts = [[0]], [[0] * (len(columns) + 1)]
-    for _ in range(top):
-        level, start = f2._next_level(columns, levels[-1], starts[-1])
-        levels.append(level)
-        starts.append(start)
-    return levels, starts
+    want = linear_xor_search(columns, targets, max_size)
+    with mock.patch.object(f2, "XOR_TABLE_MAX_ENTRIES", cap):
+        with on_path("mitm"):
+            assert sparse_xor_search(columns, targets, max_size) == want
+        if 0 not in targets:
+            assert f2._search(columns, dict(enumerate(targets)), max_size) == want
 
 
 def test_levels_and_unranking_follow_combinations():
@@ -607,7 +598,7 @@ def test_levels_and_unranking_follow_combinations():
     # the supports of j indices; they, the start lists and the unranked
     # positions must follow itertools.combinations order.
     for n in range(13):
-        levels, starts = xor_levels([1 << j for j in range(n)], n)
+        levels, starts = f2._levels([1 << j for j in range(n)], n)
         for size in range(n + 1):
             combos = list(itertools.combinations(range(n), size))
             want = [sum(1 << j for j in combo) for combo in combos]
@@ -615,23 +606,6 @@ def test_levels_and_unranking_follow_combinations():
             assert [f2._unrank(starts, size, r) for r in range(len(want))] == want
             lowest = [combo[0] if combo else n for combo in combos]
             assert starts[size] == [sum(low < a for low in lowest) for a in range(n + 1)]
-
-
-@given(xor_problems(), st.one_of(st.integers(1, 40), st.just(f2.XOR_TABLE_MAX_ENTRIES)))
-@settings(max_examples=400, deadline=None)
-def test_search_matches_the_row_at_a_time_search(problem, cap):
-    # The row-at-a-time search it replaced is the oracle, on the forced
-    # meet-in-the-middle path.  Small caps split the larger sizes lower
-    # than s // 2, so prefixes of two or more indices occur, and h = 0
-    # once n passes the cap.
-    columns, targets, max_size = problem
-    live = dict(enumerate(targets))
-    with mock.patch.object(f2, "XOR_TABLE_MAX_ENTRIES", cap):
-        want = row_mitm._search(columns, live, max_size)
-        assert f2._search(columns, live, max_size) == want
-        if 0 not in targets:
-            with on_path("mitm"):
-                assert sparse_xor_search(columns, targets, max_size) == want
 
 
 def test_sparse_xor_search_respects_the_table_cap():
@@ -647,6 +621,50 @@ def test_sparse_xor_search_respects_the_table_cap():
         finally:
             tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_mitm_work_is_its_estimate():
+    # A miss probes each lower half that leaves room for an upper half
+    # above it once per target, and nothing more, so the probes and the
+    # table entries add up to _mitm_cost, the estimate the refusal
+    # checks; and it takes one Python step per prefix that leaves such
+    # room, C(n - h - g, s - h - g) a size with g = max(h, 1).  Over 30
+    # columns of rank 3 at a cap of 30, prefixes over all of range(n)
+    # would be about 30 times the probes.
+    class Table(set):
+        probes = calls = 0
+
+        def isdisjoint(self, other):
+            other = list(other)
+            Table.probes += len(other)
+            Table.calls += 1
+            return super().isdisjoint(other)
+
+    rng = random.Random(5)
+    shapes = ((30, 3, 12, f2.XOR_TABLE_MAX_ENTRIES), (16, 3, 16, f2.XOR_TABLE_MAX_ENTRIES), (13, 8, 9, 20), (9, 64, 6, 1))
+    for n, width, max_size, cap in shapes:
+        columns = [rng.getrandbits(width) for _ in range(n)]
+        targets = {0: 1 << width, 1: 3 << width}
+        Table.probes = Table.calls = 0
+        with mock.patch.object(f2, "XOR_TABLE_MAX_ENTRIES", cap), mock.patch.object(f2, "set", Table, create=True):
+            assert f2._search(columns, targets, max_size) is None
+            splits = list(f2._splits(n, max_size))
+            tables = sum(math.comb(n, half) for half in {half for _, half in splits} if half)
+            assert Table.probes + tables == f2._mitm_cost(n, 2, max_size) <= f2.SEARCH_MAX_COST
+        prefixes = sum(math.comb(n - half - max(half, 1), size - half - max(half, 1)) for size, half in splits)
+        assert Table.calls == 2 * prefixes
+
+
+def test_sparse_xor_search_without_a_live_target_builds_nothing():
+    # Eight independent columns of 200 bits and twelve sums of them: the
+    # coset walk of a kernel of dimension 12 costs more than meeting in
+    # the middle up to size 3, and both targets lie outside the span, so
+    # the elimination drops them and no level is built.
+    rng = random.Random(3)
+    basis = [rng.getrandbits(200) for _ in range(8)]
+    columns = basis + [basis[rng.randrange(8)] ^ basis[rng.randrange(8)] for _ in range(12)]
+    with mock.patch.object(f2, "_levels", side_effect=AssertionError):
+        assert sparse_xor_search(columns, (1 << 200, 1 << 201), 3) is None
 
 
 def test_sparse_xor_search_rejects_fingerprint_collisions():
@@ -677,17 +695,20 @@ def test_sparse_xor_search_order_within_a_size():
 
 
 def test_sparse_xor_search_duplicate_columns_share_table_keys():
-    # Columns 0-2 are equal, and so are 3-4, so one XOR of the
-    # two-index level is made by {0, 3} and {0, 4} and, later in the
-    # level, by {1, 3}, {1, 4}, {2, 3}, {2, 4}; its first occurrence is
-    # the lexicographically first.  The wide copy repeats each column
-    # above its low 64 bits, so that XORs equal there still come from
-    # equal columns.
+    # Columns 0-2 are equal, and so are 3-4, so one XOR of two columns
+    # is made by {0, 3} and {0, 4} and, later in lex order, by {1, 3},
+    # {1, 4}, {2, 3}, {2, 4}; the upper half the search takes for it is
+    # the lexicographically first.  Two-index upper halves over seven
+    # columns take their lower part from the levels over columns 0-4.
+    # The wide copy repeats each column above its low 64 bits, so that
+    # XORs equal there still come from equal columns.
     a, b = 0b0011, 0b0101
     narrow = [a, a, a, b, b, 0b1000, 0b1001]
-    levels, starts = xor_levels(narrow, 2)
-    assert f2._unrank(starts, 2, levels[2].index(a ^ b)) == 0b01001
-    assert f2._unrank(starts, 2, levels[2].index(0)) == 0b00011
+    levels, starts = f2._levels(narrow[:5], 2)
+    tops = [(0, 0), (0b1000, 1 << 5), (0b1001, 1 << 6), (1, 0b1100000)]
+    assert f2._first_upper(levels, starts, tops, 2, a ^ b) == 0b01001
+    assert f2._first_upper(levels, starts, tops, 2, 0) == 0b00011
+    assert f2._first_upper(levels, starts, tops, 2, 1) == 0b1100000
     wide = [c | c << 64 for c in narrow]
     for columns in (narrow, wide):
         for target in (a ^ b ^ 0b1001, b ^ 0b1000, 1, a, a ^ b ^ 0b1000, a ^ b ^ 1, 0b10000):
