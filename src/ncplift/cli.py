@@ -16,6 +16,7 @@ separate planted from far instances), 3 exact solver found nothing,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from fractions import Fraction
@@ -37,11 +38,16 @@ __all__ = ["main"]
 
 
 def _fraction_arg(text: str) -> Fraction:
-    """Parse 'N', 'N/D' or a decimal string into an exact Fraction."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from e
+    """Parse ASCII 'N', 'N/D' or 'A.B' into an exact Fraction.  Any
+    other form is refused before ``Fraction`` sees it: it would also
+    take a sign, spaces, '_' and an exponent, and '1e100000000' builds
+    10**100000000 before the value can be refused."""
+    if re.fullmatch(r"[0-9]+(?:[./][0-9]+)?", text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            pass
+    raise argparse.ArgumentTypeError(f"not a rational number N, N/D or A.B in ASCII digits: {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -327,76 +327,70 @@ SEARCH_MAX_COST = 1 << 28
 _COSET_ROW_DIM = 10
 
 
-def sparse_xor_search(
-    columns: Sequence[int], targets: tuple[int, ...], max_size: int
-) -> tuple[int, int] | None:
-    """First support whose column XOR equals one of the targets.
+def sparse_xor_search(columns: Sequence[int], target: int, max_size: int) -> int | None:
+    """First support whose column XOR equals ``target``.
 
     Candidates are ordered by support size, then lexicographically by
-    their ascending index tuples, then by target index; the first one
-    whose XOR over ``columns`` equals its target is returned as
-    ``(support, target index)``, the support packed with bit j standing
+    their ascending index tuples; the first one whose XOR over
+    ``columns`` equals the target is returned packed, bit j standing
     for column j.  ``None`` when no support of size at most
-    ``max_size`` fits any target.
+    ``max_size`` fits.
 
     Two exact methods give that same answer, and the search takes the
-    one its estimate says is cheaper.  The fits of one target form a
-    coset p + K of the kernel K of the columns, so walking the coset
-    costs ``2**dim K`` steps per target, however large ``max_size`` is.
-    Meeting in the middle costs about C(n, ceil(s/2)) steps per size s,
-    however small the kernel is (``_mitm_cost``).  A coset step counts
-    as one of the others, and so does each of the about n * rank / 2
-    steps of the elimination the coset path needs (``_coset_cost``).  The
-    dimension of K is at least n minus the widest column's bit length,
-    and the columns are eliminated only when even that bound leaves the
-    coset walk the cheaper and within ``SEARCH_MAX_COST``.
+    one its estimate says is cheaper.  The fits form a coset p + K of
+    the kernel K of the columns, so walking the coset costs ``2**dim K``
+    steps, however large ``max_size`` is.  Meeting in the middle costs
+    about C(n, ceil(s/2)) steps per size s, however small the kernel is
+    (``_mitm_cost``).  A coset step counts as one of the others, and so
+    does each of the about n * rank / 2 steps of the elimination the
+    coset path needs (``_coset_cost``).  The dimension of K is at least
+    n minus the widest column's bit length, and the columns are
+    eliminated only when even that bound leaves the coset walk the
+    cheaper and within ``SEARCH_MAX_COST``.  When they are, a target
+    outside their span has no fit, and the search ends at once.
 
-    Coset enumeration (``_coset_search``): one elimination of the
-    columns, tracking combinations, gives a kernel basis and, for each
+    Coset enumeration (``_first_in_coset``): one elimination of the
+    columns, tracking combinations, gives a kernel basis and, for a
     target in the span, a particular solution p.  The coset is walked a
     row at a time: a row is the span of the first ``_COSET_ROW_DIM``
     kernel vectors XORed, at C level, into one element of the span of
     the rest, and those elements follow a Gray code, one XOR apart.  The
     walk keeps the first support in (size, lex) order; of two supports
     of one size, a comes first exactly when the lowest bit of a ^ b is
-    set in a.  The targets are then compared the same way, ties going
-    to the lower index.
+    set in a.
 
-    Meet in the middle (the splitting step of Stern's low-weight
-    codeword search): a support of size s splits into its lowest
-    ``s - h`` indices L and its highest h indices U, where h is the
-    largest split up to ``s // 2`` whose C(n, h) upper halves number at
-    most ``XOR_TABLE_MAX_ENTRIES`` (``_splits``).  L lies below n - h,
-    as h indices must fit above it.  Level j lists the XOR over every
-    support of j indices below n - h in lexicographic order, so the first
-    occurrence of an XOR in it comes from the lexicographically first
-    support that makes it, and the supports whose indices all lie above
-    an index a are a suffix of it.  Level j is built from level j - 1
-    with one C-level ``extend`` per lowest index (``_next_level``), and
-    levels 0 to h are built again whenever h grows, as n - h shrinks.
-    An upper half is a support of i indices below n - h, from level i,
-    joined with h - i of the top h indices, so the table, the set of the
-    XORs of all C(n, h) upper halves, takes one C-level ``update`` per
-    subset of the top h indices.  While h is at most 1 the levels run
-    over all n columns instead: level 1 is the columns themselves, the
-    table is the set of level h, and the one-index tails of the lower
-    halves stop below n - h within it.  When the columns were
-    eliminated, the targets outside their span, which have no fit, are
-    dropped first, and the search ends at once if none is left.
+    Meet in the middle (``_search``, the splitting step of Stern's
+    low-weight codeword search): a support of size s splits into its
+    lowest ``s - h`` indices L and its highest h indices U, where h is
+    the largest split up to ``s // 2`` whose C(n, h) upper halves number
+    at most ``XOR_TABLE_MAX_ENTRIES`` (``_splits``).  L lies below
+    n - h, as h indices must fit above it.  Level j lists the XOR over
+    every support of j indices below n - h in lexicographic order, so
+    the first occurrence of an XOR in it comes from the
+    lexicographically first support that makes it, and the supports
+    whose indices all lie above an index a are a suffix of it.  Level j
+    is built from level j - 1 with one C-level ``extend`` per lowest
+    index (``_next_level``), and levels 0 to h are built again whenever
+    h grows, as n - h shrinks.  An upper half is a support of i indices
+    below n - h, from level i, joined with h - i of the top h indices,
+    so the table, the set of the XORs of all C(n, h) upper halves, takes
+    one C-level ``update`` per subset of the top h indices.  While h is
+    at most 1 the levels run over all n columns instead: level 1 is the
+    columns themselves, the table is the set of level h, and the
+    one-index tails of the lower halves stop below n - h within it.
 
     The L are streamed in lexicographic order.  Each L is a prefix of
     its lowest ``s - h - g`` indices followed by g indices above the
     prefix, a suffix of level g = max(h, 1), so one C-level
-    ``isdisjoint`` probe of the table per prefix and target covers every
-    L that shares the prefix: while the cap leaves h at ``s // 2``, one
-    probe for s = 1 or an even s and n - 2h for an odd s > 1.  A size
-    probes exactly its C(n - h, s - h) lower halves, the count
-    ``_mitm_cost`` charges.  The first prefix with a hit holds the answer
-    and the stream stops there: the hit's place in the suffix, found at
-    C level, unranks to the rest of L (``_unrank``), and U is the
+    ``isdisjoint`` probe of the table per prefix covers every L that
+    shares the prefix: while the cap leaves h at ``s // 2``, one probe
+    for s = 1 or an even s and n - 2h for an odd s > 1.  A size probes
+    exactly its C(n - h, s - h) lower halves, the count ``_mitm_cost``
+    charges.  The first prefix with a hit holds the answer and the
+    stream stops there: the first hit in the suffix, found at C level,
+    unranks to the rest of L (``_unrank``), and U is the
     lexicographically first upper half with the XOR that L leaves
-    (``_first_upper``).  Of the targets that hit in one suffix, the
-    first support wins, then the lower target index.
+    (``_first_upper``).
 
     Every hit is a fit, and every U with its XOR lies wholly above its
     L, so L and U are the lowest and highest indices of the support they
@@ -417,46 +411,48 @@ def sparse_xor_search(
             floor on the coset walk passes it, which
             ``_check_search_shape`` finds from the columns' shape alone.
     """
-    if max_size >= 0 and 0 in targets:
-        return 0, targets.index(0)
-    n, n_targets = len(columns), len(targets)
+    if max_size >= 0 and not target:
+        return 0
+    n = len(columns)
     width = max(map(int.bit_length, columns), default=0)
-    mitm, coset = _check_search_shape(n, width, n_targets, max_size)
+    mitm, coset = _check_search_shape(n, width, max_size)
     if coset > min(mitm, SEARCH_MAX_COST):
-        return _search(columns, dict(enumerate(targets)), max_size)
+        return _search(columns, target, max_size)
     elim = eliminate(columns)
     dim = len(elim.kernel)
-    coset = _coset_cost(n_targets, dim, n, n - dim)
-    _check_estimates(n_targets, mitm, coset, dim, "")
+    coset = _coset_cost(dim, n, n - dim)
+    _check_estimates(mitm, coset, dim, "")
+    residue, particular = elim.reduce(target)
+    if residue:
+        return None
     if coset <= mitm:
-        return _coset_search(elim, targets, max_size)
-    live = {ti: t for ti, t in enumerate(targets) if not elim.reduce(t)[0]}
-    return _search(columns, live, max_size)
+        return _first_in_coset(particular, elim.kernel, max_size)
+    return _search(columns, target, max_size)
 
 
-def _check_search_shape(n: int, width: int, n_targets: int, max_size: int) -> tuple[int, int]:
+def _check_search_shape(n: int, width: int, max_size: int) -> tuple[int, int]:
     """Raise the ``ValueError`` that ``sparse_xor_search`` would raise,
     before it eliminates anything, over ``n`` columns of at most
-    ``width`` bits for ``n_targets`` nonzero targets up to size
-    ``max_size``; otherwise return the meet-in-the-middle estimate and
-    the coset walk's at the kernel dimension's floor ``n - width``.  The
-    search takes its first estimates from here, so this refuses only
-    what the search refuses."""
+    ``width`` bits for a nonzero target up to size ``max_size``;
+    otherwise return the meet-in-the-middle estimate and the coset
+    walk's at the kernel dimension's floor ``n - width``.  The search
+    takes its first estimates from here, so this refuses only what the
+    search refuses."""
     dim = max(0, n - width)
-    mitm = _mitm_cost(n, n_targets, max_size)
-    coset = _coset_cost(n_targets, dim, 0, 0)
-    _check_estimates(n_targets, mitm, coset, dim, "at least ")
+    mitm = _mitm_cost(n, max_size)
+    coset = _coset_cost(dim, 0, 0)
+    _check_estimates(mitm, coset, dim, "at least ")
     return mitm, coset
 
 
-def _check_estimates(n_targets: int, mitm: int, coset: int, dim: int, bound: str) -> None:
+def _check_estimates(mitm: int, coset: int, dim: int, bound: str) -> None:
     """Refuse a search whose meet-in-the-middle and coset estimates both
     pass ``SEARCH_MAX_COST``; ``dim`` is the kernel dimension behind
     ``coset``, prefixed by ``bound`` ("at least ") when it is a floor."""
     if min(mitm, coset) > SEARCH_MAX_COST:
         raise ValueError(
             f"exact search too large: meeting in the middle takes at least "
-            f"2**{mitm.bit_length() - 1} steps and the coset walk {n_targets} x "
+            f"2**{mitm.bit_length() - 1} steps and the coset walk "
             f"2**{dim} (kernel dimension {bound}{dim}), both past "
             f"SEARCH_MAX_COST = {SEARCH_MAX_COST}"
         )
@@ -474,11 +470,11 @@ def _splits(n: int, max_size: int) -> Iterator[tuple[int, int]]:
         yield size, half
 
 
-def _mitm_cost(n: int, n_targets: int, max_size: int) -> int:
+def _mitm_cost(n: int, max_size: int) -> int:
     """Steps of a meet-in-the-middle search that finds nothing: every
-    table entry built, and every lower half that can hit streamed, once
-    per target.  It stops at the first size that takes it past
-    ``SEARCH_MAX_COST``: exact up to the bound, a lower bound past it.
+    table entry built, and every lower half that can hit streamed.  It
+    stops at the first size that takes it past ``SEARCH_MAX_COST``:
+    exact up to the bound, a lower bound past it.
 
     The search probes exactly the C(n - h, s - h) lower halves counted
     here, with one Python step per prefix.  Its table of C(n, h) entries
@@ -494,33 +490,18 @@ def _mitm_cost(n: int, n_targets: int, max_size: int) -> int:
         if half > built:
             built = half
             cost += comb(n, half)
-        cost += n_targets * comb(n - half, size - half)
+        cost += comb(n - half, size - half)
         if cost > SEARCH_MAX_COST:
             break
     return cost
 
 
-def _coset_cost(n_targets: int, dim: int, n: int, rank: int) -> int:
-    """Steps of the coset path: the walks, and eliminating n columns of
+def _coset_cost(dim: int, n: int, rank: int) -> int:
+    """Steps of the coset path: the walk, and eliminating n columns of
     the given rank, each counted as one meet-in-the-middle step: both
     took 90 to 250 ns a step on 64-bit columns, and an elimination 60 to
     230 ns per step charged (Python 3.11, a shared 2-vCPU host)."""
-    return (n_targets << dim) + n * rank // 2
-
-
-def _coset_search(elim: Elimination, targets: tuple[int, ...], max_size: int) -> tuple[int, int] | None:
-    """``sparse_xor_search`` by walking the coset of each target in the
-    span of the eliminated columns."""
-    best = None
-    for ti, target in enumerate(targets):
-        residue, particular = elim.reduce(target)
-        if residue:
-            continue
-        cap = max_size if best is None else best[0].bit_count()
-        support = _first_in_coset(particular, elim.kernel, cap)
-        if support is not None and (best is None or _precedes(support, best[0])):
-            best = (support, ti)
-    return best
+    return (1 << dim) + n * rank // 2
 
 
 def _first_in_coset(particular: int, kernel: tuple[int, ...], max_size: int) -> int | None:
@@ -554,11 +535,8 @@ def _precedes(a: int, b: int) -> bool:
     return bool(diff & -diff & a)
 
 
-def _search(columns: Sequence[int], targets: dict[int, int], max_size: int) -> tuple[int, int] | None:
-    """``sparse_xor_search`` by meeting in the middle; ``targets`` maps
-    a target's index to the target."""
-    if not targets:
-        return None
+def _search(columns: Sequence[int], target: int, max_size: int) -> int | None:
+    """``sparse_xor_search`` by meeting in the middle."""
     n = len(columns)
     levels, starts = _levels(columns, 1)
     built, tops = None, [(0, 0)]
@@ -576,23 +554,16 @@ def _search(columns: Sequence[int], targets: dict[int, int], max_size: int) -> t
             for xor, top in tops[1:]:
                 table.update(map(xor.__xor__, levels[half - top.bit_count()]))
         for prefix in combinations(range(low - tail), size - half - tail):
-            acc = 0
+            key = target
             for j in prefix:
-                acc ^= columns[j]
+                key ^= columns[j]
             first = start[prefix[-1] + 1] if prefix else 0
             tails = level[first:stop]
-            best = None
-            for ti, target in targets.items():
-                key = acc ^ target
-                if table.isdisjoint(map(key.__xor__, tails)):
-                    continue
-                pos = next(compress(count(), map(table.__contains__, map(key.__xor__, tails))))
-                lower = sum(1 << j for j in prefix) | _unrank(starts, tail, first + pos)
-                upper = _first_upper(levels, starts, tops, half, key ^ tails[pos])
-                if best is None or _precedes(lower | upper, best[0]):
-                    best = (lower | upper, ti)
-            if best is not None:
-                return best
+            if table.isdisjoint(map(key.__xor__, tails)):
+                continue
+            pos = next(compress(count(), map(table.__contains__, map(key.__xor__, tails))))
+            lower = sum(1 << j for j in prefix) | _unrank(starts, tail, first + pos)
+            return lower | _first_upper(levels, starts, tops, half, key ^ tails[pos])
     return None
 
 

@@ -207,8 +207,8 @@ def brute_force_nearest(inst: SyndromeInstance, k_max: int) -> BitVector | None:
         raise ValueError(f"sparsity cap must be >= 0, got {k_max}")
     if k_max > n:
         raise ValueError("sparsity cap exceeds the number of coordinates")
-    hit = sparse_xor_search(inst.h.column_masks(), (inst.t.mask,), k_max)
-    return None if hit is None else BitVector(n, hit[0])
+    support = sparse_xor_search(inst.h.column_masks(), inst.t.mask, k_max)
+    return None if support is None else BitVector(n, support)
 
 
 def _randbelow(rng: Random, n: int) -> int:

@@ -78,21 +78,22 @@ def _parity_dags(indices: tuple[int, ...]) -> tuple[DecisionTree, DecisionTree]:
 def exhaustive_parity_learner(oracle, budget: LearnerBudget, rng: Random) -> DecisionTree:
     """First exact parity fit on a fresh sample, else the better constant.
 
-    A consistent learner: it returns a parity (or complemented parity)
-    tree that fits every drawn example, when one exists over an index
-    set S with ``|S| <= depth_budget``.  The first such fit in ascending
-    size, then lexicographic order, plain before complemented, wins.  The
-    sample comes packed into per-coordinate bit columns; an exact fit is
-    a sparse XOR of columns equal to the label column or to its
-    complement, found by ``f2.sparse_xor_search`` (targets plain then
-    complement).
+    A consistent learner: it returns a parity tree that fits every
+    drawn example, when one exists over an index set S with
+    ``|S| <= depth_budget``.  The first such fit in ascending size, then
+    lexicographic order, wins.  A constant label column is its own
+    answer, ``Leaf(0)`` for all zeros and ``Leaf(1)`` for all ones, with
+    no search.  Otherwise the sample comes packed into per-coordinate
+    bit columns, and an exact fit is a sparse XOR of columns equal to
+    the label column, found by ``f2.sparse_xor_search``.
 
     When nothing fits it returns the better constant, ``Leaf(1)`` only
     when ones outnumber zeros.  Over a span source, which is all the
     pipelines feed it, no candidate beats that: by the span dichotomy a
-    parity tree, plain or complemented, is at lifted distance 0 or
-    exactly 1/2, and so is each constant, so any of them that misses an
-    example sits at 1/2.
+    parity tree is at lifted distance 0 or exactly 1/2, and so is each
+    constant, so any of them that misses an example sits at 1/2.  A
+    complemented parity is at 1 or 1/2, so it never tracks the labels
+    and is not searched for.
 
     Raises:
         ValueError: when the depth budget exceeds the oracle's length,
@@ -100,23 +101,23 @@ def exhaustive_parity_learner(oracle, budget: LearnerBudget, rng: Random) -> Dec
             ``f2.SEARCH_MAX_COST``: before sampling when the shape of
             ``length`` columns of ``sample_budget`` bits shows it and
             the labels, read ahead with ``oracle.peek_labels``, are not
-            all equal; otherwise after.  A constant label column is fit
-            by the empty parity with no search, so the check refuses
-            only what the search after sampling refuses.
+            all equal; otherwise after.  A constant label column needs
+            no search, so the check refuses only what the search after
+            sampling refuses.
     """
     if budget.depth_budget > oracle.length:
         raise ValueError("depth budget exceeds the oracle's length")
     nsamp = budget.sample_budget
+    constant = (0, (1 << nsamp) - 1)
     try:
-        _check_search_shape(oracle.length, nsamp, 2, budget.depth_budget)
+        _check_search_shape(oracle.length, nsamp, budget.depth_budget)
     except ValueError:
-        if oracle.peek_labels(rng, nsamp) not in (0, (1 << nsamp) - 1):
+        if oracle.peek_labels(rng, nsamp) not in constant:
             raise
     cols, label_col = oracle.sample_columns(rng, nsamp)
-    targets = (label_col, label_col ^ ((1 << nsamp) - 1))
-    exact = sparse_xor_search(cols, targets, budget.depth_budget)
-    if exact is None:
+    if label_col in constant:
+        return Leaf(label_col & 1)
+    support = sparse_xor_search(cols, label_col, budget.depth_budget)
+    if support is None:
         return Leaf(int(2 * label_col.bit_count() > nsamp))
-    support, target = exact
-    return _parity_dags(ParityIndexSet.from_mask(support).indices)[target]
-
+    return parity_to_tree(ParityIndexSet.from_mask(support))

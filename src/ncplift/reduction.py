@@ -137,13 +137,19 @@ def _thresholds(inst: SyndromeInstance, cfg: ReductionConfig) -> tuple[int, floa
 
 
 def _check_work(inst: SyndromeInstance, cfg: ReductionConfig) -> None:
-    """Refuse, before any sampling, a sample past ``SAMPLE_MAX_BYTES``.
+    """Refuse, before anything else, a sparsity k past n, and before
+    any sampling, a sample past ``SAMPLE_MAX_BYTES``.
 
-    The gadget oracle packs its sample at base arity n and lifts it to
-    ell*n columns (``GadgetOracle.sample_columns``).  The tree depth
-    ell*k needs no bound: every tree walk costs the distinct nodes, and
-    the learner's search and the path sets are bounded where built.
+    The learner refuses a depth budget ell*k past its arity ell*n in
+    any case; refusing k > n first keeps the 2**(ell*k) that
+    ``decide``'s thresholds build within ell*n bits.  The gadget oracle packs its sample
+    at base arity n and lifts it to ell*n columns
+    (``GadgetOracle.sample_columns``).  The tree depth ell*k needs no
+    other bound: every tree walk costs the distinct nodes, and the
+    learner's search and the path sets are bounded where built.
     """
+    if inst.k > inst.n:
+        raise ValueError(f"sparsity k = {inst.k} exceeds the number of coordinates n = {inst.n}")
     lifted = cfg.ell * inst.n
     need = sample_bytes(inst.n, cfg.learner_samples, lifted)
     if need > SAMPLE_MAX_BYTES:
@@ -188,11 +194,12 @@ def decide(
     An inconsistent system is a rejection with the reason recorded.
 
     Raises:
-        ValueError: before any sampling, when packing the learner's
-            sample would pass ``SAMPLE_MAX_BYTES``; from the learner,
-            when its search would pass ``f2.SEARCH_MAX_COST``; from the
-            tree error, when the tree's path sets or solution unions
-            pass ``gadget.UNIONS_MAX``.
+        ValueError: before anything else, when k exceeds n; before any
+            sampling, when packing the learner's sample would pass
+            ``SAMPLE_MAX_BYTES``; from the learner, when its search
+            would pass ``f2.SEARCH_MAX_COST``; from the tree error,
+            when the tree's path sets or solution unions pass
+            ``gadget.UNIONS_MAX``.
     """
     _check_work(inst, cfg)
     size_cap, error_gate, tolerance = _thresholds(inst, cfg)
@@ -270,10 +277,10 @@ def search(
     list is in size order, so no later one verifies where the first fails.
 
     Raises:
-        ValueError: before any sampling, when packing the learner's
-            sample would pass ``SAMPLE_MAX_BYTES``; from the learner,
-            when its search would pass ``f2.SEARCH_MAX_COST``; from
-            extraction, when the pruned tree's path sets or solution
+        ValueError: before anything else, when k exceeds n; before any
+            sampling, when packing the learner's sample would pass
+            ``SAMPLE_MAX_BYTES``; from the learner, when its search
+            would pass ``f2.SEARCH_MAX_COST``; from extraction, when the pruned tree's path sets or solution
             unions pass ``gadget.UNIONS_MAX``.
     """
     _check_work(inst, cfg)

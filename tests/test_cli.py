@@ -14,6 +14,7 @@ from ncplift.gadget import GadgetOracle
 from ncplift.instance import brute_force_nearest, read_syndrome_instance
 from ncplift.learners import exhaustive_parity_learner
 from ncplift.reduction import ReductionConfig, search
+from helpers import cpu_limit
 
 UNSAT = "ncpsd v1\n2 2 1 1 1\n11\n11\n10\n"
 # Identity system, all-ones target, k=1, alpha=3: far (the only
@@ -85,6 +86,43 @@ def test_gen_alpha_is_stamped(tmp_path, capsys):
     assert out.read_text().splitlines()[1].endswith(" 3 1")
 
 
+def test_gen_alpha_is_read_exactly_from_three_forms(tmp_path, capsys):
+    # ASCII N, N/D and A.B, stamped as numerator and denominator; any
+    # other form is refused with exit 2 and nothing written.  Fraction
+    # would build the power of ten of an exponent form first, about
+    # 9 s of CPU at 1e10000000 and past a minute at 1e100000000.
+    for text, stamped in (("7", "7 1"), ("7/2", "7 2"), ("3.50", "7 2")):
+        out = gen_planted(tmp_path, capsys, alpha=text, name="alpha")
+        assert out.read_text().split("\n")[1] == f"10 14 2 {stamped}"
+    out = tmp_path / "refused"
+    with cpu_limit(2.0):
+        for text in ("1e100000000", "1E5", "-3", "+3", " 3", "3 ", "1_0", "\u0663", "3/0", "3.", ".5",
+                     "1/2/3", "1.5/2", "inf", "nan", ""):
+            code, stdout, err = run(capsys, "gen", "--n", "8", "--m", "5", "--k", "1", "--seed", "1",
+                                    "--alpha", text, "--out", str(out))
+            assert code == 2 and stdout == "", text
+            assert "argument --alpha: not a rational number N, N/D or A.B" in err
+            assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["decide", "solve-reduce"])
+def test_sparsity_past_n_is_refused_before_anything_is_built(tmp_path, capsys, command):
+    # A 2 x 3 instance with k = 10**8: decide's thresholds would build
+    # 2**(ell*k), two 25 MB ints, before the learner refused the depth.
+    path = tmp_path / "deep"
+    path.write_text("ncpsd v1\n2 3 100000000 3 1\n110\n011\n10\n")
+    tracemalloc.start()
+    try:
+        code, stdout, err = run(capsys, command, str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and stdout == ""
+    assert "error=sparsity k = 100000000 exceeds the number of coordinates n = 3" in err
+    assert peak < 2**20
+
+
 def test_gen_rejects_bad_shape(tmp_path, capsys):
     code, _, err = run(
         capsys, "gen", "--n", "4", "--m", "9", "--k", "1",
@@ -154,7 +192,7 @@ def test_solve_exact_refuses_a_search_that_cannot_finish(tmp_path, capsys):
     assert stdout == ""
     assert "outcome=error" in err
     assert "meeting in the middle takes at least 2**" in err
-    assert "coset walk 1 x 2**200" in err
+    assert "coset walk 2**200" in err
 
 
 # ---------------------------------------------------------------- solve-reduce

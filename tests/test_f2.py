@@ -501,17 +501,16 @@ def test_unchecked_vector_equals_the_checked_one():
 # ---------------------------------------------------------------- sparse XOR search
 
 
-def linear_xor_search(columns, targets, max_size):
-    """Reference scan: every support in (size, lex) order, each checked
-    against the targets in index order."""
+def linear_xor_search(columns, target, max_size):
+    """Reference scan: the first support in (size, lex) order whose
+    column XOR is the target, packed, or None."""
     for size in range(max_size + 1):
         for combo in itertools.combinations(range(len(columns)), size):
             acc = 0
             for j in combo:
                 acc ^= columns[j]
-            for ti, target in enumerate(targets):
-                if acc == target:
-                    return sum(1 << j for j in combo), ti
+            if acc == target:
+                return sum(1 << j for j in combo)
     return None
 
 
@@ -524,15 +523,15 @@ def on_path(path):
 
 @st.composite
 def xor_problems(draw):
-    """Columns, 1 or 2 targets and a size cap.
+    """Columns, a target and a size cap.
 
     Wide columns draw their low 64 bits from a pool of at most four
     values and differ only above them, so most XORs that agree in their
     low 64 bits differ above them, and a key that dropped the high bits
     would make false hits.  Narrow columns repeat XORs often, so ties
     between supports are common.
-    Targets are XORs of drawn supports (usually reachable), drawn
-    values, or a repeat of the first target.
+    The target is the XOR of a drawn support (usually reachable) or a
+    drawn value.
     """
     n = draw(st.integers(0, 14))
     if draw(st.booleans()):
@@ -544,28 +543,22 @@ def xor_problems(draw):
     else:
         width = draw(st.integers(1, 6))
         columns = [draw(st.integers(0, (1 << width) - 1)) for _ in range(n)]
-    targets = []
-    for _ in range(draw(st.integers(1, 2))):
-        kind = draw(st.sampled_from(("support", "value", "repeat")))
-        if kind == "support" or (kind == "repeat" and not targets):
-            picks = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=6)) if n else []
-            acc = 0
-            for j in set(picks):
-                acc ^= columns[j]
-            targets.append(acc)
-        elif kind == "value":
-            targets.append(draw(st.integers(0, (1 << width) - 1)))
-        else:
-            targets.append(targets[0])
-    return columns, tuple(targets), draw(st.integers(0, min(n, 6)))
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=6)) if n else []
+        target = 0
+        for j in set(picks):
+            target ^= columns[j]
+    else:
+        target = draw(st.integers(0, (1 << width) - 1))
+    return columns, target, draw(st.integers(0, min(n, 6)))
 
 
 @given(xor_problems())
 @settings(max_examples=300, deadline=None)
 def test_sparse_xor_search_matches_linear_scan(problem):
-    columns, targets, max_size = problem
-    assert sparse_xor_search(columns, targets, max_size) == linear_xor_search(
-        columns, targets, max_size
+    columns, target, max_size = problem
+    assert sparse_xor_search(columns, target, max_size) == linear_xor_search(
+        columns, target, max_size
     )
 
 
@@ -573,10 +566,10 @@ def test_sparse_xor_search_matches_linear_scan(problem):
 @given(problem=xor_problems())
 @settings(max_examples=200, deadline=None)
 def test_sparse_xor_search_matches_linear_scan_on_each_path(path, problem):
-    columns, targets, max_size = problem
+    columns, target, max_size = problem
     with on_path(path):
-        got = sparse_xor_search(columns, targets, max_size)
-    assert got == linear_xor_search(columns, targets, max_size)
+        got = sparse_xor_search(columns, target, max_size)
+    assert got == linear_xor_search(columns, target, max_size)
 
 
 @given(xor_problems(), st.integers(1, 40))
@@ -584,13 +577,13 @@ def test_sparse_xor_search_matches_linear_scan_on_each_path(path, problem):
 def test_sparse_xor_search_past_the_table_cap(problem, cap):
     # A small cap makes the larger sizes split lower than s // 2, down
     # to the plain scan; the answers must not change.
-    columns, targets, max_size = problem
-    want = linear_xor_search(columns, targets, max_size)
+    columns, target, max_size = problem
+    want = linear_xor_search(columns, target, max_size)
     with mock.patch.object(f2, "XOR_TABLE_MAX_ENTRIES", cap):
         with on_path("mitm"):
-            assert sparse_xor_search(columns, targets, max_size) == want
-        if 0 not in targets:
-            assert f2._search(columns, dict(enumerate(targets)), max_size) == want
+            assert sparse_xor_search(columns, target, max_size) == want
+        if target:
+            assert f2._search(columns, target, max_size) == want
 
 
 def test_levels_and_unranking_follow_combinations():
@@ -616,7 +609,7 @@ def test_sparse_xor_search_respects_the_table_cap():
     with on_path("mitm"), mock.patch.object(f2, "XOR_TABLE_MAX_ENTRIES", 100):
         tracemalloc.start()
         try:
-            assert sparse_xor_search(columns, ((1 << 60) - 1,), 4) is None
+            assert sparse_xor_search(columns, (1 << 60) - 1, 4) is None
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -625,7 +618,7 @@ def test_sparse_xor_search_respects_the_table_cap():
 
 def test_mitm_work_is_its_estimate():
     # A miss probes each lower half that leaves room for an upper half
-    # above it once per target, and nothing more, so the probes and the
+    # above it once, and nothing more, so the probes and the
     # table entries add up to _mitm_cost, the estimate the refusal
     # checks; and it takes one Python step per prefix that leaves such
     # room, C(n - h - g, s - h - g) a size with g = max(h, 1).  Over 30
@@ -644,27 +637,26 @@ def test_mitm_work_is_its_estimate():
     shapes = ((30, 3, 12, f2.XOR_TABLE_MAX_ENTRIES), (16, 3, 16, f2.XOR_TABLE_MAX_ENTRIES), (13, 8, 9, 20), (9, 64, 6, 1))
     for n, width, max_size, cap in shapes:
         columns = [rng.getrandbits(width) for _ in range(n)]
-        targets = {0: 1 << width, 1: 3 << width}
         Table.probes = Table.calls = 0
         with mock.patch.object(f2, "XOR_TABLE_MAX_ENTRIES", cap), mock.patch.object(f2, "set", Table, create=True):
-            assert f2._search(columns, targets, max_size) is None
+            assert f2._search(columns, 1 << width, max_size) is None
             splits = list(f2._splits(n, max_size))
             tables = sum(math.comb(n, half) for half in {half for _, half in splits} if half)
-            assert Table.probes + tables == f2._mitm_cost(n, 2, max_size) <= f2.SEARCH_MAX_COST
+            assert Table.probes + tables == f2._mitm_cost(n, max_size) <= f2.SEARCH_MAX_COST
         prefixes = sum(math.comb(n - half - max(half, 1), size - half - max(half, 1)) for size, half in splits)
-        assert Table.calls == 2 * prefixes
+        assert Table.calls == prefixes
 
 
 def test_sparse_xor_search_without_a_live_target_builds_nothing():
     # Eight independent columns of 200 bits and twelve sums of them: the
     # coset walk of a kernel of dimension 12 costs more than meeting in
-    # the middle up to size 3, and both targets lie outside the span, so
-    # the elimination drops them and no level is built.
+    # the middle up to size 3, and the target lies outside the span, so
+    # the elimination shows it has no fit and no level is built.
     rng = random.Random(3)
     basis = [rng.getrandbits(200) for _ in range(8)]
     columns = basis + [basis[rng.randrange(8)] ^ basis[rng.randrange(8)] for _ in range(12)]
     with mock.patch.object(f2, "_levels", side_effect=AssertionError):
-        assert sparse_xor_search(columns, (1 << 200, 1 << 201), 3) is None
+        assert sparse_xor_search(columns, 1 << 200, 3) is None
 
 
 def test_sparse_xor_search_rejects_fingerprint_collisions():
@@ -674,8 +666,8 @@ def test_sparse_xor_search_rejects_fingerprint_collisions():
     high = 1 << 64
     columns = [1, 1 | high, 2]
     with on_path("mitm"):
-        assert sparse_xor_search(columns, (3 | high,), 3) == (0b110, 0)
-        assert sparse_xor_search(columns, (3 | high << 1,), 3) is None
+        assert sparse_xor_search(columns, 3 | high, 3) == 0b110
+        assert sparse_xor_search(columns, 3 | high << 1, 3) is None
 
 
 def test_sparse_xor_search_order_within_a_size():
@@ -685,13 +677,8 @@ def test_sparse_xor_search_order_within_a_size():
     columns = [1, 8, 2, 4, 16, 7]
     for path in ("coset", "mitm"):
         with on_path(path):
-            assert sparse_xor_search(columns, (30,), 3) is None
-            assert sparse_xor_search(columns, (30,), 4) == (0b110011, 0)
-            # {0, 3} hits the first target and {0, 2} the second; the
-            # support order decides before the target order does.
-            assert sparse_xor_search([1, 2, 4, 8], (9, 5), 2) == (0b0101, 1)
-            # A support hitting two equal targets reports the lower index.
-            assert sparse_xor_search(columns, (9, 9), 2) == (0b11, 0)
+            assert sparse_xor_search(columns, 30, 3) is None
+            assert sparse_xor_search(columns, 30, 4) == 0b110011
 
 
 def test_sparse_xor_search_duplicate_columns_share_table_keys():
@@ -714,8 +701,8 @@ def test_sparse_xor_search_duplicate_columns_share_table_keys():
         for target in (a ^ b ^ 0b1001, b ^ 0b1000, 1, a, a ^ b ^ 0b1000, a ^ b ^ 1, 0b10000):
             target |= target << 64 if columns is wide else 0
             for max_size in range(6):
-                assert sparse_xor_search(columns, (target,), max_size) == linear_xor_search(
-                    columns, (target,), max_size
+                assert sparse_xor_search(columns, target, max_size) == linear_xor_search(
+                    columns, target, max_size
                 )
 
 
@@ -729,26 +716,23 @@ def test_sparse_xor_search_false_positive_before_the_hit_in_a_row():
     columns[7] = columns[1] ^ columns[2] ^ columns[5] | 1 << 64
     target = columns[0] ^ columns[2] ^ columns[5]
     with on_path("mitm"):
-        got = sparse_xor_search(columns, (target,), 3)
-    assert got == (0b100101, 0) == linear_xor_search(columns, (target,), 3)
+        got = sparse_xor_search(columns, target, 3)
+    assert got == 0b100101 == linear_xor_search(columns, target, 3)
 
 
-def test_sparse_xor_search_two_targets_in_one_row():
-    # Both targets hit the lower-half row of prefix {0}: the second
-    # target at index 1, the first at index 3.  The earlier index wins
-    # whichever target it belongs to.
+def test_sparse_xor_search_two_fits_in_one_row():
+    # Size 4 over nine columns splits 2 + 2, and its one probe covers
+    # every lower half.  The target's fit {0, 3, 5, 7} has the lower half
+    # {0, 3}; once column 8 is the XOR of columns 1, 3, 5, 6 and 7, the
+    # target also has the fit {0, 1, 6, 8}, whose lower half {0, 1} comes
+    # first in the same probe and wins.
     rng = random.Random(9)
     columns = [rng.getrandbits(40) for _ in range(9)]
-    early = columns[0] ^ columns[1] ^ columns[6] ^ columns[8]
-    late = columns[0] ^ columns[3] ^ columns[5] ^ columns[7]
+    target = columns[0] ^ columns[3] ^ columns[5] ^ columns[7]
     with on_path("mitm"):
-        for targets, want in (
-            ((late, early), (0b101000011, 1)), ((early, late), (0b101000011, 0))
-        ):
-            assert sparse_xor_search(columns, targets, 4) == want
-            assert linear_xor_search(columns, targets, 4) == want
-        # Without the earlier one the later index is found in the same row.
-        assert sparse_xor_search(columns, (early ^ 1 << 50, late), 4) == (0b10101001, 1)
+        assert sparse_xor_search(columns, target, 4) == 0b10101001 == linear_xor_search(columns, target, 4)
+        columns[8] = columns[1] ^ columns[3] ^ columns[5] ^ columns[6] ^ columns[7]
+        assert sparse_xor_search(columns, target, 4) == 0b101000011 == linear_xor_search(columns, target, 4)
 
 
 def test_sparse_xor_search_chooses_by_cost():
@@ -760,20 +744,20 @@ def test_sparse_xor_search_chooses_by_cost():
     columns = [rng.getrandbits(200) for _ in range(20)]
     columns += [columns[j] ^ columns[j + 1] ^ columns[j + 5] for j in range(8)]
     target = columns[2] ^ columns[9] ^ columns[24]
-    walk = mock.Mock(wraps=f2._coset_search)
+    walk = mock.Mock(wraps=f2._first_in_coset)
     elim = mock.Mock(wraps=f2.eliminate)
-    with mock.patch.object(f2, "_coset_search", walk), mock.patch.object(f2, "eliminate", elim):
-        assert sparse_xor_search(columns, (target,), 6) == linear_xor_search(
-            columns, (target,), 3
+    with mock.patch.object(f2, "_first_in_coset", walk), mock.patch.object(f2, "eliminate", elim):
+        assert sparse_xor_search(columns, target, 6) == linear_xor_search(
+            columns, target, 3
         )
         assert walk.call_count == 1
         # Up to size 1, meeting in the middle is the cheaper.
-        assert sparse_xor_search(columns, (target,), 1) is None
+        assert sparse_xor_search(columns, target, 1) is None
         assert walk.call_count == 1
         # 48-bit columns over 64 leave a kernel of dimension >= 16: the
         # walk loses at size 5 without an elimination to find that out.
         narrow = [rng.getrandbits(48) for _ in range(64)]
-        assert sparse_xor_search(narrow, (narrow[0] ^ narrow[9],), 5) == (1 | 1 << 9, 0)
+        assert sparse_xor_search(narrow, narrow[0] ^ narrow[9], 5) == 1 | 1 << 9
         assert walk.call_count == 1
         assert elim.call_count == 2
 
@@ -782,58 +766,55 @@ def test_sparse_xor_search_chooses_by_cost():
     st.integers(1, 48),
     st.integers(1, 24),
     st.integers(0, 6),
-    st.integers(1, 2),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=200, deadline=None)
-def test_search_shape_refuses_only_what_the_search_refuses(n, width, max_size, n_targets, seed):
+def test_search_shape_refuses_only_what_the_search_refuses(n, width, max_size, seed):
     # Under a bound of 2**12 steps, a shape that _check_search_shape
     # refuses is refused by the search over any n columns of at most
-    # width bits, for any nonzero targets, with the same message, for
+    # width bits, for any nonzero target, with the same message, for
     # caps up to n and past it.
     rng = random.Random(seed)
     columns = [rng.getrandbits(width) for _ in range(n)]
-    targets = tuple(rng.getrandbits(width) or 1 for _ in range(n_targets))
+    target = rng.getrandbits(width) or 1
     with mock.patch.object(f2, "SEARCH_MAX_COST", 1 << 12):
         try:
-            f2._check_search_shape(n, width, n_targets, max_size)
+            f2._check_search_shape(n, width, max_size)
         except ValueError as refusal:
             assert str(refusal).startswith("exact search too large: ")
             with pytest.raises(ValueError, match="exact search too large: "):
-                sparse_xor_search(columns, targets, max_size)
+                sparse_xor_search(columns, target, max_size)
 
 
 def test_sparse_xor_search_answers_caps_past_the_column_count():
     # No support has more indices than there are columns, so a cap past
     # n answers as the cap n does.
-    assert sparse_xor_search([1], (2,), 4) is None
-    assert sparse_xor_search([0], (1,), 4) is None
-    assert sparse_xor_search([1, 2], (4,), 4) is None
+    assert sparse_xor_search([1], 2, 4) is None
+    assert sparse_xor_search([0], 1, 4) is None
+    assert sparse_xor_search([1, 2], 4, 4) is None
 
 
 @st.composite
 def capped_problems(draw):
     """Up to 8 columns drawn from at most three 4-bit values, so zero
-    and repeated columns are common, 1 or 2 targets, and a cap up to
-    n + 3."""
+    and repeated columns are common, a target, and a cap up to n + 3."""
     pool = draw(st.lists(st.integers(0, 15), min_size=1, max_size=3))
     columns = draw(st.lists(st.sampled_from(pool), max_size=8))
-    targets = tuple(draw(st.lists(st.integers(0, 15), min_size=1, max_size=2)))
-    return columns, targets, draw(st.integers(0, len(columns) + 3))
+    return columns, draw(st.integers(0, 15)), draw(st.integers(0, len(columns) + 3))
 
 
 @given(capped_problems())
 @settings(max_examples=300, deadline=None)
 def test_sparse_xor_search_matches_linear_scan_past_the_column_count(problem):
-    columns, targets, max_size = problem
-    want = linear_xor_search(columns, targets, max_size)
-    assert sparse_xor_search(columns, targets, max_size) == want
+    columns, target, max_size = problem
+    want = linear_xor_search(columns, target, max_size)
+    assert sparse_xor_search(columns, target, max_size) == want
     for path in ("coset", "mitm"):
         with on_path(path):
-            assert sparse_xor_search(columns, targets, max_size) == want
+            assert sparse_xor_search(columns, target, max_size) == want
 
 
-def old_mitm_cost(n, n_targets, max_size):
+def old_mitm_cost(n, max_size):
     """The meet-in-the-middle estimate summed over every size up to the
     cap: the oracle of ``f2._mitm_cost``, which stops at n and at the
     bound, for caps up to n."""
@@ -842,7 +823,7 @@ def old_mitm_cost(n, n_targets, max_size):
         if half < size // 2 and math.comb(n, half + 1) <= f2.XOR_TABLE_MAX_ENTRIES:
             half += 1
             cost += math.comb(n, half)
-        cost += n_targets * math.comb(n - half, size - half)
+        cost += math.comb(n - half, size - half)
     return cost
 
 
@@ -855,33 +836,32 @@ def test_mitm_cost_stopped_at_the_bound_decides_as_the_full_sum():
     bound = f2.SEARCH_MAX_COST
     cosets = (0, 1, bound // 2, bound, bound + 1, 1 << 40)
     for n in range(61):
-        for n_targets in (1, 2):
-            for max_size in range(n + 1):
-                new = f2._mitm_cost(n, n_targets, max_size)
-                old = old_mitm_cost(n, n_targets, max_size)
-                assert new == old if old <= bound else new > bound
-                for coset in cosets:
-                    assert (min(new, coset) > bound) == (min(old, coset) > bound)
-                    assert (coset > min(new, bound)) == (coset > min(old, bound))
-                    if min(old, coset) <= bound:
-                        assert (coset <= new) == (coset <= old)
+        for max_size in range(n + 1):
+            new = f2._mitm_cost(n, max_size)
+            old = old_mitm_cost(n, max_size)
+            assert new == old if old <= bound else new > bound
+            for coset in cosets:
+                assert (min(new, coset) > bound) == (min(old, coset) > bound)
+                assert (coset > min(new, bound)) == (coset > min(old, bound))
+                if min(old, coset) <= bound:
+                    assert (coset <= new) == (coset <= old)
 
 
 def test_search_shape_refuses_a_cap_of_every_column_at_once():
     # The (5000, 4000) brute force at cap 5000: the estimate stops at
     # size 4, where it passes the bound, not at size 5000.
     with cpu_limit(0.2), pytest.raises(ValueError, match=r"takes at least 2\*\*"):
-        f2._check_search_shape(5000, 4000, 1, 5000)
+        f2._check_search_shape(5000, 4000, 5000)
 
 
 def test_sparse_xor_search_drops_shadow_targets_after_elimination():
     # Sixteen 204-bit columns in a span of rank 4, whose pivots are the
     # highest bits of its basis vectors (bits 200 to 203), not its lowest
     # bits: the elimination shows a kernel of dimension 12, the search
-    # meets in the middle.  The first target differs from column 0 at
+    # meets in the middle.  The shadow target differs from column 0 at
     # bit 3 alone, so it is outside the span with the pivot bits of
-    # column 0: it has no fit and is dropped before the search, and the
-    # second target's fit is the answer.
+    # column 0: it has no fit and is dropped before the search, while
+    # the reachable target is searched for.
     basis = [1 << 10 + 7 * i | 1 << 200 + i for i in range(4)]
     columns = basis * 4
     pivots = sum(1 << b.bit_length() - 1 for b in eliminate(columns).basis)
@@ -890,25 +870,24 @@ def test_sparse_xor_search_drops_shadow_targets_after_elimination():
     assert shadow & pivots == columns[0] & pivots
     search = mock.Mock(wraps=f2._search)
     with mock.patch.object(f2, "_search", search):
-        assert sparse_xor_search(columns, (shadow,), 3) is None
-        assert sparse_xor_search(columns, (shadow, reachable), 3) == (0b1010, 1)
-        assert sparse_xor_search(columns, (reachable, shadow), 3) == (0b1010, 0)
-    assert [call.args[1] for call in search.call_args_list] == [{}, {1: reachable}, {0: reachable}]
-    for targets in ((shadow,), (shadow, reachable), (reachable, shadow)):
-        assert sparse_xor_search(columns, targets, 3) == linear_xor_search(columns, targets, 3)
+        assert sparse_xor_search(columns, shadow, 3) is None
+        assert sparse_xor_search(columns, reachable, 3) == 0b1010
+    assert [call.args[1] for call in search.call_args_list] == [reachable]
+    for target in (shadow, reachable):
+        assert sparse_xor_search(columns, target, 3) == linear_xor_search(columns, target, 3)
 
 
 @st.composite
 def projected_problems(draw):
-    """Columns, 1 or 2 targets and a size cap on which the search
+    """Columns, a target and a size cap on which the search
     eliminates the columns and then meets in the middle: 12 to 14
     nonzero columns of at least 65 bits in a span of rank at most 4, so
     the elimination runs and shows a kernel too large to walk, and sizes
     up to 3.
 
-    Targets are XORs of drawn columns, drawn values, or shadows: an XOR
-    of drawn columns changed off the pivots, so outside the span with
-    the pivot bits of a vector in it.
+    The target is an XOR of drawn columns, a drawn value, or a shadow:
+    an XOR of drawn columns changed off the pivots, so outside the span
+    with the pivot bits of a vector in it.
     """
     r = draw(st.integers(1, 4))
     basis = [draw(st.integers(0, (1 << 64) - 1)) | 1 << 64 + i for i in range(r)]
@@ -920,33 +899,33 @@ def projected_problems(draw):
                 acc ^= basis[i]
         columns.append(acc)
     pivots = sum(1 << b.bit_length() - 1 for b in eliminate(columns).basis)
-    targets = []
-    for _ in range(draw(st.integers(1, 2))):
-        kind = draw(st.sampled_from(("support", "shadow", "value")))
-        if kind == "value":
-            targets.append(draw(st.integers(0, (1 << (64 + r)) - 1)))
-            continue
-        acc = 0
+    kind = draw(st.sampled_from(("support", "shadow", "value")))
+    if kind == "value":
+        target = draw(st.integers(0, (1 << (64 + r)) - 1))
+    else:
+        target = 0
         for j in draw(st.sets(st.integers(0, len(columns) - 1), max_size=4)):
-            acc ^= columns[j]
+            target ^= columns[j]
         if kind == "shadow":
             off = draw(st.integers(0, (1 << 70) - 1)) & ~pivots
-            acc ^= off or (pivots + 1) & ~pivots
-        targets.append(acc)
-    return columns, tuple(targets), draw(st.integers(1, 3))
+            target ^= off or (pivots + 1) & ~pivots
+    return columns, target, draw(st.integers(1, 3))
 
 
 @given(projected_problems())
 @settings(max_examples=300, deadline=None)
 def test_sparse_xor_search_after_elimination_matches_linear_scan(problem):
-    columns, targets, max_size = problem
+    columns, target, max_size = problem
     elim = mock.Mock(wraps=f2.eliminate)
     search = mock.Mock(wraps=f2._search)
     with mock.patch.object(f2, "eliminate", elim), mock.patch.object(f2, "_search", search):
-        got = sparse_xor_search(columns, targets, max_size)
-    # A zero target is answered by the empty support before any search.
-    assert elim.call_count == search.call_count == (0 not in targets)
-    assert got == linear_xor_search(columns, targets, max_size)
+        got = sparse_xor_search(columns, target, max_size)
+    # A zero target is answered by the empty support before any search,
+    # and one outside the span by None after the elimination.
+    in_span = not eliminate(columns).reduce(target)[0]
+    assert elim.call_count == (target != 0)
+    assert search.call_count == (target != 0 and in_span)
+    assert got == linear_xor_search(columns, target, max_size)
 
 
 def test_sparse_xor_search_refuses_past_max_cost():
@@ -956,42 +935,42 @@ def test_sparse_xor_search_refuses_past_max_cost():
     # and twelve copies of 7, a kernel of dimension 12, up to size 10.
     units = [1 << j for j in range(12)]
     ones = (1 << 12) - 1
-    mitm = f2._mitm_cost(12, 1, 12)
+    mitm = f2._mitm_cost(12, 12)
     with on_path("mitm"):
         with mock.patch.object(f2, "SEARCH_MAX_COST", mitm):
-            assert sparse_xor_search(units, (ones,), 12) == (ones, 0)
+            assert sparse_xor_search(units, ones, 12) == ones
         with (
             mock.patch.object(f2, "_search", side_effect=AssertionError),
             mock.patch.object(f2, "SEARCH_MAX_COST", mitm - 1),
         ):
             with pytest.raises(ValueError, match="exact search too large.*SEARCH_MAX_COST"):
-                sparse_xor_search(units, (ones,), 12)
+                sparse_xor_search(units, ones, 12)
         # An empty support needs no search and is never refused.
         with mock.patch.object(f2, "SEARCH_MAX_COST", 0):
-            assert sparse_xor_search(units, (0,), 12) == (0, 0)
+            assert sparse_xor_search(units, 0, 12) == 0
     copies = [1, 2, 4] + [7] * 12
-    coset = f2._coset_cost(1, 12, 15, 3)
-    assert coset < f2._mitm_cost(15, 1, 10)
+    coset = f2._coset_cost(12, 15, 3)
+    assert coset < f2._mitm_cost(15, 10)
     with mock.patch.object(f2, "SEARCH_MAX_COST", coset):
-        assert sparse_xor_search(copies, (3,), 10) == (0b11, 0)
+        assert sparse_xor_search(copies, 3, 10) == 0b11
     with (
-        mock.patch.object(f2, "_coset_search", side_effect=AssertionError),
+        mock.patch.object(f2, "_first_in_coset", side_effect=AssertionError),
         mock.patch.object(f2, "SEARCH_MAX_COST", coset - 1),
     ):
-        with pytest.raises(ValueError, match=r"coset walk 1 x 2\*\*12 \(kernel dimension 12\)"):
-            sparse_xor_search(copies, (3,), 10)
+        with pytest.raises(ValueError, match=r"coset walk 2\*\*12 \(kernel dimension 12\)"):
+            sparse_xor_search(copies, 3, 10)
 
 
 def test_sparse_xor_search_refuses_before_eliminating_past_max_cost():
-    # Sixty 32-bit columns have a kernel of dimension at least 28, so
-    # the walk for two targets takes at least 2**29 steps, and meeting
-    # in the middle up to size 12 takes more: the search is refused
-    # before the columns are eliminated.
+    # Sixty 31-bit columns have a kernel of dimension at least 29, so
+    # the walk takes at least 2**29 steps, and meeting in the middle up
+    # to size 12 takes more: the search is refused before the columns
+    # are eliminated.
     rng = random.Random(6)
-    columns = [rng.getrandbits(32) | 1 << 31 for _ in range(60)]
-    assert f2._mitm_cost(60, 2, 12) > f2.SEARCH_MAX_COST
+    columns = [rng.getrandbits(31) | 1 << 30 for _ in range(60)]
+    assert f2._mitm_cost(60, 12) > f2.SEARCH_MAX_COST
     elim = mock.Mock(wraps=f2.eliminate)
     with mock.patch.object(f2, "eliminate", elim):
-        with pytest.raises(ValueError, match=r"coset walk 2 x 2\*\*28 \(kernel dimension at least 28\)"):
-            sparse_xor_search(columns, (columns[0] ^ columns[1], 1), 12)
+        with pytest.raises(ValueError, match=r"coset walk 2\*\*29 \(kernel dimension at least 29\)"):
+            sparse_xor_search(columns, columns[0] ^ columns[1], 12)
     assert elim.call_count == 0

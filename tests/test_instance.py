@@ -371,7 +371,7 @@ def test_brute_force_refuses_searches_that_cannot_finish():
     inst, _ = random_planted(400, 200, 5, 1)
     guards = [
         mock.patch.object(f2, name, side_effect=AssertionError)
-        for name in ("eliminate", "_search", "_coset_search")
+        for name in ("eliminate", "_search", "_first_in_coset")
     ]
     for guard in guards:
         guard.start()

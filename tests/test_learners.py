@@ -156,9 +156,10 @@ def test_parity_tree_shares_its_nodes(d):
     assert distinct_nodes(tree) == distinct_nodes(complemented) == (2 * d + 1 if d else 1)
 
 
-def test_complemented_fit_shares_its_nodes():
+def test_complemented_labels_get_a_constant():
     # Every point of the cube labeled by the complement of chi_s: the
-    # only fit within depth 3 is the complemented parity over s.
+    # complemented parity over s fits every sample, but no parity does,
+    # so the learner returns the better constant.
     s = index_set(2, 3, 5)
     points = [format(y, "05b") for y in range(32)]
     oracle = pmf_oracle(
@@ -167,8 +168,8 @@ def test_complemented_fit_shares_its_nodes():
     tree = exhaustive_parity_learner(
         unlifted(oracle), budget(depth=3, samples=400), random.Random(1)
     )
-    assert tree == complement_tree(recursive_parity_tree(s.indices))
-    assert distinct_nodes(tree) == 7
+    assert isinstance(tree, Leaf)
+    assert tree == scan_learner(oracle, budget(depth=3, samples=400), random.Random(1))
 
 
 def test_planted_learner_ignores_oracle():
@@ -216,8 +217,8 @@ def test_exhaustive_is_deterministic_given_seed():
 
 def test_exhaustive_matches_independent_enumeration():
     # Replay the same sample and grade every candidate by hand: the
-    # returned tree is the first zero-error candidate in (size, lex,
-    # plain first) order, or the better constant when none fits.
+    # returned tree is the first zero-error parity in (size, lex) order,
+    # or the better constant when none fits or the labels all agree.
     for seed in range(20):
         rng = random.Random(200 + seed)
         n = rng.randint(2, 6)
@@ -232,18 +233,16 @@ def test_exhaustive_matches_independent_enumeration():
         rng_replay = random.Random(seed)
         sample = [oracle.sample(rng_replay) for _ in range(bud.sample_budget)]
         fits = [
-            (s, flip)
+            s
             for size in range(0, min(n, 3) + 1)
             for picks in itertools.combinations(range(1, n + 1), size)
             for s in [ParityIndexSet.from_iterable(picks)]
-            for flip in (0, 1)
-            if all((s.mask & p.mask).bit_count() & 1 ^ flip == lab for p, lab in sample)
+            if all((s.mask & p.mask).bit_count() & 1 == lab for p, lab in sample)
         ]
-        if fits:
-            s, flip = fits[0]
-            want = complement_tree(parity_to_tree(s)) if flip else parity_to_tree(s)
+        ones = sum(lab for _, lab in sample)
+        if fits and ones < len(sample):
+            want = parity_to_tree(fits[0])
         else:
-            ones = sum(lab for _, lab in sample)
             want = Leaf(1 if ones > len(sample) - ones else 0)
         assert tree == want
 
@@ -288,9 +287,10 @@ def test_exhaustive_rejects_depth_beyond_arity():
 
 
 def scan_learner(oracle, budget, rng):
-    """The exhaustive learner's contract as one linear scan: the first
-    zero-error candidate in (size, lex, plain before complement) order,
-    else the better constant (1 only when ones outnumber zeros)."""
+    """The exhaustive learner's contract as one linear scan: a constant
+    label column is its own constant; otherwise the first exact parity
+    fit in (size, lex) order, else the better constant (1 only when ones
+    outnumber zeros)."""
     arity = oracle.length
     samples = [oracle.sample(rng) for _ in range(budget.sample_budget)]
     nsamp = len(samples)
@@ -303,16 +303,15 @@ def scan_learner(oracle, budget, rng):
         for j in range(arity):
             if point.mask >> j & 1:
                 cols[j] |= bit
-    for size in range(budget.depth_budget + 1):
-        for combo in itertools.combinations(range(arity), size):
-            acc = 0
-            for j in combo:
-                acc ^= cols[j]
-            err = (acc ^ label_col).bit_count()
-            if err in (0, nsamp):
-                tree = parity_to_tree(ParityIndexSet(tuple(j + 1 for j in combo)))
-                return tree if err == 0 else complement_tree(tree)
     ones = label_col.bit_count()
+    if 0 < ones < nsamp:
+        for size in range(budget.depth_budget + 1):
+            for combo in itertools.combinations(range(arity), size):
+                acc = 0
+                for j in combo:
+                    acc ^= cols[j]
+                if acc == label_col:
+                    return parity_to_tree(ParityIndexSet(tuple(j + 1 for j in combo)))
     return Leaf(1 if ones > nsamp - ones else 0)
 
 
@@ -510,7 +509,7 @@ def test_exhaustive_bounds_the_exact_fit_search(monkeypatch):
     # parity of three coordinates, so an exact fit exists.
     oracle = unlifted(NoisyParityOracle(40, 0b1011, 0.0))
     bud = LearnerBudget(4, 8)
-    estimate = f2._mitm_cost(40, 2, 4)
+    estimate = f2._mitm_cost(40, 4)
     monkeypatch.setattr(f2, "SEARCH_MAX_COST", estimate)
     tree = exhaustive_parity_learner(oracle, bud, random.Random(3))
     assert tree.depth <= 3
@@ -549,7 +548,7 @@ def test_exhaustive_refuses_before_sampling():
         with pytest.raises(pytest.fail.Exception):
             exhaustive_parity_learner(UnsampledOracle(10000), bud, random.Random(0))
     # Nor is a constant label column refused, all zeros or all ones, as
-    # one label always is: the empty parity fits it with no search.
+    # one label always is: its constant answers it with no search.
     for labels, bud in ((0, LearnerBudget(10, 2000)), ((1 << 2000) - 1, LearnerBudget(10, 2000)),
                         (1, LearnerBudget(10, 1))):
         with pytest.raises(pytest.fail.Exception):
@@ -558,8 +557,8 @@ def test_exhaustive_refuses_before_sampling():
 
 def test_exhaustive_fits_constant_labels_past_the_shape_bound():
     # At a shape the search refuses, labels that all agree still get the
-    # constant the search after sampling gives: Leaf(0) over a span
-    # labeled 0, and the empty parity or its complement from one sample.
+    # constant they give after sampling: Leaf(0) over a span labeled 0,
+    # and the one label's constant from one sample.
     rng = random.Random(5)
     masks = _independent_rows(rng, 400, 200).row_masks
     points = tuple(BitVector(400, mk) for mk in masks)

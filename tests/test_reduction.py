@@ -555,6 +555,23 @@ def test_search_recovers_planted_solution():
     assert report.hypothesis.depth <= report.pruned_depth
 
 
+def test_search_at_sixteen_samples_is_not_pre_empted_by_a_complement():
+    # Planted (14, 10, 2), seed 2, 16 samples: the complement of the label
+    # column is the XOR of lifted columns 8, 9, 17 and 26, which comes
+    # before the solution's lift, columns 23 to 26, in (size, lex)
+    # order.  A complemented parity sits at lifted distance 1/2 and
+    # yields no candidate; the learner fits the label column alone, so
+    # it returns the lift and the search verifies the planted vector.
+    inst, x = random_planted(14, 10, 2, 2)
+    cfg = ReductionConfig(learner_samples=16)
+    cols, labels = build_learning_instance(inst, cfg).sample_columns(random.Random(2), 16)
+    lift = cols[22] ^ cols[23] ^ cols[24] ^ cols[25]
+    assert lift == labels and cols[7] ^ cols[8] ^ cols[16] ^ cols[25] == labels ^ 0xFFFF
+    report = search(inst, cfg, exhaustive_parity_learner, random.Random(2))
+    assert report.solution == x
+    assert report.hypothesis == parity_to_tree(index_set(23, 24, 25, 26))
+
+
 def test_search_with_planted_hint_returns_exact_vector():
     inst, x = random_planted(12, 8, 3, 77)
     params = GadgetParams(CFG.ell, 12)
@@ -814,6 +831,21 @@ def test_pipelines_check_the_sample_bound_first(pipeline):
     cfg = ReductionConfig(ell=ell, learner_samples=largest_sample_within_the_bound(8, ell) + 1)
     with pytest.raises(ValueError, match="SAMPLE_MAX_BYTES"):
         pipeline(inst, cfg, refusing_learner, random.Random(0))
+
+
+@pytest.mark.parametrize("pipeline", [search, decide])
+def test_pipelines_refuse_a_sparsity_past_n_first(pipeline):
+    # k = n + 1 is refused before the thresholds, the sample bound and
+    # the learner, on a consistent system and on one that would
+    # otherwise be reported unsatisfiable.
+    raw, _ = random_planted(14, 12, 2, 5)
+    consistent = SyndromeInstance(raw.h, raw.t, 15, Fraction(3))
+    inconsistent = SyndromeInstance(matrix("11", "11"), BitVector.from01("10"), 3, Fraction(3))
+    for inst in (consistent, inconsistent):
+        with pytest.raises(ValueError, match=r"sparsity k = \d+ exceeds the number of coordinates"):
+            pipeline(inst, CFG, refusing_learner, random.Random(0))
+    # k = n still runs.
+    pipeline(SyndromeInstance(raw.h, raw.t, 14, Fraction(3)), CFG, planted_learner(index_set()), random.Random(0))
 
 
 class JumpingClock:
