@@ -341,13 +341,14 @@ def sparse_xor_search(columns: Sequence[int], target: int, max_size: int) -> int
     the kernel K of the columns, so walking the coset costs ``2**dim K``
     steps, however large ``max_size`` is.  Meeting in the middle costs
     about C(n, ceil(s/2)) steps per size s, however small the kernel is
-    (``_mitm_cost``).  A coset step counts as one of the others, and so
-    does each of the about n * rank / 2 steps of the elimination the
-    coset path needs (``_coset_cost``).  The dimension of K is at least
-    n minus the widest column's bit length, and the columns are
-    eliminated only when even that bound leaves the coset walk the
-    cheaper and within ``SEARCH_MAX_COST``.  When they are, a target
-    outside their span has no fit, and the search ends at once.
+    (``_mitm_cost``).  A coset step counts as one of the others.  The
+    dimension of K is at least n minus the widest column's bit length,
+    and the columns are eliminated only when even that bound leaves the
+    coset walk the cheaper and within ``SEARCH_MAX_COST``.  When they
+    are, a target outside their span has no fit, and the search ends at
+    once; otherwise the walk is weighed again at the kernel's real
+    dimension, with no charge for the elimination, which has run by
+    then whichever path wins.
 
     Coset enumeration (``_first_in_coset``): one elimination of the
     columns, tracking combinations, gives a kernel basis and, for a
@@ -420,7 +421,7 @@ def sparse_xor_search(columns: Sequence[int], target: int, max_size: int) -> int
         return _search(columns, target, max_size)
     elim = eliminate(columns)
     dim = len(elim.kernel)
-    coset = _coset_cost(dim, n, n - dim)
+    coset = 1 << dim
     _check_estimates(mitm, coset, dim, "")
     residue, particular = elim.reduce(target)
     if residue:
@@ -440,7 +441,7 @@ def _check_search_shape(n: int, width: int, max_size: int) -> tuple[int, int]:
     search refuses."""
     dim = max(0, n - width)
     mitm = _mitm_cost(n, max_size)
-    coset = _coset_cost(dim, 0, 0)
+    coset = 1 << dim
     _check_estimates(mitm, coset, dim, "at least ")
     return mitm, coset
 
@@ -494,14 +495,6 @@ def _mitm_cost(n: int, max_size: int) -> int:
         if cost > SEARCH_MAX_COST:
             break
     return cost
-
-
-def _coset_cost(dim: int, n: int, rank: int) -> int:
-    """Steps of the coset path: the walk, and eliminating n columns of
-    the given rank, each counted as one meet-in-the-middle step: both
-    took 90 to 250 ns a step on 64-bit columns, and an elimination 60 to
-    230 ns per step charged (Python 3.11, a shared 2-vCPU host)."""
-    return (1 << dim) + n * rank // 2
 
 
 def _first_in_coset(particular: int, kernel: tuple[int, ...], max_size: int) -> int | None:

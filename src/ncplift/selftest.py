@@ -519,7 +519,7 @@ def _criterion_search(scale: _Scale, ctx: dict) -> tuple[bool, str]:
             certs.append((inst, x))
             if not verify_certificate(inst, x, PRUNE_CONSTANT * inst.k):
                 return False, f"seed {seed}: returned certificate failed verification"
-            if x.sparsity <= inst.k and mat_vec(inst.h, x).mask == inst.t.mask:
+            if verify_certificate(inst, x, inst.k):
                 hits += 1
     if hits < scale.search_target:
         return False, (

@@ -515,10 +515,10 @@ def linear_xor_search(columns, target, max_size):
 
 
 def on_path(path):
-    """Force ``sparse_xor_search`` onto one path: the coset walk costs
-    nothing, or never wins."""
-    cost = {"coset": 0, "mitm": math.inf}[path]
-    return mock.patch.object(f2, "_coset_cost", lambda *args: cost)
+    """Force ``sparse_xor_search`` onto one path: meeting in the middle
+    costs more than any walk within the bound, or nothing."""
+    cost = {"coset": 1 << 64, "mitm": 0}[path]
+    return mock.patch.object(f2, "_mitm_cost", lambda *args: cost)
 
 
 @st.composite
@@ -930,35 +930,62 @@ def test_sparse_xor_search_after_elimination_matches_linear_scan(problem):
 
 def test_sparse_xor_search_refuses_past_max_cost():
     # Each path runs at its estimate and is refused one step below it,
-    # before any table or walk.  Meet in the middle: twelve unit
-    # columns and the all-ones target.  Coset walk: three unit columns
-    # and twelve copies of 7, a kernel of dimension 12, up to size 10.
-    units = [1 << j for j in range(12)]
-    ones = (1 << 12) - 1
-    mitm = f2._mitm_cost(12, 12)
-    with on_path("mitm"):
-        with mock.patch.object(f2, "SEARCH_MAX_COST", mitm):
-            assert sparse_xor_search(units, ones, 12) == ones
-        with (
-            mock.patch.object(f2, "_search", side_effect=AssertionError),
-            mock.patch.object(f2, "SEARCH_MAX_COST", mitm - 1),
-        ):
-            with pytest.raises(ValueError, match="exact search too large.*SEARCH_MAX_COST"):
-                sparse_xor_search(units, ones, 12)
-        # An empty support needs no search and is never refused.
-        with mock.patch.object(f2, "SEARCH_MAX_COST", 0):
-            assert sparse_xor_search(units, 0, 12) == 0
+    # before any table or walk.  Meet in the middle: four unit columns
+    # six times over and the all-ones target, a kernel of dimension at
+    # least 20, whose walk never wins.  Coset walk: three unit columns
+    # and twelve copies of 7, a kernel of dimension 12, up to size 10;
+    # one step below the walk, the floor on that dimension refuses it
+    # before the elimination.  Fifteen copies of 7 pass that floor and
+    # show a kernel of dimension 14 once eliminated, refused there.
+    units = [1 << j for j in range(4)] * 6
+    mitm = f2._mitm_cost(24, 4)
+    assert mitm < 1 << 20
+    with mock.patch.object(f2, "SEARCH_MAX_COST", mitm):
+        assert sparse_xor_search(units, 0b1111, 4) == 0b1111
+    with (
+        mock.patch.object(f2, "_search", side_effect=AssertionError),
+        mock.patch.object(f2, "SEARCH_MAX_COST", mitm - 1),
+    ):
+        with pytest.raises(ValueError, match="exact search too large.*SEARCH_MAX_COST"):
+            sparse_xor_search(units, 0b1111, 4)
+    # An empty support needs no search and is never refused.
+    with mock.patch.object(f2, "SEARCH_MAX_COST", 0):
+        assert sparse_xor_search(units, 0, 4) == 0
     copies = [1, 2, 4] + [7] * 12
-    coset = f2._coset_cost(12, 15, 3)
+    coset = 1 << 12
     assert coset < f2._mitm_cost(15, 10)
     with mock.patch.object(f2, "SEARCH_MAX_COST", coset):
         assert sparse_xor_search(copies, 3, 10) == 0b11
     with (
-        mock.patch.object(f2, "_first_in_coset", side_effect=AssertionError),
+        mock.patch.object(f2, "eliminate", side_effect=AssertionError),
         mock.patch.object(f2, "SEARCH_MAX_COST", coset - 1),
     ):
-        with pytest.raises(ValueError, match=r"coset walk 2\*\*12 \(kernel dimension 12\)"):
+        with pytest.raises(ValueError, match=r"coset walk 2\*\*12 \(kernel dimension at least 12\)"):
             sparse_xor_search(copies, 3, 10)
+    with (
+        mock.patch.object(f2, "_first_in_coset", side_effect=AssertionError),
+        mock.patch.object(f2, "SEARCH_MAX_COST", coset),
+    ):
+        with pytest.raises(ValueError, match=r"coset walk 2\*\*14 \(kernel dimension 14\)"):
+            sparse_xor_search([7] * 15, 7, 10)
+
+
+def test_sparse_xor_search_walks_the_coset_at_the_certification_shape():
+    # Brute force at cap 2 over the 14 columns of a full-rank 12 x 14 H,
+    # the planted certifications of the decide-gate set-up: a kernel of
+    # dimension 2 takes a walk of 4 steps against 41 for meeting in the
+    # middle, and the elimination behind the walk is spent by then.
+    assert f2._mitm_cost(14, 2) == 41
+    rng = random.Random(14)
+    walk = mock.Mock(wraps=f2._first_in_coset)
+    with mock.patch.object(f2, "_first_in_coset", walk), mock.patch.object(f2, "_search", side_effect=AssertionError):
+        for _ in range(20):
+            columns = [rng.getrandbits(12) for _ in range(14)]
+            while len(eliminate(columns).kernel) != 2:
+                columns = [rng.getrandbits(12) for _ in range(14)]
+            target = columns[rng.randrange(14)] ^ columns[rng.randrange(14)] or 1
+            assert sparse_xor_search(columns, target, 2) == linear_xor_search(columns, target, 2)
+    assert walk.call_count == 20
 
 
 def test_sparse_xor_search_refuses_before_eliminating_past_max_cost():
