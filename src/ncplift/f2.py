@@ -362,30 +362,35 @@ def sparse_xor_search(columns: Sequence[int], target: int, max_size: int) -> int
 
     Meet in the middle (``_search``, the splitting step of Stern's
     low-weight codeword search): a support of size s splits into its
-    lowest ``s - h`` indices L and its highest h indices U, where h is
-    the largest split up to ``s // 2`` whose C(n, h) upper halves number
-    at most ``XOR_TABLE_MAX_ENTRIES`` (``_splits``).  L lies below
-    n - h, as h indices must fit above it.  Level j lists the XOR over
-    every support of j indices below n - h in lexicographic order, so
-    the first occurrence of an XOR in it comes from the
-    lexicographically first support that makes it, and the supports
-    whose indices all lie above an index a are a suffix of it.  Level j
-    is built from level j - 1 with one C-level ``extend`` per lowest
-    index (``_next_level``), and levels 0 to h are built again whenever
-    h grows, as n - h shrinks.  An upper half is a support of i indices
-    below n - h, from level i, joined with h - i of the top h indices,
-    so the table, the set of the XORs of all C(n, h) upper halves, takes
-    one C-level ``update`` per subset of the top h indices.  While h is
-    at most 1 the levels run over all n columns instead: level 1 is the
-    columns themselves, the table is the set of level h, and the
-    one-index tails of the lower halves stop below n - h within it.
+    lowest ``s - h`` indices L and its highest h indices U
+    (``_splits``).  At the cap, h is the largest split up to ``s // 2``
+    whose C(n, h) upper halves number at most ``XOR_TABLE_MAX_ENTRIES``;
+    below it, a size takes the next size's split, short of the whole
+    size.  So an odd s > 1 below the cap puts (s + 1) // 2 indices in U
+    when the next size's table fits, and builds that table one size
+    early for fewer lower halves.  L lies below n - h, as h indices must
+    fit above it.  Level j lists the XOR over every support of j indices
+    below n - h in lexicographic order, so the first occurrence of an
+    XOR in it comes from the lexicographically first support that makes
+    it, and the supports whose indices all lie above an index a are a
+    suffix of it.  Level j is built from level j - 1 with one C-level
+    ``extend`` per lowest index (``_next_level``), and levels 0 to h are
+    built again whenever h grows, as n - h shrinks.  An upper half is a
+    support of i indices below n - h, from level i, joined with h - i of
+    the top h indices, so the table, the set of the XORs of all C(n, h)
+    upper halves, takes one C-level ``update`` per subset of the top h
+    indices.  While h is at most 1 the levels run over all n columns
+    instead: level 1 is the columns themselves, the table is the set of
+    level h, and the one-index tails of the lower halves stop below
+    n - h within it.
 
     The L are streamed in lexicographic order.  Each L is a prefix of
     its lowest ``s - h - g`` indices followed by g indices above the
-    prefix, a suffix of level g = max(h, 1), so one C-level
+    prefix, a suffix of level g = min(max(h, 1), s - h), so one C-level
     ``isdisjoint`` probe of the table per prefix covers every L that
-    shares the prefix: while the cap leaves h at ``s // 2``, one probe
-    for s = 1 or an even s and n - 2h for an odd s > 1.  A size probes
+    shares the prefix: while the table cap leaves h at its largest, one
+    probe for s = 1, an even s or an odd s below the cap, and n - 2h for
+    an odd s > 1 at the cap, where h = s // 2.  A size probes
     exactly its C(n - h, s - h) lower halves, the count ``_mitm_cost``
     charges.  The first prefix with a hit holds the answer and the
     stream stops there: the first hit in the suffix, found at C level,
@@ -401,10 +406,13 @@ def sparse_xor_search(columns: Sequence[int], target: int, max_size: int) -> int
     before L in the stream, with the rest of it as their U, so the
     stream would have stopped there.  So the lexicographically first U
     with the hit's XOR is the first above L, and the supports that share
-    L are ordered by U.  h = 0 (size 1, or a level 1 that would not fit)
+    L are ordered by U.  None of this depends on the split h, which may
+    pass s / 2.  h = 0 (size 1, or a level 1 that would not fit)
     is the one-entry table {0}, and the stream is the plain scan.  Only
     the current table is held, with levels 0 to h, each no longer than
-    the table for h up to n / 2, so memory stays bounded for every size.
+    the table for h up to n / 2, so memory stays bounded for every size;
+    a size that takes the next size's split holds the table that size
+    holds.
 
     Raises:
         ValueError: when both estimates pass ``SEARCH_MAX_COST``, before
@@ -461,12 +469,18 @@ def _check_estimates(mitm: int, coset: int, dim: int, bound: str) -> None:
 
 def _splits(n: int, max_size: int) -> Iterator[tuple[int, int]]:
     """Each support size s from 1 to ``min(max_size, n)`` (no support is
-    larger) with the split h that meeting in the middle takes for it.
-    s // 2 grows by at most one a size and C(n, h) grows with h up to
-    n / 2, so one step a size keeps h the largest that fits."""
+    larger) with the split h that meeting in the middle takes for it: at
+    the top size the largest h up to s // 2 whose C(n, h) upper halves
+    fit ``XOR_TABLE_MAX_ENTRIES``, below it the next size's, short of
+    the whole size.  The bound on h, s // 2 at the top and (s + 1) // 2
+    below it but at s = 1, grows by at most one a size, and C(n, h)
+    grows with h up to n / 2, so one step a size keeps h the largest
+    that fits.  The sizes come one at a time, so ``_mitm_cost``
+    stops at its bound without a plan for every size up to n."""
+    top = min(max_size, n)
     half = 0
-    for size in range(1, min(max_size, n) + 1):
-        if half < size // 2 and comb(n, half + 1) <= XOR_TABLE_MAX_ENTRIES:
+    for size in range(1, top + 1):
+        if half < (size + (1 < size < top)) // 2 and comb(n, half + 1) <= XOR_TABLE_MAX_ENTRIES:
             half += 1
         yield size, half
 
@@ -478,14 +492,18 @@ def _mitm_cost(n: int, max_size: int) -> int:
     exact up to the bound, a lower bound past it.
 
     The search probes exactly the C(n - h, s - h) lower halves counted
-    here, with one Python step per prefix.  Its table of C(n, h) entries
-    is built from levels of C(n - h, j) entries for j up to h, at most
-    C(n, h) in all, as C(n, h) sums C(n - h, j) C(h, h - j) over j, with
-    one Python step per subset of the top h indices.  So its work stays
-    within a small multiple of this count.  Each lower half is one XOR
-    and one set lookup at C level, about 75 ns on 64 columns of 48 bits
-    (Python 3.11), below the 90 to 250 ns a step ``SEARCH_MAX_COST``
-    assumes."""
+    here, with h the split ``_splits`` gives each size, and one Python
+    step per prefix.  That split never costs more than each size's own
+    largest one would: the tables are the same, and a size that takes
+    one more index into its upper half probes
+    C(n - h - 1, s - h - 1) <= C(n - h, s - h) lower halves.  Its table
+    of C(n, h) entries is built from levels of C(n - h, j) entries for
+    j up to h, at most C(n, h) in all, as C(n, h) sums
+    C(n - h, j) C(h, h - j) over j, with one Python step per subset of
+    the top h indices.  So its work stays within a small multiple of
+    this count.  Each lower half is one XOR and one set lookup at C
+    level, about 75 ns on 64 columns of 48 bits (Python 3.11), below the
+    90 to 250 ns a step ``SEARCH_MAX_COST`` assumes."""
     cost = built = 0
     for size, half in _splits(n, max_size):
         if half > built:
@@ -535,17 +553,18 @@ def _search(columns: Sequence[int], target: int, max_size: int) -> int | None:
     built, tops = None, [(0, 0)]
     for size, half in _splits(n, max_size):
         if half != built:
-            built, low, tail = half, n - half, max(half, 1)
+            built, low = half, n - half
             if half > 1:
                 levels, starts = _levels(columns[:low], half)
                 tops = [(0, 0)]
                 for j in range(low, n):
                     tops += [(xor ^ columns[j], top | 1 << j) for xor, top in tops]
-            level, start = levels[tail], starts[tail]
-            stop = start[low - tail + 1]
             table = set(levels[half])
             for xor, top in tops[1:]:
                 table.update(map(xor.__xor__, levels[half - top.bit_count()]))
+        tail = min(half, size - half) or 1
+        level, start = levels[tail], starts[tail]
+        stop = start[low - tail + 1]
         for prefix in combinations(range(low - tail), size - half - tail):
             key = target
             for j in prefix:

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncplift.f2 import (
@@ -621,9 +621,11 @@ def test_mitm_work_is_its_estimate():
     # above it once, and nothing more, so the probes and the
     # table entries add up to _mitm_cost, the estimate the refusal
     # checks; and it takes one Python step per prefix that leaves such
-    # room, C(n - h - g, s - h - g) a size with g = max(h, 1).  Over 30
-    # columns of rank 3 at a cap of 30, prefixes over all of range(n)
-    # would be about 30 times the probes.
+    # room, C(n - h - g, s - h - g) a size with g = min(max(h, 1), s - h).
+    # Over 30 columns of rank 3 at a cap of 30, prefixes over all of
+    # range(n) would be about 30 times the probes.  At the solve-exact
+    # shape, 64 columns up to size 5, every size below the cap is one
+    # call, and size 5 takes one per lowest index below 60.
     class Table(set):
         probes = calls = 0
 
@@ -634,7 +636,13 @@ def test_mitm_work_is_its_estimate():
             return super().isdisjoint(other)
 
     rng = random.Random(5)
-    shapes = ((30, 3, 12, f2.XOR_TABLE_MAX_ENTRIES), (16, 3, 16, f2.XOR_TABLE_MAX_ENTRIES), (13, 8, 9, 20), (9, 64, 6, 1))
+    shapes = (
+        (30, 3, 12, f2.XOR_TABLE_MAX_ENTRIES),
+        (16, 3, 16, f2.XOR_TABLE_MAX_ENTRIES),
+        (13, 8, 9, 20),
+        (9, 64, 6, 1),
+        (64, 48, 5, f2.XOR_TABLE_MAX_ENTRIES),
+    )
     for n, width, max_size, cap in shapes:
         columns = [rng.getrandbits(width) for _ in range(n)]
         Table.probes = Table.calls = 0
@@ -643,8 +651,10 @@ def test_mitm_work_is_its_estimate():
             splits = list(f2._splits(n, max_size))
             tables = sum(math.comb(n, half) for half in {half for _, half in splits} if half)
             assert Table.probes + tables == f2._mitm_cost(n, max_size) <= f2.SEARCH_MAX_COST
-        prefixes = sum(math.comb(n - half - max(half, 1), size - half - max(half, 1)) for size, half in splits)
+        tails = [min(max(half, 1), size - half) for size, half in splits]
+        prefixes = sum(math.comb(n - half - g, size - half - g) for (size, half), g in zip(splits, tails))
         assert Table.calls == prefixes
+    assert Table.calls == 4 + 60
 
 
 def test_sparse_xor_search_without_a_live_target_builds_nothing():
@@ -816,8 +826,8 @@ def test_sparse_xor_search_matches_linear_scan_past_the_column_count(problem):
 
 def old_mitm_cost(n, max_size):
     """The meet-in-the-middle estimate summed over every size up to the
-    cap: the oracle of ``f2._mitm_cost``, which stops at n and at the
-    bound, for caps up to n."""
+    cap, when each size took its own largest split: an upper bound on
+    ``f2._mitm_cost``, for caps up to n."""
     cost = half = 0
     for size in range(1, max_size + 1):
         if half < size // 2 and math.comb(n, half + 1) <= f2.XOR_TABLE_MAX_ENTRIES:
@@ -827,24 +837,131 @@ def old_mitm_cost(n, max_size):
     return cost
 
 
+def largest_split(n, size):
+    """The largest split up to size // 2 whose C(n, h) upper halves fit
+    ``f2.XOR_TABLE_MAX_ENTRIES``."""
+    half = 0
+    while half < size // 2 and math.comb(n, half + 1) <= f2.XOR_TABLE_MAX_ENTRIES:
+        half += 1
+    return half
+
+
+def planned_splits(n, max_size):
+    """The split of each size up to a cap of at most n: the top size
+    takes its own largest split, and each size below it the next size's,
+    short of the whole size."""
+    return [
+        (size, largest_split(n, size) if size == max_size else min(largest_split(n, size + 1), size - 1))
+        for size in range(1, max_size + 1)
+    ]
+
+
+def full_mitm_cost(n, max_size):
+    """The meet-in-the-middle estimate summed over every size up to a
+    cap of at most n, each table once: the oracle of ``f2._mitm_cost``,
+    which stops at the bound."""
+    splits = planned_splits(n, max_size)
+    tables = {half for _, half in splits if half}
+    return sum(math.comb(n, half) for half in tables) + sum(
+        math.comb(n - half, size - half) for size, half in splits
+    )
+
+
 def test_mitm_cost_stopped_at_the_bound_decides_as_the_full_sum():
     # Up to the bound the estimate is the full sum, and past it both
     # are past it.  So for any coset estimate the search refuses (both
     # past the bound), skips the elimination (coset above the smaller
     # of mitm and the bound) and, when not refused, walks the coset
-    # (coset <= mitm) exactly as the full sum would have it.
+    # (coset <= mitm) exactly as the full sum would have it.  Taking the
+    # next size's split never costs more than each size's own: the
+    # tables are the same, and a size that takes one more index into
+    # its upper half probes C(n - h - 1, s - h - 1) <= C(n - h, s - h)
+    # lower halves.
     bound = f2.SEARCH_MAX_COST
     cosets = (0, 1, bound // 2, bound, bound + 1, 1 << 40)
     for n in range(61):
         for max_size in range(n + 1):
+            assert list(f2._splits(n, max_size)) == planned_splits(n, max_size)
             new = f2._mitm_cost(n, max_size)
-            old = old_mitm_cost(n, max_size)
-            assert new == old if old <= bound else new > bound
+            full = full_mitm_cost(n, max_size)
+            assert new == full if full <= bound else new > bound
+            assert new <= full <= old_mitm_cost(n, max_size)
             for coset in cosets:
-                assert (min(new, coset) > bound) == (min(old, coset) > bound)
-                assert (coset > min(new, bound)) == (coset > min(old, bound))
-                if min(old, coset) <= bound:
-                    assert (coset <= new) == (coset <= old)
+                assert (min(new, coset) > bound) == (min(full, coset) > bound)
+                assert (coset > min(new, bound)) == (coset > min(full, bound))
+                if min(full, coset) <= bound:
+                    assert (coset <= new) == (coset <= full)
+
+
+@st.composite
+def odd_hit_problems(draw):
+    """Columns, a target with a fit of 3 or 5 indices, and a cap above
+    that size, where the search splits the size as the next one."""
+    n = draw(st.integers(6, 12))
+    width = draw(st.integers(3, 16))
+    columns = [draw(st.integers(0, (1 << width) - 1)) for _ in range(n)]
+    size = draw(st.sampled_from((3, 5)))
+    target = 0
+    for j in draw(st.sets(st.integers(0, n - 1), min_size=size, max_size=size)):
+        target ^= columns[j]
+    return columns, target, draw(st.integers(size + 1, n))
+
+
+@given(odd_hit_problems())
+@settings(max_examples=300, deadline=None)
+def test_sparse_xor_search_at_an_odd_size_below_the_cap(problem):
+    # The first fit has an odd size s > 1 below the cap, which puts
+    # (s + 1) // 2 indices into its upper half and the rest below them.
+    columns, target, max_size = problem
+    want = linear_xor_search(columns, target, max_size)
+    assume(want is not None and want.bit_count() in (3, 5))
+    size = want.bit_count()
+    assert dict(f2._splits(len(columns), max_size))[size] == (size + 1) // 2
+    with on_path("mitm"):
+        assert sparse_xor_search(columns, target, max_size) == want
+
+
+def test_sparse_xor_search_lex_ties_at_odd_sizes_below_the_cap():
+    # Size 3 below a cap of 4 over seven columns splits 1 + 2.  The
+    # target's six fits of size 3 include {0, 1, 5}, {0, 2, 3} and
+    # {0, 4, 5}, which share the lower half {0}; the first, whose upper
+    # half {1, 5} takes index 5 from the top two, wins over {2, 3}, drawn
+    # from the levels alone.  Size 5 below a cap of 6 over nine columns
+    # splits 2 + 3: {0, 1, 2, 5, 8} and {0, 1, 3, 4, 5} share the lower
+    # half {0, 1}, and the first wins; {1, 2, 3, 5, 6} and
+    # {1, 4, 5, 6, 8} come later.
+    cases = (
+        ([9, 3, 1, 15, 3, 13, 11], 7, 4, 3, 2, 0b100011),
+        ([47, 8, 22, 1, 51, 40, 10, 37, 36], 61, 6, 5, 3, 0b100100111),
+    )
+    for columns, target, max_size, size, half, want in cases:
+        assert (size, half) in f2._splits(len(columns), max_size)
+        assert linear_xor_search(columns, target, max_size) == want
+        with on_path("mitm"):
+            assert sparse_xor_search(columns, target, max_size) == want
+            assert sparse_xor_search(columns, target, size - 1) is None
+
+
+def test_sparse_xor_search_keeps_a_split_the_next_size_shares():
+    # With the table cap at 50 entries over ten columns, sizes 4 on take
+    # h = 2, as C(10, 3) = 120 does not fit: size 3 takes size 4's split
+    # early, but size 5 keeps its own, as does every size over a
+    # one-index table, and the answers stay those of the plain scan.
+    rng = random.Random(35)
+    plans = {
+        50: [(1, 0), (2, 1), (3, 2), (4, 2), (5, 2), (6, 2)],
+        10: [(1, 0), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1)],
+    }
+    for cap, want in plans.items():
+        with mock.patch.object(f2, "XOR_TABLE_MAX_ENTRIES", cap):
+            assert list(f2._splits(10, 6)) == want
+            for _ in range(30):
+                columns = [rng.getrandbits(12) for _ in range(10)]
+                target = 0
+                for j in rng.sample(range(10), rng.choice((3, 5))):
+                    target ^= columns[j]
+                with on_path("mitm"):
+                    assert sparse_xor_search(columns, target, 6) == linear_xor_search(columns, target, 6)
 
 
 def test_search_shape_refuses_a_cap_of_every_column_at_once():
